@@ -146,7 +146,7 @@ class FreeCommPresentation:
                         f"{g.degree + 1}")
         self.action: dict = {}
         for key, value in (action or {}).items():
-            gen_name, op_text = key if isinstance(key, tuple) else key
+            gen_name, op_text = key
             if gen_name not in self.index:
                 raise InputError(f"action entry for unknown generator {gen_name!r}")
             op = parse_op(p, op_text) if isinstance(op_text, str) else tuple(op_text)
@@ -475,17 +475,9 @@ class TruncAlgebra:
 
     def act_word(self, word: tuple, x: Element, drop_above: bool = False) -> Element:
         """Apply a composite word (rightmost factor first)."""
-        letters = steenrod.word_to_letters(self.p, word)
-        if letters is None:
-            return self.zero()
         out = x
-        for letter in reversed(letters):
-            if letter[0] == "Sq":
-                out = self.act(("Sq", letter[1]), out, drop_above)
-            elif letter[0] == "P":
-                out = self.act(("P", letter[1]), out, drop_above)
-            else:
-                out = self.act(("B",), out, drop_above)
+        for letter in reversed(steenrod.word_to_letters(self.p, word)):
+            out = self.act(letter, out, drop_above)
             if out.is_zero:
                 return out
         return out
@@ -533,6 +525,10 @@ class FreeTruncAlgebra(TruncAlgebra):
         self.p = presentation.p
         self.bound = bound
         self.generators = presentation.generators
+        self._odd_indices = [i for i, g in enumerate(self.generators)
+                             if g.degree % 2 == 1]
+        self._exterior_indices = [i for i, g in enumerate(self.generators)
+                                  if g.kind == "exterior"]
         self._basis: list[list[tuple]] = [[] for _ in range(bound + 1)]
         for mono in self._enumerate_monomials():
             self._basis[presentation.monomial_degree(mono)].append(mono)
@@ -631,16 +627,15 @@ class FreeTruncAlgebra(TruncAlgebra):
         merged = tuple(a + b for a, b in zip(m1, m2))
         sign = 1
         if self.p != 2:
-            odd_indices = [i for i, g in enumerate(self.generators)
-                           if g.degree % 2 == 1]
+            odd_indices = self._odd_indices
             swaps = 0
             for j in odd_indices:
                 if m2[j]:
                     swaps += sum(m1[i] for i in odd_indices if i > j)
             if swaps % 2:
                 sign = -1
-        for i, g in enumerate(self.generators):
-            if g.kind == "exterior" and merged[i] > 1:
+        for i in self._exterior_indices:
+            if merged[i] > 1:
                 return None
         return sign, merged
 
@@ -750,8 +745,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         else:
             idx = next(i for i, e in enumerate(mono) if e)
             rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            out = self.product(self._total_on_monomial(rest),
-                               self._gen_total(idx), drop_above=True)
+            out = self.product(self._gen_total(idx),
+                               self._total_on_monomial(rest), drop_above=True)
         self._total_cache[mono] = out
         return out
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from . import linalg, steenrod
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
-from .errors import (BoundExceededError, InputError,
+from .errors import (BoundExceededError, EngineContractError, InputError,
                      UnsupportedFibrationError)
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
-                     TensorTruncAlgebra, _series_mul, expand,
+                     TensorTruncAlgebra, _series_mul, expand, op_degree,
                      presentation_poincare)
 
 
@@ -295,11 +295,6 @@ class SSResult:
         }
 
 
-def _free_factor_series(items, bound: int) -> list:
-    """Series of a free graded-commutative algebra on (degree, kind) items."""
-    return presentation_poincare(list(items), bound).coeffs
-
-
 class _Engine:
     def __init__(self, spec: FibrationSpec, assert_finite_base: bool = False):
         self.spec = spec
@@ -332,7 +327,7 @@ class _Engine:
         series = self.quotient.dims()[: self.bound + 1]
         factors = [(d, kind) for (d, _seq, kind, *_rest) in queue_items]
         factors += list(free_items)
-        free = _free_factor_series(factors, self.bound)
+        free = presentation_poincare(factors, self.bound).coeffs
         return _series_mul(series, free, self.bound)
 
     def _project_is_zero(self, rep: Element) -> bool:
@@ -538,67 +533,75 @@ class _Engine:
     def _induced_action(self, survivors) -> dict:
         """Explicit entries computed by restriction to the fiber; only valid
         over a trivial base quotient, and omitted in degrees where companion
-        classes (which restrict to zero) could correct the value."""
+        classes (which restrict to zero) could correct the value.
+
+        A value is read off the fiber monomial basis: each survivor monomial
+        restricts to one signed fiber monomial (see _survivor_coordinates),
+        so the coefficient of a survivor monomial is the value's coefficient
+        on its fiber monomial times that sign.  A value touching a fiber
+        monomial no survivor monomial reaches is not in the image of the
+        survivor algebra, and its entry is omitted."""
         shadow = self._companion_shadow(survivors)
-        fiber_classes = [(s, s.fiber_class) for s in survivors
-                         if s.fiber_class is not None]
-        basis_cache: dict[int, tuple] = {}
-
-        def survivor_monomials(degree):
-            if degree in basis_cache:
-                return basis_cache[degree]
-            entries = []
-
-            def rec(idx, remaining, expo):
-                if remaining == 0:
-                    entries.append(tuple(expo))
-                    return
-                if idx == len(fiber_classes):
-                    return
-                rec(idx + 1, remaining, expo)
-                s = fiber_classes[idx][0]
-                top = 1 if s.kind == "exterior" else remaining // s.degree
-                e = 0
-                while e < top and (e + 1) * s.degree <= remaining:
-                    e += 1
-                    expo[idx] = e
-                    rec(idx + 1, remaining - e * s.degree, expo)
-                expo[idx] = 0
-
-            rec(0, degree, [0] * len(fiber_classes))
-            basis_cache[degree] = tuple(entries)
-            return basis_cache[degree]
-
-        def monomial_value(expo):
-            out = self.fiber_alg.one()
-            for (s, cls), e in zip(fiber_classes, expo):
-                for _ in range(e):
-                    out = self.fiber_alg.product(out, cls, drop_above=True)
-            return out
-
+        coords = self._survivor_coordinates(survivors)
         action = {}
-        all_names = [s.name for s in survivors]
-        for s, cls in fiber_classes:
+        for s in survivors:
+            if s.fiber_class is None:
+                continue
             for op in self.fiber_alg.op_list():
-                target = s.degree + _op_degree(self.p, op)
+                target = s.degree + op_degree(self.p, op)
                 if target > self.bound or target in shadow:
                     continue
-                value = self.fiber_alg.act(op, cls, drop_above=True)
-                expos = survivor_monomials(target)
-                cols = [monomial_value(e).vector(target) for e in expos]
-                coords = linalg.solve(cols, value.vector(target), self.p)
-                if coords is None:
+                value = self.fiber_alg.act(op, s.fiber_class, drop_above=True)
+                if any(key not in coords for key in value.data):
                     continue
                 poly = {}
-                for coeff, expo in zip(coords, expos):
-                    if not coeff:
-                        continue
-                    mono = [0] * len(all_names)
-                    for (sv, _c), e in zip(fiber_classes, expo):
-                        mono[all_names.index(sv.name)] = e
-                    poly[tuple(mono)] = coeff
-                action[(s.name, op)] = poly
+                for key, coeff in value.data.items():
+                    mono, sign = coords[key]
+                    poly[mono] = coeff * sign % self.p
+                action[(s.name, op)] = dict(sorted(poly.items()))
         return action
+
+    def _survivor_coordinates(self, survivors) -> dict:
+        """Fiber basis key -> (survivor exponent tuple, sign) for every
+        monomial in the non-companion survivors through the bound.
+
+        Each such survivor's fiber class is one fiber monomial (a generator
+        or a p-power of one), so a survivor monomial restricts to ± one fiber
+        monomial, and distinct survivor monomials to distinct ones.  Both
+        facts are checked here; a violation raises EngineContractError."""
+        alg = self.fiber_alg
+        classes = [(pos, s) for pos, s in enumerate(survivors)
+                   if s.fiber_class is not None]
+        coords: dict = {}
+        expo = [0] * len(survivors)
+
+        def rec(idx, degree, value):
+            if idx == len(classes):
+                terms = list(value.data.items())
+                if len(terms) != 1 or terms[0][1] not in (1, self.p - 1):
+                    raise EngineContractError(
+                        "survivor monomial restricts to "
+                        f"{alg.describe(value)}, not a signed fiber monomial")
+                (key, coeff), = terms
+                if key in coords:
+                    raise EngineContractError(
+                        "two survivor monomials restrict to the fiber "
+                        f"monomial {alg.basis_label(*key)}")
+                coords[key] = (tuple(expo), coeff)
+                return
+            pos, s = classes[idx]
+            rec(idx + 1, degree, value)
+            top = (self.bound - degree) // s.degree
+            if s.kind == "exterior":
+                top = min(top, 1)
+            for e in range(1, top + 1):
+                value = alg.product(value, s.fiber_class)
+                expo[pos] = e
+                rec(idx + 1, degree + e * s.degree, value)
+            expo[pos] = 0
+
+        rec(0, 0, alg.one())
+        return coords
 
     def _companion_shadow(self, survivors) -> set:
         """Degrees ≤ bound of survivor monomials with a companion factor."""
@@ -631,14 +634,6 @@ class _Engine:
                 if d + total <= self.bound:
                     shadow.add(d + total)
         return shadow
-
-
-def _op_degree(p, op):
-    if op[0] == "Sq":
-        return op[1]
-    if op[0] == "P":
-        return 2 * op[1] * (p - 1)
-    return 1
 
 
 def run_ss(spec: FibrationSpec, assert_finite_base: bool = False) -> SSResult:

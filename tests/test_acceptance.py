@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks, each verified against an
+"""Acceptance gate: ten end-to-end checks, each verified against an
 independent in-test oracle (brute-force enumeration, closure by linear
 algebra, or modular arithmetic sweeps) with explicit runtime budgets."""
 
@@ -15,7 +15,7 @@ from pnoether.fixtures import (SPLITTING_SCENARIOS, appendix_compatible,
                                appendix_tensor, run_splitting_scenario,
                                s3_loop_fibration)
 from pnoether.graded import (FreeCommPresentation, GeneratorSpec,
-                             appendix_generators, expand)
+                             appendix_generators, expand, op_degree)
 from pnoether.noetherian import (PNoetherianPresentation, padic_is_square,
                                  parse_group)
 from pnoether.serre import run_ss
@@ -313,3 +313,50 @@ def test_acceptance_09_module_algebra_generation_closure():
     ranks = generated_subspace_ranks(data["B"], [u1], 10)
     assert ranks == [data["B"].dim(d) for d in range(11)]
     assert all(c.correction == "0" for c in result.certificates)
+
+
+# ---------------------------------------------------------------------------
+# 10. Odd-prime Adem soundness with Bocksteins and Koszul signs: every
+#     composite of two or three letters acts identically to its admissible
+#     reduction on E(x1, x2) (x) F_p[y1, y2], with beta x_i = y_i.
+
+
+def odd_sweep_algebra(p, bound):
+    gens = [GeneratorSpec("x1", 1, "exterior", (1, "y1")),
+            GeneratorSpec("x2", 1, "exterior", (1, "y2")),
+            GeneratorSpec("y1", 2), GeneratorSpec("y2", 2)]
+    action = {("y1", "beta"): "0", ("y2", "beta"): "0"}
+    return expand(FreeCommPresentation(p, gens, action), bound)
+
+
+def test_acceptance_10_odd_prime_adem_soundness_with_bocksteins():
+    start = time.monotonic()
+    for p, top, bound, expected_checks in ((3, 4, 22, 3473),
+                                           (5, 3, 30, 3255)):
+        alg = odd_sweep_algebra(p, bound)
+        letters = [("B",)] + [("P", i) for i in range(1, top + 1)]
+        checks = 0
+        for length in (2, 3):
+            for composite in itertools.product(letters, repeat=length):
+                degree = sum(op_degree(p, op) for op in composite)
+                if degree > bound:
+                    continue
+                reduced = adem_reduce(p, composite)
+                for d in range(bound - degree + 1):
+                    for i in range(alg.dim(d)):
+                        x = alg.element(d, i)
+                        lhs = x
+                        for op in reversed(composite):
+                            lhs = alg.act(op, lhs)
+                        rhs = alg.zero()
+                        for word in reduced.words():
+                            rhs = rhs + alg.act_word(word, x).scale(
+                                reduced.terms[word])
+                        assert lhs == rhs, (p, composite, alg.describe(x))
+                        checks += 1
+        assert checks == expected_checks  # the sweep is not vacuous
+    # the Cartan formula by hand: P1(x1*x2*y2) = x1*x2*P1(y2) = x1*x2*y2^3
+    alg = odd_sweep_algebra(3, 10)
+    assert alg.act(("P", 1), alg.element_from_poly("x1*x2*y2")) == \
+        alg.element_from_poly("x1*x2*y2^3")
+    assert time.monotonic() - start < 30.0

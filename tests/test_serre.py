@@ -8,6 +8,8 @@ hide), and survivor algebras are compared with free-algebra series built by
 an independent product formula.
 """
 
+import itertools
+
 import pytest
 
 from pnoether import (
@@ -29,10 +31,12 @@ from pnoether import (
     run_ss,
     split_fiber_generators,
 )
-from pnoether.errors import UnsupportedFibrationError
+from pnoether.errors import EngineContractError, UnsupportedFibrationError
+from pnoether.graded import op_degree
+from pnoether.linalg import solve
 from pnoether.catalog import get_entry
 from pnoether.fixtures import s3_loop_fibration
-from pnoether.serre import default_bound
+from pnoether.serre import Survivor, _Engine, default_bound
 
 
 def convolve(a, b, bound):
@@ -276,6 +280,97 @@ def test_rank_two_cover_p3():
     frozen = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
               0, 0, 0, 0, 1, 0, 0, 1]
     assert res.poincare().coeffs == frozen
+
+
+# ---------------------------------------------------------------------------
+# the whole induced-action table against a direct solve
+
+
+def reference_induced_action(res):
+    """Every (survivor, op) entry by restriction to the fiber: products
+    build each survivor monomial's fiber value, and a linear solve over
+    F_p expresses the op's value in them.  Degrees holding a survivor
+    monomial with a companion factor are skipped (companions restrict to
+    zero there), as are values outside the survivors' span."""
+    p, bound = res.p, res.bound
+    survivors = res.surviving_fiber_generators
+    fiber_alg = next(s.fiber_class.algebra for s in survivors
+                     if s.fiber_class is not None)
+    monomials = {}  # degree -> [exponent tuple]
+    for expo in itertools.product(*[
+            range(2 if s.kind == "exterior" else bound // s.degree + 1)
+            for s in survivors]):
+        degree = sum(e * s.degree for e, s in zip(expo, survivors))
+        if degree <= bound:
+            monomials.setdefault(degree, []).append(expo)
+    shadow = {d for d, expos in monomials.items()
+              if any(e and s.is_companion
+                     for expo in expos for e, s in zip(expo, survivors))}
+
+    def fiber_value(expo):
+        out = fiber_alg.one()
+        for e, s in zip(expo, survivors):
+            for _ in range(e):
+                out = fiber_alg.product(out, s.fiber_class)
+        return out
+
+    expected = {}
+    for s in survivors:
+        if s.is_companion:
+            continue
+        for op in fiber_alg.op_list():
+            target = s.degree + op_degree(p, op)
+            if target > bound or target in shadow:
+                continue
+            value = fiber_alg.act(op, s.fiber_class, drop_above=True)
+            expos = sorted(monomials.get(target, []))
+            cols = [fiber_value(expo).vector(target) for expo in expos]
+            coords = solve(cols, value.vector(target), p)
+            if coords is not None:
+                expected[(s.name, op)] = {
+                    expo: c for c, expo in zip(coords, expos) if c}
+    return expected
+
+
+@pytest.mark.parametrize("name,p,bound", [
+    ("BS3", 2, 60),
+    ("BS3", 3, 60),
+    ("BS3", 5, 60),
+    ("X2b_4", 3, 60),
+])
+def test_induced_action_table_matches_direct_solve(name, p, bound):
+    entry = get_entry(name)
+    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+                                     torsion_free=entry.torsion_free)
+    assert res.flags["quotient_trivial"]
+    action = res.total.right.presentation.action
+    expected = reference_induced_action(res)
+    assert sum(1 for poly in expected.values() if poly) >= 4  # not vacuous
+    assert list(action) == list(expected)
+    for key, poly in expected.items():
+        assert list(action[key].items()) == list(poly.items()), key
+
+
+def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
+    spec = FibrationSpec(3, get_entry("BS3").presentation(3),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=20)
+    engine = _Engine(spec)
+    fiber = engine.fiber_alg
+
+    def survivor(name, gen):
+        return Survivor(name, fiber.generator_element(gen).degree(),
+                        "exterior", gen, name,
+                        fiber.generator_element(gen))
+
+    # listed against the fiber's generator order, b*a = -(i3*P1i3)
+    coords = engine._survivor_coordinates(
+        [survivor("b", "P1i3"), survivor("a", "i3")])
+    key = fiber.monomial_key((1, 1, 0, 0, 0))
+    assert coords[key] == ((1, 1), 2)
+    assert len(coords) == 4
+    with pytest.raises(EngineContractError):
+        engine._survivor_coordinates(
+            [survivor("a", "i3"), survivor("c", "i3")])
 
 
 # ---------------------------------------------------------------------------
