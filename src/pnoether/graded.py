@@ -801,44 +801,62 @@ class QuotientTruncAlgebra(TruncAlgebra):
     Steenrod operations are computed upstairs and projected.  ``steenrod_ok``
     records whether the ideal was closed under the tabulated operations — the
     induced action is only meaningful when it is.
+
+    The ideal grows in place with ``add_generator``, which spans only the
+    new generator's multiples.  Each degree's row space is kept in reduced
+    row echelon form, which is canonical for the subspace, so the basis does
+    not depend on the order or grouping in which generators arrive.  An
+    Element of the quotient is written in the basis current when it was
+    made: after a growth step it no longer refers to the same classes.
     """
 
     def __init__(self, free: FreeTruncAlgebra, ideal_gens, check_action: bool = True):
         self.free = free
         self.p = free.p
         self.bound = free.bound
-        self.ideal_gens = list(ideal_gens)
-        for x in self.ideal_gens:
-            if x.algebra is not free:
-                raise InputError("ideal generators must live in the base algebra")
-            if x.is_zero:
-                continue
-            if x.degree() == 0:
-                raise InputError("ideal generators must have positive degree")
+        self.ideal_gens: list[Element] = []
         self._ideal: list[RowSpace] = [RowSpace(self.p, free.dim(d))
                                        for d in range(self.bound + 1)]
-        self._span_ideal()
-        self._reps: list[list[int]] = []
-        for d in range(self.bound + 1):
-            pivots = set(self._ideal[d].pivots)
-            self._reps.append([i for i in range(free.dim(d)) if i not in pivots])
+        self._reps: list[list[int]] = [list(range(free.dim(d)))
+                                       for d in range(self.bound + 1)]
+        self.check_action = False  # one check on the whole ideal, below
+        for x in ideal_gens:
+            self.add_generator(x)
+        self.check_action = check_action
         self.steenrod_ok = True
         self.steenrod_failures: list = []
         if check_action:
             self._check_invariance()
 
-    def _span_ideal(self):
-        for x in self.ideal_gens:
-            if x.is_zero:
-                continue
-            d0 = x.degree()
-            for d in range(d0, self.bound + 1):
-                for mono in self.free.basis(d - d0):
-                    m = self.free.monomial_element(mono)
-                    prod = self.free.product(m, x, drop_above=True)
-                    vec = prod.vector(d)
-                    if any(vec):
-                        self._ideal[d].add(vec)
+    def add_generator(self, x: Element):
+        """Grow the ideal by the homogeneous element x, in place.
+
+        Degree d of the new ideal is I_d + x·A_{d-|x|}.  Because x·I lies in
+        I, only x times the current quotient representatives is spanned;
+        degrees are visited from the top down so that the representatives
+        of degree d-|x| are still those of the old ideal.  With
+        ``check_action`` the invariance check runs again on the new ideal.
+        """
+        if x.algebra is not self.free:
+            raise InputError("ideal generators must live in the base algebra")
+        if not x.is_zero and x.degree() == 0:
+            raise InputError("ideal generators must have positive degree")
+        self.ideal_gens.append(x)
+        if x.is_zero:
+            return
+        d0 = x.degree()
+        free = self.free
+        for d in range(self.bound, d0 - 1, -1):
+            space = self._ideal[d]
+            grew = False
+            for rep in self._reps[d - d0]:
+                vec = free.product(free.element(d - d0, rep), x).vector(d)
+                if any(vec) and space.add(vec):
+                    grew = True
+            if grew:
+                self._reps[d] = space.non_pivot_columns()
+        if self.check_action:
+            self._check_invariance()
 
     def _check_invariance(self):
         """Is the ideal closed under the tabulated operations?
@@ -849,6 +867,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
         """
         complete = True
         failed = False
+        self.steenrod_failures = []
         for op in self.free.op_list():
             shift = op_degree(self.p, op)
             for d in range(1, self.bound + 1 - shift):
@@ -922,31 +941,34 @@ class QuotientTruncAlgebra(TruncAlgebra):
         d0 = x.degree()
         if d0 is None:
             return False
-        for d in range(0, self.bound + 1 - d0):
-            image = RowSpace(self.p, self.dim(d + d0))
-            kernel_dim = 0
-            columns = []
-            for i in range(self.dim(d)):
-                prod = self.product(self.element(d, i), x)
-                vec = prod.vector(d + d0)
-                columns.append(vec)
-                if any(vec):
-                    image.add(vec)
-            rank = image.dim
-            kernel_dim = self.dim(d) - rank
-            # ideal (x) in degree d: products of degree-(d-d0) basis with x
-            ideal_dim = 0
-            if d >= d0:
-                ideal_space = RowSpace(self.p, self.dim(d))
-                for i in range(self.dim(d - d0)):
-                    prod = self.product(self.element(d - d0, i), x)
-                    vec = prod.vector(d)
-                    if any(vec):
-                        ideal_space.add(vec)
-                ideal_dim = ideal_space.dim
-            if kernel_dim != ideal_dim:
-                return False
-        return True
+        kernels, images = kernel_image_dims(self.dims(), mult_ranks(self, x),
+                                            d0)
+        return kernels == images
+
+
+def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
+    """rank[d] of multiplication by the homogeneous x from degree d to
+    degree d+|x|, for d = 0 .. bound-|x|."""
+    d0 = x.degree()
+    ranks = []
+    for d in range(alg.bound - d0 + 1):
+        image = RowSpace(alg.p, alg.dim(d + d0))
+        for i in range(alg.dim(d)):
+            vec = alg.product(alg.element(d, i), x).vector(d + d0)
+            if any(vec):
+                image.add(vec)
+        ranks.append(image.dim)
+    return ranks
+
+
+def kernel_image_dims(dims: list[int], ranks: list[int], shift: int):
+    """(kernels, images) per degree d < len(ranks) for a multiplication map
+    of degree ``shift`` with ``ranks`` as in mult_ranks: the kernel from
+    degree d has dimension dims[d] - ranks[d], and the image in degree d
+    has dimension ranks[d - shift] (0 below the shift)."""
+    kernels = [dims[d] - r for d, r in enumerate(ranks)]
+    images = [ranks[d - shift] if d >= shift else 0 for d in range(len(ranks))]
+    return kernels, images
 
 
 class TensorTruncAlgebra(TruncAlgebra):
@@ -1136,11 +1158,8 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
                         vec[it] = c
                     if any(vec):
                         decomp[d].add(vec)
-    reps: list[list[int]] = []
-    for d in range(alg.bound + 1):
-        pivots = set(decomp[d].pivots)
-        reps.append([] if d == 0 else
-                    [i for i in range(alg.dim(d)) if i not in pivots])
+    reps = [[] if d == 0 else decomp[d].non_pivot_columns()
+            for d in range(alg.bound + 1)]
     dims = [len(r) for r in reps]
     labels = [[alg.basis_label(d, i) for i in reps[d]]
               for d in range(alg.bound + 1)]

@@ -62,13 +62,9 @@ class RowSpace:
         return True
 
     def non_pivot_columns(self) -> list[int]:
+        """Columns without a pivot: the coordinates of canonical coset reps."""
         taken = set(self.pivots)
         return [i for i in range(self.width) if i not in taken]
-
-    def coords_in_complement(self, vec) -> list[int]:
-        """Coordinates of vec's coset on the non-pivot (representative) columns."""
-        v = self.reduce(vec)
-        return [v[i] for i in self.non_pivot_columns()]
 
 
 def solve(columns: list[list[int]], target: list[int], p: int) -> list[int] | None:

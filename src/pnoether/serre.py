@@ -22,13 +22,14 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from . import linalg, steenrod
+from . import steenrod
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
 from .errors import (BoundExceededError, EngineContractError, InputError,
                      UnsupportedFibrationError)
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
-                     TensorTruncAlgebra, _series_mul, expand, op_degree,
+                     TensorTruncAlgebra, _series_mul, expand,
+                     kernel_image_dims, mult_ranks, op_degree,
                      presentation_poincare)
 
 
@@ -189,58 +190,25 @@ def kudo_chain(spec: FibrationSpec, gen_name: str, max_stage: int = None):
 # annihilator profiles (regularity of the classes being killed)
 
 
-def _mult_kernel_dim(alg, x: Element, d: int) -> int:
-    """dim ker(·x : A_d → A_{d+|x|}); requires d + |x| <= alg.bound."""
-    dim_d = alg.dim(d)
-    if dim_d == 0:
-        return 0
-    xd = x.degree()
-    target = d + xd
-    rows = linalg.RowSpace(alg.p, alg.dim(target))
-    for i in range(dim_d):
-        basis_elem = alg.from_vector(d, [1 if j == i else 0 for j in range(dim_d)])
-        rows.add(alg.product(basis_elem, x).vector(target))
-    return dim_d - rows.dim
-
-
-def _mult_image_dim(alg, x: Element, d: int) -> int:
-    """dim (x·A_{d-|x|}) inside degree d."""
-    xd = x.degree()
-    if d < xd:
-        return 0
-    src = d - xd
-    rows = linalg.RowSpace(alg.p, alg.dim(d))
-    for i in range(alg.dim(src)):
-        basis_elem = alg.from_vector(src, [1 if j == i else 0
-                                           for j in range(alg.dim(src))])
-        rows.add(alg.product(basis_elem, x).vector(d))
-    return rows.dim
-
-
 def annihilator_profile(alg, x: Element) -> str:
     """Classify ann(x) degreewise through the reliable range.
 
     Returns "zero" (x is a nonzerodivisor), "principal" (ann(x) = (x),
     which requires x² = 0), or "other".
     """
-    xd = x.degree()
     if x.is_zero:
         raise InputError("annihilator profile of zero is not meaningful")
-    square_zero = alg.product(x, x, drop_above=True).is_zero \
-        if 2 * xd <= alg.bound else True
-    all_zero = True
-    principal = square_zero
-    for d in range(0, alg.bound - xd + 1):
-        ker = _mult_kernel_dim(alg, x, d)
-        if ker:
-            all_zero = False
-        if ker != _mult_image_dim(alg, x, d):
-            principal = False
-        if not all_zero and not principal:
-            return "other"
-    if all_zero:
+    square_zero = alg.product(x, x, drop_above=True).is_zero
+    return _profile(alg.dims(), mult_ranks(alg, x), x.degree(), square_zero)
+
+
+def _profile(dims, ranks, degree: int, square_zero: bool) -> str:
+    """annihilator_profile from the ranks of multiplication by a class of
+    the given degree (see graded.mult_ranks) and whether it squares to 0."""
+    kernels, images = kernel_image_dims(dims, ranks, degree)
+    if not any(kernels):
         return "zero"
-    return "principal" if principal else "other"
+    return "principal" if square_zero and kernels == images else "other"
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +271,7 @@ class _Engine:
         self.base_alg = spec.base_algebra()  # bound + 1
         self.fiber_alg = expand(spec.fiber_pres, spec.bound)
         self.taus = propagate_transgression(spec, self.base_alg)
-        self.ideal: list[Element] = []
+        # the base modulo the killed ideal, grown in place at every kill
         self.quotient = QuotientTruncAlgebra(self.base_alg, [],
                                              check_action=False)
         self.log: list[dict] = []
@@ -333,11 +301,22 @@ class _Engine:
     def _project_is_zero(self, rep: Element) -> bool:
         return rep.is_zero or self.quotient.contains_in_ideal(rep)
 
-    def _grow_ideal(self, rep: Element):
-        self.ideal.append(rep)
-        self.quotient = QuotientTruncAlgebra(self.base_alg,
-                                             list(self.ideal),
-                                             check_action=False)
+    def _kill(self, rep: Element) -> str:
+        """Add rep to the killed ideal; return the annihilator profile of
+        its class in the quotient before the kill.
+
+        The profile is read off the drop in dimension: the quotient loses
+        rank(·rep : Q_{d-|rep|} -> Q_d) in degree d, so the drop in degree
+        d + |rep| is the rank of multiplication by rep from degree d.  The
+        class squares to zero when rep² already lies in the ideal."""
+        square = self.base_alg.product(rep, rep, drop_above=True)
+        square_zero = self.quotient.contains_in_ideal(square)
+        before = self.quotient.dims()
+        self.quotient.add_generator(rep)
+        after = self.quotient.dims()
+        degree = rep.degree()
+        ranks = [before[d] - after[d] for d in range(degree, len(before))]
+        return _profile(before, ranks, degree, square_zero)
 
     # -- main loop ------------------------------------------------------------
 
@@ -376,19 +355,14 @@ class _Engine:
                                       queue, survived_free, before, seq)
         return self._assemble(survived_free)
 
-    def _regularity(self, rep: Element) -> str:
-        image = self.quotient.project(rep)
-        return annihilator_profile(self.quotient, image)
-
     def _kill_exterior(self, origin, degree, rep, queue, survived_free,
                        before):
-        profile = self._regularity(rep)
+        profile = self._kill(rep)
         if profile != "zero":
             raise UnsupportedFibrationError(
                 f"killing τ({origin}) = {self.base_alg.describe(rep)} "
                 "leaves extra classes (its annihilator is nonzero): the "
                 "differential pattern is not purely transgressive")
-        self._grow_ideal(rep)
         after = self._model_series(queue, survived_free)
         self.log.append({"event": "transgression", "class": origin,
                          "degree": degree,
@@ -397,13 +371,12 @@ class _Engine:
 
     def _kill_polynomial(self, label, origin, degree, rep, exponent,
                          queue, survived_free, before, seq):
-        profile = self._regularity(rep)
+        profile = self._kill(rep)
         if profile == "other":
             raise UnsupportedFibrationError(
                 f"killing τ({origin}) = {self.base_alg.describe(rep)} "
                 "does not follow the Borel pattern (annihilator is neither "
                 "zero nor the class's own ideal)")
-        self._grow_ideal(rep)
         # the companion class u^{p-1}·τ(u) and the next power u^p
         comp_note = None
         comp_degree = (self.p - 1) * degree + rep.degree()  # = p·|u| + 1
@@ -420,7 +393,7 @@ class _Engine:
                 survived_free.append((comp_degree, "exterior"))
                 comp_note = "companion survives"
             else:
-                self._grow_ideal(target)
+                self.quotient.add_generator(target)
                 comp_note = ("companion kills "
                              + self.base_alg.describe(target))
         if degree * self.p <= self.bound:
@@ -473,7 +446,7 @@ class _Engine:
         survivor_pres = FreeCommPresentation(self.p, gen_specs, action)
         free_alg = expand(survivor_pres, self.bound)
         total = TensorTruncAlgebra(self.quotient, free_alg)
-        killed = [self.base_alg.describe(x) for x in self.ideal]
+        killed = [self.base_alg.describe(x) for x in self.quotient.ideal_gens]
         flags = dict(self.flags)
         flags["finitely_generated"] = True
         flags["quotient_trivial"] = quotient_trivial
@@ -678,13 +651,11 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
             raise InputError(f"{name} is not a polynomial generator")
         chain = []
         value = taus[name]
-        ideal: list[Element] = []
+        quotient = QuotientTruncAlgebra(base_alg, [], check_action=False)
         k = 0
         cur_degree = degree
         while True:
-            if value.is_zero or (ideal and QuotientTruncAlgebra(
-                    base_alg, ideal, check_action=False)
-                    .contains_in_ideal(value)):
+            if value.is_zero or quotient.contains_in_ideal(value):
                 out.append({"generator": name, "k": k,
                             "exponent": spec.p ** k,
                             "degree": cur_degree,
@@ -692,7 +663,7 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
                                       for v in chain]})
                 break
             chain.append(value)
-            ideal.append(value)
+            quotient.add_generator(value)
             if cur_degree * spec.p > spec.bound:
                 raise BoundExceededError(
                     f"no p-power of {name} has vanishing transgression "

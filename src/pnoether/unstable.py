@@ -14,8 +14,9 @@ and ``^k`` (k-fold direct sum; ``^0`` normalizes to the zero module).
 The reduced-T functor rewrites by a pluggable rule table:
 
 * ``T(Fin) = 0`` and ``T(F(0)) = 0``;
-* ``T(F(n)) = sum_{i<n} F(i)^{C(n,i)}`` (default table; only the F(1) row is
-  forced, the rest may be overridden);
+* ``T(F(n)) = sum_{i<n} F(i)``, each summand once (default table: the
+  unreduced T F(n) is F(0) + ... + F(n) because every H^j(BZ/p) is
+  one-dimensional; only the F(1) row is forced, the rest may be overridden);
 * ``T`` commutes with suspension and is additive;
 * ``T(a (x) b) = Ta (x) b + a (x) Tb + Ta (x) Tb``.
 
@@ -24,7 +25,6 @@ Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -320,8 +320,15 @@ def _term_key(term):
 
 
 def default_rule_table(n: int) -> list[tuple[int, int]]:
-    """T(F(n)) = sum of F(i) with multiplicity C(n, i) for i < n."""
-    return [(i, math.comb(n, i)) for i in range(n)]
+    """Reduced T(F(n)) = sum of F(i) for i < n, each with multiplicity 1.
+
+    Hom_U(T F(n), M) is the degree-n part of H*(BZ/p) (x) M and each
+    H^j(BZ/p) is one-dimensional, so T F(n) = F(0) + ... + F(n) (Lannes
+    1992).  The
+    binomial multiplicities C(n, i) are those of F(1)^{(x) n}, which the
+    tensor rule produces on its own.
+    """
+    return [(i, 1) for i in range(n)]
 
 
 def _tbar_atom_nf(kind: str, value, p: int, rules) -> dict:

@@ -147,6 +147,14 @@ def test_krull_suspension_trace():
         "trace": ["Sigma(F(1))", "Sigma(F(0))", "0"]}
 
 
+def test_krull_free_module_trace():
+    code, rep = run_json("krull", "F(3)")
+    assert code == 0
+    assert rep["payload"] == {
+        "expression": "F(3)", "degree": 3, "determined": True,
+        "trace": ["F(3)", "F(0) + F(1) + F(2)", "F(0)^2 + F(1)", "F(0)", "0"]}
+
+
 # ---------------------------------------------------------------------------
 # tq / structure
 

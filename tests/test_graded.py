@@ -8,6 +8,7 @@ are three independent routes to the same numbers.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -451,6 +452,136 @@ def test_annihilator_profile():
     x = trivial.project(free.generator_element("x2"))
     # in a free algebra ann(x) = 0 but (x) is not, so the profiles differ
     assert not trivial.annihilator_matches_ideal_of(x)
+
+
+# ---------------------------------------------------------------------------
+# growing a quotient in place
+
+
+def bso3_squared_base(bound):
+    """F_2[a2,a3,b2,b3] with the action of H*(BSO(3))^2: Sq1 a2 = a3,
+    Sq1 a3 = 0, Sq2 a3 = a2*a3, the same for b."""
+    gens = [GeneratorSpec(n, d) for n, d in
+            (("a2", 2), ("a3", 3), ("b2", 2), ("b3", 3))]
+    action = {}
+    for x in "ab":
+        action.update({(f"{x}2", "Sq1"): f"{x}3", (f"{x}3", "Sq1"): "0",
+                       (f"{x}3", "Sq2"): f"{x}2*{x}3"})
+    return expand(FreeCommPresentation(2, gens, action), bound)
+
+
+def odd_base(bound):
+    """E(x1, x3) (x) F_3[y2, y4]: odd classes, so products carry signs."""
+    gens = [GeneratorSpec("x1", 1, "exterior"), GeneratorSpec("y2", 2),
+            GeneratorSpec("x3", 3, "exterior"), GeneratorSpec("y4", 4)]
+    return expand(FreeCommPresentation(3, gens), bound)
+
+
+def rref(vectors, p):
+    """(pivots, rows) of the reduced row echelon form of the span, computed
+    from scratch by Gauss-Jordan elimination."""
+    rows = [[c % p for c in v] for v in vectors]
+    pivots, out = [], []
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        sel = next((r for r in rows if r[col]), None)
+        if sel is None:
+            continue
+        rows.remove(sel)
+        inv = pow(sel[col], p - 2, p)
+        sel = [c * inv % p for c in sel]
+        rows = [[(a - r[col] * b) % p for a, b in zip(r, sel)] for r in rows]
+        out = [[(a - r[col] * b) % p for a, b in zip(r, sel)] for r in out]
+        pivots.append(col)
+        out.append(sel)
+    return pivots, out
+
+
+def assert_matches_from_scratch_span(quo, alg, gens):
+    """Every degree's ideal, pivots and basis equal the span of every basis
+    monomial times every generator."""
+    for d in range(alg.bound + 1):
+        vectors = []
+        for x in gens:
+            if x.is_zero or x.degree() > d:
+                continue
+            for i in range(alg.dim(d - x.degree())):
+                vectors.append(alg.product(alg.element(d - x.degree(), i),
+                                           x).vector(d))
+        pivots, rows = rref(vectors, alg.p)
+        assert quo._ideal[d].pivots == pivots, d
+        assert quo._ideal[d].rows == rows, d
+        assert quo.basis(d) == [i for i in range(alg.dim(d))
+                                if i not in pivots], d
+
+
+def random_generators(alg, rng, count):
+    """Seeded homogeneous elements of positive degree, with a zero one and
+    one that already lies in the ideal of the earlier ones."""
+    gens = []
+    while len(gens) < count:
+        d = rng.randrange(1, alg.bound // 2 + 1)
+        if not alg.dim(d):
+            continue
+        x = alg.from_vector(d, [rng.randrange(alg.p) if rng.random() < 0.5
+                                else 0 for _ in range(alg.dim(d))])
+        if not x.is_zero:
+            gens.append(x)
+    gens.insert(1, alg.zero())
+    first = gens[0]
+    other = alg.element(1, 0) if alg.dim(1) else alg.element(2, 0)
+    gens.insert(3, alg.product(other, first, drop_above=True))
+    return gens
+
+
+@pytest.mark.parametrize("make,bound,seed", [
+    (bso3_squared_base, 14, 1),
+    (bso3_squared_base, 14, 2),
+    (odd_base, 14, 1),
+    (odd_base, 14, 2),
+])
+def test_quotient_grows_in_place_like_a_from_scratch_span(make, bound, seed):
+    alg = make(bound)
+    rng = random.Random(seed)
+    gens = random_generators(alg, rng, 4)
+    quo = quotient_by_ideal(alg, [], check_action=False)
+    for k, x in enumerate(gens, start=1):
+        quo.add_generator(x)
+        assert quo.ideal_gens == gens[:k]
+        assert_matches_from_scratch_span(quo, alg, gens[:k])
+    # the constructor spans through the same growth step
+    built = quotient_by_ideal(alg, gens, check_action=False)
+    for d in range(bound + 1):
+        assert built._ideal[d].rows == quo._ideal[d].rows
+
+
+def test_growth_by_a_member_of_the_ideal_changes_nothing():
+    alg = bso3_squared_base(12)
+    quo = quotient_by_ideal(alg, ["a2 + b2"], check_action=False)
+    dims = quo.dims()
+    quo.add_generator(alg.element_from_poly("a2*a3 + a3*b2"))
+    quo.add_generator(alg.zero())
+    assert quo.dims() == dims
+    with pytest.raises(InputError):
+        quo.add_generator(alg.one())
+    with pytest.raises(InputError):
+        quo.add_generator(quo.project(alg.generator_element("a3")))
+
+
+def test_growth_reruns_the_invariance_check():
+    alg = bso3_squared_base(12)
+    quo = quotient_by_ideal(alg, ["a2"])
+    assert quo.steenrod_ok is False  # Sq1 a2 = a3 escapes (a2)
+    assert {"op": "Sq1", "degree": 2} in quo.steenrod_failures
+    b3 = alg.generator_element("b3")
+    for more, ok in (("a3", True), ("b2", False)):
+        quo.add_generator(alg.generator_element(more))
+        fresh = quotient_by_ideal(alg, quo.ideal_gens)
+        assert quo.steenrod_ok is fresh.steenrod_ok is ok
+        assert quo.steenrod_failures == fresh.steenrod_failures
+        for op in (("Sq", 1), ("Sq", 2)):
+            assert quo.act(op, quo.project(b3)).data == \
+                fresh.act(op, fresh.project(b3)).data
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,9 @@ from pnoether.graded import op_degree
 from pnoether.linalg import solve
 from pnoether.catalog import get_entry
 from pnoether.fixtures import s3_loop_fibration
-from pnoether.serre import Survivor, _Engine, default_bound
+from pnoether.em import EMProduct
+from pnoether.serre import (Survivor, _Engine, annihilator_profile,
+                            default_bound)
 
 
 def convolve(a, b, bound):
@@ -371,6 +373,92 @@ def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
     with pytest.raises(EngineContractError):
         engine._survivor_coordinates(
             [survivor("a", "i3"), survivor("c", "i3")])
+
+
+# ---------------------------------------------------------------------------
+# each kill's annihilator profile, read off the quotient's dimension drop
+
+
+def bso3_squared_fibration(bound):
+    """K(Z/2,1)^2 -> E -> B with H*(B) = F_2[a2,a3,b2,b3] carrying the
+    action of H*(BSO(3))^2, and the bottom classes transgressing to a2, b2."""
+    gens = [GeneratorSpec(n, d) for n, d in
+            (("a2", 2), ("a3", 3), ("b2", 2), ("b3", 3))]
+    action = {}
+    for x in "ab":
+        action.update({(f"{x}2", "Sq1"): f"{x}3", (f"{x}3", "Sq1"): "0",
+                       (f"{x}3", "Sq2"): f"{x}2*{x}3"})
+    k1 = EMSpec(CyclicClass(1), 1)
+    return FibrationSpec(2, FreeCommPresentation(2, gens, action),
+                         EMProduct((k1, k1)), {"f1_i1": "a2", "f2_i1": "b2"},
+                         bound)
+
+
+@pytest.fixture
+def kill_profiles(monkeypatch):
+    """Records (annihilator_profile before the kill, the engine's profile)
+    for every kill the engine makes."""
+    seen = []
+    kill = _Engine._kill
+
+    def checked(engine, rep):
+        quotient = engine.quotient
+        want = annihilator_profile(quotient, quotient.project(rep))
+        got = kill(engine, rep)
+        seen.append((want, got))
+        return got
+
+    monkeypatch.setattr(_Engine, "_kill", checked)
+    return seen
+
+
+def test_kill_profiles_match_annihilator_profile_on_the_fibration(
+        kill_profiles):
+    for bound in range(10, 29):
+        run_ss(bso3_squared_fibration(bound))
+    assert len(kill_profiles) >= 4 * 19  # at least four kills per bound
+    assert all(want == got for want, got in kill_profiles)
+
+
+@pytest.mark.parametrize("name,p,bound", [
+    ("BS3", 2, 60),
+    ("BS3", 3, 80),
+    ("BS3", 5, 110),
+    ("X2b_4", 3, 60),
+])
+def test_kill_profiles_match_annihilator_profile_on_covers(
+        kill_profiles, name, p, bound):
+    entry = get_entry(name)
+    connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+                               torsion_free=entry.torsion_free)
+    assert kill_profiles
+    assert all(want == got for want, got in kill_profiles)
+
+
+def test_kill_profiles_match_annihilator_profile_of_every_kind(kill_profiles):
+    for p in (2, 3, 5):
+        run_ss(s3_loop_fibration(p, 30))
+        test_path_fibration_cancels(p)
+    test_exterior_kill_with_zero_divisor_aborts()
+    test_polynomial_kill_off_borel_pattern_aborts()
+    assert {got for _, got in kill_profiles} == {"zero", "principal", "other"}
+    assert all(want == got for want, got in kill_profiles)
+
+
+def test_kill_tells_a_principal_annihilator_from_a_lookalike():
+    # F_2[x2,y2]/(x2^2 + x2*y2) is F_2[x2,z2]/(x2*z2) with z2 = x2 + y2:
+    # ann(x2) = (z2) has the dimensions of (x2) in every degree, yet
+    # x2^2 != 0, so the annihilator is not (x2)
+    base = FreeCommPresentation(2, [GeneratorSpec("x2", 2),
+                                    GeneratorSpec("y2", 2)])
+    spec = FibrationSpec(2, base, EMSpec(IntegerClass(), 3), None, bound=12)
+    engine = _Engine(spec)
+    alg = engine.base_alg
+    engine.quotient.add_generator(alg.element_from_poly("x2^2 + x2*y2"))
+    x2 = alg.generator_element("x2")
+    assert annihilator_profile(engine.quotient,
+                               engine.quotient.project(x2)) == "other"
+    assert engine._kill(x2) == "other"
 
 
 # ---------------------------------------------------------------------------

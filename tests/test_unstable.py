@@ -148,6 +148,37 @@ def test_tbar_of_F1_is_finite_free_part():
     assert is_zero(tbar(t1, 2))
 
 
+# The adjunction Hom_U(T F(n), M) = (H*(BZ/p) (x) M)^n (the degree-n part),
+# with every H^j(BZ/p) one-dimensional, gives T F(n) = F(0) + ... + F(n), so the reduced
+# T of F(n) is the sum of F(i) over i < n, each summand once (Lannes 1992;
+# Schwartz 1994).  Binomial multiplicities belong to F(1)^{(x) n} instead.
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tbar_of_Fn_takes_each_lower_free_module_once(p):
+    for n in range(1, 7):
+        want = Sum(tuple(F(i) for i in range(n)))
+        assert normal_form(tbar(F(n), p)) == normal_form(want), (p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tbar_iterated_n_times_on_Fn_is_F0(p):
+    for n in range(1, 7):
+        module = F(n)
+        for _ in range(n):
+            module = tbar(module, p)
+        assert normal_form(module) == normal_form(F(0)), (p, n)
+
+
+def test_tbar_of_F1_tensor_power_keeps_binomial_multiplicities():
+    # T F(1) = F(0) + F(1), so T(F(1)^{(x) 3}) = (F(0) + F(1))^{(x) 3} and
+    # the reduced T drops the F(1)^{(x) 3} term
+    want = Sum((F(0), F(1), F(1), F(1), Tensor((F(1), F(1))),
+                Tensor((F(1), F(1))), Tensor((F(1), F(1)))))
+    cube = Tensor((F(1), F(1), F(1)))
+    assert normal_form(tbar(cube, 2)) == normal_form(want)
+
+
 def test_tbar_additive():
     e = Sum((F(1), Fin({3: 1})))
     assert normal_form(tbar(e, 2)) == normal_form(tbar(F(1), 2))
