@@ -148,10 +148,11 @@ def test_tbar_of_F1_is_finite_free_part():
     assert is_zero(tbar(t1, 2))
 
 
-# The adjunction Hom_U(T F(n), M) = (H*(BZ/p) (x) M)^n (the degree-n part),
-# with every H^j(BZ/p) one-dimensional, gives T F(n) = F(0) + ... + F(n), so the reduced
-# T of F(n) is the sum of F(i) over i < n, each summand once (Lannes 1992;
-# Schwartz 1994).  Binomial multiplicities belong to F(1)^{(x) n} instead.
+# Hom_U(T F(n), M) is the degree-n part of H*(BZ/p) (x) M, and every
+# H^j(BZ/p) is one-dimensional, so T F(n) = F(0) + ... + F(n) and the
+# reduced T of F(n) is the sum of F(i) over i < n, each summand once
+# (Lannes 1992; Schwartz 1994).  Binomial multiplicities belong to
+# F(1)^{(x) n} instead.
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
