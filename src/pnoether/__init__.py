@@ -24,9 +24,9 @@ from .graded import (FiniteModuleTable, FreeCommPresentation,
                      PoincareSeries, QuotientTruncAlgebra, TensorTruncAlgebra,
                      appendix_generators, expand, indecomposables, poincare,
                      quotient_by_ideal)
-from .unstable import (F, Fin, KrullReport, ModuleExpr, Power, Q1, Sigma, Sum,
-                       Tensor, ZERO, expr_dims, format_expr, krull_degree,
-                       normal_form, parse_expr, tbar)
+from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
+                       Sigma, Sum, Tensor, ZERO, expr_dims, format_expr,
+                       krull_degree, normal_form, parse_expr, tbar)
 from .em import (CyclicClass, EMProduct, EMSpec, IntegerClass, PadicClass,
                  PruferClass, em_generators, em_product_presentation,
                  fiber_layout, parse_space)

@@ -158,7 +158,28 @@ def kudo_companion_target(base_alg, x_degree: int, tau_rep: Element) -> Element:
     return base_alg.act(("B",), power, drop_above=True).scale(-1)
 
 
-def kudo_chain(spec: FibrationSpec, gen_name: str, max_stage: int = None):
+def _kudo_powers(spec: FibrationSpec, base_alg, taus: dict, gen_name: str):
+    """Yield (exponent, degree, τ value) for a, a^p, a^p², … while the degree
+    stays within the bound.
+
+    A power's value is computed only once its degree is known to be in
+    range, because kudo_power_transgression raises on an odd degree at odd p.
+    """
+    if gen_name not in taus:
+        raise InputError(f"{gen_name!r} is not a fiber generator")
+    degree = next(d for f in spec.layout.factors for n, d, *_ in f.gens
+                  if n == gen_name)
+    exponent, value = 1, taus[gen_name]
+    while True:
+        yield exponent, degree, value
+        if degree * spec.p > spec.bound:
+            return
+        value = kudo_power_transgression(base_alg, degree, value)
+        degree *= spec.p
+        exponent *= spec.p
+
+
+def kudo_chain(spec: FibrationSpec, gen_name: str):
     """[(exponent, τ value)] for a, a^p, a^p², … while degrees stay in range.
 
     Stage k's value is the k-fold power-transgression of τ(a), an element of
@@ -167,22 +188,12 @@ def kudo_chain(spec: FibrationSpec, gen_name: str, max_stage: int = None):
     """
     base_alg = spec.base_algebra()
     taus = propagate_transgression(spec, base_alg)
-    if gen_name not in taus:
-        raise InputError(f"{gen_name!r} is not a fiber generator")
-    degree = dict((n, d) for f in spec.layout.factors
-                  for n, d, *_ in f.gens)[gen_name]
-    value = taus[gen_name]
-    chain = [(1, value)]
-    exponent = 1
-    while not value.is_zero:
-        if max_stage is not None and len(chain) > max_stage:
-            break
-        if degree * spec.p > spec.bound:
-            break
-        value = kudo_power_transgression(base_alg, degree, value)
-        degree *= spec.p
-        exponent *= spec.p
+    chain = []
+    for exponent, _degree, value in _kudo_powers(spec, base_alg, taus,
+                                                 gen_name):
         chain.append((exponent, value))
+        if value.is_zero:
+            break
     return chain
 
 
@@ -639,39 +650,30 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
     Kudo power-transgression of a zero modulo the earlier chain values;
     reports (name, k, p^k, degree of a^{p^k}, chain as base polynomials)."""
     base_alg = spec.base_algebra()
-    degrees = {n: (d, kind) for f in spec.layout.factors
-               for n, d, kind, *_ in f.gens}
+    kinds = {n: kind for f in spec.layout.factors
+             for n, _d, kind, *_ in f.gens}
     taus = propagate_transgression(spec, base_alg)
     out = []
     for name in poly_gens:
-        if name not in degrees:
-            raise InputError(f"{name!r} is not a fiber generator")
-        degree, kind = degrees[name]
-        if kind != "polynomial":
+        # an unknown name is refused by _kudo_powers
+        if kinds.get(name, "polynomial") != "polynomial":
             raise InputError(f"{name} is not a polynomial generator")
         chain = []
-        value = taus[name]
         quotient = QuotientTruncAlgebra(base_alg, [], check_action=False)
-        k = 0
-        cur_degree = degree
-        while True:
+        for exponent, degree, value in _kudo_powers(spec, base_alg, taus,
+                                                    name):
             if value.is_zero or quotient.contains_in_ideal(value):
-                out.append({"generator": name, "k": k,
-                            "exponent": spec.p ** k,
-                            "degree": cur_degree,
-                            "chain": [base_alg.describe(v)
-                                      for v in chain]})
                 break
             chain.append(value)
             quotient.add_generator(value)
-            if cur_degree * spec.p > spec.bound:
-                raise BoundExceededError(
-                    f"no p-power of {name} has vanishing transgression "
-                    f"within degree {spec.bound}",
-                    partial=[base_alg.describe(v) for v in chain])
-            value = kudo_power_transgression(base_alg, cur_degree, value)
-            cur_degree *= spec.p
-            k += 1
+        else:
+            raise BoundExceededError(
+                f"no p-power of {name} has vanishing transgression "
+                f"within degree {spec.bound}",
+                partial=[base_alg.describe(v) for v in chain])
+        out.append({"generator": name, "k": len(chain), "exponent": exponent,
+                    "degree": degree,
+                    "chain": [base_alg.describe(v) for v in chain]})
     return out
 
 

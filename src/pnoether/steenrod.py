@@ -269,16 +269,9 @@ def _odd_relation(p: int, a: int, e: int, b: int) -> list[tuple[int, int, int, i
     return terms
 
 
-_ODD_CACHE: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _reduce_odd(p: int, word: tuple) -> tuple:
     """Fully Adem-reduce an odd-p flat word; ((admissible_word, coeff), ...)."""
-    key = (p, word)
-    hit = _ODD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = None
     for j in range(1, len(word) - 2, 2):
         a, e, b = word[j], word[j + 1], word[j + 2]
         if a < p * b + e:
@@ -300,12 +293,8 @@ def _reduce_odd(p: int, word: tuple) -> tuple:
                     new = tuple(prefix + [s1, mid_e, t] + suffix)
                 for w2, c2 in _reduce_odd(p, new):
                     acc[w2] = (acc.get(w2, 0) + coeff * c2) % p
-            result = tuple(sorted((w, v) for w, v in acc.items() if v))
-            break
-    if result is None:
-        result = ((word, 1),)
-    _ODD_CACHE[key] = result
-    return result
+            return tuple(sorted((w, v) for w, v in acc.items() if v))
+    return ((word, 1),)
 
 
 class SteenrodSum:

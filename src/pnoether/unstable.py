@@ -11,16 +11,16 @@ Module expressions are formal sums/tensors built from the atoms
 with constructors ``Sigma`` (suspension), ``+`` (direct sum), ``*`` (tensor)
 and ``^k`` (k-fold direct sum; ``^0`` normalizes to the zero module).
 
-The reduced-T functor rewrites by a pluggable rule table:
+The reduced-T functor follows fixed rules:
 
 * ``T(Fin) = 0`` and ``T(F(0)) = 0``;
-* ``T(F(n)) = sum_{i<n} F(i)``, each summand once (default table: the
-  unreduced T F(n) is F(0) + ... + F(n) because every H^j(BZ/p) is
-  one-dimensional; only the F(1) row is forced, the rest may be overridden);
+* ``T(F(n)) = sum_{i<n} F(i)``, each summand once (the unreduced T F(n) is
+  F(0) + ... + F(n) because every H^j(BZ/p) is one-dimensional);
 * ``T`` commutes with suspension and is additive;
 * ``T(a (x) b) = Ta (x) b + a (x) Tb + Ta (x) Tb``.
 
-Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.
+Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.  Both work
+on normal forms (the ``Normal`` leaf); trees are built only by the parser.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from . import steenrod
 from .errors import DSLSyntaxError, InputError
+from .graded import _series_mul
 
 # ---------------------------------------------------------------------------
 # expression trees
@@ -117,6 +118,19 @@ class Power(ModuleExpr):
             raise InputError("Power exponent must be >= 0")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Normal(ModuleExpr):
+    """A module held as its normal form (term -> multiplicity), as returned
+    by ``tbar``; the terms are taken at a prime, so none is a symbolic Q1."""
+
+    terms: dict
+
+    def __post_init__(self):
+        if any(q1 for _s, _fs, q1, _fin in self.terms):
+            raise InputError("a Normal module needs a normal form taken at "
+                             "a prime (Q1 written as its finite table)")
+
+
 ZERO = Sum(())
 
 # ---------------------------------------------------------------------------
@@ -173,6 +187,8 @@ def _nf_tensor(a: dict, b: dict) -> dict:
 
 
 def _raw_nf(expr: ModuleExpr, p) -> dict:
+    if isinstance(expr, Normal):
+        return dict(expr.terms)
     if isinstance(expr, F):
         return {_make_term(0, (expr.n,), 0, []): 1}
     if isinstance(expr, Q1):
@@ -251,63 +267,21 @@ def is_zero(expr: ModuleExpr) -> bool:
 def expr_dims(expr: ModuleExpr, max_degree: int, p: int = 2) -> list[int]:
     """Graded dimensions of an expression through max_degree."""
     out = [0] * (max_degree + 1)
-    for (sigma, fs, q1, fin), mult in normal_form(expr, p).items():
+    for (sigma, fs, _q1, fin), mult in normal_form(expr, p).items():
         dims = [1] + [0] * max_degree
         for n in fs:
-            f_dims = dims_F(n, max_degree, p)
-            dims = _convolve(dims, f_dims, max_degree)
-        for _ in range(q1):
-            q_table = [0] * (max_degree + 1)
-            for d, m in q1_dims(p).items():
-                if d <= max_degree:
-                    q_table[d] = m
-            dims = _convolve(dims, q_table, max_degree)
+            dims = _series_mul(dims, dims_F(n, max_degree, p), max_degree)
         if fin is not None:
             f_table = [0] * (max_degree + 1)
             for d, m in fin:
                 if d <= max_degree:
                     f_table[d] = m
-            dims = _convolve(dims, f_table, max_degree)
+            dims = _series_mul(dims, f_table, max_degree)
         for d in range(max_degree + 1):
             shifted = d + sigma
             if shifted <= max_degree:
                 out[shifted] += dims[d] * mult
     return out
-
-
-def _convolve(a: list[int], b: list[int], max_degree: int) -> list[int]:
-    out = [0] * (max_degree + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y and i + j <= max_degree:
-                out[i + j] += x * y
-    return out
-
-
-def from_normal_form(nf: dict) -> ModuleExpr:
-    """Rebuild a canonical expression tree from a normal form."""
-    if not nf:
-        return ZERO
-    parts = []
-    for term in sorted(nf, key=_term_key):
-        mult = nf[term]
-        sigma, fs, q1, fin = term
-        atoms: list[ModuleExpr] = [F(n) for n in sorted(fs, reverse=True)]
-        atoms.extend(Q1() for _ in range(q1))
-        if fin is not None:
-            atoms.append(Fin(dict(fin)))
-        body: ModuleExpr = atoms[0] if len(atoms) == 1 else Tensor(tuple(atoms))
-        for _ in range(sigma):
-            body = Sigma(body)
-        if mult > 1:
-            if len(atoms) == 1 and sigma == 0:
-                body = Power(body, mult)
-            else:
-                parts.extend([body] * (mult - 1))
-        parts.append(body)
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
 
 def _term_key(term):
@@ -319,60 +293,34 @@ def _term_key(term):
 # reduced-T rewriting
 
 
-def default_rule_table(n: int) -> list[tuple[int, int]]:
-    """Reduced T(F(n)) = sum of F(i) for i < n, each with multiplicity 1.
-
-    Hom_U(T F(n), M) is the degree-n part of H*(BZ/p) (x) M and each
-    H^j(BZ/p) is one-dimensional, so T F(n) = F(0) + ... + F(n) (Lannes
-    1992).  The
-    binomial multiplicities C(n, i) are those of F(1)^{(x) n}, which the
-    tensor rule produces on its own.
-    """
-    return [(i, 1) for i in range(n)]
-
-
-def _tbar_atom_nf(kind: str, value, p: int, rules) -> dict:
-    if kind == "F":
-        out: dict = {}
-        for i, mult in rules(value):
-            if mult:
-                t = _make_term(0, (i,), 0, [])
-                out[t] = out.get(t, 0) + mult
-        return out
-    # Q1 and Fin are finite, so the reduced T kills them
-    return {}
-
-
 def q1_dims(p: int) -> dict[int, int]:
     """Q1 written as its finite atom: degree 1 at p=2, degrees 1,2 at odd p."""
     return {1: 1} if p == 2 else {1: 1, 2: 1}
 
 
-def tbar(expr: ModuleExpr, p: int = 2, rules=None) -> ModuleExpr:
+def tbar(expr: ModuleExpr, p: int = 2) -> Normal:
     """One application of the reduced-T functor, in normal form.
 
-    The Q1 atom is rewritten as its finite-module table before the rules
-    apply, so the result never mentions Q1.
+    Reduced T F(n) = F(0) + ... + F(n-1), each summand once: Hom_U(T F(n), M)
+    is the degree-n part of H*(BZ/p) (x) M and each H^j(BZ/p) is
+    one-dimensional, so T F(n) = F(0) + ... + F(n) (Lannes 1992).  The
+    binomial multiplicities C(n, i) are those of F(1)^{(x) n}, which the
+    tensor rule produces on its own.  Finite atoms go to 0; the Q1 atom is
+    rewritten as its finite-module table first, so the result never
+    mentions Q1.
     """
     steenrod.check_prime(p)
-    rules = rules or default_rule_table
     out: dict = {}
-    for (sigma, fs, q1, fin), mult in normal_form(expr, p).items():
-        # tensor factors of the term, as (kind, value) atoms
-        atoms: list[tuple] = [("F", n) for n in fs]
-        if fin is not None:
-            atoms.append(("Fin", fin))
-        # T(x1 (x) ... (x) xk) = prod(xi + T xi) - prod(xi)
+    for (sigma, fs, _q1, fin), mult in normal_form(expr, p).items():
+        # T(x1 (x) ... (x) xk) = prod(xi + T xi) - prod(xi), with T Fin = 0
         prod: dict = {_make_term(0, (0,), 0, []): 1}
-        for kind, value in atoms:
-            if kind == "F":
-                single = {_make_term(0, (value,), 0, []): 1}
-            else:
-                single = {_make_term(0, (), 0, [value]): 1}
-            factor = _nf_add(single, _tbar_atom_nf(kind, value, p, rules))
-            prod = _nf_tensor(prod, factor)
-        original = _make_term(0, tuple(fs), 0, [fin] if fin is not None else [])
-        prod = _nf_add(prod, {original: 1}, mult=-1)
+        for n in fs:
+            prod = _nf_tensor(prod, {_make_term(0, (i,), 0, []): 1
+                                     for i in range(n + 1)})
+        fins = [fin] if fin is not None else []
+        if fins:
+            prod = _nf_tensor(prod, {_make_term(0, (), 0, fins): 1})
+        prod = _nf_add(prod, {_make_term(0, fs, 0, fins): 1}, mult=-1)
         for (s2, f2, q2, fin2), m in prod.items():
             t = _make_term(s2 + sigma, f2, q2, [fin2] if fin2 is not None else [])
             if t is None:
@@ -380,7 +328,7 @@ def tbar(expr: ModuleExpr, p: int = 2, rules=None) -> ModuleExpr:
             out[t] = out.get(t, 0) + m * mult
             if not out[t]:
                 del out[t]
-    return from_normal_form(_merge_finite(out))
+    return Normal(_merge_finite(out))
 
 
 @dataclass
@@ -398,7 +346,7 @@ class KrullReport:
         return [format_expr(e) for e in self.trace]
 
 
-def krull_degree(expr: ModuleExpr, p: int = 2, rules=None,
+def krull_degree(expr: ModuleExpr, p: int = 2,
                  max_iterations: int = 64) -> KrullReport:
     """Least n with T^{n+1}(expr) = 0, with the full iterate trace.
 
@@ -406,15 +354,15 @@ def krull_degree(expr: ModuleExpr, p: int = 2, rules=None,
     degree + 2 for a determined computation.
     """
     steenrod.check_prime(p)
-    current = from_normal_form(normal_form(expr, p))
+    current = Normal(normal_form(expr, p))
     trace = [current]
-    if is_zero(current):
+    if not current.terms:
         # the zero module sits at the bottom of the filtration
         return KrullReport(0, [current, ZERO])
     for n in range(max_iterations):
-        current = tbar(current, p=p, rules=rules)
+        current = tbar(current, p=p)
         trace.append(current)
-        if is_zero(current):
+        if not current.terms:
             return KrullReport(n, trace)
     return KrullReport(None, trace)
 

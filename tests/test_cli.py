@@ -155,6 +155,26 @@ def test_krull_free_module_trace():
         "trace": ["F(3)", "F(0) + F(1) + F(2)", "F(0)^2 + F(1)", "F(0)", "0"]}
 
 
+def test_krull_compound_multiplicity_traces():
+    # a compound term of multiplicity m is printed m times
+    code, rep = run_json("krull", "F(1)*F(1)*F(1)")
+    assert code == 0
+    assert rep["payload"]["degree"] == 3
+    assert rep["payload"]["trace"] == [
+        "F(1)*F(1)*F(1)",
+        "F(0) + F(1)^3 + F(1)*F(1) + F(1)*F(1) + F(1)*F(1)",
+        "F(0)^6 + F(1)^6", "F(0)^6", "0"]
+    # Q1 is written as its finite table at p = 3; finite factors merge
+    code, rep = run_json("krull", "Sigma(F(2)*Q1) + F(1)*Fin(0:1,2:1)",
+                         "--p", "3")
+    assert code == 0
+    assert rep["payload"]["degree"] == 2
+    assert rep["payload"]["trace"] == [
+        "F(1)*Fin(0:1,2:1) + Sigma(F(2)*Fin(1:1,2:1))",
+        "Fin(0:1,2:2,3:1) + Sigma(F(1)*Fin(1:1,2:1))",
+        "Fin(2:1,3:1)", "0"]
+
+
 # ---------------------------------------------------------------------------
 # tq / structure
 

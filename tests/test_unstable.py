@@ -12,9 +12,9 @@ import pytest
 
 from pnoether import unstable as un
 from pnoether.errors import DSLSyntaxError, InputError
-from pnoether.unstable import (F, Fin, Power, Q1, Sigma, Sum, Tensor, ZERO,
-                               expr_dims, format_expr, is_zero, krull_degree,
-                               normal_form, parse_expr, tbar)
+from pnoether.unstable import (F, Fin, Normal, Power, Q1, Sigma, Sum, Tensor,
+                               ZERO, expr_dims, format_expr, is_zero,
+                               krull_degree, normal_form, parse_expr, tbar)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,24 @@ def test_krull_finite_atoms_random():
         assert krull_degree(Fin(dims), 2).degree == 0
 
 
+def test_normal_leaf_refuses_a_symbolic_Q1():
+    # tbar reads Q1 only as its finite table, so a symbolic Q1 term would
+    # lose its finite factor
+    with pytest.raises(InputError):
+        Normal(normal_form(Tensor((F(1), Q1()))))
+    at_two = Normal(normal_form(Tensor((F(1), Q1())), 2))
+    assert format_expr(tbar(at_two, 2)) == "Fin(1:1)"
+
+
 def test_krull_trace_is_successive_tbar():
-    report = krull_degree(F(2), 2)
-    for a, b in zip(report.trace, report.trace[1:]):
-        assert normal_form(tbar(a, 2)) == normal_form(b)
+    for p in (2, 3, 5):
+        rng = random.Random(7)  # the expressions of the round-trip test
+        for e in [F(2)] + [_random_expr(rng) for _ in range(60)]:
+            report = krull_degree(e, p)
+            for a, b in zip(report.trace, report.trace[1:]):
+                step = tbar(a, p)
+                assert normal_form(step) == normal_form(b), (p, e)
+                assert format_expr(step) == format_expr(b), (p, e)
 
 
 # ---------------------------------------------------------------------------
