@@ -16,6 +16,10 @@ over admissible words subject to an excess bound and a coefficient filter:
 * a Pruefer coefficient class in degree n is modeled by the integral class
   in degree n+1.
 
+The enumeration is excess-bounded: ``steenrod.admissible_words`` is asked
+only for words of reduced excess < n, so a table costs what it outputs
+rather than every admissible word up to the bound.
+
 Steenrod action entries are produced by word composition: apply the
 operation to the defining word, reduce to admissible form, and resolve each
 summand against the same rules (boundary words become p-th powers).  The
@@ -209,9 +213,8 @@ class _Enumeration:
                                 mark_trailing=True)]
         entries = []  # (degree, name word, atom, word)
         for atom in self.atoms:
-            for w in steenrod.admissible_words(p, max(bound - atom.fund_degree, -1)):
-                if steenrod.reduced_excess(p, w) >= atom.fund_degree:
-                    continue
+            for w in steenrod.admissible_words(p, bound - atom.fund_degree,
+                                               max_excess=atom.fund_degree - 1):
                 if not atom.allow_trailing and steenrod.trailing_bockstein(p, w):
                     continue
                 atom.words.append(w)

@@ -372,49 +372,59 @@ def adem_reduce(p: int, letters) -> SteenrodSum:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def admissible_words(p: int, max_degree: int) -> list[tuple]:
-    """All admissible words of degree <= max_degree, identity included.
+def admissible_words(p: int, max_degree: int,
+                     max_excess: int | None = None) -> list[tuple]:
+    """Admissible words of degree <= max_degree, identity included.
+
+    With ``max_excess`` set, only the words whose :func:`reduced_excess`
+    (excess with a leading Bockstein not counted) is <= max_excess, in the
+    order the unbounded list has them.
 
     Words are built by prepending letters on the left, so each admissible
-    word is produced exactly once.
+    word is produced exactly once.  Prepending a letter never lowers the
+    reduced excess: at p = 2, ``i >= 2 w_0`` gives
+    ``i - |w| >= 2 w_0 - |w|``; at odd p, prepending ``b^f P^s`` to
+    ``w = b^{e_0} P^{s_1} ...`` gives reduced excess ``2s - |w|``, and
+    ``s >= p s_1 + e_0`` makes that at least ``2 p s_1 + e_0 - |w|``, the
+    reduced excess of ``w``.  So a word over the bound has no descendant
+    under it, and the new letter is capped directly (``i <= max_excess + |w|``
+    at p = 2, ``2s - |w| <= max_excess`` at odd p): every word built is kept.
     """
     check_prime(p)
-    if max_degree < 0:
+    if max_degree < 0 or (max_excess is not None and max_excess < 0):
         return []
+    if max_excess is None:
+        max_excess = max_degree  # no word's excess exceeds its degree
     if p == 2:
         out = [()]
-        frontier = [()]
+        frontier = [((), 0)]
         while frontier:
             new = []
-            for w in frontier:
-                d = sum(w)
+            for w, d in frontier:
                 lo = 2 * w[0] if w else 1
-                for i in range(lo, max_degree - d + 1):
+                for i in range(lo, min(max_degree - d, max_excess + d) + 1):
                     nw = (i,) + w
                     out.append(nw)
-                    new.append(nw)
+                    new.append((nw, d + i))
             frontier = new
         return out
     out = [(0,)]
+    frontier = [((0,), 0)]
     if max_degree >= 1:
         out.append((1,))
-    frontier = list(out)
+        frontier.append(((1,), 1))
     unit = 2 * (p - 1)
     while frontier:
         new = []
-        for w in frontier:
-            d = word_degree(p, w)
-            lead_e, lead_s = w[0], (w[1] if len(w) > 1 else 0)
-            lo = max(1, p * lead_s + lead_e)
-            s = lo
-            while d + 2 * s * (p - 1) <= max_degree:
-                for flag in (0, 1):
-                    nd = d + 2 * s * (p - 1) + flag
-                    if nd <= max_degree:
-                        nw = (flag, s) + w
-                        out.append(nw)
-                        new.append(nw)
-                s += 1
+        for w, d in frontier:
+            lead_s = w[1] if len(w) > 1 else 0
+            hi = min((max_degree - d) // unit, (max_excess + d) // 2)
+            for s in range(max(1, p * lead_s + w[0]), hi + 1):
+                nd = d + s * unit
+                for flag in (0, 1) if nd < max_degree else (0,):
+                    nw = (flag, s) + w
+                    out.append(nw)
+                    new.append((nw, nd + flag))
         frontier = new
     return out
 

@@ -383,11 +383,11 @@ def dims_F(n: int, max_degree: int, p: int = 2) -> list[int]:
     if max_degree < 0:
         raise InputError("dims_F needs max_degree >= 0")
     out = [0] * (max_degree + 1)
-    for w in steenrod.admissible_words(p, max(0, max_degree - n)):
+    # the reduced excess bounds the excess from below, so it prunes exactly;
+    # at odd p a leading Bockstein still counts toward the excess
+    for w in steenrod.admissible_words(p, max_degree - n, max_excess=n):
         if steenrod.excess(p, w) <= n:
-            d = steenrod.word_degree(p, w) + n
-            if d <= max_degree:
-                out[d] += 1
+            out[steenrod.word_degree(p, w) + n] += 1
     return out
 
 

@@ -9,6 +9,7 @@ original composite on polynomial algebras, which pins every coefficient.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from pnoether import steenrod as st
 from pnoether.errors import DSLSyntaxError, InputError
@@ -115,6 +116,70 @@ def test_admissible_words_odd_all_admissible_and_complete():
     assert (0, 2, 0, 1, 0) not in words  # inadmissible P2 P1
     assert (0, 3, 0, 1, 0) not in words  # admissible P3 P1 but degree 16 > 14
     assert 1 in degrees                  # beta
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_excess_bounded_words_equal_the_filtered_full_list(p):
+    for max_degree in range(0, 41):
+        full = st.admissible_words(p, max_degree)
+        for max_excess in range(0, 7):
+            expected = [w for w in full if st.reduced_excess(p, w) <= max_excess]
+            assert st.admissible_words(p, max_degree, max_excess) == expected, (
+                max_degree, max_excess)
+
+
+def test_excess_bound_below_zero_keeps_nothing():
+    for p in (2, 3):
+        assert st.admissible_words(p, 10, -1) == []
+        assert st.admissible_words(p, -1, 3) == []
+
+
+def test_excess_zero_words_cost_nothing_at_a_large_degree():
+    # only the identity has excess 0 at p = 2; an unpruned enumeration to
+    # degree 10_000 would not finish
+    assert st.admissible_words(2, 10_000, 0) == [()]
+    # at odd p the identity and the bare Bockstein have reduced excess 0
+    assert st.admissible_words(3, 10_000, 0) == [(0,), (1,)]
+
+
+@hs.composite
+def _admissible_word(draw, p):
+    """An admissible word grown by prepending letters at or above the
+    admissibility floor."""
+    steps = draw(hs.lists(hs.integers(0, 5), max_size=4))
+    if p == 2:
+        w = ()
+        for step in steps:
+            w = ((2 * w[0] if w else 1) + step,) + w
+        return w
+    w = (draw(hs.integers(0, 1)),)
+    for step in steps:
+        lead_s = w[1] if len(w) > 1 else 0
+        w = (draw(hs.integers(0, 1)), max(1, p * lead_s + w[0]) + step) + w
+    return w
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prepending_a_letter_never_lowers_the_reduced_excess(p):
+    """The lemma that makes the excess-bounded enumeration exact."""
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(_admissible_word(p))
+    def check(w):
+        assert st.is_admissible(p, w)
+        before = st.reduced_excess(p, w)
+        if p == 2:
+            lo = 2 * w[0] if w else 1
+            longer = [(i,) + w for i in range(lo, lo + 12)]
+        else:
+            lead_s = w[1] if len(w) > 1 else 0
+            lo = max(1, p * lead_s + w[0])
+            longer = [(f, s) + w for s in range(lo, lo + 12) for f in (0, 1)]
+        for nw in longer:
+            assert st.is_admissible(p, nw)
+            assert st.reduced_excess(p, nw) >= before, (w, nw)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

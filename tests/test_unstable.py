@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from pnoether import steenrod as st
 from pnoether import unstable as un
 from pnoether.errors import DSLSyntaxError, InputError
 from pnoether.unstable import (F, Fin, Normal, Power, Q1, Sigma, Sum, Tensor,
@@ -53,10 +54,11 @@ def test_dims_F_p2_against_oracle():
 
 def test_dims_F1_p2_powers_of_two():
     # classical: F(1) over the mod-2 algebra is one-dimensional exactly in
-    # degrees 2^k
-    dims = un.dims_F(1, 64, 2)
-    assert [d for d, m in enumerate(dims) if m] == [1, 2, 4, 8, 16, 32, 64]
-    assert all(m in (0, 1) for m in dims)
+    # degrees 2^k; pruned by excess, degree 4096 costs one word per power
+    for bound, top in ((64, 6), (4096, 12)):
+        dims = un.dims_F(1, bound, 2)
+        assert [d for d, m in enumerate(dims) if m] == [2 ** k for k in range(top + 1)]
+        assert all(m in (0, 1) for m in dims)
 
 
 def test_dims_F0():
@@ -72,6 +74,18 @@ def test_dims_F1_odd():
     nonzero = [d for d, m in enumerate(dims) if m]
     assert nonzero == [1, 2, 6, 18]
     assert all(m == 1 for m in dims if m)
+
+
+def test_dims_F_equals_the_excess_filter_over_every_word():
+    for p in (2, 3, 5):
+        for n in range(0, 5):
+            for max_degree in range(0, 41):
+                expected = [0] * (max_degree + 1)
+                for w in st.admissible_words(p, max(0, max_degree - n)):
+                    d = st.word_degree(p, w) + n
+                    if st.excess(p, w) <= n and d <= max_degree:
+                        expected[d] += 1
+                assert un.dims_F(n, max_degree, p) == expected, (p, n, max_degree)
 
 
 # ---------------------------------------------------------------------------
