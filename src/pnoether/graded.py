@@ -26,6 +26,7 @@ certificates for every correction term.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import steenrod
@@ -295,7 +296,11 @@ def _series_mul(a: list[int], b: list[int], bound: int) -> list[int]:
 
 def presentation_poincare(pres_or_degrees, bound: int) -> PoincareSeries:
     """Series of a free presentation: 1/(1-t^d) per polynomial generator,
-    (1+t^d) per exterior generator, truncated at the bound."""
+    (1+t^d) per exterior generator, truncated at the bound.
+
+    Each factor is applied in place in O(bound): c[i] += c[i-d] ascending
+    divides by 1-t^d, descending multiplies by 1+t^d.  A degree-0 entry of
+    a raw degree list multiplies by 1."""
     if bound < 0:
         raise InputError("poincare bound must be >= 0")
     if isinstance(pres_or_degrees, FreeCommPresentation):
@@ -305,16 +310,13 @@ def presentation_poincare(pres_or_degrees, bound: int) -> PoincareSeries:
                 for d in pres_or_degrees]
     coeffs = [1] + [0] * bound
     for degree, kind in gens:
-        if kind == "exterior":
-            factor = [0] * (bound + 1)
-            factor[0] = 1
-            if degree <= bound:
-                factor[degree] = 1
-        else:
-            factor = [1 if degree and d % degree == 0 else 0
-                      for d in range(bound + 1)]
-            factor[0] = 1
-        coeffs = _series_mul(coeffs, factor, bound)
+        if degree < 0:
+            raise InputError(f"generator degree {degree} is negative")
+        if not degree:
+            continue
+        steps = range(degree, bound + 1)
+        for i in (reversed(steps) if kind == "exterior" else steps):
+            coeffs[i] += coeffs[i - degree]
     return PoincareSeries(bound, coeffs)
 
 
@@ -390,6 +392,10 @@ class Element:
             if d == degree:
                 out[i] = c
         return out
+
+    def coords(self, degree: int) -> dict:
+        """The degree component as a sparse vector {basis index: coeff}."""
+        return {i: c for (d, i), c in self.data.items() if d == degree}
 
     def __repr__(self):
         return f"<{self.algebra.describe(self)}>"
@@ -530,8 +536,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._exterior_indices = [i for i, g in enumerate(self.generators)
                                   if g.kind == "exterior"]
         self._basis: list[list[tuple]] = [[] for _ in range(bound + 1)]
-        for mono in self._enumerate_monomials():
-            self._basis[presentation.monomial_degree(mono)].append(mono)
+        for mono, degree in self._enumerate_monomials():
+            self._basis[degree].append(mono)
         for degree in range(bound + 1):
             self._basis[degree].sort()
         self._mono_index = {
@@ -558,12 +564,13 @@ class FreeTruncAlgebra(TruncAlgebra):
     # -- basis ---------------------------------------------------------------
 
     def _enumerate_monomials(self):
+        """(monomial, degree) for every monomial of degree <= bound."""
         gens = self.generators
         bound = self.bound
 
         def rec(idx: int, degree_left: int, prefix: list):
             if idx == len(gens):
-                yield tuple(prefix)
+                yield tuple(prefix), bound - degree_left
                 return
             g = gens[idx]
             max_e = degree_left // g.degree
@@ -803,11 +810,14 @@ class QuotientTruncAlgebra(TruncAlgebra):
     induced action is only meaningful when it is.
 
     The ideal grows in place with ``add_generator``, which spans only the
-    new generator's multiples.  Each degree's row space is kept in reduced
-    row echelon form, which is canonical for the subspace, so the basis does
-    not depend on the order or grouping in which generators arrive.  An
-    Element of the quotient is written in the basis current when it was
-    made: after a growth step it no longer refers to the same classes.
+    new generator's multiples, each built straight from the free algebra's
+    monomials.  Each degree's ideal is a sparse ``RowSpace`` in reduced row
+    echelon form, which is canonical for the subspace, so the basis does
+    not depend on the order or grouping in which generators arrive; a
+    reduced row is nonzero only on its pivot and on quotient basis columns,
+    so the work follows the size of the quotient.  An Element of the
+    quotient is written in the basis current when it was made: after a
+    growth step it no longer refers to the same classes.
     """
 
     def __init__(self, free: FreeTruncAlgebra, ideal_gens, check_action: bool = True):
@@ -834,7 +844,8 @@ class QuotientTruncAlgebra(TruncAlgebra):
         Degree d of the new ideal is I_d + x·A_{d-|x|}.  Because x·I lies in
         I, only x times the current quotient representatives is spanned;
         degrees are visited from the top down so that the representatives
-        of degree d-|x| are still those of the old ideal.  With
+        of degree d-|x| are still those of the old ideal.  Each product
+        rep·x is merged monomial by monomial into a sparse vector.  With
         ``check_action`` the invariance check runs again on the new ideal.
         """
         if x.algebra is not self.free:
@@ -845,13 +856,21 @@ class QuotientTruncAlgebra(TruncAlgebra):
         if x.is_zero:
             return
         d0 = x.degree()
-        free = self.free
+        free, p = self.free, self.p
+        basis, merge, index = free._basis, free._merge_monomials, free._mono_index
+        terms = [(basis[d0][i], c) for (_d, i), c in x.data.items()]
         for d in range(self.bound, d0 - 1, -1):
             space = self._ideal[d]
             grew = False
             for rep in self._reps[d - d0]:
-                vec = free.product(free.element(d - d0, rep), x).vector(d)
-                if any(vec) and space.add(vec):
+                mono = basis[d - d0][rep]
+                vec = {}
+                for term, c in terms:
+                    merged = merge(mono, term)
+                    if merged is not None:
+                        # distinct terms give distinct products
+                        vec[index[merged[1]][1]] = merged[0] * c % p
+                if vec and space.add(vec):
                     grew = True
             if grew:
                 self._reps[d] = space.non_pivot_columns()
@@ -871,8 +890,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
         for op in self.free.op_list():
             shift = op_degree(self.p, op)
             for d in range(1, self.bound + 1 - shift):
-                for row in self._ideal[d].rows:
-                    x = self.free.from_vector(d, row)
+                rows = self._ideal[d].rows
+                for piv in sorted(rows):
+                    x = Element(self.free, {(d, j): c for j, c in rows[piv].items()})
                     try:
                         y = self.free.act(op, x)
                     except MissingDataError:
@@ -880,7 +900,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
                         continue
                     if y.is_zero:
                         continue
-                    if not self._ideal[d + shift].contains(y.vector(d + shift)):
+                    if not self._ideal[d + shift].contains(y.coords(d + shift)):
                         failed = True
                         failure = {"op": format_op(op), "degree": d}
                         if failure not in self.steenrod_failures:
@@ -903,10 +923,10 @@ class QuotientTruncAlgebra(TruncAlgebra):
             raise InputError("project expects an element of the base algebra")
         out: dict = {}
         for d in sorted({k[0] for k in x.data}):
-            vec = self._ideal[d].reduce(x.vector(d))
-            for i, rep in enumerate(self._reps[d]):
-                if vec[rep]:
-                    out[(d, i)] = vec[rep]
+            vec = self._ideal[d].reduce(x.coords(d))
+            reps = self._reps[d]
+            for col in sorted(vec):
+                out[(d, bisect_left(reps, col))] = vec[col]
         return Element(self, out)
 
     def lift(self, x: Element) -> Element:
@@ -919,7 +939,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
     def contains_in_ideal(self, x: Element) -> bool:
         if x.algebra is not self.free:
             raise InputError("expects an element of the base algebra")
-        return all(self._ideal[d].contains(x.vector(d))
+        return all(self._ideal[d].contains(x.coords(d))
                    for d in {k[0] for k in x.data})
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
@@ -954,8 +974,8 @@ def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     for d in range(alg.bound - d0 + 1):
         image = RowSpace(alg.p, alg.dim(d + d0))
         for i in range(alg.dim(d)):
-            vec = alg.product(alg.element(d, i), x).vector(d + d0)
-            if any(vec):
+            vec = alg.product(alg.element(d, i), x).coords(d + d0)
+            if vec:
                 image.add(vec)
         ranks.append(image.dim)
     return ranks
@@ -1153,10 +1173,9 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
                 break
             for i1 in range(alg.dim(d1)):
                 for i2 in range(alg.dim(d2)):
-                    vec = [0] * alg.dim(d)
-                    for (dt, it), c in alg.product_basis(d1, i1, d2, i2).items():
-                        vec[it] = c
-                    if any(vec):
+                    vec = {it: c for (_dt, it), c in
+                           alg.product_basis(d1, i1, d2, i2).items()}
+                    if vec:
                         decomp[d].add(vec)
     reps = [[] if d == 0 else decomp[d].non_pivot_columns()
             for d in range(alg.bound + 1)]
@@ -1164,9 +1183,9 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
     labels = [[alg.basis_label(d, i) for i in reps[d]]
               for d in range(alg.bound + 1)]
 
-    def project(d: int, vec) -> dict:
+    def project(d: int, vec: dict) -> dict:
         red = decomp[d].reduce(vec)
-        return {(d, j): red[rep] for j, rep in enumerate(reps[d]) if red[rep]}
+        return {(d, bisect_left(reps[d], col)): red[col] for col in sorted(red)}
 
     action: dict = {}
     action_complete = True
@@ -1179,8 +1198,7 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
                 except MissingDataError:
                     action_complete = False
                     continue
-                entry = project(d + shift, value.vector(d + shift))
-                entry = {k: v for k, v in entry.items() if v}
+                entry = project(d + shift, value.coords(d + shift))
                 if entry:
                     action[(op, (d, j))] = entry
     return FiniteModuleTable(alg.p, alg.bound, dims, labels, action,

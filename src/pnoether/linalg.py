@@ -1,8 +1,14 @@
 """Small exact linear algebra over the prime field F_p.
 
-Vectors are dense lists of ints; everything is reduced mod p.  Sizes in this
-package are tiny (graded pieces of truncated algebras), so plain Python row
-reduction is both fast enough and exactly correct.
+``RowSpace`` is the one row-reduction kernel.  Its vectors are sparse:
+``{column: coeff}`` dicts with only nonzero entries, reduced mod p on the
+way in, so a reduction step costs the size of the rows it touches, not the
+width of the space.  The ideals spanned here are large in degrees where the
+quotient they leave is small, and then each reduced row has nonzeros only
+on its pivot and on the few non-pivot columns.
+
+``solve`` is a dense Gauss-Jordan solve for the finite-generation
+certificates, whose systems are small.
 """
 
 from __future__ import annotations
@@ -15,56 +21,78 @@ def _inv(a: int, p: int) -> int:
 class RowSpace:
     """A subspace of F_p^width kept in reduced row echelon form.
 
-    Supports incremental span building, membership tests and canonical
-    reduction of vectors modulo the subspace.
+    ``rows`` maps each pivot column to its row, a sparse vector with 1 at
+    the pivot and 0 on every other pivot.  The pivot of a row is the lowest
+    column of the reduced vector it came from, so the rows are the RREF of
+    the span, whatever order the vectors arrive in.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []  # pivot column of rows[i]
+        self.rows: dict[int, dict[int, int]] = {}
+        # column -> pivots of the rows that are nonzero there, off the pivot
+        self._users: dict[int, set[int]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: list[int]) -> list[int]:
-        """Return vec reduced modulo the stored rows (a canonical coset rep)."""
-        p = self.p
-        v = [x % p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
+    def reduce(self, vec: dict) -> dict:
+        """Return vec reduced modulo the stored rows (a canonical coset rep).
 
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        The rows vanish on each other's pivots, so one pass over the pivot
+        columns in the support of vec clears them all."""
+        p, rows = self.p, self.rows
+        out = {j: c % p for j, c in vec.items() if c % p}
+        for piv in [j for j in out if j in rows]:
+            c = out.pop(piv)
+            for j, b in rows[piv].items():
+                if j != piv:
+                    x = (out.get(j, 0) - c * b) % p
+                    if x:
+                        out[j] = x
+                    else:
+                        del out[j]
+        return out
 
-    def add(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def add(self, vec: dict) -> bool:
         """Insert vec into the span; return True if the dimension grew."""
         p = self.p
         v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        if not v:
             return False
+        piv = min(v)
         inv = _inv(v[piv], p)
-        v = [x * inv % p for x in v]
-        # keep RREF: clear the new pivot column from existing rows
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = [(a - c * b) % p for a, b in zip(row, v)]
-        at = next((i for i, q in enumerate(self.pivots) if q > piv), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
+        if inv != 1:
+            v = {j: c * inv % p for j, c in v.items()}
+        # keep RREF: clear the new pivot column from the rows that use it
+        users = self._users
+        tail = [(j, c) for j, c in v.items() if j != piv]
+        for j, _c in tail:
+            users.setdefault(j, set()).add(piv)
+        for q in users.pop(piv, ()):
+            row = self.rows[q]
+            c = row.pop(piv)
+            for j, b in tail:
+                x = (row.get(j, 0) - c * b) % p
+                if x:
+                    if j not in row:
+                        users[j].add(q)
+                    row[j] = x
+                else:
+                    del row[j]
+                    users[j].discard(q)
+        self.rows[piv] = v
         return True
 
     def non_pivot_columns(self) -> list[int]:
         """Columns without a pivot: the coordinates of canonical coset reps."""
-        taken = set(self.pivots)
-        return [i for i in range(self.width) if i not in taken]
+        rows = self.rows
+        return [j for j in range(self.width) if j not in rows]
 
 
 def solve(columns: list[list[int]], target: list[int], p: int) -> list[int] | None:

@@ -467,6 +467,7 @@ class _Engine:
 
     def _attach_displays(self, survivors):
         anchor = next((s for s in survivors if not s.is_companion), None)
+        words = self._words_by_degree(anchor, survivors)
         for s in survivors:
             if s.is_companion or anchor is None:
                 s.display = s.name
@@ -474,7 +475,7 @@ class _Engine:
             if s is anchor:
                 s.display = "z"
                 continue
-            word = self._word_from_anchor(anchor, s)
+            word = self._word_from_anchor(anchor, s, words)
             if word is None:
                 s.display = s.origin
             elif self.p == 2:
@@ -485,13 +486,30 @@ class _Engine:
             else:
                 s.display = steenrod.format_word_compact(self.p, word) + " z"
 
-    def _word_from_anchor(self, anchor, survivor):
-        gap = survivor.degree - anchor.degree
-        if gap <= 0 or anchor.fiber_class is None or survivor.fiber_class is None:
+    def _words_by_degree(self, anchor, survivors) -> dict:
+        """Admissible words up to the largest gap above the anchor, bucketed
+        by exact degree in enumeration order.  One enumeration serves every
+        survivor: the words of one degree come out in the same relative
+        order at any larger bound."""
+        if anchor is None or anchor.fiber_class is None:
+            return {}
+        gaps = {s.degree - anchor.degree for s in survivors
+                if s.fiber_class is not None and s.degree > anchor.degree}
+        words: dict = {gap: [] for gap in gaps}
+        if gaps:
+            for word in steenrod.admissible_words(self.p, max(gaps)):
+                bucket = words.get(steenrod.word_degree(self.p, word))
+                if bucket is not None:
+                    bucket.append(word)
+        return words
+
+    def _word_from_anchor(self, anchor, survivor, words):
+        """The first word of the survivor's gap in ``words`` (see
+        _words_by_degree) that carries the anchor's fiber class onto the
+        survivor's, or None."""
+        if survivor.fiber_class is None:
             return None
-        for word in steenrod.admissible_words(self.p, gap):
-            if steenrod.word_degree(self.p, word) != gap:
-                continue
+        for word in words.get(survivor.degree - anchor.degree, ()):
             if self.fiber_alg.act_word(word, anchor.fiber_class,
                                        drop_above=True) == survivor.fiber_class:
                 return word

@@ -171,6 +171,40 @@ def test_series_accepts_degree_lists():
         presentation_poincare([2], -1)
 
 
+def product_formula(gens, bound):
+    """The series as a product of truncated factor series, one full series
+    multiplication per generator."""
+    coeffs = [1] + [0] * bound
+    for degree, kind in gens:
+        factor = [0] * (bound + 1)
+        factor[0] = 1
+        if degree and kind == "exterior":
+            if degree <= bound:
+                factor[degree] = 1
+        elif degree:
+            factor[::degree] = [1] * len(factor[::degree])
+        coeffs = [sum(coeffs[j] * factor[i - j] for j in range(i + 1))
+                  for i in range(bound + 1)]
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_presentation_series_matches_the_product_formula(seed):
+    from pnoether.graded import presentation_poincare
+    rng = random.Random(seed)
+    bound = rng.randrange(0, 40)
+    gens = [(rng.randrange(0, bound + 8), rng.choice(["polynomial", "exterior"]))
+            for _ in range(rng.randrange(0, 7))]
+    gens.append((bound + 1 + rng.randrange(3), "polynomial"))  # above the bound
+    gens.append((rng.randrange(1, 4), "exterior"))
+    gens.insert(0, 0)  # a raw degree 0 multiplies by 1
+    raw = [(d, "polynomial") if isinstance(d, int) else d for d in gens]
+    assert presentation_poincare(gens, bound).coeffs == \
+        product_formula(raw, bound)
+    with pytest.raises(InputError):
+        presentation_poincare([2, -1], bound)
+
+
 def test_series_helpers():
     s = PoincareSeries(4, [1, 1, 0, 0, 0])
     assert s == [1, 1, 0, 0, 0]
@@ -509,8 +543,10 @@ def assert_matches_from_scratch_span(quo, alg, gens):
                 vectors.append(alg.product(alg.element(d - x.degree(), i),
                                            x).vector(d))
         pivots, rows = rref(vectors, alg.p)
-        assert quo._ideal[d].pivots == pivots, d
-        assert quo._ideal[d].rows == rows, d
+        space = quo._ideal[d]
+        assert sorted(space.rows) == pivots, d
+        for piv, row in zip(pivots, rows):
+            assert space.rows[piv] == {j: c for j, c in enumerate(row) if c}, d
         assert quo.basis(d) == [i for i in range(alg.dim(d))
                                 if i not in pivots], d
 

@@ -1,0 +1,117 @@
+"""The sparse F_p row-reduction kernel against a dense Gauss-Jordan reference."""
+
+import pytest
+from hypothesis import given, settings, strategies as hs
+
+from pnoether.linalg import RowSpace
+
+
+def dense(vec, width, p):
+    out = [0] * width
+    for j, c in vec.items():
+        out[j] = (out[j] + c) % p
+    return out
+
+
+def sparse(row):
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def gauss_jordan(vectors, width, p):
+    """(pivots, rows) of the reduced row echelon form of the span."""
+    rows = [dense(v, width, p) for v in vectors]
+    pivots, out = [], []
+    for col in range(width):
+        sel = next((r for r in rows if r[col]), None)
+        if sel is None:
+            continue
+        rows.remove(sel)
+        inv = pow(sel[col], p - 2, p)
+        sel = [c * inv % p for c in sel]
+        rows = [[(a - r[col] * b) % p for a, b in zip(r, sel)] for r in rows]
+        out = [[(a - r[col] * b) % p for a, b in zip(r, sel)] for r in out]
+        pivots.append(col)
+        out.append(sel)
+    return pivots, out
+
+
+def dense_reduce(vec, pivots, rows, p):
+    v = list(vec)
+    for piv, row in zip(pivots, rows):
+        c = v[piv]
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
+
+
+@hs.composite
+def _vector_stream(draw, p):
+    """A width and a list of sparse vectors over it: random ones (entries
+    outside 0..p-1 and explicit zeros included), zero vectors, repeats and
+    combinations of earlier vectors."""
+    width = draw(hs.integers(1, 8))
+    entry = hs.tuples(hs.integers(0, width - 1), hs.integers(-p, 2 * p))
+    vectors = []
+    for kind in draw(hs.lists(hs.sampled_from("rrrzsc"), max_size=16)):
+        if kind == "z":
+            vectors.append({})
+        elif kind == "r" or not vectors:
+            vectors.append(dict(draw(hs.lists(entry, min_size=1, max_size=width))))
+        elif kind == "s":
+            vectors.append(dict(draw(hs.sampled_from(vectors))))
+        else:
+            picks = draw(hs.lists(hs.tuples(hs.sampled_from(vectors),
+                                            hs.integers(1, p - 1)),
+                                  min_size=1, max_size=3))
+            combo = {}
+            for v, k in picks:
+                for j, c in v.items():
+                    combo[j] = combo.get(j, 0) + k * c
+            vectors.append(combo)
+    probes = draw(hs.lists(hs.lists(hs.integers(0, p - 1), min_size=width,
+                                    max_size=width), max_size=3))
+    order = draw(hs.permutations(range(len(vectors))))
+    return width, vectors, probes, order
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_kernel_matches_dense_gauss_jordan(p):
+
+    @settings(derandomize=True, database=None, max_examples=150)
+    @given(_vector_stream(p))
+    def check(stream):
+        width, vectors, probes, order = stream
+        space = RowSpace(p, width)
+        for k, vec in enumerate(vectors):
+            rank_before = space.dim
+            grew = space.add(vec)
+            pivots, rows = gauss_jordan(vectors[:k + 1], width, p)
+            assert grew == (len(pivots) > rank_before)
+            assert space.dim == len(pivots)
+            assert sorted(space.rows) == pivots
+            for piv, row in zip(pivots, rows):
+                assert space.rows[piv] == sparse(row)
+            assert space.non_pivot_columns() == [j for j in range(width)
+                                                 if j not in pivots]
+            for probe in probes + [dense(v, width, p) for v in vectors]:
+                red = dense_reduce(probe, pivots, rows, p)
+                assert space.reduce(sparse(probe)) == sparse(red)
+                assert space.contains(sparse(probe)) == (not any(red))
+        shuffled = RowSpace(p, width)
+        for k in order:
+            shuffled.add(vectors[k])
+        assert shuffled.rows == space.rows
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_column_cleared_by_cancellation_can_become_a_pivot(p):
+    """Clearing pivot 1 cancels column 2 of the first row as well; column 2
+    must then drop out of that row's bookkeeping, or making it a pivot
+    later would clear it from a row that no longer has it."""
+    space = RowSpace(p, 3)
+    for vec in ({0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1}):
+        assert space.add(vec)
+    assert space.rows == {j: {j: 1} for j in range(3)}
+    assert space.non_pivot_columns() == []

@@ -284,6 +284,24 @@ def test_rank_two_cover_p3():
     assert res.poincare().coeffs == frozen
 
 
+@pytest.mark.parametrize("name,p,bound,displays", [
+    ("BS3", 3, 40, ["z", "b z", "P3 z", "bP3 z"]),
+    ("BS3", 3, 60, ["z", "b z", "P3 z", "bP3 z", "P9P3 z", "bP9P3 z"]),
+    ("BS3", 5, 60, ["z", "b z", "P5 z", "bP5 z"]),
+    ("BS3", 2, 40, ["z", "Sq1 z", "Sq4 z", "Sq[8,4] z", "Sq[16,8,4] z"]),
+])
+def test_display_words_follow_the_enumeration_order(name, p, bound, displays):
+    """Each display names the first admissible word of its degree, in the
+    order admissible_words lists them, that carries the anchor onto the
+    survivor; with several such words (b P3 and P3 b at p = 3) the
+    order decides."""
+    entry = get_entry(name)
+    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+                                     torsion_free=entry.torsion_free)
+    assert [s.display for s in res.surviving_fiber_generators
+            if not s.is_companion] == displays
+
+
 # ---------------------------------------------------------------------------
 # the whole induced-action table against a direct solve
 

@@ -128,6 +128,20 @@ def test_excess_bounded_words_equal_the_filtered_full_list(p):
                 max_degree, max_excess)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_words_of_one_degree_keep_their_order_at_larger_bounds(p):
+    """The serre engine enumerates once up to its largest gap and reads each
+    gap's words off that list, so the order must not depend on the bound."""
+    top = 60 if p == 2 else 130
+    by_degree = {}
+    for w in st.admissible_words(p, top):
+        by_degree.setdefault(st.word_degree(p, w), []).append(w)
+    for degree in range(top + 1):
+        exact = [w for w in st.admissible_words(p, degree)
+                 if st.word_degree(p, w) == degree]
+        assert by_degree.get(degree, []) == exact, degree
+
+
 def test_excess_bound_below_zero_keeps_nothing():
     for p in (2, 3):
         assert st.admissible_words(p, 10, -1) == []
