@@ -26,8 +26,10 @@ certificates for every correction term.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from . import steenrod
 from .errors import (
@@ -535,11 +537,7 @@ class FreeTruncAlgebra(TruncAlgebra):
                              if g.degree % 2 == 1]
         self._exterior_indices = [i for i, g in enumerate(self.generators)
                                   if g.kind == "exterior"]
-        self._basis: list[list[tuple]] = [[] for _ in range(bound + 1)]
-        for mono, degree in self._enumerate_monomials():
-            self._basis[degree].append(mono)
-        for degree in range(bound + 1):
-            self._basis[degree].sort()
+        self._basis: list[list[tuple]] = self._enumerate_monomials()
         self._mono_index = {
             mono: (d, i)
             for d in range(bound + 1)
@@ -563,25 +561,37 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- basis ---------------------------------------------------------------
 
-    def _enumerate_monomials(self):
-        """(monomial, degree) for every monomial of degree <= bound."""
-        gens = self.generators
-        bound = self.bound
+    def _enumerate_monomials(self) -> list[list[tuple]]:
+        """The monomials of each degree through the bound, in lexicographic
+        order: ``out[d]`` lists the exponent tuples of degree d.
 
-        def rec(idx: int, degree_left: int, prefix: list):
-            if idx == len(gens):
-                yield tuple(prefix), bound - degree_left
-                return
-            g = gens[idx]
-            max_e = degree_left // g.degree
-            if g.kind == "exterior":
-                max_e = min(max_e, 1)
-            for e in range(max_e + 1):
-                prefix.append(e)
-                yield from rec(idx + 1, degree_left - e * g.degree, prefix)
-                prefix.pop()
-
-        yield from rec(0, bound, [])
+        Built degree by degree over the generators from last to first.
+        After generator k, ``out[d]`` holds the monomials of degree d in
+        generators k, k+1, ... (zero on the earlier ones).  Generator k-1,
+        of degree g, is taken in by setting its exponent to e = 1, 2, ...
+        (at most 1 for an exterior generator) on the monomials of degree s
+        and appending them to ``out[s + e·g]``.  Source degrees are visited
+        from the top down, so a source list is read before anything is
+        appended to it, and each target list gets its old monomials
+        (exponent 0) first and then one sorted block per e, ascending:
+        every list stays in lexicographic order.  Only nonempty sources are
+        expanded and each monomial is built once, so the cost follows the
+        size of the basis.
+        """
+        bound, n = self.bound, len(self.generators)
+        out: list[list[tuple]] = [[(0,) * n]] + [[] for _ in range(bound)]
+        for k in range(n - 1, -1, -1):
+            step = self.generators[k].degree
+            top = 1 if self.generators[k].kind == "exterior" else bound
+            for s in range(bound - step, -1, -1):
+                source = out[s]
+                if not source:
+                    continue
+                for e in range(1, min(top, (bound - s) // step) + 1):
+                    head = (0,) * k + (e,)
+                    out[s + e * step].extend(
+                        [head + m[k + 1:] for m in source])
+        return out
 
     def basis(self, degree: int) -> list:
         if degree < 0 or degree > self.bound:
@@ -631,7 +641,7 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     def _merge_monomials(self, m1: tuple, m2: tuple):
         """(sign, monomial) or None when an exterior factor squares to zero."""
-        merged = tuple(a + b for a, b in zip(m1, m2))
+        merged = tuple(map(add, m1, m2))
         sign = 1
         if self.p != 2:
             odd_indices = self._odd_indices
@@ -992,7 +1002,18 @@ def kernel_image_dims(dims: list[int], ranks: list[int], shift: int):
 
 
 class TensorTruncAlgebra(TruncAlgebra):
-    """Graded tensor product of two truncated algebras, with Koszul signs."""
+    """Graded tensor product of two truncated algebras, with Koszul signs.
+
+    The basis of degree d lists the pairs ((dl, il), (d - dl, ir)) by dl,
+    then il, then ir, so a pair's index is arithmetic:
+    ``offset[d][dl] + il·dim_R(d - dl) + ir``, where offset[d][dl] sums
+    dim_L(k)·dim_R(d - k) over k < dl.  The factors' dimensions are read
+    once, at construction, where the dimensions are convolved from them;
+    the offsets of a degree are summed when first needed.  Growing a
+    factor afterwards (a quotient's ideal, say) leaves this algebra
+    describing the factor as it was, so build a new one.  ``basis`` lists
+    a degree's pairs only when asked.
+    """
 
     def __init__(self, left: TruncAlgebra, right: TruncAlgebra):
         if left.p != right.p:
@@ -1001,27 +1022,50 @@ class TensorTruncAlgebra(TruncAlgebra):
         self.right = right
         self.p = left.p
         self.bound = min(left.bound, right.bound)
-        self._basis: list[list[tuple]] = []
-        for d in range(self.bound + 1):
-            pairs = []
-            for dl in range(d + 1):
-                for il in range(left.dim(dl)):
-                    for ir in range(right.dim(d - dl)):
-                        pairs.append(((dl, il), (d - dl, ir)))
-            self._basis.append(pairs)
-        self._pair_index = {
-            pair: (d, i)
-            for d in range(self.bound + 1)
-            for i, pair in enumerate(self._basis[d])
-        }
+        self._dims_l = left.dims()[: self.bound + 1]
+        self._dims_r = right.dims()[: self.bound + 1]
+        self._dims = _series_mul(self._dims_l, self._dims_r, self.bound)
+        self._offsets: dict[int, list[int]] = {}
+
+    def dim(self, degree: int) -> int:
+        if degree < 0 or degree > self.bound:
+            return 0
+        return self._dims[degree]
 
     def basis(self, degree: int) -> list:
         if degree < 0 or degree > self.bound:
             return []
-        return self._basis[degree]
+        return [self._pair(degree, i) for i in range(self._dims[degree])]
+
+    def _offsets_of(self, degree: int) -> list[int]:
+        """offset[degree][dl] for dl = 0 .. degree."""
+        offsets = self._offsets.get(degree)
+        if offsets is None:
+            dims_l, dims_r = self._dims_l, self._dims_r
+            offsets = list(accumulate(
+                (dims_l[k] * dims_r[degree - k] for k in range(degree)),
+                initial=0))
+            self._offsets[degree] = offsets
+        return offsets
+
+    def _pair(self, degree: int, index: int) -> tuple:
+        """((dl, il), (dr, ir)) of a basis index; the last block starting at
+        or before the index is nonempty."""
+        offsets = self._offsets_of(degree)
+        dl = bisect_right(offsets, index) - 1
+        dr = degree - dl
+        il, ir = divmod(index - offsets[dl], self._dims_r[dr])
+        return (dl, il), (dr, ir)
+
+    def _key(self, dl: int, il: int, dr: int, ir: int) -> tuple:
+        """(degree, index) of the pair of factor basis elements."""
+        d = dl + dr
+        if d > self.bound:
+            raise TruncationError("tensor pair above the truncation bound")
+        return d, self._offsets_of(d)[dl] + il * self._dims_r[dr] + ir
 
     def basis_label(self, degree: int, index: int) -> str:
-        (dl, il), (dr, ir) = self._basis[degree][index]
+        (dl, il), (dr, ir) = self._pair(degree, index)
         lab_l = self.left.basis_label(dl, il)
         lab_r = self.right.basis_label(dr, ir)
         if lab_l == "1":
@@ -1031,17 +1075,15 @@ class TensorTruncAlgebra(TruncAlgebra):
         return f"{lab_l}*{lab_r}"
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        (dl1, il1), (dr1, ir1) = self._basis[d1][i1]
-        (dl2, il2), (dr2, ir2) = self._basis[d2][i2]
+        (dl1, il1), (dr1, ir1) = self._pair(d1, i1)
+        (dl2, il2), (dr2, ir2) = self._pair(d2, i2)
         sign = -1 if (self.p != 2 and (dr1 * dl2) % 2 == 1) else 1
         left_prod = self.left.product_basis(dl1, il1, dl2, il2)
         right_prod = self.right.product_basis(dr1, ir1, dr2, ir2)
         out: dict = {}
         for (dl, il), cl in left_prod.items():
             for (dr, ir), cr in right_prod.items():
-                key = self._pair_index.get(((dl, il), (dr, ir)))
-                if key is None:
-                    raise TruncationError("tensor product above the truncation bound")
+                key = self._key(dl, il, dr, ir)
                 out[key] = out.get(key, 0) + sign * cl * cr
         return out
 
@@ -1049,38 +1091,29 @@ class TensorTruncAlgebra(TruncAlgebra):
         out: dict = {}
         for (dl, il), cl in xl.data.items():
             for (dr, ir), cr in xr.data.items():
-                if dl + dr > self.bound:
-                    raise TruncationError("tensor pair above the truncation bound")
-                d, i = self._pair_index[((dl, il), (dr, ir))]
-                out[(d, i)] = out.get((d, i), 0) + cl * cr
+                key = self._key(dl, il, dr, ir)
+                out[key] = out.get(key, 0) + cl * cr
         return Element(self, out)
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         """Cartan rule across the tensor: Sq^k = Σ Sq^i ⊗ Sq^j (likewise P^k),
         and β acts as a signed derivation."""
-        (dl, il), (dr, ir) = self._basis[degree][index]
+        (dl, il), (dr, ir) = self._pair(degree, index)
         xl = self.left.element(dl, il)
         xr = self.right.element(dr, ir)
-        out: dict = {}
-
-        def accumulate(el: Element, er: Element, coeff: int = 1):
-            for pl, cl in el.data.items():
-                for pr, cr in er.data.items():
-                    key = self._pair_index[(pl, pr)]
-                    out[key] = out.get(key, 0) + coeff * cl * cr
-
         if op == ("B",):
-            accumulate(self.left.act(op, xl), xr)
-            accumulate(xl, self.right.act(op, xr),
-                       -1 if (self.p != 2 and dl % 2) else 1)
+            sign = -1 if (self.p != 2 and dl % 2) else 1
+            out = (self.pair_element(self.left.act(op, xl), xr)
+                   + self.pair_element(xl, self.right.act(op, xr)).scale(sign))
         else:
             sym = op[0]
+            out = self.zero()
             for i in range(op[1] + 1):
                 j = op[1] - i
                 el = xl if i == 0 else self.left.act((sym, i), xl)
                 er = xr if j == 0 else self.right.act((sym, j), xr)
-                accumulate(el, er)
-        return {k: v % self.p for k, v in out.items() if v % self.p}
+                out = out + self.pair_element(el, er)
+        return out.data
 
 
 # ---------------------------------------------------------------------------

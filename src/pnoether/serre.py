@@ -309,6 +309,26 @@ class _Engine:
         free = presentation_poincare(factors, self.bound).coeffs
         return _series_mul(series, free, self.bound)
 
+    def _log(self, step: dict):
+        """Record one step after checking its Euler ledger.
+
+        A step removes differentials d(x) = y with |y| = |x| + 1, so the
+        series falls by (1+t)·K(t), K(t) counting the sources by degree;
+        K is read off degree by degree as K[i] = diff[i] - K[i-1].  It must
+        be non-negative below the top degree, where the partner of a source
+        lies above the bound.  A violation raises EngineContractError."""
+        diff = [b - a for b, a in zip(step["series_before"],
+                                      step["series_after"])]
+        k = 0
+        for degree, drop in enumerate(diff[:-1]):
+            k = drop - k
+            if k < 0:
+                raise EngineContractError(
+                    f"step {step['event']} of {step['class']}: the series "
+                    f"drop {diff} is not (1+t)·K(t) with K >= 0 (K[{degree}] "
+                    f"= {k})")
+        self.log.append(step)
+
     def _project_is_zero(self, rep: Element) -> bool:
         return rep.is_zero or self.quotient.contains_in_ideal(rep)
 
@@ -353,10 +373,10 @@ class _Engine:
                      "fiber_class": fclass, "is_companion": False,
                      "label": label, "exponent": exponent})
                 survived_free.append((degree, kind))
-                self.log.append({"event": "survivor", "class": origin,
-                                 "degree": degree,
-                                 "series_before": before,
-                                 "series_after": before})
+                self._log({"event": "survivor", "class": origin,
+                           "degree": degree,
+                           "series_before": before,
+                           "series_after": before})
                 continue
             if kind == "exterior":
                 self._kill_exterior(origin, degree, rep, queue,
@@ -375,10 +395,10 @@ class _Engine:
                 "leaves extra classes (its annihilator is nonzero): the "
                 "differential pattern is not purely transgressive")
         after = self._model_series(queue, survived_free)
-        self.log.append({"event": "transgression", "class": origin,
-                         "degree": degree,
-                         "target": self.base_alg.describe(rep),
-                         "series_before": before, "series_after": after})
+        self._log({"event": "transgression", "class": origin,
+                   "degree": degree,
+                   "target": self.base_alg.describe(rep),
+                   "series_before": before, "series_after": after})
 
     def _kill_polynomial(self, label, origin, degree, rep, exponent,
                          queue, survived_free, before, seq):
@@ -414,11 +434,11 @@ class _Engine:
                                    self._power_class(label, exponent * self.p),
                                    next_rep))
         after = self._model_series(queue, survived_free)
-        self.log.append({"event": "transgression", "class": origin,
-                         "degree": degree,
-                         "target": self.base_alg.describe(rep),
-                         "companion": comp_note,
-                         "series_before": before, "series_after": after})
+        self._log({"event": "transgression", "class": origin,
+                   "degree": degree,
+                   "target": self.base_alg.describe(rep),
+                   "companion": comp_note,
+                   "series_before": before, "series_after": after})
 
     def _power_class(self, gen_name: str, exponent: int):
         x = self.fiber_alg.generator_element(gen_name)
@@ -567,42 +587,61 @@ class _Engine:
         """Fiber basis key -> (survivor exponent tuple, sign) for every
         monomial in the non-companion survivors through the bound.
 
-        Each such survivor's fiber class is one fiber monomial (a generator
-        or a p-power of one), so a survivor monomial restricts to ± one fiber
-        monomial, and distinct survivor monomials to distinct ones.  Both
-        facts are checked here; a violation raises EngineContractError."""
-        alg = self.fiber_alg
-        classes = [(pos, s) for pos, s in enumerate(survivors)
-                   if s.fiber_class is not None]
+        Each such survivor's fiber class must be one fiber monomial with
+        coefficient ±1 (a generator or a p-power of one); this is checked
+        once, up front.  A survivor monomial then restricts to ± one fiber
+        monomial, found by merging exponent tuples, and distinct survivor
+        monomials must restrict to distinct ones.  Each violation raises
+        EngineContractError."""
+        alg, p = self.fiber_alg, self.p
+        merge, index = alg._merge_monomials, alg._mono_index
+        classes = []
+        for pos, s in enumerate(survivors):
+            if s.fiber_class is None:
+                continue
+            terms = list(s.fiber_class.data.items())
+            if len(terms) != 1 or terms[0][1] not in (1, p - 1):
+                raise EngineContractError(
+                    f"survivor {s.name} has fiber class "
+                    f"{alg.describe(s.fiber_class)}, not a signed fiber "
+                    "monomial")
+            ((d, i), coeff), = terms
+            classes.append((pos, s, alg.basis(d)[i], coeff))
+        # least[idx]: the least degree among classes[idx:]; with less room
+        # left than that, their exponents are all 0 and the monomial is done
+        least = [self.bound + 1] * (len(classes) + 1)
+        for idx in range(len(classes) - 1, -1, -1):
+            least[idx] = min(least[idx + 1], classes[idx][1].degree)
         coords: dict = {}
         expo = [0] * len(survivors)
 
-        def rec(idx, degree, value):
-            if idx == len(classes):
-                terms = list(value.data.items())
-                if len(terms) != 1 or terms[0][1] not in (1, self.p - 1):
-                    raise EngineContractError(
-                        "survivor monomial restricts to "
-                        f"{alg.describe(value)}, not a signed fiber monomial")
-                (key, coeff), = terms
+        def rec(idx, degree, mono, coeff):
+            if self.bound - degree < least[idx]:
+                key = index[mono]
                 if key in coords:
                     raise EngineContractError(
                         "two survivor monomials restrict to the fiber "
                         f"monomial {alg.basis_label(*key)}")
                 coords[key] = (tuple(expo), coeff)
                 return
-            pos, s = classes[idx]
-            rec(idx + 1, degree, value)
+            pos, s, factor, factor_coeff = classes[idx]
+            rec(idx + 1, degree, mono, coeff)
             top = (self.bound - degree) // s.degree
             if s.kind == "exterior":
                 top = min(top, 1)
             for e in range(1, top + 1):
-                value = alg.product(value, s.fiber_class)
+                merged = merge(mono, factor)
+                if merged is None:
+                    raise EngineContractError(
+                        f"survivor monomial with {s.name}^{e} restricts to "
+                        "0, not a signed fiber monomial")
+                sign, mono = merged
+                coeff = coeff * sign * factor_coeff % p
                 expo[pos] = e
-                rec(idx + 1, degree + e * s.degree, value)
+                rec(idx + 1, degree + e * s.degree, mono, coeff)
             expo[pos] = 0
 
-        rec(0, 0, alg.one())
+        rec(0, 0, alg.basis(0)[0], 1)
         return coords
 
     def _companion_shadow(self, survivors) -> set:

@@ -11,6 +11,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from pnoether import (
     FiniteModuleTable,
@@ -28,6 +29,7 @@ from pnoether import (
     poincare,
     quotient_by_ideal,
 )
+from pnoether.graded import op_degree
 
 
 def brute_dims(gens, bound):
@@ -286,6 +288,57 @@ def test_graded_commutativity_odd_p():
     y = alg2.generator_element("y")
     z = alg2.generator_element("z")
     assert y * z == z * y
+
+
+def recursive_basis(gens, bound):
+    """Monomials of each degree by recursion over the generators, each
+    degree sorted afterwards; ``gens`` is a list of (degree, kind)."""
+    out = [[] for _ in range(bound + 1)]
+
+    def rec(idx, room, prefix):
+        if idx == len(gens):
+            out[bound - room].append(tuple(prefix))
+            return
+        degree, kind = gens[idx]
+        top = room // degree
+        if kind == "exterior":
+            top = min(top, 1)
+        for e in range(top + 1):
+            rec(idx + 1, room - e * degree, prefix + [e])
+
+    rec(0, bound, [])
+    return [sorted(monos) for monos in out]
+
+
+def generator_list(p, kinds_halves):
+    """(degree, kind) per (kind, h): degree h at p = 2; at odd p the odd
+    degree 2h - 1 for an exterior and the even 2h for a polynomial one."""
+    if p == 2:
+        return [(h, kind) for kind, h in kinds_halves]
+    return [(2 * h - 1 if kind == "exterior" else 2 * h, kind)
+            for kind, h in kinds_halves]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_basis_enumeration_matches_recursion_then_sort(p):
+
+    @settings(derandomize=True, database=None, max_examples=150)
+    @given(hs.lists(hs.tuples(hs.sampled_from(("polynomial", "exterior")),
+                              hs.integers(1, 12)), max_size=5),
+           hs.integers(0, 18))
+    @example([("exterior", 1), ("polynomial", 2)], 0)
+    @example([("polynomial", 11), ("exterior", 3), ("polynomial", 1)], 6)
+    def check(kinds_halves, bound):
+        gens = generator_list(p, kinds_halves)
+        pres = FreeCommPresentation(
+            p, [GeneratorSpec(f"g{k}", d, kind)
+                for k, (d, kind) in enumerate(gens)])
+        alg = expand(pres, bound)
+        assert [alg.basis(d) for d in range(bound + 1)] == \
+            recursive_basis(gens, bound)
+        assert alg.basis(bound + 1) == []
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +774,155 @@ def test_tensor_bockstein_sign():
     # beta(e x e) = y x e - e x y: the right-hand term picks up the sign
     expected = both.pair_element(y_l, e_r) + both.pair_element(e_l, y_r).scale(-1)
     assert got == expected
+
+
+def factors(p):
+    """A quotient (left, bound 14) and a free algebra (right, bound 12) with
+    complete action tables, and two pairs (left class, right class) whose
+    product has nonzero factors in total degree one above the tensor
+    bound."""
+    if p == 2:
+        free = free_p2([("t", 1)], 14)
+        left = quotient_by_ideal(free, ["t^5"])
+        right = free_p2([("u1", 1), ("w3", 3)], 12,
+                        {("w3", "Sq1"): "u1*w3", ("w3", "Sq2"): "u1^2*w3"})
+        polys = (("t", "u1^5"), ("t^2", "u1^5"))
+    else:
+        free = expand(FreeCommPresentation(
+            p, [GeneratorSpec("e", 1, "exterior", bockstein_link=(1, "y")),
+                GeneratorSpec("y", 2)], {("y", "beta"): "0"}), 14)
+        left = quotient_by_ideal(free, ["y^3"])
+        right = expand(FreeCommPresentation(
+            p, [GeneratorSpec("u3", 3, "exterior", bockstein_link=(1, "v4")),
+                GeneratorSpec("v4", 4)],
+            {("u3", "P1"): "0", ("v4", "beta"): "0", ("v4", "P1"): "v4^2"}),
+            12)
+        polys = (("e", "v4"), ("y^2", "v4"))
+    pairs = [(left.project(free.element_from_poly(a)),
+              right.element_from_poly(b)) for a, b in polys]
+    return left, right, pairs
+
+
+class EagerTensor:
+    """The tensor basis as an explicit pair list per degree and a pair ->
+    (degree, index) dict, with products and the Cartan action looked up
+    through the dict."""
+
+    def __init__(self, left, right, bound):
+        self.left, self.right, self.p = left, right, left.p
+        self.pairs = [[((dl, il), (d - dl, ir)) for dl in range(d + 1)
+                       for il in range(left.dim(dl))
+                       for ir in range(right.dim(d - dl))]
+                      for d in range(bound + 1)]
+        self.index = {pair: (d, i) for d, pairs in enumerate(self.pairs)
+                      for i, pair in enumerate(pairs)}
+
+    def combine(self, left_data, right_data, coeff=1):
+        out = {}
+        for pl, cl in left_data.items():
+            for pr, cr in right_data.items():
+                key = self.index[(pl, pr)]
+                out[key] = out.get(key, 0) + coeff * cl * cr
+        return mod_p(out, self.p)
+
+    def product_basis(self, d1, i1, d2, i2):
+        (dl1, il1), (dr1, ir1) = self.pairs[d1][i1]
+        (dl2, il2), (dr2, ir2) = self.pairs[d2][i2]
+        sign = -1 if self.p != 2 and dr1 * dl2 % 2 else 1
+        return self.combine(self.left.product_basis(dl1, il1, dl2, il2),
+                            self.right.product_basis(dr1, ir1, dr2, ir2),
+                            sign)
+
+    def act_basis(self, op, d, i):
+        (dl, il), (dr, ir) = self.pairs[d][i]
+        xl, xr = self.left.element(dl, il), self.right.element(dr, ir)
+        if op == ("B",):
+            terms = [(self.left.act(op, xl), xr, 1),
+                     (xl, self.right.act(op, xr),
+                      -1 if self.p != 2 and dl % 2 else 1)]
+        else:
+            terms = [(xl if k == 0 else self.left.act((op[0], k), xl),
+                      xr if k == op[1] else
+                      self.right.act((op[0], op[1] - k), xr), 1)
+                     for k in range(op[1] + 1)]
+        out = {}
+        for el, er, coeff in terms:
+            for key, c in self.combine(el.data, er.data, coeff).items():
+                out[key] = out.get(key, 0) + c
+        return mod_p(out, self.p)
+
+
+def mod_p(data, p):
+    return {k: v % p for k, v in data.items() if v % p}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tensor_index_arithmetic_matches_an_eager_pair_table(p):
+    left, right, (x_pair, y_pair) = factors(p)
+    both = TensorTruncAlgebra(left, right)
+    assert both.bound == 12
+    ref = EagerTensor(left, right, both.bound)
+    for d in range(both.bound + 1):
+        assert both.dim(d) == len(ref.pairs[d])
+        assert both.basis(d) == ref.pairs[d]
+        for i, ((dl, il), (dr, ir)) in enumerate(ref.pairs[d]):
+            pair = both.pair_element(left.element(dl, il),
+                                     right.element(dr, ir))
+            assert pair.data == {(d, i): 1}
+            for op in both.op_list():
+                if d + op_degree(p, op) <= both.bound:
+                    assert mod_p(both.act_basis(op, d, i), p) == \
+                        ref.act_basis(op, d, i)
+    for d1 in range(both.bound + 1):
+        for d2 in range(both.bound + 1 - d1):
+            for i1 in range(both.dim(d1)):
+                for i2 in range(both.dim(d2)):
+                    assert mod_p(both.product_basis(d1, i1, d2, i2), p) == \
+                        ref.product_basis(d1, i1, d2, i2)
+    # above the bound: no basis, and products and pairs refuse
+    assert both.dim(both.bound + 1) == 0 and both.dim(-1) == 0
+    assert both.basis(both.bound + 1) == []
+    (key_x, _), = both.pair_element(*x_pair).data.items()
+    (key_y, _), = both.pair_element(*y_pair).data.items()
+    assert key_x[0] + key_y[0] == both.bound + 1
+    with pytest.raises(TruncationError):
+        both.product_basis(*key_x, *key_y)
+    top = right.element(right.bound, 0)
+    with pytest.raises(TruncationError):
+        both.pair_element(x_pair[0], top)
+    top_pair = both.pair_element(left.one(), top)
+    (key_top, _), = top_pair.data.items()
+    with pytest.raises(TruncationError):
+        both.act_basis(both.op_list()[0], *key_top)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tensor_ring_axioms_on_random_elements(p):
+    """Associativity, the unit, and graded commutativity with the Koszul
+    sign (-1)^{|x||y|} at odd p, on random homogeneous elements."""
+    left, right, _ = factors(p)
+    both = TensorTruncAlgebra(left, right)
+    one = both.one()
+
+    def element(data, degree):
+        dim = both.dim(degree)
+        coeffs = data.draw(hs.lists(hs.integers(0, p - 1), min_size=dim,
+                                    max_size=dim))
+        return both.from_vector(degree, coeffs)
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(hs.data())
+    def check(data):
+        a = data.draw(hs.integers(0, both.bound))
+        b = data.draw(hs.integers(0, both.bound - a))
+        c = data.draw(hs.integers(0, both.bound - a - b))
+        x, y, z = element(data, a), element(data, b), element(data, c)
+        assert (x * y) * z == x * (y * z)
+        assert one * x == x == x * one
+        sign = -1 if p != 2 and a * b % 2 else 1
+        assert y * x == (x * y).scale(sign)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

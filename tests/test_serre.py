@@ -391,6 +391,37 @@ def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
     with pytest.raises(EngineContractError):
         engine._survivor_coordinates(
             [survivor("a", "i3"), survivor("c", "i3")])
+    # a fiber class with coefficient p - 1 = -1 flips the sign
+    minus_b = survivor("b", "P1i3")
+    minus_b.fiber_class = minus_b.fiber_class.scale(-1)
+    coords = engine._survivor_coordinates([minus_b, survivor("a", "i3")])
+    assert coords[key] == ((1, 1), 1)
+    assert len(coords) == 4
+    # a two-term fiber class is not a signed monomial
+    two_terms = survivor("c", "P3P1i3")
+    two_terms.fiber_class = (two_terms.fiber_class
+                             + fiber.element_from_poly("i3*bP1i3^2"))
+    with pytest.raises(EngineContractError):
+        engine._survivor_coordinates([survivor("a", "i3"), two_terms])
+
+
+def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
+    """Each logged step must lower the model series by (1+t)·K(t) with
+    K >= 0; a tampered model series that gains a class in degree 0 at
+    the first kill breaks the ledger, and the engine refuses it."""
+    calls = []
+    model_series = _Engine._model_series
+
+    def tampered(engine, queue_items, free_items):
+        series = model_series(engine, queue_items, free_items)
+        calls.append(len(calls))
+        if len(calls) == 2:  # the series after the first kill
+            series[0] += 1
+        return series
+
+    monkeypatch.setattr(_Engine, "_model_series", tampered)
+    with pytest.raises(EngineContractError):
+        run_ss(s3_loop_fibration(2, 10))
 
 
 # ---------------------------------------------------------------------------
