@@ -14,6 +14,7 @@ contract violation, 4 unsupported fibration, 5 missing action data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,7 +139,7 @@ def _run_adem(args):
 
 def _run_em(args):
     space = em.parse_space(args.space, args.p)
-    pres = em.em_product_presentation(space, args.p, args.max_degree)
+    pres = em.em_generator_table(space, args.p, args.max_degree)
     gens = [{"name": g.name, "degree": g.degree, "kind": g.kind,
              "bockstein_partner": g.bockstein_link[1] if g.bockstein_link
              else None}
@@ -300,7 +301,10 @@ def _run_appendix(args):
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first ``main`` call and reused after;
+    each ``parse_args`` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pnoether",
         description="Symbolic computations for mod-p loop-space cohomology: "

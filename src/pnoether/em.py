@@ -23,8 +23,10 @@ rather than every admissible word up to the bound.
 Steenrod action entries are produced by word composition: apply the
 operation to the defining word, reduce to admissible form, and resolve each
 summand against the same rules (boundary words become p-th powers).  The
-resulting presentations always carry complete action tables within their
-enumeration bound.
+library presentations (``em_generators``, ``em_product_presentation``,
+``fiber_layout``) carry complete action tables within their enumeration
+bound; ``em_generator_table`` lists the generators only and makes no Adem
+reduction, which is all the ``em`` verb prints.
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ class _Enumeration:
 
     def __init__(self, spec: EMSpec, p: int, bound: int, prefix: str = ""):
         steenrod.check_prime(p)
+        self.spec = spec
         self.p = p
         self.bound = bound
         self.prefix = prefix
@@ -330,22 +333,27 @@ class FiberLayout:
     factors: list
 
 
+def _factor_enumerations(product, p: int, bound: int) -> list:
+    """One enumeration per factor; with several factors the generator
+    names get an ``f{k}_`` prefix recording the factor."""
+    if isinstance(product, EMSpec):
+        product = EMProduct((product,))
+    multi = len(product.factors) > 1
+    return [_Enumeration(spec, p, bound, prefix=(f"f{k}_" if multi else ""))
+            for k, spec in enumerate(product.factors, start=1)]
+
+
 def fiber_layout(product, p: int, bound: int) -> FiberLayout:
     """Combined presentation of a product of EM spaces plus, per factor, the
     admissible word defining each generator (needed to propagate maps that
     commute with the Steenrod action)."""
-    if isinstance(product, EMSpec):
-        product = EMProduct((product,))
-    factors = list(product.factors)
-    multi = len(factors) > 1
-    enums = [_Enumeration(spec, p, bound, prefix=(f"f{k}_" if multi else ""))
-             for k, spec in enumerate(factors, start=1)]
+    enums = _factor_enumerations(product, p, bound)
     gens: list[GeneratorSpec] = []
     combined_action: dict = {}
     layouts = []
     total = sum(e.size for e in enums)
     offset = 0
-    for spec, enum in zip(factors, enums):
+    for enum in enums:
         spec_list = enum.generator_specs()
         gens.extend(spec_list)
         gen_rows = []
@@ -353,7 +361,7 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
             gen_rows.append((g.name, g.degree, g.kind, w, atom.fund_degree,
                              atom is enum.atoms[0]))
         layouts.append(FiberFactorLayout(
-            spec=spec, prefix=enum.prefix,
+            spec=enum.spec, prefix=enum.prefix,
             bottom_name=enum.name(steenrod.identity_word(p)),
             bottom_degree=enum.n,
             single_atom=len(enum.atoms) == 1,
@@ -367,6 +375,14 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
             combined_action[(name, op)] = widened
         offset += enum.size
     return FiberLayout(FreeCommPresentation(p, gens, combined_action), layouts)
+
+
+def em_generator_table(space, p: int, bound: int) -> FreeCommPresentation:
+    """Generators of a single EM space or a product through the bound, named
+    as in ``em_product_presentation`` but with no action table."""
+    return FreeCommPresentation(
+        p, [g for enum in _factor_enumerations(space, p, bound)
+            for g in enum.generator_specs()])
 
 
 def em_generators(spec: EMSpec, p: int, bound: int) -> FreeCommPresentation:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from pnoether import __version__, cli, em, steenrod
 from pnoether.cli import main
 
 BOREL_CATALOG = {
@@ -130,6 +131,22 @@ def test_em_higher_torsion_reports_bockstein_partner():
          "bockstein_partner": None},
     ]
 
+
+
+def test_em_verb_makes_no_adem_reduction(monkeypatch):
+    """The verb prints generators only, so it must not build the action
+    table, whose every entry costs one Adem reduction."""
+
+    def refuse(*args):
+        raise AssertionError("adem_reduce called")
+
+    monkeypatch.setattr(steenrod, "adem_reduce", refuse)
+    code, rep = run_json("em", "--space", "K(Z,3)", "--max-degree", "60")
+    assert code == 0
+    assert rep["payload"]["polynomial_degrees"] == [3, 5, 9, 17, 33]
+    # the library presentation still builds its table through the stub
+    with pytest.raises(AssertionError, match="adem_reduce called"):
+        em.em_product_presentation(em.parse_space("K(Z,3)", 2), 2, 60)
 
 def test_fmod_dims():
     code, rep = run_json("fmod", "F(2)", "--max-degree", "8")
@@ -461,3 +478,53 @@ def test_table_format_handles_nested_payloads():
     assert "surviving_degrees" in out
     # booleans render as yes/no in the table view
     assert "finitely_generated: yes" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def run_capturing(argv):
+    """Exit code, stdout and stderr of one in-process call, argparse exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"entries": {
+        "A": BOREL_CATALOG["entries"]["BAD4"],
+        "B": BOREL_CATALOG["entries"]["BAD4"],
+    }}))
+    calls = [
+        ("cover", "--catalog", str(path), "--entry", "A", "--p", "2"),
+        ("cover", "--catalog", str(path), "--p", "2"),
+        ("cover", "--catalog", "BS3", "--max-degree", "17",
+         "--assert-finite-base"),
+        ("cover", "--catalog", "BS3", "--max-degree", "17"),
+        ("padic", "--sum", "1", "2"),
+        ("padic", "--square", "98"),
+        ("em", "--space", "K(Z,3)", "--no-such-flag"),
+        ("em", "--space", "K(Z,3)"),
+        ("--version",),
+        ("adem", "Sq[2]Sq[2]", "--format", "table"),
+        ("adem", "Sq[2]Sq[2]"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_capturing(argv))
+    cli._build_parser.cache_clear()
+    reused = [run_capturing(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    # the sequence covers each kind of exit, so a leak would show
+    assert [code for code, _out, _err in reused] == \
+        [4, 2, 2, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert f"pnoether {__version__}" in reused[8][1]

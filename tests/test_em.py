@@ -16,6 +16,7 @@ from pnoether import (
     IntegerClass,
     PadicClass,
     PruferClass,
+    em_generator_table,
     em_generators,
     em_product_presentation,
     expand,
@@ -272,3 +273,32 @@ def test_bound_below_fundamental_degree():
     # bound exactly at the fundamental degree: just the bottom class
     pres = em_generators(EMSpec(IntegerClass(), 3), 2, 3)
     assert [(g.name, g.degree) for g in pres.generators] == [("i3", 3)]
+
+
+# ---------------------------------------------------------------------------
+# the generators-only table
+
+
+def _fields(pres):
+    return [(g.name, g.degree, g.kind, g.bockstein_link)
+            for g in pres.generators]
+
+
+@pytest.mark.parametrize("p,bound", [(2, 40), (3, 60), (5, 90)])
+@pytest.mark.parametrize("text", [
+    "K(Z,3)", "K(Z/{p},2)", "K(Z/{p}^2,2)", "K(Z/{p}^3,1)", "K(Zpinf,2)",
+    "K(Zp,4)", "K(Z/{p},1) * K(Z,3) * K(Z/{p}^2,2)",
+])
+def test_generator_table_matches_the_presentation(text, p, bound):
+    space = parse_space(text.format(p=p), p)
+    table = em_generator_table(space, p, bound)
+    assert table.action == {}
+    assert _fields(table) == \
+        _fields(em_product_presentation(space, p, bound))
+
+
+def test_generator_table_keeps_the_input_checks():
+    with pytest.raises(InputError):
+        em_generator_table(EMSpec(IntegerClass(), 3), 2, 2)
+    with pytest.raises(InputError):
+        em_generator_table(EMSpec(IntegerClass(), 3), 4, 10)

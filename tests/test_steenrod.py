@@ -343,6 +343,30 @@ def test_word_format_round_trip():
         assert st.letters_to_word(3, letters) == w
 
 
+
+def _raw_word(p):
+    """Any word of the right shape, admissible or not: at odd p every
+    Bockstein flag is drawn freely."""
+    if p == 2:
+        return hs.lists(hs.integers(1, 64), max_size=6).map(tuple)
+    pairs = hs.lists(hs.tuples(hs.integers(1, 64), hs.integers(0, 1)),
+                     max_size=5)
+    return hs.tuples(hs.integers(0, 1), pairs).map(
+        lambda t: (t[0],) + tuple(x for pair in t[1] for x in pair))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_word_dsl_round_trip_property(p):
+    """Formatting a word and parsing the text back gives the same word."""
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(hs.one_of(_admissible_word(p), _raw_word(p)))
+    def check(w):
+        text = st.format_word(p, w)
+        assert st.letters_to_word(p, st.parse_word_expr(p, text)) == w, text
+
+    check()
+
 def test_format_word_examples():
     assert st.format_word(2, (3, 1)) == "Sq[3,1]"
     assert st.format_word(2, ()) == "1"
