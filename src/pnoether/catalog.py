@@ -9,9 +9,11 @@ bound.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 from .errors import InputError
 from .graded import FreeCommPresentation, GeneratorSpec
@@ -23,7 +25,8 @@ class CatalogEntry:
     description: str
     torsion_free: bool | None
     generators: tuple          # GeneratorSpec, degree order
-    action: dict               # prime -> {(gen, op string): value string}
+    action: dict               # prime -> {(gen, op string): value string},
+                               # read-only at both levels
     recommended_primes: tuple | None
 
     def degrees(self) -> list:
@@ -96,7 +99,7 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
                 if not isinstance(e.get(fld), str):
                     _fail(f"{epath}.{fld}", "a string")
             table[(e["gen"], e["op"])] = e["value"]
-        action[int(prime_key)] = table
+        action[int(prime_key)] = MappingProxyType(table)
 
     rec = raw.get("recommended_primes")
     if rec is not None and (not isinstance(rec, list)
@@ -104,26 +107,35 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
         _fail(f"{where}.recommended_primes", "null or a list of integers")
 
     return CatalogEntry(name, description, torsion_free, tuple(gens),
-                        action, tuple(rec) if rec else None)
+                        MappingProxyType(action), tuple(rec) if rec else None)
 
 
 def load_catalog(path: str = None) -> dict:
     """Load the built-in catalog, or a JSON file with the same schema.
 
     Returns a name → CatalogEntry map (aliases included).  Schema problems
-    raise an input error naming the offending JSON path.
+    raise an input error naming the offending JSON path.  The built-in
+    catalog is parsed once per process; each call returns a fresh map over
+    the same read-only entries.  A file is read and parsed on every call.
     """
     if path is None:
-        text = (resources.files("pnoether") / "data" / "catalog.json") \
-            .read_text(encoding="utf-8")
-        source = "built-in catalog"
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read catalog file {path}: {exc}")
-        source = path
+        return dict(_builtin_catalog())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read catalog file {path}: {exc}")
+    return _parse_catalog(text, path)
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_catalog() -> dict:
+    text = (resources.files("pnoether") / "data" / "catalog.json") \
+        .read_text(encoding="utf-8")
+    return _parse_catalog(text, "built-in catalog")
+
+
+def _parse_catalog(text: str, source: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -767,6 +767,27 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._total_cache[mono] = out
         return out
 
+    def total_by_degree(self, x: Element) -> dict:
+        """The total operation on x bucketed by degree: {degree: {basis key:
+        coeff}}, zero coefficients and values above the bound dropped.
+
+        For homogeneous x and every op but the Bockstein, the bucket of
+        degree |x| + |op| is ``act(op, x).data`` up to key order, read off
+        one memoized total instead of one pass per op.  Refuses a monomial
+        that act_basis would refuse, with the same MissingDataError."""
+        out: dict = {}
+        for (d, i), c in x.data.items():
+            mono = self._basis[d][i]
+            if not self.can_act_on(mono):
+                raise MissingDataError(
+                    "Steenrod data needed within the bound is missing",
+                    gaps=self.gaps)
+            for key, ct in self._total_on_monomial(mono).data.items():
+                bucket = out.setdefault(key[0], {})
+                bucket[key] = (bucket.get(key, 0) + ct * c) % self.p
+        return {d: {k: v for k, v in bucket.items() if v}
+                for d, bucket in out.items()}
+
     def _beta_on_monomial(self, mono: tuple) -> Element:
         """Bockstein on a basis monomial via the signed derivation rule."""
         if mono in self._beta_cache:

@@ -18,6 +18,7 @@ resolved.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -507,17 +508,21 @@ class _Engine:
                 s.display = steenrod.format_word_compact(self.p, word) + " z"
 
     def _words_by_degree(self, anchor, survivors) -> dict:
-        """Admissible words up to the largest gap above the anchor, bucketed
-        by exact degree in enumeration order.  One enumeration serves every
-        survivor: the words of one degree come out in the same relative
-        order at any larger bound."""
+        """Admissible words of reduced excess <= |anchor| up to the largest
+        gap above the anchor, bucketed by exact degree in enumeration order;
+        the words of one degree keep their relative order at any larger
+        bound and under the excess bound.  By instability a word of larger
+        reduced excess carries the anchor to 0 (it applies Sq^s with s > n,
+        or P^s with 2s > n, to a class of degree n), so the first word
+        matching a nonzero survivor class is unchanged."""
         if anchor is None or anchor.fiber_class is None:
             return {}
         gaps = {s.degree - anchor.degree for s in survivors
                 if s.fiber_class is not None and s.degree > anchor.degree}
         words: dict = {gap: [] for gap in gaps}
         if gaps:
-            for word in steenrod.admissible_words(self.p, max(gaps)):
+            for word in steenrod.admissible_words(
+                    self.p, max(gaps), max_excess=anchor.degree):
                 bucket = words.get(steenrod.word_degree(self.p, word))
                 if bucket is not None:
                     bucket.append(word)
@@ -526,9 +531,12 @@ class _Engine:
     def _word_from_anchor(self, anchor, survivor, words):
         """The first word of the survivor's gap in ``words`` (see
         _words_by_degree) that carries the anchor's fiber class onto the
-        survivor's, or None."""
+        survivor's, or None; a zero survivor class raises."""
         if survivor.fiber_class is None:
             return None
+        if survivor.fiber_class.is_zero:
+            raise EngineContractError(
+                f"survivor {survivor.name} has fiber class 0")
         for word in words.get(survivor.degree - anchor.degree, ()):
             if self.fiber_alg.act_word(word, anchor.fiber_class,
                                        drop_above=True) == survivor.fiber_class:
@@ -557,123 +565,114 @@ class _Engine:
         over a trivial base quotient, and omitted in degrees where companion
         classes (which restrict to zero) could correct the value.
 
-        A value is read off the fiber monomial basis: each survivor monomial
-        restricts to one signed fiber monomial (see _survivor_coordinates),
-        so the coefficient of a survivor monomial is the value's coefficient
-        on its fiber monomial times that sign.  A value touching a fiber
-        monomial no survivor monomial reaches is not in the image of the
-        survivor algebra, and its entry is omitted."""
+        A survivor's Sq^i / P^i value is the bucket of degree |s| + |op| of
+        its total operation, read once (total_by_degree); the Bockstein's
+        comes from act_basis.  Each survivor monomial restricts to one
+        signed fiber monomial (see _survivor_coordinates), so the
+        coefficient of a survivor monomial is the value's coefficient on its
+        fiber monomial times that sign.  A value touching a fiber monomial
+        no survivor monomial reaches is not in the image of the survivor
+        algebra, and its entry is omitted."""
         shadow = self._companion_shadow(survivors)
-        coords = self._survivor_coordinates(survivors)
-        action = {}
+        coordinate = self._survivor_coordinates(survivors)
+        alg, action = self.fiber_alg, {}
         for s in survivors:
             if s.fiber_class is None:
                 continue
-            for op in self.fiber_alg.op_list():
+            total = {}  # the survivor's total operation, read on first use
+            for op in alg.op_list():
                 target = s.degree + op_degree(self.p, op)
                 if target > self.bound or target in shadow:
                     continue
-                value = self.fiber_alg.act(op, s.fiber_class, drop_above=True)
-                if any(key not in coords for key in value.data):
-                    continue
-                poly = {}
-                for key, coeff in value.data.items():
-                    mono, sign = coords[key]
-                    poly[mono] = coeff * sign % self.p
-                action[(s.name, op)] = dict(sorted(poly.items()))
+                if op == ("B",):
+                    value = alg.act(op, s.fiber_class, drop_above=True).data
+                else:
+                    total = total or alg.total_by_degree(s.fiber_class)
+                    value = total.get(target, {})
+                coords = [coordinate(key) for key in value]
+                if None not in coords:
+                    action[(s.name, op)] = dict(sorted(
+                        (mono, c * sign % self.p)
+                        for (mono, sign), c in zip(coords, value.values())))
         return action
 
-    def _survivor_coordinates(self, survivors) -> dict:
-        """Fiber basis key -> (survivor exponent tuple, sign) for every
-        monomial in the non-companion survivors through the bound.
+    def _survivor_coordinates(self, survivors):
+        """A memoized map: fiber basis key -> (exponent tuple, sign) of the
+        survivor monomial restricting to ± that fiber monomial, or None.
 
-        Each such survivor's fiber class must be one fiber monomial with
-        coefficient ±1 (a generator or a p-power of one); this is checked
-        once, up front.  A survivor monomial then restricts to ± one fiber
-        monomial, found by merging exponent tuples, and distinct survivor
-        monomials must restrict to distinct ones.  Each violation raises
-        EngineContractError."""
+        Injectivity is certified up front: each non-companion survivor's
+        fiber class must be ±1 times a power g^a of one fiber generator, no
+        two classes may lie on one generator, and a non-exterior survivor on
+        an exterior generator must not have its square (restricting to 0)
+        within the bound; each violation raises EngineContractError.  Then
+        ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
+        and a key resolves by dividing its exponents by the a's, its sign
+        the classes' coefficients times the Koszul signs of
+        _merge_monomials taken in survivor order."""
         alg, p = self.fiber_alg, self.p
-        merge, index = alg._merge_monomials, alg._mono_index
-        classes = []
+        classes, owner = [], {}  # (pos, generator, power, coeff, exterior)
         for pos, s in enumerate(survivors):
             if s.fiber_class is None:
                 continue
             terms = list(s.fiber_class.data.items())
-            if len(terms) != 1 or terms[0][1] not in (1, p - 1):
+            mono = alg.basis(terms[0][0][0])[terms[0][0][1]] if terms else ()
+            support = [g for g, a in enumerate(mono) if a]
+            if len(terms) != 1 or terms[0][1] not in (1, p - 1) \
+                    or len(support) != 1:
                 raise EngineContractError(
                     f"survivor {s.name} has fiber class "
-                    f"{alg.describe(s.fiber_class)}, not a signed fiber "
-                    "monomial")
-            ((d, i), coeff), = terms
-            classes.append((pos, s, alg.basis(d)[i], coeff))
-        # least[idx]: the least degree among classes[idx:]; with less room
-        # left than that, their exponents are all 0 and the monomial is done
-        least = [self.bound + 1] * (len(classes) + 1)
-        for idx in range(len(classes) - 1, -1, -1):
-            least[idx] = min(least[idx + 1], classes[idx][1].degree)
-        coords: dict = {}
-        expo = [0] * len(survivors)
+                    f"{alg.describe(s.fiber_class)}, not ±1 times a power "
+                    "of one fiber generator")
+            g, = support
+            gen = alg.generators[g]
+            if g in owner:
+                raise EngineContractError(
+                    f"survivors {owner[g]} and {s.name} both restrict to "
+                    f"powers of {gen.name}")
+            if gen.kind == "exterior" and s.kind != "exterior" \
+                    and 2 * s.degree <= self.bound:
+                raise EngineContractError(
+                    f"survivor monomial {s.name}^2 restricts to 0, not a "
+                    "signed fiber monomial")
+            owner[g] = s.name
+            classes.append((pos, g, mono, terms[0][1], s.kind == "exterior"))
+        merge, one = alg._merge_monomials, alg.basis(0)[0]
 
-        def rec(idx, degree, mono, coeff):
-            if self.bound - degree < least[idx]:
-                key = index[mono]
-                if key in coords:
-                    raise EngineContractError(
-                        "two survivor monomials restrict to the fiber "
-                        f"monomial {alg.basis_label(*key)}")
-                coords[key] = (tuple(expo), coeff)
-                return
-            pos, s, factor, factor_coeff = classes[idx]
-            rec(idx + 1, degree, mono, coeff)
-            top = (self.bound - degree) // s.degree
-            if s.kind == "exterior":
-                top = min(top, 1)
-            for e in range(1, top + 1):
-                merged = merge(mono, factor)
-                if merged is None:
-                    raise EngineContractError(
-                        f"survivor monomial with {s.name}^{e} restricts to "
-                        "0, not a signed fiber monomial")
-                sign, mono = merged
-                coeff = coeff * sign * factor_coeff % p
-                expo[pos] = e
-                rec(idx + 1, degree + e * s.degree, mono, coeff)
-            expo[pos] = 0
+        def resolve(key):
+            target = alg.basis(key[0])[key[1]]
+            expo, rest = [0] * len(survivors), list(target)
+            for pos, g, power, _coeff, exterior in classes:
+                expo[pos], rest[g] = divmod(target[g], power[g])
+                if exterior and expo[pos] > 1:
+                    return None
+            if any(rest):
+                return None
+            sign, mono = 1, one
+            for pos, _g, factor, coeff, _exterior in classes:
+                for _ in range(expo[pos]):
+                    koszul, mono = merge(mono, factor)
+                    sign = sign * koszul * coeff % p
+            return tuple(expo), sign
 
-        rec(0, 0, alg.basis(0)[0], 1)
-        return coords
+        return functools.lru_cache(maxsize=None)(resolve)
 
     def _companion_shadow(self, survivors) -> set:
-        """Degrees ≤ bound of survivor monomials with a companion factor."""
-        degrees = {0}
+        """Degrees ≤ bound of survivor monomials with a companion factor:
+        survivors are taken in one at a time, tracking the degrees of the
+        monomials so far without and with a companion factor."""
+        plain, shadow = {0}, set()
         for s in survivors:
+            top = s.degree if s.kind == "exterior" else self.bound
+            steps = range(s.degree, top + 1, s.degree)
+
+            def shifted(degrees):
+                return {d + t for d in degrees for t in steps
+                        if d + t <= self.bound}
+
             if s.is_companion:
-                continue
-            new = set(degrees)
-            if s.kind == "exterior":
-                for d in degrees:
-                    if d + s.degree <= self.bound:
-                        new.add(d + s.degree)
+                shadow |= shifted(plain | shadow)
             else:
-                for d in degrees:
-                    t = d + s.degree
-                    while t <= self.bound:
-                        new.add(t)
-                        t += s.degree
-            degrees = new
-        shadow = set()
-        companions = [s for s in survivors if s.is_companion]
-        for subset in range(1, 1 << len(companions)):
-            total = 0
-            for i, c in enumerate(companions):
-                if subset >> i & 1:
-                    total += c.degree
-            if total > self.bound:
-                continue
-            for d in degrees:
-                if d + total <= self.bound:
-                    shadow.add(d + total)
+                plain, shadow = plain | shifted(plain), shadow | shifted(shadow)
         return shadow
 
 

@@ -39,6 +39,34 @@ def test_flags_and_tables():
     assert cat["BS3"].recommended_primes is None
 
 
+def test_builtin_catalog_is_parsed_once_into_read_only_entries():
+    first, second = load_catalog(), load_catalog()
+    assert first is not second and first == second
+    assert all(first[name] is second[name] for name in first)
+    first.pop("BS3")  # a caller's map is its own
+    assert "BS3" in load_catalog()
+    entry = second["BS3"]
+    with pytest.raises(TypeError):
+        entry.action[3] = {}
+    with pytest.raises(TypeError):
+        entry.action[3][("y4", "P1")] = "0"
+    assert entry.presentation(3).action == \
+        get_entry("BS3").presentation(3).action
+
+
+def test_a_catalog_file_is_read_on_every_call(tmp_path):
+    path = tmp_path / "ring.json"
+
+    def write(degree):
+        path.write_text(json.dumps({"entries": {"R": {"generators": [
+            {"name": "x", "degree": degree}]}}}))
+
+    write(4)
+    assert load_catalog(str(path))["R"].degrees() == [4]
+    write(6)
+    assert load_catalog(str(path))["R"].degrees() == [6]
+
+
 def test_presentation_per_prime():
     entry = get_entry("BS3")
     assert entry.action[3] == {("y4", "P1"): "2*y4^2"}

@@ -29,7 +29,7 @@ from pnoether import (
     poincare,
     quotient_by_ideal,
 )
-from pnoether.graded import op_degree
+from pnoether.graded import Element, op_degree
 
 
 def brute_dims(gens, bound):
@@ -455,6 +455,98 @@ def test_op_list_by_prime():
     assert free_p2([("t", 1)], 3).op_list() == [("Sq", 1), ("Sq", 2), ("Sq", 3)]
     alg3 = expand(FreeCommPresentation(3, [GeneratorSpec("y", 2)]), 9)
     assert alg3.op_list() == [("B",), ("P", 1), ("P", 2)]
+
+
+def random_presentation(data, p):
+    """A free presentation with random action data and its truncation.
+
+    Up to three generators, odd and exterior ones included, some linked by
+    a primary Bockstein to a partner one degree up; every op below the top
+    one (which instability fills in) gets a random explicit value, left out
+    one time in ten so that gaps occur.  At p = 2 the values on an exterior
+    generator are sums of monomials with an exterior factor, so that they
+    square to zero as the generator does and the total operation stays a
+    ring map."""
+    kinds_halves = data.draw(hs.lists(
+        hs.tuples(hs.sampled_from(("polynomial", "exterior")),
+                  hs.integers(1, 4)), min_size=1, max_size=3))
+    bound = data.draw(hs.integers(1, 12))
+    gens = generator_list(p, kinds_halves)
+    specs = []
+    for k, (degree, kind) in enumerate(gens):
+        partners = [j for j, (d, _) in enumerate(gens) if d == degree + 1]
+        link = None
+        if partners and data.draw(hs.booleans()):
+            link = (1, f"g{data.draw(hs.sampled_from(partners))}")
+        specs.append(GeneratorSpec(f"g{k}", degree, kind, link))
+    bare = expand(FreeCommPresentation(p, specs), bound)
+    exterior = [k for k, g in enumerate(specs) if g.kind == "exterior"]
+    action = {}
+    for g in specs:
+        if p == 2:
+            ops = [("Sq", i) for i in range(1, g.degree)]
+        else:
+            ops = [("P", i) for i in range(1, (g.degree + 1) // 2)]
+            if g.bockstein_link is None:
+                ops.append(("B",))
+        for op in ops:
+            target = g.degree + op_degree(p, op)
+            if target > bound or data.draw(hs.integers(0, 9)) == 0:
+                continue
+            monos = [m for m in bare.basis(target)
+                     if p != 2 or g.kind != "exterior"
+                     or any(m[k] for k in exterior)]
+            coeffs = data.draw(hs.lists(hs.integers(0, p - 1),
+                                        min_size=len(monos),
+                                        max_size=len(monos)))
+            action[(g.name, op)] = dict(zip(monos, coeffs))
+    return expand(FreeCommPresentation(p, specs, action), bound)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_total_by_degree_matches_act_basis_and_the_cartan_formula(p):
+    """Each degree bucket of total_by_degree is act_basis of the op of that
+    degree on every basis element, a monomial act_basis refuses is refused
+    with the same MissingDataError, and on random products the total
+    operation is multiplicative (the Cartan formula for every op at once)."""
+
+    def total(alg, x):
+        return Element(alg, {key: c for bucket in
+                             alg.total_by_degree(x).values()
+                             for key, c in bucket.items()})
+
+    @settings(derandomize=True, database=None, max_examples=40)
+    @given(hs.data())
+    def check(data):
+        alg = random_presentation(data, p)
+        ops = [op for op in alg.op_list() if op != ("B",)]
+        for d in range(alg.bound + 1):
+            for i, mono in enumerate(alg.basis(d)):
+                x = alg.element(d, i)
+                if not alg.can_act_on(mono):
+                    with pytest.raises(MissingDataError):
+                        alg.total_by_degree(x)
+                    with pytest.raises(MissingDataError):
+                        alg.act_basis(alg.op_list()[0], d, i)
+                    continue
+                buckets = alg.total_by_degree(x)
+                assert buckets.pop(d) == {(d, i): 1}
+                by_degree = {d + op_degree(p, op): op for op in ops
+                             if d + op_degree(p, op) <= alg.bound}
+                assert set(buckets) <= set(by_degree)
+                for target, op in by_degree.items():
+                    assert buckets.get(target, {}) == alg.act_basis(op, d, i)
+        if not alg.action_complete:
+            return
+        a = data.draw(hs.integers(0, alg.bound))
+        b = data.draw(hs.integers(0, alg.bound - a))
+        x, y = (alg.from_vector(d, data.draw(hs.lists(
+            hs.integers(0, p - 1), min_size=alg.dim(d),
+            max_size=alg.dim(d)))) for d in (a, b))
+        assert total(alg, x * y) == alg.product(
+            total(alg, x), total(alg, y), drop_above=True)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

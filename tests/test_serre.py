@@ -8,7 +8,10 @@ hide), and survivor algebras are compared with free-algebra series built by
 an independent product formula.
 """
 
+import contextlib
+import io
 import itertools
+import random
 
 import pytest
 
@@ -34,7 +37,9 @@ from pnoether import (
 from pnoether.errors import EngineContractError, UnsupportedFibrationError
 from pnoether.graded import op_degree
 from pnoether.linalg import solve
+from pnoether import steenrod
 from pnoether.catalog import get_entry
+from pnoether.cli import main
 from pnoether.fixtures import s3_loop_fibration
 from pnoether.em import EMProduct
 from pnoether.serre import (Survivor, _Engine, annihilator_profile,
@@ -302,6 +307,92 @@ def test_display_words_follow_the_enumeration_order(name, p, bound, displays):
             if not s.is_companion] == displays
 
 
+def unbounded_displays(res):
+    """Every survivor display by the search without an excess bound: the
+    first word of the gap's degree, in the order of the full
+    admissible_words list, that carries the anchor's fiber class onto the
+    survivor's."""
+    p = res.p
+    survivors = res.surviving_fiber_generators
+    anchor = next((s for s in survivors if not s.is_companion), None)
+    out = []
+    for s in survivors:
+        if s.is_companion or anchor is None:
+            out.append(s.name)
+            continue
+        if s is anchor:
+            out.append("z")
+            continue
+        gap = s.degree - anchor.degree
+        alg = anchor.fiber_class.algebra
+        word = next((w for w in steenrod.admissible_words(p, max(gap, 0))
+                     if steenrod.word_degree(p, w) == gap
+                     and alg.act_word(w, anchor.fiber_class, drop_above=True)
+                     == s.fiber_class), None)
+        if word is None:
+            out.append(s.origin)
+        elif p != 2:
+            out.append(steenrod.format_word_compact(p, word) + " z")
+        elif len(word) == 1:
+            out.append(f"Sq{word[0]} z")
+        else:
+            out.append("Sq[" + ",".join(map(str, word)) + "] z")
+    return out
+
+
+@pytest.mark.parametrize("name,p,bound", [
+    ("BS3", 2, 100),
+    ("BS3", 3, 150),
+    ("BS3", 5, 150),
+    ("X2b_4", 3, 122),
+])
+def test_excess_bounded_displays_match_the_unbounded_search(name, p, bound):
+    """Words of reduced excess above the anchor's degree act as zero on it,
+    so leaving them out of the search changes no display."""
+    entry = get_entry(name)
+    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+                                     torsion_free=entry.torsion_free)
+    displays = [s.display for s in res.surviving_fiber_generators]
+    assert len(displays) >= 3
+    assert displays == unbounded_displays(res)
+
+
+def test_a_zero_survivor_fiber_class_raises():
+    """The excess bound is sound only for nonzero survivor classes (a word
+    acting as zero on the anchor would match a zero class)."""
+    spec = FibrationSpec(2, get_entry("BS3").presentation(2),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=17)
+    engine = _Engine(spec)
+    fiber = engine.fiber_alg
+    anchor = Survivor("z5", 5, "polynomial", "Sq2i3", "",
+                      fiber.generator_element("Sq2i3"))
+    zero = Survivor("z6", 6, "polynomial", "i3^2", "", fiber.zero())
+    with pytest.raises(EngineContractError, match="fiber class 0"):
+        engine._attach_displays([anchor, zero])
+    zero.fiber_class = fiber.element_from_poly("i3^2")
+    engine._attach_displays([anchor, zero])
+    assert zero.display == "Sq1 z"
+
+
+def test_cover_display_words_cost_what_they_print(monkeypatch):
+    """cover BS3 at p = 2 through degree 200 builds a few hundred
+    admissible words (72,846 without the excess bound)."""
+    built = []
+    words = steenrod.admissible_words
+
+    def counted(*args, **kwargs):
+        out = words(*args, **kwargs)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(steenrod, "admissible_words", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["cover", "--catalog", "BS3", "--p", "2",
+                     "--max-degree", "200"]) == 0
+    assert "Sq[" in out.getvalue()
+    assert 0 < sum(built) < 2000
+
+
 # ---------------------------------------------------------------------------
 # the whole induced-action table against a direct solve
 
@@ -354,6 +445,7 @@ def reference_induced_action(res):
 
 @pytest.mark.parametrize("name,p,bound", [
     ("BS3", 2, 60),
+    ("BS3", 2, 68),
     ("BS3", 3, 60),
     ("BS3", 5, 60),
     ("X2b_4", 3, 60),
@@ -371,38 +463,81 @@ def test_induced_action_table_matches_direct_solve(name, p, bound):
         assert list(action[key].items()) == list(poly.items()), key
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_companion_shadow_matches_every_survivor_monomial(seed):
+    """The shadow is the set of degrees <= bound of survivor monomials with
+    at least one companion factor, several companions included."""
+    rng = random.Random(seed)
+    spec = FibrationSpec(2, get_entry("BS3").presentation(2),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=17)
+    engine = _Engine(spec)
+    for _ in range(50):
+        engine.bound = rng.randrange(0, 40)
+        survivors = []
+        for k in range(rng.randrange(0, 6)):
+            companion = rng.random() < 0.4
+            kind = ("exterior" if companion or rng.random() < 0.4
+                    else "polynomial")
+            survivors.append(Survivor(f"s{k}", rng.randrange(1, 15), kind,
+                                      "", "", None, companion))
+        expected = set()
+        for expo in itertools.product(*[
+                range(2 if s.kind == "exterior"
+                      else engine.bound // s.degree + 1)
+                for s in survivors]):
+            degree = sum(e * s.degree for e, s in zip(expo, survivors))
+            if degree <= engine.bound and any(
+                    e and s.is_companion for e, s in zip(expo, survivors)):
+                expected.add(degree)
+        assert engine._companion_shadow(survivors) == expected
+
+
 def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
     spec = FibrationSpec(3, get_entry("BS3").presentation(3),
                          EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=20)
     engine = _Engine(spec)
     fiber = engine.fiber_alg
+    keys = [(d, i) for d in range(fiber.bound + 1)
+            for i in range(fiber.dim(d))]
 
-    def survivor(name, gen):
+    def survivor(name, gen, kind="exterior"):
         return Survivor(name, fiber.generator_element(gen).degree(),
-                        "exterior", gen, name,
-                        fiber.generator_element(gen))
+                        kind, gen, name, fiber.generator_element(gen))
+
+    def resolving(coordinate):
+        return {key for key in keys if coordinate(key) is not None}
 
     # listed against the fiber's generator order, b*a = -(i3*P1i3)
-    coords = engine._survivor_coordinates(
+    coordinate = engine._survivor_coordinates(
         [survivor("b", "P1i3"), survivor("a", "i3")])
     key = fiber.monomial_key((1, 1, 0, 0, 0))
-    assert coords[key] == ((1, 1), 2)
-    assert len(coords) == 4
+    assert coordinate(key) == ((1, 1), 2)
+    # exactly the fiber keys of 1, a, b and a*b resolve
+    assert resolving(coordinate) == {
+        fiber.monomial_key(mono) for mono in
+        [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]}
     with pytest.raises(EngineContractError):
         engine._survivor_coordinates(
             [survivor("a", "i3"), survivor("c", "i3")])
     # a fiber class with coefficient p - 1 = -1 flips the sign
     minus_b = survivor("b", "P1i3")
     minus_b.fiber_class = minus_b.fiber_class.scale(-1)
-    coords = engine._survivor_coordinates([minus_b, survivor("a", "i3")])
-    assert coords[key] == ((1, 1), 1)
-    assert len(coords) == 4
+    coordinate = engine._survivor_coordinates([minus_b, survivor("a", "i3")])
+    assert coordinate(key) == ((1, 1), 1)
+    assert len(resolving(coordinate)) == 4
     # a two-term fiber class is not a signed monomial
     two_terms = survivor("c", "P3P1i3")
     two_terms.fiber_class = (two_terms.fiber_class
                              + fiber.element_from_poly("i3*bP1i3^2"))
     with pytest.raises(EngineContractError):
         engine._survivor_coordinates([survivor("a", "i3"), two_terms])
+    # an exterior survivor on the polynomial bP1i3 reaches no square
+    coordinate = engine._survivor_coordinates([survivor("d", "bP1i3")])
+    assert resolving(coordinate) == {fiber.monomial_key(mono) for mono in
+                                     [(0, 0, 0, 0, 0), (0, 0, 1, 0, 0)]}
+    # a polynomial survivor on the exterior i3: its square restricts to 0
+    with pytest.raises(EngineContractError):
+        engine._survivor_coordinates([survivor("c", "i3", "polynomial")])
 
 
 def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
