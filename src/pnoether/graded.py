@@ -545,8 +545,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         }
         self._gen_action: dict = {}
         self._total_cache: dict = {}
+        self._total_buckets: dict = {}
         self._beta_cache: dict = {}
-        self._act_cache: dict = {}
         self.gaps: list = []
         self._gap_gens: set = set()
         self._resolve_generator_action()
@@ -767,26 +767,17 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._total_cache[mono] = out
         return out
 
-    def total_by_degree(self, x: Element) -> dict:
-        """The total operation on x bucketed by degree: {degree: {basis key:
-        coeff}}, zero coefficients and values above the bound dropped.
-
-        For homogeneous x and every op but the Bockstein, the bucket of
-        degree |x| + |op| is ``act(op, x).data`` up to key order, read off
-        one memoized total instead of one pass per op.  Refuses a monomial
-        that act_basis would refuse, with the same MissingDataError."""
+    def _total_by_degree(self, mono: tuple) -> dict:
+        """The total operation on a basis monomial split by degree,
+        {degree: {basis key: coeff}} in the total's key order (memoized), so
+        that one op's value is one lookup, not a pass over the total."""
+        if mono in self._total_buckets:
+            return self._total_buckets[mono]
         out: dict = {}
-        for (d, i), c in x.data.items():
-            mono = self._basis[d][i]
-            if not self.can_act_on(mono):
-                raise MissingDataError(
-                    "Steenrod data needed within the bound is missing",
-                    gaps=self.gaps)
-            for key, ct in self._total_on_monomial(mono).data.items():
-                bucket = out.setdefault(key[0], {})
-                bucket[key] = (bucket.get(key, 0) + ct * c) % self.p
-        return {d: {k: v for k, v in bucket.items() if v}
-                for d, bucket in out.items()}
+        for key, c in self._total_on_monomial(mono).data.items():
+            out.setdefault(key[0], {})[key] = c
+        self._total_buckets[mono] = out
+        return out
 
     def _beta_on_monomial(self, mono: tuple) -> Element:
         """Bockstein on a basis monomial via the signed derivation rule."""
@@ -813,22 +804,15 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        key = (op, degree, index)
-        if key in self._act_cache:
-            return self._act_cache[key]
         mono = self._basis[degree][index]
         if not self.can_act_on(mono):
             raise MissingDataError(
                 "Steenrod data needed within the bound is missing",
                 gaps=self.gaps)
         if op == ("B",):
-            out = self._beta_on_monomial(mono).data
-        else:
-            shift = op_degree(self.p, op)
-            total = self._total_on_monomial(mono)
-            out = total.component(degree + shift).data
-        self._act_cache[key] = out
-        return out
+            return self._beta_on_monomial(mono).data
+        shift = op_degree(self.p, op)
+        return self._total_by_degree(mono).get(degree + shift, {})
 
 
 class QuotientTruncAlgebra(TruncAlgebra):

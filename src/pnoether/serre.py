@@ -565,30 +565,23 @@ class _Engine:
         over a trivial base quotient, and omitted in degrees where companion
         classes (which restrict to zero) could correct the value.
 
-        A survivor's Sq^i / P^i value is the bucket of degree |s| + |op| of
-        its total operation, read once (total_by_degree); the Bockstein's
-        comes from act_basis.  Each survivor monomial restricts to one
-        signed fiber monomial (see _survivor_coordinates), so the
-        coefficient of a survivor monomial is the value's coefficient on its
-        fiber monomial times that sign.  A value touching a fiber monomial
-        no survivor monomial reaches is not in the image of the survivor
-        algebra, and its entry is omitted."""
+        A value is read off the fiber monomial basis: each survivor monomial
+        restricts to one signed fiber monomial (see _survivor_coordinates),
+        so the coefficient of a survivor monomial is the value's coefficient
+        on its fiber monomial times that sign.  A value touching a fiber
+        monomial no survivor monomial reaches is not in the image of the
+        survivor algebra, and its entry is omitted."""
         shadow = self._companion_shadow(survivors)
         coordinate = self._survivor_coordinates(survivors)
         alg, action = self.fiber_alg, {}
         for s in survivors:
             if s.fiber_class is None:
                 continue
-            total = {}  # the survivor's total operation, read on first use
             for op in alg.op_list():
                 target = s.degree + op_degree(self.p, op)
                 if target > self.bound or target in shadow:
                     continue
-                if op == ("B",):
-                    value = alg.act(op, s.fiber_class, drop_above=True).data
-                else:
-                    total = total or alg.total_by_degree(s.fiber_class)
-                    value = total.get(target, {})
+                value = alg.act(op, s.fiber_class, drop_above=True).data
                 coords = [coordinate(key) for key in value]
                 if None not in coords:
                     action[(s.name, op)] = dict(sorted(
@@ -608,7 +601,14 @@ class _Engine:
         ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
         and a key resolves by dividing its exponents by the a's, its sign
         the classes' coefficients times the Koszul signs of
-        _merge_monomials taken in survivor order."""
+        _merge_monomials taken in survivor order.
+
+        This contract is narrower than injectivity on the survivor
+        monomials: it refuses a class on a product of distinct generators,
+        and two classes on one generator even if no two of their monomials
+        meet within the bound.  run never makes either: it queues each
+        fiber generator and then only p-powers of it, one at a time, so
+        each non-companion fiber class is g^(p^k) for its own label g."""
         alg, p = self.fiber_alg, self.p
         classes, owner = [], {}  # (pos, generator, power, coeff, exterior)
         for pos, s in enumerate(survivors):
