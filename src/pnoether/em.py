@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import steenrod
 from .errors import InputError
-from .graded import FreeCommPresentation, GeneratorSpec
+from .graded import FreeCommPresentation, GeneratorSpec, ops_on_degree
 
 # ---------------------------------------------------------------------------
 # coefficient classes and space specs
@@ -112,11 +112,8 @@ def _parse_coefficient(text: str, p: int):
     m = re.fullmatch(r"Z/(\d+)(?:\^(\d+))?", text)
     if m:
         modulus = int(m.group(1)) ** int(m.group(2) or 1)
-        r = 0
-        while modulus % p == 0:
-            modulus //= p
-            r += 1
-        if modulus != 1 or r < 1:
+        r, unit = steenrod.padic_valuation(p, modulus) if modulus else (0, 0)
+        if unit != 1 or r < 1:
             raise InputError(
                 f"cyclic modulus in {text!r} must be a power of the prime {p}")
         return CyclicClass(r)
@@ -285,23 +282,9 @@ class _Enumeration:
         """Explicit (generator, op) -> monomial-dict entries within bound."""
         entries: dict = {}
         for degree, name_word, atom, w in self.entries:
-            for op in self._ops_for_degree(degree):
+            for op in ops_on_degree(self.p, degree, self.bound):
                 entries[(self.name(name_word), op)] = self._compose(op, atom, w)
         return entries
-
-    def _ops_for_degree(self, degree: int):
-        if self.p == 2:
-            return [("Sq", k) for k in range(1, degree + 1)
-                    if degree + k <= self.bound]
-        ops: list[tuple] = []
-        if degree + 1 <= self.bound:
-            ops.append(("B",))
-        k = 1
-        while 2 * k <= degree:
-            if degree + 2 * k * (self.p - 1) <= self.bound:
-                ops.append(("P", k))
-            k += 1
-        return ops
 
     def _compose(self, op: tuple, atom: _Atom, word: tuple) -> dict:
         letters = steenrod.word_to_letters(self.p, word) or []
@@ -322,7 +305,7 @@ class FiberFactorLayout:
     bottom_name: str
     bottom_degree: int
     single_atom: bool
-    # (name, degree, kind, defining word, atom fundamental degree,
+    # (name, degree, kind, defining word,
     #  True when the word acts on the factor's bottom class)
     gens: list
 
@@ -358,7 +341,7 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
         gens.extend(spec_list)
         gen_rows = []
         for g, (_deg, _nw, atom, w) in zip(spec_list, enum.entries):
-            gen_rows.append((g.name, g.degree, g.kind, w, atom.fund_degree,
+            gen_rows.append((g.name, g.degree, g.kind, w,
                              atom is enum.atoms[0]))
         layouts.append(FiberFactorLayout(
             spec=enum.spec, prefix=enum.prefix,

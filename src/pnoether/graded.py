@@ -82,6 +82,23 @@ def op_degree(p: int, op: tuple) -> int:
     return 1
 
 
+def ops_on_degree(p: int, degree: int, bound: int) -> list[tuple]:
+    """The operations an action table lists on a generator of the given
+    degree: those instability lets act (Sq^i with i <= degree; β, and P^i
+    with 2i <= degree, at odd p) whose value lands within the bound, in
+    table order: Sq^1, Sq^2, ... at p = 2; β, P^1, P^2, ... at odd p."""
+    if p == 2:
+        return [("Sq", i) for i in range(1, min(degree, bound - degree) + 1)]
+    ops: list[tuple] = []
+    if degree + 1 <= bound:
+        ops.append(("B",))
+    i = 1
+    while 2 * i <= degree and degree + 2 * i * (p - 1) <= bound:
+        ops.append(("P", i))
+        i += 1
+    return ops
+
+
 # ---------------------------------------------------------------------------
 # generators and presentations
 
@@ -543,6 +560,8 @@ class FreeTruncAlgebra(TruncAlgebra):
             for d in range(bound + 1)
             for i, mono in enumerate(self._basis[d])
         }
+        # action memos hold {basis key: coeff} dicts, not Elements, which
+        # would point back at the algebra and make it a reference cycle
         self._gen_action: dict = {}
         self._total_cache: dict = {}
         self._total_buckets: dict = {}
@@ -677,7 +696,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         an action value depending on an affected generator is demanded.
         """
         for g in self.generators:
-            for op in self._needed_ops(g):
+            for op in ops_on_degree(self.p, g.degree, self.bound):
                 value, gap = self._gen_op_value(g, op)
                 if gap:
                     self.gaps.append(
@@ -685,7 +704,7 @@ class FreeTruncAlgebra(TruncAlgebra):
                          "target_degree": g.degree + op_degree(self.p, op)})
                     self._gap_gens.add(g.name)
                 else:
-                    self._gen_action[(g.name, op)] = value
+                    self._gen_action[(g.name, op)] = value.data
 
     def can_act_on(self, mono: tuple) -> bool:
         """Whether action values on this monomial are fully determined."""
@@ -693,18 +712,6 @@ class FreeTruncAlgebra(TruncAlgebra):
             return True
         return not any(e and g.name in self._gap_gens
                        for e, g in zip(mono, self.generators))
-
-    def _needed_ops(self, g: GeneratorSpec):
-        if self.p == 2:
-            return [("Sq", i) for i in range(1, min(g.degree, self.bound - g.degree) + 1)]
-        ops: list[tuple] = []
-        if g.degree + 1 <= self.bound:
-            ops.append(("B",))
-        i = 1
-        while 2 * i <= g.degree and g.degree + 2 * i * (self.p - 1) <= self.bound:
-            ops.append(("P", i))
-            i += 1
-        return ops
 
     def _gen_op_value(self, g: GeneratorSpec, op: tuple):
         """-> (Element or None, gap: bool). Order: explicit entry, link,
@@ -728,7 +735,7 @@ class FreeTruncAlgebra(TruncAlgebra):
                 x = self.generator_element(g.name)
                 if 2 * g.degree <= self.bound:
                     return self.product(x, x), False
-                return None, False  # unreachable: _needed_ops keeps targets in bound
+                return None, False  # unreachable: ops_on_degree keeps targets in bound
         else:
             if g.degree % 2 == 0 and k == g.degree // 2:
                 x = self.generator_element(g.name)
@@ -740,30 +747,31 @@ class FreeTruncAlgebra(TruncAlgebra):
             return self.zero(), False
         return None, True
 
-    def _gen_total(self, gen_index: int) -> Element:
+    def _gen_total(self, gen_index: int) -> dict:
         """Total operation (sum of Sq^i, resp. P^i) on one generator."""
         if ("gen", gen_index) in self._total_cache:
             return self._total_cache[("gen", gen_index)]
         g = self.generators[gen_index]
         out = self.generator_element(g.name)
-        for op in self._needed_ops(g):
+        for op in ops_on_degree(self.p, g.degree, self.bound):
             if op == ("B",):
                 continue
-            out = out + self._gen_action[(g.name, op)]
-        self._total_cache[("gen", gen_index)] = out
-        return out
+            out = out + Element(self, self._gen_action[(g.name, op)])
+        self._total_cache[("gen", gen_index)] = out.data
+        return out.data
 
-    def _total_on_monomial(self, mono: tuple) -> Element:
+    def _total_on_monomial(self, mono: tuple) -> dict:
         """Multiplicative total operation on a basis monomial (memoized)."""
         if mono in self._total_cache:
             return self._total_cache[mono]
         if not any(mono):
-            out = self.one()
+            out = self.one().data
         else:
             idx = next(i for i, e in enumerate(mono) if e)
             rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            out = self.product(self._gen_total(idx),
-                               self._total_on_monomial(rest), drop_above=True)
+            out = self.product(Element(self, self._gen_total(idx)),
+                               Element(self, self._total_on_monomial(rest)),
+                               drop_above=True).data
         self._total_cache[mono] = out
         return out
 
@@ -774,32 +782,31 @@ class FreeTruncAlgebra(TruncAlgebra):
         if mono in self._total_buckets:
             return self._total_buckets[mono]
         out: dict = {}
-        for key, c in self._total_on_monomial(mono).data.items():
+        for key, c in self._total_on_monomial(mono).items():
             out.setdefault(key[0], {})[key] = c
         self._total_buckets[mono] = out
         return out
 
-    def _beta_on_monomial(self, mono: tuple) -> Element:
+    def _beta_on_monomial(self, mono: tuple) -> dict:
         """Bockstein on a basis monomial via the signed derivation rule."""
         if mono in self._beta_cache:
             return self._beta_cache[mono]
         if not any(mono):
-            out = self.zero()
+            out = {}
         else:
             idx = next(i for i, e in enumerate(mono) if e)
             g = self.generators[idx]
             single = tuple(1 if i == idx else 0 for i in range(len(mono)))
             rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            beta_g = self._gen_action.get((g.name, ("B",)))
-            if beta_g is None:  # target above bound: contribution drops
-                beta_g = self.zero()
+            # no entry: the target is above the bound and the term drops
+            beta_g = Element(self, self._gen_action.get((g.name, ("B",))))
             term1 = self.product(beta_g, self.monomial_element(rest), drop_above=True) \
                 if self.monomial_key(rest) is not None else self.zero()
-            beta_rest = self._beta_on_monomial(rest)
+            beta_rest = Element(self, self._beta_on_monomial(rest))
             term2 = self.product(self.monomial_element(single), beta_rest,
                                  drop_above=True)
             sign = -1 if g.degree % 2 == 1 else 1
-            out = term1 + term2.scale(sign)
+            out = (term1 + term2.scale(sign)).data
         self._beta_cache[mono] = out
         return out
 
@@ -810,7 +817,7 @@ class FreeTruncAlgebra(TruncAlgebra):
                 "Steenrod data needed within the bound is missing",
                 gaps=self.gaps)
         if op == ("B",):
-            return self._beta_on_monomial(mono).data
+            return self._beta_on_monomial(mono)
         shift = op_degree(self.p, op)
         return self._total_by_degree(mono).get(degree + shift, {})
 

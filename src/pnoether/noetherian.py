@@ -22,6 +22,7 @@ from . import steenrod, unstable
 from .em import CyclicClass, EMProduct, EMSpec, PruferClass
 from .errors import EngineContractError, InputError
 from .graded import FreeCommPresentation
+from .steenrod import padic_valuation
 from .unstable import F, ModuleExpr, Power, Q1, Tensor, ZERO, krull_degree
 
 # ---------------------------------------------------------------------------
@@ -143,11 +144,8 @@ def _parse_term(term: str, p: int, whole: str) -> list:
     if m:
         base = p if m.group(1) == "p" else int(m.group(1))
         order = base ** int(m.group(2) or 1)
-        r = 0
-        while order % p == 0:
-            order //= p
-            r += 1
-        if order != 1 or r < 1:
+        r, unit = padic_valuation(p, order) if order else (0, 0)
+        if unit != 1 or r < 1:
             raise InputError(
                 f"summand {term!r} must be cyclic of p-power order (p = {p})")
         return [CyclicClass(r)]
@@ -190,12 +188,9 @@ class PNoetherianPresentation:
                                FreeCommPresentation(self.p, [], {}))
         if self.y_cohomology.p != self.p:
             raise InputError("base cohomology is over the wrong prime")
-        order = self.pi1_order
-        if order < 1:
+        if self.pi1_order < 1:
             raise InputError("pi1 order must be >= 1")
-        while order % self.p == 0:
-            order //= self.p
-        if order != 1:
+        if padic_valuation(self.p, self.pi1_order)[1] != 1:
             raise InputError(
                 f"pi1 order {self.pi1_order} is not a power of {self.p}")
 
@@ -393,17 +388,6 @@ def splitting_with_section(b_connectivity: int, fiber_top: int,
 
 # ---------------------------------------------------------------------------
 # p-adic squares (the arithmetic behind the rank-3 non-splitting example)
-
-
-def padic_valuation(p: int, n: int) -> tuple:
-    """(v, u) with n = p^v · u and p ∤ u; undefined for n = 0."""
-    if n == 0:
-        raise InputError("the zero integer has no finite valuation")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def propagate_transgression(spec: FibrationSpec, base_alg=None) -> dict:
         tau_poly = spec.transgression[factor.bottom_name]
         tau_bottom = (base_alg.element_from_poly(tau_poly) if tau_poly
                       else base_alg.zero())
-        for name, degree, _kind, word, _fund, on_bottom in factor.gens:
+        for name, degree, _kind, word, on_bottom in factor.gens:
             if tau_bottom.is_zero:
                 out[name] = base_alg.zero()
                 continue
@@ -161,19 +161,19 @@ def kudo_companion_target(base_alg, x_degree: int, tau_rep: Element) -> Element:
 
 def _kudo_powers(spec: FibrationSpec, base_alg, taus: dict, gen_name: str):
     """Yield (exponent, degree, τ value) for a, a^p, a^p², … while the degree
-    stays within the bound.
+    stays within the bound; an exterior a (a² = 0) yields only itself.
 
     A power's value is computed only once its degree is known to be in
     range, because kudo_power_transgression raises on an odd degree at odd p.
     """
     if gen_name not in taus:
         raise InputError(f"{gen_name!r} is not a fiber generator")
-    degree = next(d for f in spec.layout.factors for n, d, *_ in f.gens
-                  if n == gen_name)
+    degree, kind = next((d, kind) for f in spec.layout.factors
+                        for n, d, kind, *_ in f.gens if n == gen_name)
     exponent, value = 1, taus[gen_name]
     while True:
         yield exponent, degree, value
-        if degree * spec.p > spec.bound:
+        if kind == "exterior" or degree * spec.p > spec.bound:
             return
         value = kudo_power_transgression(base_alg, degree, value)
         degree *= spec.p
@@ -181,7 +181,8 @@ def _kudo_powers(spec: FibrationSpec, base_alg, taus: dict, gen_name: str):
 
 
 def kudo_chain(spec: FibrationSpec, gen_name: str):
-    """[(exponent, τ value)] for a, a^p, a^p², … while degrees stay in range.
+    """[(exponent, τ value)] for a, a^p, a^p², … while degrees stay in range
+    (a alone when a is exterior).
 
     Stage k's value is the k-fold power-transgression of τ(a), an element of
     the base algebra; the chain stops after the first zero value or when the
@@ -237,6 +238,8 @@ class Survivor:
     fiber_class: object  # Element of the fiber algebra, or None for companions
     is_companion: bool = False
     bockstein_link: tuple = None
+    label: str = None  # the fiber generator this class comes from
+    exponent: int = 1  # its p-power; for a companion, its partner's
 
 
 @dataclass
@@ -287,7 +290,7 @@ class _Engine:
         self.quotient = QuotientTruncAlgebra(self.base_alg, [],
                                              check_action=False)
         self.log: list[dict] = []
-        self.survivor_records: list[dict] = []
+        self.survivors: list[Survivor] = []  # in the order they survive
         self.flags = {}
         if assert_finite_base:
             poly = [g.name for g in spec.base.generators
@@ -300,13 +303,15 @@ class _Engine:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _model_series(self, queue_items, free_items) -> list:
+    def _model_series(self, queue_items, pending) -> list:
         """Series of the current page model through the bound: quotient of
-        the base times free factors (pending fiber gens at their current
-        power state, plus everything that already survived)."""
+        the base times free factors (queued fiber gens at their current
+        power state, everything that already survived, and the (degree,
+        kind) pairs of classes taken off the queue but not yet settled)."""
         series = self.quotient.dims()[: self.bound + 1]
         factors = [(d, kind) for (d, _seq, kind, *_rest) in queue_items]
-        factors += list(free_items)
+        factors += [(s.degree, s.kind) for s in self.survivors]
+        factors += pending
         free = presentation_poincare(factors, self.bound).coeffs
         return _series_mul(series, free, self.bound)
 
@@ -353,123 +358,94 @@ class _Engine:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SSResult:
-        # queue items: (degree, seq, kind, label, exponent, fiber_class, rep)
-        # where label is the fiber generator name and exponent its current
-        # p-power state (1 for the generator itself)
+        # queue items: (degree, seq, kind, label, exponent, rep, chain) where
+        # chain is the _kudo_powers iterator of the fiber generator label and
+        # (exponent, degree, rep) its last stage: label^exponent with
+        # transgression rep
         seq = itertools.count()
         queue = []
+
+        def push(kind, label, chain):
+            stage = next(chain, None)
+            if stage is not None:
+                exponent, degree, rep = stage
+                heapq.heappush(queue, (degree, next(seq), kind, label,
+                                       exponent, rep, chain))
+
         for factor in self.spec.layout.factors:
-            for name, degree, kind, _word, _fund, _on_bottom in factor.gens:
-                heapq.heappush(queue, (degree, next(seq), kind, name, 1,
-                                       self.fiber_alg.generator_element(name),
-                                       self.taus[name]))
-        survived_free: list[tuple] = []  # (degree, kind) of finished survivors
+            for name, _degree, kind, _word, _on_bottom in factor.gens:
+                push(kind, name, _kudo_powers(self.spec, self.base_alg,
+                                              self.taus, name))
         while queue:
-            degree, _s, kind, label, exponent, fclass, rep = heapq.heappop(queue)
+            degree, _s, kind, label, exponent, rep, chain = \
+                heapq.heappop(queue)
             origin = label if exponent == 1 else f"{label}^{exponent}"
-            before = self._model_series(queue, survived_free + [(degree, kind)])
+            before = self._model_series(queue, [(degree, kind)])
             if self._project_is_zero(rep):
-                self.survivor_records.append(
-                    {"degree": degree, "kind": kind, "origin": origin,
-                     "fiber_class": fclass, "is_companion": False,
-                     "label": label, "exponent": exponent})
-                survived_free.append((degree, kind))
+                self.survivors.append(Survivor(
+                    name="", degree=degree, kind=kind, origin=origin,
+                    display="", label=label, exponent=exponent,
+                    fiber_class=self.fiber_alg.element_from_poly(origin)))
                 self._log({"event": "survivor", "class": origin,
-                           "degree": degree,
-                           "series_before": before,
+                           "degree": degree, "series_before": before,
                            "series_after": before})
                 continue
+            profile = self._kill(rep)
+            step = {"event": "transgression", "class": origin,
+                    "degree": degree, "target": self.base_alg.describe(rep)}
             if kind == "exterior":
-                self._kill_exterior(origin, degree, rep, queue,
-                                    survived_free, before)
+                if profile != "zero":
+                    raise UnsupportedFibrationError(
+                        f"killing τ({origin}) = {step['target']} leaves "
+                        "extra classes (its annihilator is nonzero): the "
+                        "differential pattern is not purely transgressive")
             else:
-                self._kill_polynomial(label, origin, degree, rep, exponent,
-                                      queue, survived_free, before, seq)
-        return self._assemble(survived_free)
+                if profile == "other":
+                    raise UnsupportedFibrationError(
+                        f"killing τ({origin}) = {step['target']} does not "
+                        "follow the Borel pattern (annihilator is neither "
+                        "zero nor the class's own ideal)")
+                step["companion"] = self._companion(label, exponent, degree,
+                                                    rep, profile)
+                push(kind, label, chain)
+            step["series_before"] = before
+            step["series_after"] = self._model_series(queue, [])
+            self._log(step)
+        return self._assemble()
 
-    def _kill_exterior(self, origin, degree, rep, queue, survived_free,
-                       before):
-        profile = self._kill(rep)
-        if profile != "zero":
-            raise UnsupportedFibrationError(
-                f"killing τ({origin}) = {self.base_alg.describe(rep)} "
-                "leaves extra classes (its annihilator is nonzero): the "
-                "differential pattern is not purely transgressive")
-        after = self._model_series(queue, survived_free)
-        self._log({"event": "transgression", "class": origin,
-                   "degree": degree,
-                   "target": self.base_alg.describe(rep),
-                   "series_before": before, "series_after": after})
-
-    def _kill_polynomial(self, label, origin, degree, rep, exponent,
-                         queue, survived_free, before, seq):
-        profile = self._kill(rep)
-        if profile == "other":
-            raise UnsupportedFibrationError(
-                f"killing τ({origin}) = {self.base_alg.describe(rep)} "
-                "does not follow the Borel pattern (annihilator is neither "
-                "zero nor the class's own ideal)")
-        # the companion class u^{p-1}·τ(u) and the next power u^p
-        comp_note = None
+    def _companion(self, label, exponent, degree, rep, profile):
+        """Settle the companion class u^{p-1}·τ(u) of a killed polynomial
+        class u = label^exponent; returns the log note (None when there is
+        no companion within the bound)."""
         comp_degree = (self.p - 1) * degree + rep.degree()  # = p·|u| + 1
-        if profile == "principal" and comp_degree <= self.bound:
-            target = kudo_companion_target(self.base_alg, degree, rep)
-            comp_origin = (f"{label}^{exponent * (self.p - 1)}"
-                           f"*[{self.base_alg.describe(rep)}]")
-            if self._project_is_zero(target):
-                self.survivor_records.append(
-                    {"degree": comp_degree, "kind": "exterior",
-                     "origin": comp_origin, "fiber_class": None,
-                     "is_companion": True, "label": label,
-                     "partner_exponent": exponent * self.p})
-                survived_free.append((comp_degree, "exterior"))
-                comp_note = "companion survives"
-            else:
-                self.quotient.add_generator(target)
-                comp_note = ("companion kills "
-                             + self.base_alg.describe(target))
-        if degree * self.p <= self.bound:
-            next_rep = kudo_power_transgression(self.base_alg, degree, rep)
-            heapq.heappush(queue, (degree * self.p, next(seq), "polynomial",
-                                   label, exponent * self.p,
-                                   self._power_class(label, exponent * self.p),
-                                   next_rep))
-        after = self._model_series(queue, survived_free)
-        self._log({"event": "transgression", "class": origin,
-                   "degree": degree,
-                   "target": self.base_alg.describe(rep),
-                   "companion": comp_note,
-                   "series_before": before, "series_after": after})
-
-    def _power_class(self, gen_name: str, exponent: int):
-        x = self.fiber_alg.generator_element(gen_name)
-        if x.degree() * exponent > self.fiber_alg.bound:
+        if profile != "principal" or comp_degree > self.bound:
             return None
-        out = self.fiber_alg.one()
-        for _ in range(exponent):
-            out = self.fiber_alg.product(out, x)
-        return out
+        target = kudo_companion_target(self.base_alg, degree, rep)
+        if self._project_is_zero(target):
+            self.survivors.append(Survivor(
+                name="", degree=comp_degree, kind="exterior",
+                origin=(f"{label}^{exponent * (self.p - 1)}"
+                        f"*[{self.base_alg.describe(rep)}]"),
+                display="", fiber_class=None, is_companion=True,
+                label=label, exponent=exponent * self.p))
+            return "companion survives"
+        self.quotient.add_generator(target)
+        return "companion kills " + self.base_alg.describe(target)
 
     # -- assembly --------------------------------------------------------------
 
-    def _assemble(self, survived_free) -> SSResult:
-        records = sorted(self.survivor_records,
-                         key=lambda r: (r["degree"], r["origin"]))
+    def _assemble(self) -> SSResult:
+        survivors = self.survivors
+        survivors.sort(key=lambda s: (s.degree, s.origin))
         used: dict[str, int] = {}
-        survivors: list[Survivor] = []
-        for rec in records:
-            stem = ("y" if rec["is_companion"] else "z") + str(rec["degree"])
+        for s in survivors:
+            stem = ("y" if s.is_companion else "z") + str(s.degree)
             used[stem] = used.get(stem, 0) + 1
-            name = stem if used[stem] == 1 else f"{stem}_{used[stem]}"
-            survivors.append(Survivor(
-                name=name, degree=rec["degree"], kind=rec["kind"],
-                origin=rec["origin"], display="",
-                fiber_class=rec["fiber_class"],
-                is_companion=rec["is_companion"]))
+            s.name = stem if used[stem] == 1 else f"{stem}_{used[stem]}"
         self._attach_displays(survivors)
         quotient_trivial = all(
             d == 0 for d in self.quotient.dims()[1: self.bound + 1])
-        self._attach_links(survivors, records, quotient_trivial)
+        self._attach_links(survivors, quotient_trivial)
         action = {}
         if quotient_trivial:
             action = self._induced_action(survivors)
@@ -543,20 +519,18 @@ class _Engine:
                 return word
         return None
 
-    def _attach_links(self, survivors, records, quotient_trivial):
+    def _attach_links(self, survivors, quotient_trivial):
         """Pair each surviving power u^{pe} with the companion class from the
         previous stage (u^{e(p-1)}·τ(u^e), one degree higher): over a trivial
         base quotient the power carries a primary Bockstein onto it."""
         if not quotient_trivial:
             return
-        companion_of = {}
-        for s, rec in zip(survivors, records):
-            if rec["is_companion"]:
-                companion_of[(rec["label"], rec["partner_exponent"])] = s
-        for s, rec in zip(survivors, records):
-            if rec["is_companion"] or rec["kind"] != "polynomial":
+        companion_of = {(s.label, s.exponent): s for s in survivors
+                        if s.is_companion}
+        for s in survivors:
+            if s.is_companion or s.kind != "polynomial":
                 continue
-            partner = companion_of.get((rec["label"], rec["exponent"]))
+            partner = companion_of.get((s.label, s.exponent))
             if partner is not None:
                 s.bockstein_link = (1, partner.name)
 

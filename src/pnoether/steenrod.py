@@ -60,6 +60,17 @@ def check_prime(p) -> int:
     return p
 
 
+def padic_valuation(p: int, n: int) -> tuple:
+    """(v, u) with n = p^v · u and p ∤ u; undefined for n = 0."""
+    if n == 0:
+        raise InputError("the zero integer has no finite valuation")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def binom_mod(n: int, k: int, p: int) -> int:
     """Binomial coefficient C(n, k) mod p via Lucas; 0 outside 0 <= k <= n."""
     if k < 0 or n < 0 or k > n:

@@ -4,9 +4,13 @@ catalog-file plumbing, and one frozen invocation per verb."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pnoether
 from pnoether import __version__, cli, em, steenrod
 from pnoether.cli import main
 
@@ -81,6 +85,24 @@ def test_nonprime_is_rejected_for_every_verb():
     code, rep = run_json("em", "--space", "K(Z,3)", "--p", "4")
     assert code == 2
     assert "p must be a prime number, got 4" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [("em", "--space", "K(Z/0,3)"),
+                                  ("tq", "Z/0", "--p", "3")])
+def test_a_zero_modulus_is_refused_not_divided_forever(argv):
+    """Z/0 has no p-adic valuation: the verb exits 2 with an InputError.
+    It runs in a subprocess with a timeout, so a loop that keeps dividing
+    0 by p fails the test instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnoether.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from pnoether.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InputError" and "Z/0" in err["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def test_fiber_layout_metadata():
     assert not factor.single_atom  # fundamental class plus its companion
     names = [row[0] for row in factor.gens]
     assert "i2" in names and "Sq1i2" in names
-    bottom_rows = [row for row in factor.gens if row[5]]
+    bottom_rows = [row for row in factor.gens if row[4]]
     assert {row[0] for row in bottom_rows} == {"i2"}
     simple = fiber_layout(EMSpec(CyclicClass(1), 2), 2, 9)
     assert simple.factors[0].single_atom

@@ -7,8 +7,10 @@ boxes), so the product-formula series, the basis enumeration, and the oracle
 are three independent routes to the same numbers.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as hs
@@ -24,8 +26,10 @@ from pnoether import (
     PoincareSeries,
     TensorTruncAlgebra,
     TruncationError,
+    em_generators,
     expand,
     indecomposables,
+    parse_space,
     poincare,
     quotient_by_ideal,
 )
@@ -503,6 +507,36 @@ def random_presentation(data, p):
     return expand(FreeCommPresentation(p, specs, action), bound)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
+    """The action memos hold {key: coeff} dicts, not Elements pointing back
+    at their algebra, so an algebra that has acted (totals, Bocksteins and
+    generator values all memoized) forms no reference cycle: with the
+    cyclic collector off it is freed as soon as the last name is dropped."""
+
+    def act_everywhere(alg):
+        for d in range(alg.bound + 1):
+            for i in range(alg.dim(d)):
+                for op in alg.op_list():
+                    alg.act(op, alg.element(d, i), drop_above=True)
+
+    pres = em_generators(parse_space(f"K(Z/{p},2)", p), p, 16)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alg = expand(pres, 16)
+        act_everywhere(alg)
+        assert alg._total_cache and alg._gen_action
+        if p != 2:
+            assert alg._beta_cache
+        freed = weakref.ref(alg)
+        del alg
+        assert freed() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
     """On every basis element each Sq^i / P^i value is the part of degree
@@ -530,7 +564,7 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
                         with pytest.raises(MissingDataError):
                             alg.act_basis(op, d, i)
                     continue
-                whole = alg._total_on_monomial(mono).data
+                whole = alg._total_on_monomial(mono)
                 for op in ops:
                     target = d + op_degree(p, op)
                     expected = [(k, c) for k, c in whole.items()
