@@ -756,6 +756,32 @@ def test_kudo_chain_bs3():
         kudo_chain(spec, "nope")
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_engine_walks_the_kudo_chain(p):
+    """The targets the engine logs for i3, i3^p, i3^{p²}, ... are the values
+    kudo_chain lists, and the walk's classes are a prefix of the chain's
+    stages (the last may survive): the engine and kudo_chain walk one
+    chain.  At p = 2 the K(Z/2,1)^2 fibration over BSO(3)^2 adds a chain
+    with two kills before its survivor."""
+    bs3 = FibrationSpec(p, get_entry("BS3").presentation(p),
+                        EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=12 * p)
+    cases = [(bs3, "i3")]
+    if p == 2:
+        cases.append((bso3_squared_fibration(24), "f1_i1"))
+    for spec, label in cases:
+        base = spec.base_algebra()
+        chain = [(label if e == 1 else f"{label}^{e}", base.describe(value))
+                 for e, value in kudo_chain(spec, label)]
+        steps = [(s["class"], s.get("target")) for s in run_ss(spec).log
+                 if s["class"] == label or s["class"].startswith(label + "^")]
+        kills = [step for step in steps if step[1] is not None]
+        assert kills and kills == chain[:len(kills)]
+        assert [c for c, _ in steps] == [c for c, _ in chain[:len(steps)]]
+        if p != 2:  # i3 is exterior at odd p: i3^p = 0, the chain is i3
+            assert chain == [("i3", "y4")]
+    assert len(kills) == (2 if p == 2 else 1)
+
+
 def test_permanent_powers_bs3():
     entry = get_entry("BS3")
     spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
