@@ -765,21 +765,20 @@ def test_the_engine_walks_the_kudo_chain(p):
     with two kills before its survivor."""
     bs3 = FibrationSpec(p, get_entry("BS3").presentation(p),
                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=12 * p)
-    cases = [(bs3, "i3")]
+    cases = [(bs3, "i3", 1)]
     if p == 2:
-        cases.append((bso3_squared_fibration(24), "f1_i1"))
-    for spec, label in cases:
+        cases.append((bso3_squared_fibration(24), "f1_i1", 2))
+    for spec, label, kill_count in cases:
         base = spec.base_algebra()
         chain = [(label if e == 1 else f"{label}^{e}", base.describe(value))
                  for e, value in kudo_chain(spec, label)]
         steps = [(s["class"], s.get("target")) for s in run_ss(spec).log
                  if s["class"] == label or s["class"].startswith(label + "^")]
         kills = [step for step in steps if step[1] is not None]
-        assert kills and kills == chain[:len(kills)]
+        assert len(kills) == kill_count and kills == chain[:kill_count]
         assert [c for c, _ in steps] == [c for c, _ in chain[:len(steps)]]
         if p != 2:  # i3 is exterior at odd p: i3^p = 0, the chain is i3
             assert chain == [("i3", "y4")]
-    assert len(kills) == (2 if p == 2 else 1)
 
 
 def test_permanent_powers_bs3():
