@@ -203,7 +203,7 @@ def _run_cover(args):
     entry = _resolve_catalog(args.catalog, args.entry)
     pres = entry.presentation(args.p)
     result = connected_cover_cohomology(
-        pres, 4, args.p, args.max_degree,
+        pres, args.p, args.max_degree,
         torsion_free=entry.torsion_free,
         assert_finite_base=args.assert_finite_base)
     payload = result.to_jsonable()

@@ -24,9 +24,10 @@ Steenrod action entries are produced by word composition: apply the
 operation to the defining word, reduce to admissible form, and resolve each
 summand against the same rules (boundary words become p-th powers).  The
 library presentations (``em_generators``, ``em_product_presentation``,
-``fiber_layout``) carry complete action tables within their enumeration
-bound; ``em_generator_table`` lists the generators only and makes no Adem
-reduction, which is all the ``em`` verb prints.
+``fiber_layout``) list every action entry within their enumeration bound up
+front and compute each one, by one Adem reduction, the first time it is
+read (a ``graded.LazyActionTable``); ``em_generator_table`` lists the
+generators only, which is all the ``em`` verb prints.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 from . import steenrod
 from .errors import InputError
-from .graded import FreeCommPresentation, GeneratorSpec, ops_on_degree
+from .graded import (FreeCommPresentation, GeneratorSpec, LazyActionTable,
+                     ops_on_degree)
 
 # ---------------------------------------------------------------------------
 # coefficient classes and space specs
@@ -278,14 +280,6 @@ class _Enumeration:
         mono[idx] = 1
         return {tuple(mono): 1}
 
-    def action_entries(self) -> dict:
-        """Explicit (generator, op) -> monomial-dict entries within bound."""
-        entries: dict = {}
-        for degree, name_word, atom, w in self.entries:
-            for op in ops_on_degree(self.p, degree, self.bound):
-                entries[(self.name(name_word), op)] = self._compose(op, atom, w)
-        return entries
-
     def _compose(self, op: tuple, atom: _Atom, word: tuple) -> dict:
         letters = steenrod.word_to_letters(self.p, word) or []
         reduced = steenrod.adem_reduce(self.p, [op] + letters)
@@ -329,10 +323,14 @@ def _factor_enumerations(product, p: int, bound: int) -> list:
 def fiber_layout(product, p: int, bound: int) -> FiberLayout:
     """Combined presentation of a product of EM spaces plus, per factor, the
     admissible word defining each generator (needed to propagate maps that
-    commute with the Steenrod action)."""
+    commute with the Steenrod action).
+
+    The action table lists each generator with the operations of
+    ``ops_on_degree``; an entry's value is composed, and its degree
+    checked, the first time it is read."""
     enums = _factor_enumerations(product, p, bound)
     gens: list[GeneratorSpec] = []
-    combined_action: dict = {}
+    sources: dict = {}  # (name, op) -> (enumeration, atom, word, offset)
     layouts = []
     total = sum(e.size for e in enums)
     offset = 0
@@ -343,21 +341,25 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
         for g, (_deg, _nw, atom, w) in zip(spec_list, enum.entries):
             gen_rows.append((g.name, g.degree, g.kind, w,
                              atom is enum.atoms[0]))
+            for op in ops_on_degree(p, g.degree, bound):
+                sources[(g.name, op)] = (enum, atom, w, offset)
         layouts.append(FiberFactorLayout(
             spec=enum.spec, prefix=enum.prefix,
             bottom_name=enum.name(steenrod.identity_word(p)),
             bottom_degree=enum.n,
             single_atom=len(enum.atoms) == 1,
             gens=gen_rows))
-        for (name, op), value in enum.action_entries().items():
-            widened: dict = {}
-            for mono, c in value.items():
-                wide = [0] * total
-                wide[offset:offset + len(mono)] = list(mono)
-                widened[tuple(wide)] = c
-            combined_action[(name, op)] = widened
         offset += enum.size
-    return FiberLayout(FreeCommPresentation(p, gens, combined_action), layouts)
+
+    def compute(key):
+        """The entry's value, widened to the combined generator list."""
+        enum, atom, word, start = sources[key]
+        pad = (0,) * (total - start - enum.size)
+        return {(0,) * start + mono + pad: c
+                for mono, c in enum._compose(key[1], atom, word).items()}
+
+    action = LazyActionTable(sources, compute)
+    return FiberLayout(FreeCommPresentation(p, gens, action), layouts)
 
 
 def em_generator_table(space, p: int, bound: int) -> FreeCommPresentation:

@@ -25,8 +25,10 @@ certificates for every correction term.
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
@@ -136,7 +138,9 @@ class FreeCommPresentation:
 
     ``action`` maps (generator name, op string like "Sq2"/"P1"/"beta") to a
     polynomial in the generators, given as a string (``x4^2*x6 + 2*x12``) or
-    an already-parsed monomial dict.
+    an already-parsed monomial dict; every entry is checked here.  A
+    ``LazyActionTable`` is kept as it is, its values checked as they are
+    first read.
     """
 
     def __init__(self, p: int, generators, action=None):
@@ -164,23 +168,22 @@ class FreeCommPresentation:
                     raise InputError(
                         f"generator {g.name}: bockstein partner degree must be "
                         f"{g.degree + 1}")
-        self.action: dict = {}
-        for key, value in (action or {}).items():
-            gen_name, op_text = key
+        for gen_name, _op in action or ():
             if gen_name not in self.index:
                 raise InputError(f"action entry for unknown generator {gen_name!r}")
+        # a function of the generator list, not a bound method, so that a
+        # lazy table holding it does not point back at this presentation
+        check = functools.partial(_checked_action_value, p, self.generators,
+                                  self.index)
+        if isinstance(action, LazyActionTable):
+            action._check = check
+            self.action = action
+            return
+        self.action = {}
+        for (gen_name, op_text), value in (action or {}).items():
             op = parse_op(p, op_text) if isinstance(op_text, str) else tuple(op_text)
             poly = self.parse_poly(value) if isinstance(value, str) else dict(value)
-            gen = self.generators[self.index[gen_name]]
-            target = gen.degree + op_degree(p, op)
-            for mono, coeff in poly.items():
-                if coeff % p == 0:
-                    continue
-                if self.monomial_degree(mono) != target:
-                    raise InputError(
-                        f"action entry ({gen_name}, {format_op(op)}): value has "
-                        f"degree {self.monomial_degree(mono)}, expected {target}")
-            self.action[(gen_name, op)] = {m: c % p for m, c in poly.items() if c % p}
+            self.action[(gen_name, op)] = check((gen_name, op), poly)
 
     # -- monomials over this presentation's generator list ------------------
 
@@ -262,6 +265,57 @@ class FreeCommPresentation:
                                       entry.get("kind", "polynomial"), link))
         action = {(a["gen"], a["op"]): a["value"] for a in data.get("action", [])}
         return cls(data["p"], gens, action)
+
+
+def _checked_action_value(p: int, generators: list, index: dict, key: tuple,
+                          poly: dict) -> dict:
+    """The action value ``poly`` of key = (generator name, op) reduced mod p,
+    after checking that each of its terms has the degree of op on the
+    generator; a term of another degree raises InputError."""
+    gen_name, op = key
+    target = generators[index[gen_name]].degree + op_degree(p, op)
+    out = {}
+    for mono, coeff in poly.items():
+        if coeff % p == 0:
+            continue
+        degree = sum(e * g.degree for e, g in zip(mono, generators))
+        if degree != target:
+            raise InputError(
+                f"action entry ({gen_name}, {format_op(op)}): value has "
+                f"degree {degree}, expected {target}")
+        out[mono] = coeff % p
+    return out
+
+
+class LazyActionTable(Mapping):
+    """An action table whose keys are listed up front and whose values are
+    computed on first read.
+
+    ``compute(key)`` gives the monomial dict of a (generator name, op) key.
+    The FreeCommPresentation that takes the table checks each value's
+    degree the first time it is read, as it checks a given table at
+    construction.  Membership, iteration and length read only the keys.
+    """
+
+    def __init__(self, keys, compute):
+        self._values = dict.fromkeys(keys)  # None until first read
+        self._compute = compute
+        self._check = None  # set by the presentation that takes the table
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if value is None:
+            value = self._values[key] = self._check(key, self._compute(key))
+        return value
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +589,14 @@ class TruncAlgebra:
 class FreeTruncAlgebra(TruncAlgebra):
     """Monomial-basis truncation of a free graded-commutative presentation.
 
-    The Steenrod action is assembled eagerly at construction: per-generator
-    values come from the presentation's action table, the instability
-    relations (top operation = p-th power, above-top = 0), Bockstein links,
-    and zero-dimensional target degrees; anything else still needed within
-    the bound is a gap, and gaps raise MissingDataError listing every one.
+    Per-generator Steenrod values come from the presentation's action
+    table, the instability relations (top operation = p-th power,
+    above-top = 0), Bockstein links, and zero-dimensional target degrees;
+    anything else still needed within the bound is a gap, and gaps raise
+    MissingDataError listing every one.  Construction finds the gaps from
+    which table entries exist, reading none of them; a generator's values
+    are computed, and a table entry read, the first time an operation on
+    it is needed.
     """
 
     def __init__(self, presentation: FreeCommPresentation, bound: int,
@@ -689,7 +746,8 @@ class FreeTruncAlgebra(TruncAlgebra):
     # -- Steenrod action -----------------------------------------------------
 
     def _resolve_generator_action(self):
-        """Fill (generator, op) values; collect unresolvable gaps.
+        """Collect the gaps: the (generator, op) values that nothing
+        determines.
 
         Gaps do not fail construction — the basis, products and Poincaré
         series never need them.  They surface as MissingDataError the moment
@@ -697,14 +755,11 @@ class FreeTruncAlgebra(TruncAlgebra):
         """
         for g in self.generators:
             for op in ops_on_degree(self.p, g.degree, self.bound):
-                value, gap = self._gen_op_value(g, op)
-                if gap:
+                if self._gen_op_value(g, op) is None:
                     self.gaps.append(
                         {"generator": g.name, "op": format_op(op),
                          "target_degree": g.degree + op_degree(self.p, op)})
                     self._gap_gens.add(g.name)
-                else:
-                    self._gen_action[(g.name, op)] = value.data
 
     def can_act_on(self, mono: tuple) -> bool:
         """Whether action values on this monomial are fully determined."""
@@ -714,38 +769,41 @@ class FreeTruncAlgebra(TruncAlgebra):
                        for e, g in zip(mono, self.generators))
 
     def _gen_op_value(self, g: GeneratorSpec, op: tuple):
-        """-> (Element or None, gap: bool). Order: explicit entry, link,
-        instability top power, zero-dimensional target."""
-        explicit = self.presentation.action.get((g.name, op))
-        if explicit is not None:
-            return self.element_from_poly(explicit), False
-        target = g.degree + op_degree(self.p, op)
+        """How op acts on generator g: a function of no arguments giving the
+        value as {basis key: coeff}, or None when nothing determines it (a
+        gap).  Order: explicit entry, link, instability top power,
+        zero-dimensional target.  Deciding reads only which entries the
+        table has; the function reads the entry."""
+        if (g.name, op) in self.presentation.action:
+            return lambda: self.element_from_poly(
+                self.presentation.action[(g.name, op)]).data
         if op == ("B",):
             link = g.bockstein_link
             if link is not None:
                 if link[0] == 1:
-                    return self.generator_element(link[1]), False
-                return self.zero(), False  # only beta_1 acts; higher links are metadata
-            if self.dim(target) == 0:
-                return self.zero(), False
-            return None, True
-        k = op[1]
-        if op[0] == "Sq":
-            if k == g.degree:
-                x = self.generator_element(g.name)
-                if 2 * g.degree <= self.bound:
-                    return self.product(x, x), False
-                return None, False  # unreachable: ops_on_degree keeps targets in bound
-        else:
-            if g.degree % 2 == 0 and k == g.degree // 2:
-                x = self.generator_element(g.name)
-                out = self.one()
+                    return lambda: self.generator_element(link[1]).data
+                return dict  # only beta_1 acts; higher links are metadata
+        elif (op[1] if op[0] == "Sq" else 2 * op[1]) == g.degree:
+            def power():  # instability: the top operation is the p-th power
+                x, out = self.generator_element(g.name), self.one()
                 for _ in range(self.p):
                     out = self.product(out, x, drop_above=True)
-                return out, False
-        if self.dim(target) == 0:
-            return self.zero(), False
-        return None, True
+                return out.data
+            return power
+        if self.dim(g.degree + op_degree(self.p, op)) == 0:
+            return dict
+        return None
+
+    def _gen_value(self, g: GeneratorSpec, op: tuple) -> dict:
+        """op on generator g as {basis key: coeff}, computed on first use
+        (memoized); a value landing above the bound is dropped ({})."""
+        key = (g.name, op)
+        value = self._gen_action.get(key)
+        if value is None:
+            if g.degree + op_degree(self.p, op) > self.bound:
+                return {}
+            value = self._gen_action[key] = self._gen_op_value(g, op)()
+        return value
 
     def _gen_total(self, gen_index: int) -> dict:
         """Total operation (sum of Sq^i, resp. P^i) on one generator."""
@@ -756,7 +814,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         for op in ops_on_degree(self.p, g.degree, self.bound):
             if op == ("B",):
                 continue
-            out = out + Element(self, self._gen_action[(g.name, op)])
+            out = out + Element(self, self._gen_value(g, op))
         self._total_cache[("gen", gen_index)] = out.data
         return out.data
 
@@ -798,8 +856,7 @@ class FreeTruncAlgebra(TruncAlgebra):
             g = self.generators[idx]
             single = tuple(1 if i == idx else 0 for i in range(len(mono)))
             rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            # no entry: the target is above the bound and the term drops
-            beta_g = Element(self, self._gen_action.get((g.name, ("B",))))
+            beta_g = Element(self, self._gen_value(g, ("B",)))
             term1 = self.product(beta_g, self.monomial_element(rest), drop_above=True) \
                 if self.monomial_key(rest) is not None else self.zero()
             beta_rest = Element(self, self._beta_on_monomial(rest))
@@ -818,6 +875,13 @@ class FreeTruncAlgebra(TruncAlgebra):
                 gaps=self.gaps)
         if op == ("B",):
             return self._beta_on_monomial(mono)
+        if sum(mono) == 1:
+            # a generator: the value is its one entry, the same as the
+            # total's part of that degree, which would read every entry
+            g = self.generators[mono.index(1)]
+            if op in ops_on_degree(self.p, g.degree, self.bound):
+                return self._gen_value(g, op)
+            return {}
         shift = op_degree(self.p, op)
         return self._total_by_degree(mono).get(degree + shift, {})
 

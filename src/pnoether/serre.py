@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import steenrod
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
@@ -244,16 +244,39 @@ class Survivor:
 
 @dataclass
 class SSResult:
+    """E∞ through the bound: the base modulo the killed ideal (``quotient``),
+    the surviving fiber generators, and the engine's log.
+
+    ``total``, the E∞ model ``quotient`` ⊗ (free algebra on the survivors,
+    with the induced action over a trivial quotient), is built on first
+    read and kept; the report reads only ``poincare``, which needs no
+    basis."""
+
     p: int
     bound: int
-    total: object
+    quotient: QuotientTruncAlgebra
     surviving_fiber_generators: list
     killed_base_ideal: list
     log: list
     flags: dict
+    # builds ``total``; dropped once it has run
+    _build_total: object = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def total(self) -> TensorTruncAlgebra:
+        total, self._build_total = self._build_total(), None
+        return total
 
     def poincare(self, bound: int = None) -> PoincareSeries:
-        return self.total.poincare(self.bound if bound is None else bound)
+        """The series of ``total`` through the bound (at most ``self.bound``),
+        from the quotient's dimensions and the survivors' degrees."""
+        bound = self.bound if bound is None else bound
+        if bound > self.bound:
+            raise InputError(f"series bound {bound} exceeds truncation bound "
+                             f"{self.bound}")
+        factors = [(s.degree, s.kind) for s in self.surviving_fiber_generators]
+        return PoincareSeries(bound, _page_series(self.quotient, factors,
+                                                  self.bound))
 
     def survivor_element(self, name: str) -> Element:
         """The class 1 ⊗ (named survivor) in the total algebra."""
@@ -276,6 +299,13 @@ class SSResult:
             "log": self.log,
             "flags": self.flags,
         }
+
+
+def _page_series(quotient, factors, bound: int) -> list:
+    """The quotient's series times that of the free algebra on the
+    (degree, kind) factors, through the bound."""
+    free = presentation_poincare(factors, bound).coeffs
+    return _series_mul(quotient.dims()[: bound + 1], free, bound)
 
 
 class _Engine:
@@ -308,12 +338,10 @@ class _Engine:
         the base times free factors (queued fiber gens at their current
         power state, everything that already survived, and the (degree,
         kind) pairs of classes taken off the queue but not yet settled)."""
-        series = self.quotient.dims()[: self.bound + 1]
         factors = [(d, kind) for (d, _seq, kind, *_rest) in queue_items]
         factors += [(s.degree, s.kind) for s in self.survivors]
         factors += pending
-        free = presentation_poincare(factors, self.bound).coeffs
-        return _series_mul(series, free, self.bound)
+        return _page_series(self.quotient, factors, self.bound)
 
     def _log(self, step: dict):
         """Record one step after checking its Euler ledger.
@@ -446,21 +474,30 @@ class _Engine:
         quotient_trivial = all(
             d == 0 for d in self.quotient.dims()[1: self.bound + 1])
         self._attach_links(survivors, quotient_trivial)
-        action = {}
-        if quotient_trivial:
-            action = self._induced_action(survivors)
-        gen_specs = [GeneratorSpec(s.name, s.degree, s.kind, s.bockstein_link)
-                     for s in survivors]
-        survivor_pres = FreeCommPresentation(self.p, gen_specs, action)
-        free_alg = expand(survivor_pres, self.bound)
-        total = TensorTruncAlgebra(self.quotient, free_alg)
+        # certified here, so that a broken contract raises from run_ss
+        coordinate = (self._survivor_coordinates(survivors)
+                      if quotient_trivial else None)
         killed = [self.base_alg.describe(x) for x in self.quotient.ideal_gens]
         flags = dict(self.flags)
         flags["finitely_generated"] = True
         flags["quotient_trivial"] = quotient_trivial
-        return SSResult(p=self.p, bound=self.bound, total=total,
+        return SSResult(p=self.p, bound=self.bound, quotient=self.quotient,
                         surviving_fiber_generators=survivors,
-                        killed_base_ideal=killed, log=self.log, flags=flags)
+                        killed_base_ideal=killed, log=self.log, flags=flags,
+                        _build_total=functools.partial(
+                            self._total, survivors, coordinate))
+
+    def _total(self, survivors, coordinate) -> TensorTruncAlgebra:
+        """The E∞ model: the quotient tensor the free algebra on the
+        survivors, with the induced action when ``coordinate`` (see
+        _survivor_coordinates) is given, i.e. over a trivial quotient."""
+        action = ({} if coordinate is None
+                  else self._induced_action(survivors, coordinate))
+        gen_specs = [GeneratorSpec(s.name, s.degree, s.kind, s.bockstein_link)
+                     for s in survivors]
+        survivor_pres = FreeCommPresentation(self.p, gen_specs, action)
+        return TensorTruncAlgebra(self.quotient,
+                                  expand(survivor_pres, self.bound))
 
     def _attach_displays(self, survivors):
         anchor = next((s for s in survivors if not s.is_companion), None)
@@ -534,7 +571,7 @@ class _Engine:
             if partner is not None:
                 s.bockstein_link = (1, partner.name)
 
-    def _induced_action(self, survivors) -> dict:
+    def _induced_action(self, survivors, coordinate) -> dict:
         """Explicit entries computed by restriction to the fiber; only valid
         over a trivial base quotient, and omitted in degrees where companion
         classes (which restrict to zero) could correct the value.
@@ -546,7 +583,6 @@ class _Engine:
         monomial no survivor monomial reaches is not in the image of the
         survivor algebra, and its entry is omitted."""
         shadow = self._companion_shadow(survivors)
-        coordinate = self._survivor_coordinates(survivors)
         alg, action = self.fiber_alg, {}
         for s in survivors:
             if s.fiber_class is None:
@@ -711,14 +747,11 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
 # connected covers
 
 
-def connected_cover_cohomology(entry: FreeCommPresentation, cover_level: int,
-                               p: int, bound: int = None,
-                               torsion_free: bool = None,
+def connected_cover_cohomology(entry: FreeCommPresentation, p: int,
+                               bound: int = None, torsion_free: bool = None,
                                assert_finite_base: bool = False) -> SSResult:
     """H* of the 3-connected cover of a space with H*(BG)-style cohomology:
     runs the fibration K(Z,3) → X⟨4⟩ → X with τ(ι₃) = the degree-4 class."""
-    if cover_level != 4:
-        raise InputError("only the 3-connected cover (cover level 4) is supported")
     if entry.p != p:
         raise InputError(f"catalog entry is over p={entry.p}, not {p}")
     x4 = [g for g in entry.generators

@@ -6,7 +6,11 @@ excess rule, sharing no code with the library's atom/resolution machinery.
 Odd-prime expectations are the classical hand computations for small spaces.
 """
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from pnoether import (
     CyclicClass,
@@ -24,6 +28,8 @@ from pnoether import (
     parse_space,
     poincare,
 )
+from pnoether import em, steenrod
+from pnoether.cli import main
 from pnoether.graded import FreeCommPresentation, GeneratorSpec
 
 
@@ -302,3 +308,68 @@ def test_generator_table_keeps_the_input_checks():
         em_generator_table(EMSpec(IntegerClass(), 3), 2, 2)
     with pytest.raises(InputError):
         em_generator_table(EMSpec(IntegerClass(), 3), 4, 10)
+
+
+# ---------------------------------------------------------------------------
+# the action table is filled on demand
+
+
+def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
+    """The table lists its keys up front and Adem-reduces an entry only when
+    it is read: expanding the fiber reduces nothing, and the cover's
+    display words read a few entries of the table's 102."""
+    calls = []
+    adem_reduce = steenrod.adem_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return adem_reduce(*args)
+
+    monkeypatch.setattr(steenrod, "adem_reduce", counted)
+    pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 100).presentation
+    alg = expand(pres, 100, require_action=True)
+    assert alg.action_complete and not calls
+    entries = len(pres.action)
+    assert entries == 102
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cover", "--catalog", "BS3", "--p", "2",
+                     "--max-degree", "100"]) == 0
+    assert 0 < len(calls) <= entries // 4
+
+
+@pytest.mark.parametrize("text,p,bound", [
+    ("K(Z,3)", 2, 40), ("K(Z,3)", 3, 60), ("K(Z/2,1)", 2, 24),
+])
+def test_entries_read_in_any_order_are_the_entries_read_in_key_order(
+        text, p, bound):
+    def table():
+        return fiber_layout(parse_space(text, p), p, bound).presentation.action
+
+    in_order = table()
+    expected = [(key, list(in_order[key].items())) for key in in_order]
+    assert any(value for _key, value in expected)
+
+    @settings(derandomize=True, database=None, max_examples=15,
+              deadline=None)
+    @given(hs.permutations(list(in_order)))
+    def check(keys):
+        shuffled = table()
+        read = {key: list(shuffled[key].items()) for key in keys}
+        assert [(key, read[key]) for key in shuffled] == expected
+
+    check()
+
+
+def test_a_wrong_degree_entry_raises_when_it_is_read(monkeypatch):
+    """An entry's degree is checked as it is computed: construction and
+    expansion read nothing, reading the entry raises."""
+    def wrong(enum, op, atom, word):
+        return {(1,) + (0,) * (enum.size - 1): 1}  # the bottom class
+
+    monkeypatch.setattr(em._Enumeration, "_compose", wrong)
+    pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 20).presentation
+    alg = expand(pres, 20, require_action=True)
+    with pytest.raises(InputError, match="expected 5"):
+        pres.action[("i3", ("Sq", 2))]
+    with pytest.raises(InputError):
+        alg.act(("Sq", 2), alg.generator_element("i3"))

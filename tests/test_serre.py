@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 
 import pytest
 
@@ -37,7 +38,7 @@ from pnoether import (
 from pnoether.errors import EngineContractError, UnsupportedFibrationError
 from pnoether.graded import op_degree
 from pnoether.linalg import solve
-from pnoether import steenrod
+from pnoether import serre, steenrod
 from pnoether.catalog import get_entry
 from pnoether.cli import main
 from pnoether.fixtures import s3_loop_fibration
@@ -163,7 +164,7 @@ def test_zero_transgression_collapses():
 @pytest.fixture(scope="module")
 def bs3_cover_p2():
     entry = get_entry("BS3")
-    return connected_cover_cohomology(entry.presentation(2), 4, 2, 17,
+    return connected_cover_cohomology(entry.presentation(2), 2, 17,
                                       torsion_free=entry.torsion_free)
 
 
@@ -236,13 +237,10 @@ def test_bs3_cover_p2_ledger_and_jsonable(bs3_cover_p2):
 def test_bs3_cover_requires_torsion_flag_at_p2():
     entry = get_entry("BS3")
     with pytest.raises(InputError):
-        connected_cover_cohomology(entry.presentation(2), 4, 2, 12)
-    with pytest.raises(InputError):
-        connected_cover_cohomology(entry.presentation(2), 5, 2, 12,
-                                   torsion_free=True)  # only level 4
+        connected_cover_cohomology(entry.presentation(2), 2, 12)
     with pytest.raises(InputError):
         connected_cover_cohomology(
-            FreeCommPresentation(2, [GeneratorSpec("x6", 6)]), 4, 2, 12,
+            FreeCommPresentation(2, [GeneratorSpec("x6", 6)]), 2, 12,
             torsion_free=True)  # no degree-4 class to transgress onto
 
 
@@ -252,7 +250,7 @@ def test_bs3_cover_requires_torsion_flag_at_p2():
 
 def test_bs3_cover_p3():
     entry = get_entry("BS3")
-    res = connected_cover_cohomology(entry.presentation(3), 4, 3, 11)
+    res = connected_cover_cohomology(entry.presentation(3), 3, 11)
     assert res.killed_base_ideal == ["y4"]
     assert [(s.name, s.degree, s.kind, s.origin, s.display)
             for s in res.surviving_fiber_generators] == [
@@ -268,7 +266,7 @@ def test_bs3_cover_p3():
 
 def test_bs3_cover_p5():
     entry = get_entry("BS3")
-    res = connected_cover_cohomology(entry.presentation(5), 4, 5, 11)
+    res = connected_cover_cohomology(entry.presentation(5), 5, 11)
     assert [(s.name, s.degree, s.kind) for s in
             res.surviving_fiber_generators] == [("z11", 11, "exterior")]
     assert res.poincare().coeffs == [1] + [0] * 10 + [1]
@@ -276,7 +274,7 @@ def test_bs3_cover_p5():
 
 def test_rank_two_cover_p3():
     entry = get_entry("X2b_4")
-    res = connected_cover_cohomology(entry.presentation(3), 4, 3, 19)
+    res = connected_cover_cohomology(entry.presentation(3), 3, 19)
     assert res.flags["quotient_trivial"]
     assert res.killed_base_ideal == ["x4", "2*x8 + 2*x4^2"]
     assert [(s.name, s.degree, s.kind, s.origin, s.display)
@@ -301,7 +299,7 @@ def test_display_words_follow_the_enumeration_order(name, p, bound, displays):
     survivor; with several such words (b P3 and P3 b at p = 3) the
     order decides."""
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+    res = connected_cover_cohomology(entry.presentation(p), p, bound,
                                      torsion_free=entry.torsion_free)
     assert [s.display for s in res.surviving_fiber_generators
             if not s.is_companion] == displays
@@ -350,7 +348,7 @@ def test_excess_bounded_displays_match_the_unbounded_search(name, p, bound):
     """Words of reduced excess above the anchor's degree act as zero on it,
     so leaving them out of the search changes no display."""
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+    res = connected_cover_cohomology(entry.presentation(p), p, bound,
                                      torsion_free=entry.torsion_free)
     displays = [s.display for s in res.surviving_fiber_generators]
     assert len(displays) >= 3
@@ -452,7 +450,7 @@ def reference_induced_action(res):
 ])
 def test_induced_action_table_matches_direct_solve(name, p, bound):
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+    res = connected_cover_cohomology(entry.presentation(p), p, bound,
                                      torsion_free=entry.torsion_free)
     assert res.flags["quotient_trivial"]
     action = res.total.right.presentation.action
@@ -461,6 +459,82 @@ def test_induced_action_table_matches_direct_solve(name, p, bound):
     assert list(action) == list(expected)
     for key, poly in expected.items():
         assert list(action[key].items()) == list(poly.items()), key
+
+
+# ---------------------------------------------------------------------------
+# the E∞ algebra is built on first read
+
+
+def test_the_cover_report_builds_no_survivor_algebra(monkeypatch):
+    """The report reads the series, the survivors and the log, none of
+    which needs the induced action or the survivor algebra's basis; both
+    raise here (survivor generators are named z<degree>, no base or fiber
+    generator is)."""
+    expand_ = serre.expand
+
+    def refuse_action(*args):
+        raise AssertionError("computed the induced action")
+
+    def refuse_survivors(pres, *args, **kwargs):
+        if any(re.fullmatch(r"z\d+(_\d+)?", g.name) for g in pres.generators):
+            raise AssertionError("expanded the survivor algebra")
+        return expand_(pres, *args, **kwargs)
+
+    monkeypatch.setattr(_Engine, "_induced_action", refuse_action)
+    monkeypatch.setattr(serre, "expand", refuse_survivors)
+    for p, bound in ((2, 100), (3, 150)):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["cover", "--catalog", "BS3", "--p", str(p),
+                         "--max-degree", str(bound)]) == 0
+        assert "surviving_fiber_generators" in out.getvalue()
+    res = connected_cover_cohomology(get_entry("BS3").presentation(2), 2, 40,
+                                     torsion_free=True)
+    with pytest.raises(AssertionError, match="computed the induced action"):
+        res.total
+    monkeypatch.setattr(_Engine, "_induced_action", lambda *args: {})
+    with pytest.raises(AssertionError, match="expanded the survivor algebra"):
+        res.total
+
+
+@pytest.mark.parametrize("name,p,bound", [
+    ("BS3", 2, 60),
+    ("BS3", 3, 110),
+    ("BS3", 5, 110),
+    ("X2b_4", 3, 90),
+    ("BSO3^2", 2, 24),
+    ("BS3, zero transgression", 2, 30),
+])
+def test_the_series_without_a_basis_is_the_total_series(name, p, bound):
+    if name == "BSO3^2":
+        res = run_ss(bso3_squared_fibration(bound))
+    elif name == "BS3, zero transgression":  # the quotient is the whole base
+        res = run_ss(FibrationSpec(p, get_entry("BS3").presentation(p),
+                                   EMSpec(IntegerClass(), 3), None, bound))
+        assert not res.flags["quotient_trivial"]
+    else:
+        entry = get_entry(name)
+        res = connected_cover_cohomology(entry.presentation(p), p, bound,
+                                         torsion_free=entry.torsion_free)
+    assert "total" not in vars(res)  # not built yet
+    assert res.poincare() == res.total.poincare()
+    assert res.total is res.total
+    assert res.poincare(bound // 2) == res.total.poincare(bound // 2)
+    with pytest.raises(InputError):
+        res.poincare(bound + 1)
+
+
+def test_run_ss_certifies_the_survivor_contract_itself(monkeypatch):
+    """Over a trivial quotient the survivor-coordinate contract is checked
+    by run_ss, not deferred to the first read of ``total``."""
+
+    def broken(engine, survivors):
+        raise EngineContractError("survivor contract broken")
+
+    monkeypatch.setattr(_Engine, "_survivor_coordinates", broken)
+    entry = get_entry("BS3")
+    with pytest.raises(EngineContractError, match="survivor contract"):
+        connected_cover_cohomology(entry.presentation(2), 2, 40,
+                                   torsion_free=True)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -613,7 +687,7 @@ def test_kill_profiles_match_annihilator_profile_on_the_fibration(
 def test_kill_profiles_match_annihilator_profile_on_covers(
         kill_profiles, name, p, bound):
     entry = get_entry(name)
-    connected_cover_cohomology(entry.presentation(p), 4, p, bound,
+    connected_cover_cohomology(entry.presentation(p), p, bound,
                                torsion_free=entry.torsion_free)
     assert kill_profiles
     assert all(want == got for want, got in kill_profiles)

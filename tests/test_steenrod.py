@@ -9,11 +9,12 @@ original composite on polynomial algebras, which pins every coefficient.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 from pnoether import steenrod as st
 from pnoether.errors import DSLSyntaxError, InputError
-from pnoether.graded import FreeCommPresentation, GeneratorSpec, expand
+from pnoether.graded import (FreeCommPresentation, GeneratorSpec, expand,
+                             op_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,48 @@ def test_p1_p1_at_p3():
     # P^1 P^1 = 2 P^2 at p = 3: pinned by the action oracle above; freeze it
     s = st.adem_reduce(3, [("P", 1), ("P", 1)])
     assert s.terms == {(0, 2, 0): 2}
+
+
+def _b_zp_squared(p: int, bound: int):
+    """H*(B(Z/p)^2): F_2[t1, t2] with |t_i| = 1 at p = 2, and at odd p
+    E(x1, x2) (x) F_p[y1, y2] with beta x_i = y_i and beta y_i = 0."""
+    if p == 2:
+        return expand(FreeCommPresentation(
+            2, [GeneratorSpec("t1", 1), GeneratorSpec("t2", 1)]), bound,
+            require_action=True)
+    gens = [GeneratorSpec("x1", 1, "exterior", (1, "y1")),
+            GeneratorSpec("x2", 1, "exterior", (1, "y2")),
+            GeneratorSpec("y1", 2), GeneratorSpec("y2", 2)]
+    return expand(FreeCommPresentation(
+        p, gens, {("y1", "beta"): "0", ("y2", "beta"): "0"}), bound,
+        require_action=True)
+
+
+@pytest.mark.parametrize("p,bound,top", [(2, 12, 8), (3, 22, 4), (5, 30, 3)])
+def test_random_composites_act_like_their_adem_reduction(p, bound, top):
+    """A random composite of Sq^i (resp. beta and P^i) acts on every basis
+    element of H*(B(Z/p)^2) in range as its admissible rewriting does."""
+    alg = _b_zp_squared(p, bound)
+    if p == 2:
+        letter = hs.builds(lambda i: ("Sq", i), hs.integers(1, top))
+    else:
+        letter = hs.one_of(hs.just(("B",)),
+                           hs.builds(lambda i: ("P", i), hs.integers(1, top)))
+
+    @settings(derandomize=True, database=None, max_examples=40,
+              deadline=None)
+    @given(hs.lists(letter, min_size=2, max_size=4))
+    def check(letters):
+        shift = sum(op_degree(p, op) for op in letters)
+        assume(shift < bound)
+        s = st.adem_reduce(p, letters)
+        for d in range(bound - shift + 1):
+            for i in range(alg.dim(d)):
+                x = alg.element(d, i)
+                assert _act_letters(alg, letters, x) == _act_sum(alg, s, x), \
+                    (letters, d, i)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
