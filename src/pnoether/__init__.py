@@ -28,8 +28,8 @@ from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
                        Sigma, Sum, Tensor, ZERO, expr_dims, format_expr,
                        krull_degree, normal_form, parse_expr, tbar)
 from .em import (CyclicClass, EMProduct, EMSpec, IntegerClass, PadicClass,
-                 PruferClass, em_generator_table, em_generators,
-                 em_product_presentation, fiber_layout, parse_space)
+                 PruferClass, em_generators, em_product_presentation,
+                 fiber_layout, parse_space)
 from .serre import (FibrationSpec, SSResult, connected_cover_cohomology,
                     kudo_chain, permanent_powers, propagate_transgression,
                     run_ss, split_fiber_generators)

@@ -139,7 +139,7 @@ def _run_adem(args):
 
 def _run_em(args):
     space = em.parse_space(args.space, args.p)
-    pres = em.em_generator_table(space, args.p, args.max_degree)
+    pres = em.em_product_presentation(space, args.p, args.max_degree)
     gens = [{"name": g.name, "degree": g.degree, "kind": g.kind,
              "bockstein_partner": g.bockstein_link[1] if g.bockstein_link
              else None}

@@ -26,8 +26,8 @@ summand against the same rules (boundary words become p-th powers).  The
 library presentations (``em_generators``, ``em_product_presentation``,
 ``fiber_layout``) list every action entry within their enumeration bound up
 front and compute each one, by one Adem reduction, the first time it is
-read (a ``graded.LazyActionTable``); ``em_generator_table`` lists the
-generators only, which is all the ``em`` verb prints.
+read (a ``graded.LazyActionTable``).  The ``em`` verb prints the
+generators only, so it makes no Adem reduction.
 """
 
 from __future__ import annotations
@@ -360,14 +360,6 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
 
     action = LazyActionTable(sources, compute)
     return FiberLayout(FreeCommPresentation(p, gens, action), layouts)
-
-
-def em_generator_table(space, p: int, bound: int) -> FreeCommPresentation:
-    """Generators of a single EM space or a product through the bound, named
-    as in ``em_product_presentation`` but with no action table."""
-    return FreeCommPresentation(
-        p, [g for enum in _factor_enumerations(space, p, bound)
-            for g in enum.generator_specs()])
 
 
 def em_generators(spec: EMSpec, p: int, bound: int) -> FreeCommPresentation:

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 
 from . import steenrod
 from .errors import (
@@ -367,13 +367,21 @@ def _series_mul(a: list[int], b: list[int], bound: int) -> list[int]:
     return out
 
 
+def _apply_factor(coeffs: list[int], degree: int, kind: str) -> None:
+    """Multiply the truncated series ``coeffs`` in place by the series of a
+    free generator of positive degree d, in O(len(coeffs)): c[i] += c[i-d]
+    ascending divides by 1-t^d (polynomial), descending multiplies by 1+t^d
+    (exterior)."""
+    steps = range(degree, len(coeffs))
+    for i in (reversed(steps) if kind == "exterior" else steps):
+        coeffs[i] += coeffs[i - degree]
+
+
 def presentation_poincare(pres_or_degrees, bound: int) -> PoincareSeries:
     """Series of a free presentation: 1/(1-t^d) per polynomial generator,
-    (1+t^d) per exterior generator, truncated at the bound.
-
-    Each factor is applied in place in O(bound): c[i] += c[i-d] ascending
-    divides by 1-t^d, descending multiplies by 1+t^d.  A degree-0 entry of
-    a raw degree list multiplies by 1."""
+    (1+t^d) per exterior generator, truncated at the bound, each factor
+    applied in place.  A degree-0 entry of a raw degree list multiplies
+    by 1."""
     if bound < 0:
         raise InputError("poincare bound must be >= 0")
     if isinstance(pres_or_degrees, FreeCommPresentation):
@@ -385,11 +393,8 @@ def presentation_poincare(pres_or_degrees, bound: int) -> PoincareSeries:
     for degree, kind in gens:
         if degree < 0:
             raise InputError(f"generator degree {degree} is negative")
-        if not degree:
-            continue
-        steps = range(degree, bound + 1)
-        for i in (reversed(steps) if kind == "exterior" else steps):
-            coeffs[i] += coeffs[i - degree]
+        if degree:
+            _apply_factor(coeffs, degree, kind)
     return PoincareSeries(bound, coeffs)
 
 
@@ -589,6 +594,12 @@ class TruncAlgebra:
 class FreeTruncAlgebra(TruncAlgebra):
     """Monomial-basis truncation of a free graded-commutative presentation.
 
+    A degree's basis lists its monomials in lexicographic order.  It is
+    listed and indexed the first time the degree is read (``basis``,
+    ``monomial_key``, a product or an operation landing there), so the
+    cost follows the degrees read; ``dim`` and ``dims`` come from a suffix
+    table of dimensions built at construction and list nothing.
+
     Per-generator Steenrod values come from the presentation's action
     table, the instability relations (top operation = p-th power,
     above-top = 0), Bockstein links, and zero-dimensional target degrees;
@@ -611,12 +622,20 @@ class FreeTruncAlgebra(TruncAlgebra):
                              if g.degree % 2 == 1]
         self._exterior_indices = [i for i, g in enumerate(self.generators)
                                   if g.kind == "exterior"]
-        self._basis: list[list[tuple]] = self._enumerate_monomials()
-        self._mono_index = {
-            mono: (d, i)
-            for d in range(bound + 1)
-            for i, mono in enumerate(self._basis[d])
-        }
+        self._degrees = [g.degree for g in self.generators]
+        # _suffix[k][s]: the number of monomials of degree s in generators
+        # k, k+1, ...; row 0 is the algebra's series
+        self._suffix = [[1] + [0] * bound]
+        for g in reversed(self.generators):
+            row = self._suffix[0].copy()
+            _apply_factor(row, g.degree, g.kind)
+            self._suffix.insert(0, row)
+        # a degree's monomials and their index, None until first read; and
+        # _blocks[k][s], the blocks block(k, s) listed so far (_list_degree)
+        self._basis: list = [None] * (bound + 1)
+        self._index: list = [None] * (bound + 1)
+        self._blocks: list[dict] = [{} for _ in self.generators] + [
+            {0: [(0,) * len(self.generators)]}]
         # action memos hold {basis key: coeff} dicts, not Elements, which
         # would point back at the algebra and make it a reference cycle
         self._gen_action: dict = {}
@@ -637,46 +656,71 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- basis ---------------------------------------------------------------
 
-    def _enumerate_monomials(self) -> list[list[tuple]]:
-        """The monomials of each degree through the bound, in lexicographic
-        order: ``out[d]`` lists the exponent tuples of degree d.
+    def _list_degree(self, degree: int) -> list:
+        """List and index the monomials of a degree within the bound.
 
-        Built degree by degree over the generators from last to first.
-        After generator k, ``out[d]`` holds the monomials of degree d in
-        generators k, k+1, ... (zero on the earlier ones).  Generator k-1,
-        of degree g, is taken in by setting its exponent to e = 1, 2, ...
-        (at most 1 for an exterior generator) on the monomials of degree s
-        and appending them to ``out[s + e·g]``.  Source degrees are visited
-        from the top down, so a source list is read before anything is
-        appended to it, and each target list gets its old monomials
-        (exponent 0) first and then one sorted block per e, ascending:
-        every list stays in lexicographic order.  Only nonempty sources are
-        expanded and each monomial is built once, so the cost follows the
-        size of the basis.
-        """
-        bound, n = self.bound, len(self.generators)
-        out: list[list[tuple]] = [[(0,) * n]] + [[] for _ in range(bound)]
-        for k in range(n - 1, -1, -1):
-            step = self.generators[k].degree
-            top = 1 if self.generators[k].kind == "exterior" else bound
-            for s in range(bound - step, -1, -1):
-                source = out[s]
-                if not source:
-                    continue
-                for e in range(1, min(top, (bound - s) // step) + 1):
+        block(k, s), the monomials of degree s in generators k, k+1, ...
+        (zero on the earlier ones) in lexicographic order, is block(k+1, s)
+        followed, for e = 1, 2, ... (at most 1 for an exterior generator),
+        by block(k+1, s - e·|g_k|) with exponent e on generator k.  The
+        blocks needed are found from the first generator down, skipping
+        the empty ones by the suffix table and those listed by an earlier
+        read, then built from the last generator up; each new monomial is
+        built once, and a block that adds nothing to block(k+1, s) is that
+        list itself."""
+        gens, suffix, blocks = self.generators, self._suffix, self._blocks
+        needed = [{degree}]
+        for k, g in enumerate(gens):
+            top = 1 if g.kind == "exterior" else self.bound
+            rows, known = suffix[k + 1], blocks[k + 1]
+            needed.append({t for s in needed[k]
+                           for t in range(s, -1, -g.degree)[: top + 1]
+                           if rows[t] and t not in known})
+        for k in range(len(gens) - 1, -1, -1):
+            g, child = gens[k], blocks[k + 1]
+            top = 1 if g.kind == "exterior" else self.bound
+            for s in needed[k]:
+                extra = []
+                for e in range(1, min(top, s // g.degree) + 1):
                     head = (0,) * k + (e,)
-                    out[s + e * step].extend(
-                        [head + m[k + 1:] for m in source])
-        return out
+                    extra.extend([head + m[k + 1:]
+                                  for m in child.get(s - e * g.degree, ())])
+                block = child.get(s, [])
+                blocks[k][s] = block + extra if extra else block
+        monos = self._basis[degree] = blocks[0].setdefault(degree, [])
+        self._index[degree] = {m: i for i, m in enumerate(monos)}
+        return monos
+
+    def dim(self, degree: int) -> int:
+        if degree < 0 or degree > self.bound:
+            return 0
+        return self._suffix[0][degree]
+
+    def dims(self) -> list[int]:
+        return list(self._suffix[0])
 
     def basis(self, degree: int) -> list:
         if degree < 0 or degree > self.bound:
             return []
-        return self._basis[degree]
+        monos = self._basis[degree]
+        return self._list_degree(degree) if monos is None else monos
+
+    def _indexed(self, degree: int) -> dict:
+        """{monomial: index} of a degree within the bound."""
+        if self._index[degree] is None:
+            self._list_degree(degree)
+        return self._index[degree]
 
     def monomial_key(self, mono: tuple):
-        """(degree, index) for an exponent tuple, or None if above bound."""
-        return self._mono_index.get(tuple(mono))
+        """(degree, index) for an exponent tuple, or None when it is no
+        basis monomial within the bound (wrong length, a negative exponent,
+        an exterior exponent above 1, a degree above the bound)."""
+        mono = tuple(mono)
+        degree = sum(map(mul, mono, self._degrees))
+        if degree < 0 or degree > self.bound:
+            return None
+        index = self._indexed(degree).get(mono)
+        return None if index is None else (degree, index)
 
     def monomial_element(self, mono: tuple, coeff: int = 1) -> Element:
         key = self.monomial_key(mono)
@@ -702,7 +746,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def basis_label(self, degree: int, index: int) -> str:
-        mono = self._basis[degree][index]
+        mono = self.basis(degree)[index]
         if not any(mono):
             return "1"
         factors = []
@@ -733,15 +777,18 @@ class FreeTruncAlgebra(TruncAlgebra):
         return sign, merged
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        merged = self._merge_monomials(self._basis[d1][i1], self._basis[d2][i2])
+        # one list index on listed degrees, as in act_basis
+        merged = self._merge_monomials((self._basis[d1] or self.basis(d1))[i1],
+                                       (self._basis[d2] or self.basis(d2))[i2])
         if merged is None:
             return {}
         sign, mono = merged
-        key = self.monomial_key(mono)
-        if key is None:
-            # callers guard on d1 + d2 <= bound, so the monomial exists
+        degree = d1 + d2
+        if degree > self.bound:
+            # callers guard on d1 + d2 <= bound
             raise TruncationError("product above the truncation bound")
-        return {key: sign % self.p}
+        index = self._index[degree] or self._indexed(degree)
+        return {(degree, index[mono]): sign % self.p}
 
     # -- Steenrod action -----------------------------------------------------
 
@@ -857,8 +904,9 @@ class FreeTruncAlgebra(TruncAlgebra):
             single = tuple(1 if i == idx else 0 for i in range(len(mono)))
             rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
             beta_g = Element(self, self._gen_value(g, ("B",)))
-            term1 = self.product(beta_g, self.monomial_element(rest), drop_above=True) \
-                if self.monomial_key(rest) is not None else self.zero()
+            key = self.monomial_key(rest)
+            term1 = self.product(beta_g, Element(self, {key: 1}), drop_above=True) \
+                if key is not None else self.zero()
             beta_rest = Element(self, self._beta_on_monomial(rest))
             term2 = self.product(self.monomial_element(single), beta_rest,
                                  drop_above=True)
@@ -868,7 +916,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        mono = self._basis[degree][index]
+        # one list index on a listed degree: the hot path of action sweeps
+        mono = (self._basis[degree] or self.basis(degree))[index]
         if not self.can_act_on(mono):
             raise MissingDataError(
                 "Steenrod data needed within the bound is missing",
@@ -943,19 +992,23 @@ class QuotientTruncAlgebra(TruncAlgebra):
             return
         d0 = x.degree()
         free, p = self.free, self.p
-        basis, merge, index = free._basis, free._merge_monomials, free._mono_index
-        terms = [(basis[d0][i], c) for (_d, i), c in x.data.items()]
+        merge = free._merge_monomials
+        terms = [(free.basis(d0)[i], c) for (_d, i), c in x.data.items()]
         for d in range(self.bound, d0 - 1, -1):
-            space = self._ideal[d]
+            reps = self._reps[d - d0]
+            if not reps:
+                continue
+            space, source, index = self._ideal[d], free.basis(d - d0), \
+                free._indexed(d)
             grew = False
-            for rep in self._reps[d - d0]:
-                mono = basis[d - d0][rep]
+            for rep in reps:
+                mono = source[rep]
                 vec = {}
                 for term, c in terms:
                     merged = merge(mono, term)
                     if merged is not None:
                         # distinct terms give distinct products
-                        vec[index[merged[1]][1]] = merged[0] * c % p
+                        vec[index[merged[1]]] = merged[0] * c % p
                 if vec and space.add(vec):
                     grew = True
             if grew:
@@ -999,6 +1052,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
         if degree < 0 or degree > self.bound:
             return []
         return self._reps[degree]
+
+    def dims(self) -> list[int]:
+        return [len(reps) for reps in self._reps]
 
     def basis_label(self, degree: int, index: int) -> str:
         return self.free.basis_label(degree, self._reps[degree][index])

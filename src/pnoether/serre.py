@@ -29,9 +29,8 @@ from .errors import (BoundExceededError, EngineContractError, InputError,
                      UnsupportedFibrationError)
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
-                     TensorTruncAlgebra, _series_mul, expand,
-                     kernel_image_dims, mult_ranks, op_degree,
-                     presentation_poincare)
+                     TensorTruncAlgebra, _apply_factor, expand,
+                     kernel_image_dims, mult_ranks, op_degree)
 
 
 class FibrationSpec:
@@ -303,9 +302,12 @@ class SSResult:
 
 def _page_series(quotient, factors, bound: int) -> list:
     """The quotient's series times that of the free algebra on the
-    (degree, kind) factors, through the bound."""
-    free = presentation_poincare(factors, bound).coeffs
-    return _series_mul(quotient.dims()[: bound + 1], free, bound)
+    (degree, kind) factors, through the bound: each factor is applied in
+    place to the quotient's dimensions, in O(bound)."""
+    coeffs = quotient.dims()[: bound + 1]
+    for degree, kind in factors:
+        _apply_factor(coeffs, degree, kind)
+    return coeffs
 
 
 class _Engine:

@@ -8,6 +8,7 @@ Odd-prime expectations are the classical hand computations for small spaces.
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -20,7 +21,6 @@ from pnoether import (
     IntegerClass,
     PadicClass,
     PruferClass,
-    em_generator_table,
     em_generators,
     em_product_presentation,
     expand,
@@ -282,11 +282,13 @@ def test_bound_below_fundamental_degree():
 
 
 # ---------------------------------------------------------------------------
-# the generators-only table
+# the em verb's generator table
 
 
 def _fields(pres):
-    return [(g.name, g.degree, g.kind, g.bockstein_link)
+    return [{"name": g.name, "degree": g.degree, "kind": g.kind,
+             "bockstein_partner": g.bockstein_link[1] if g.bockstein_link
+             else None}
             for g in pres.generators]
 
 
@@ -296,18 +298,25 @@ def _fields(pres):
     "K(Zp,4)", "K(Z/{p},1) * K(Z,3) * K(Z/{p}^2,2)",
 ])
 def test_generator_table_matches_the_presentation(text, p, bound):
+    """The em verb's table lists the presentation's generators in order."""
     space = parse_space(text.format(p=p), p)
-    table = em_generator_table(space, p, bound)
-    assert table.action == {}
-    assert _fields(table) == \
-        _fields(em_product_presentation(space, p, bound))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["em", "--space", text.format(p=p), "--p", str(p),
+                     "--max-degree", str(bound)]) == 0
+    table = json.loads(out.getvalue())["payload"]
+    pres = em_product_presentation(space, p, bound)
+    assert table["generators"] == _fields(pres)
+    assert table["count"] == len(pres.generators)
+    for kind in ("polynomial", "exterior"):
+        assert table[f"{kind}_degrees"] == sorted(
+            g.degree for g in pres.generators if g.kind == kind)
 
 
 def test_generator_table_keeps_the_input_checks():
     with pytest.raises(InputError):
-        em_generator_table(EMSpec(IntegerClass(), 3), 2, 2)
+        em_product_presentation(EMSpec(IntegerClass(), 3), 2, 2)
     with pytest.raises(InputError):
-        em_generator_table(EMSpec(IntegerClass(), 3), 4, 10)
+        em_product_presentation(EMSpec(IntegerClass(), 3), 4, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from pnoether import (
     poincare,
     quotient_by_ideal,
 )
-from pnoether.graded import op_degree
+from pnoether.graded import op_degree, presentation_poincare
 
 
 def brute_dims(gens, bound):
@@ -169,7 +169,6 @@ def test_series_accepts_degree_lists():
     # plain ints mean polynomial generators
     s = poincare(PoincareSeries(6, [1, 0, 1, 0, 1, 0, 1]))
     assert s[4] == 1
-    from pnoether.graded import presentation_poincare
     assert presentation_poincare([2], 6).coeffs == [1, 0, 1, 0, 1, 0, 1]
     assert presentation_poincare([(3, "exterior")], 6).coeffs == \
         [1, 0, 0, 1, 0, 0, 0]
@@ -196,7 +195,6 @@ def product_formula(gens, bound):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_presentation_series_matches_the_product_formula(seed):
-    from pnoether.graded import presentation_poincare
     rng = random.Random(seed)
     bound = rng.randrange(0, 40)
     gens = [(rng.randrange(0, bound + 8), rng.choice(["polynomial", "exterior"]))
@@ -341,6 +339,91 @@ def test_basis_enumeration_matches_recursion_then_sort(p):
         assert [alg.basis(d) for d in range(bound + 1)] == \
             recursive_basis(gens, bound)
         assert alg.basis(bound + 1) == []
+
+    check()
+
+
+# A degree is listed on its first read, by basis or by monomial_key, from
+# blocks shared with the degrees read before it; the order of reads must
+# not show in the answer.
+
+free_algebras = hs.tuples(
+    hs.lists(hs.tuples(hs.sampled_from(("polynomial", "exterior")),
+                       hs.integers(1, 8)), min_size=1, max_size=5),
+    hs.integers(0, 16))
+
+
+def free_algebra(p, kinds_halves, bound, cls=FreeTruncAlgebra):
+    gens = generator_list(p, kinds_halves)
+    pres = FreeCommPresentation(
+        p, [GeneratorSpec(f"g{k}", d, kind)
+            for k, (d, kind) in enumerate(gens)])
+    return gens, pres, cls(pres, bound)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degrees_read_in_any_order_match_the_recursion(p):
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(free_algebras, hs.randoms(use_true_random=False))
+    def check(algebra, rng):
+        gens, _pres, alg = free_algebra(p, *algebra)
+        bound = algebra[1]
+        expected = recursive_basis(gens, bound)
+        order = list(range(bound + 1))
+        rng.shuffle(order)
+        assert {d: alg.basis(d) for d in order} == dict(enumerate(expected))
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_monomial_key_finds_each_monomial_and_nothing_else(p):
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(free_algebras, hs.randoms(use_true_random=False))
+    def check(algebra, rng):
+        gens, _pres, alg = free_algebra(p, *algebra)
+        bound, n = algebra[1], len(gens)
+        keyed = [(mono, (d, i))
+                 for d, monos in enumerate(recursive_basis(gens, bound))
+                 for i, mono in enumerate(monos)]
+        rng.shuffle(keyed)
+        for mono, key in keyed:
+            assert alg.monomial_key(mono) == key
+            assert alg.monomial_key(list(mono)) == key
+        for mono, _key in keyed[:8]:
+            assert alg.monomial_key(mono + (0,)) is None
+            assert alg.monomial_key(mono[:-1]) is None
+            for k in range(n):
+                negative = mono[:k] + (-1,) + mono[k + 1:]
+                assert alg.monomial_key(negative) is None
+        for k, (degree, kind) in enumerate(gens):
+            above = (0,) * k + (bound // degree + 1,) + (0,) * (n - k - 1)
+            assert alg.monomial_key(above) is None
+            if kind == "exterior":
+                assert alg.monomial_key(
+                    (0,) * k + (2,) + (0,) * (n - k - 1)) is None
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dims_are_the_series_and_list_no_degree(p):
+
+    class Unlisted(FreeTruncAlgebra):
+        def _list_degree(self, degree):
+            raise AssertionError(f"listed degree {degree}")
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(free_algebras)
+    def check(algebra):
+        _gens, pres, alg = free_algebra(p, *algebra, cls=Unlisted)
+        bound = algebra[1]
+        series = presentation_poincare(pres, bound).coeffs
+        assert alg.dims() == series
+        assert [alg.dim(d) for d in range(-1, bound + 2)] == [0] + series + [0]
+        assert alg.poincare() == PoincareSeries(bound, series)
 
     check()
 
@@ -832,9 +915,13 @@ def test_indecomposables_induced_action():
 
 
 def test_indecomposables_requires_connected():
-    bad = free_p2([("t", 1)], 4)
-    bad._basis[0] = []  # force dim(0) = 0
-    with pytest.raises(InputError):
+
+    class Disconnected(FreeTruncAlgebra):
+        def dim(self, degree):
+            return 0 if degree == 0 else super().dim(degree)
+
+    bad = Disconnected(FreeCommPresentation(2, [GeneratorSpec("t", 1)]), 4)
+    with pytest.raises(InputError, match="connected"):
         indecomposables(bad)
 
 

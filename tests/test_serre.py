@@ -38,7 +38,7 @@ from pnoether import (
 from pnoether.errors import EngineContractError, UnsupportedFibrationError
 from pnoether.graded import op_degree
 from pnoether.linalg import solve
-from pnoether import serre, steenrod
+from pnoether import graded, serre, steenrod
 from pnoether.catalog import get_entry
 from pnoether.cli import main
 from pnoether.fixtures import s3_loop_fibration
@@ -389,6 +389,27 @@ def test_cover_display_words_cost_what_they_print(monkeypatch):
                      "--max-degree", "200"]) == 0
     assert "Sq[" in out.getvalue()
     assert 0 < sum(built) < 2000
+
+
+def test_a_deep_cover_lists_the_fiber_degrees_it_reads(monkeypatch):
+    """cover BS3 at p = 2 through degree 260 lists 6,602 monomials of the
+    fiber K(Z,3), whose basis through the bound has 333,070: a degree is
+    listed only when it is read."""
+    listed = []
+    list_degree = graded.FreeTruncAlgebra._list_degree
+
+    def counted(alg, degree):
+        monos = list_degree(alg, degree)
+        if "i3" in alg.presentation.index:
+            listed.append(len(monos))
+        return monos
+
+    monkeypatch.setattr(graded.FreeTruncAlgebra, "_list_degree", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["cover", "--catalog", "BS3", "--p", "2",
+                     "--max-degree", "260"]) == 0
+    assert "surviving_fiber_generators" in out.getvalue()
+    assert 0 < sum(listed) < 10_000
 
 
 # ---------------------------------------------------------------------------
