@@ -287,7 +287,7 @@ def _run_appendix(args):
             f"unknown appendix fixture {args.fixture!r} "
             f"(available: {', '.join(sorted(_APPENDIX_FIXTURES))})")
     build, description = _APPENDIX_FIXTURES[args.fixture]
-    data = build(args.max_degree) if args.max_degree else build()
+    data = build() if args.max_degree is None else build(args.max_degree)
     from .graded import appendix_generators
     result = appendix_generators(data["G"], data["B"], data["module_gens"],
                                  data["proj"], data["embed"], data["bound"])

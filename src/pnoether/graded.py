@@ -746,16 +746,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def basis_label(self, degree: int, index: int) -> str:
-        mono = self.basis(degree)[index]
-        if not any(mono):
-            return "1"
-        factors = []
-        for e, g in zip(mono, self.generators):
-            if e == 1:
-                factors.append(g.name)
-            elif e > 1:
-                factors.append(f"{g.name}^{e}")
-        return "*".join(factors)
+        return self.presentation.format_poly({self.basis(degree)[index]: 1})
 
     # -- product -------------------------------------------------------------
 
@@ -941,8 +932,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
     The quotient basis in each degree is the set of free-basis monomials in
     the complement of the ideal's row space (non-pivot columns); products and
     Steenrod operations are computed upstairs and projected.  ``steenrod_ok``
-    records whether the ideal was closed under the tabulated operations — the
-    induced action is only meaningful when it is.
+    and ``steenrod_failures`` check, when read, whether the ideal as it
+    stands is closed under the tabulated operations — the induced action is
+    only meaningful when it is.
 
     The ideal grows in place with ``add_generator``, which spans only the
     new generator's multiples, each built straight from the free algebra's
@@ -955,7 +947,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
     growth step it no longer refers to the same classes.
     """
 
-    def __init__(self, free: FreeTruncAlgebra, ideal_gens, check_action: bool = True):
+    def __init__(self, free: FreeTruncAlgebra, ideal_gens):
         self.free = free
         self.p = free.p
         self.bound = free.bound
@@ -964,14 +956,8 @@ class QuotientTruncAlgebra(TruncAlgebra):
                                        for d in range(self.bound + 1)]
         self._reps: list[list[int]] = [list(range(free.dim(d)))
                                        for d in range(self.bound + 1)]
-        self.check_action = False  # one check on the whole ideal, below
         for x in ideal_gens:
             self.add_generator(x)
-        self.check_action = check_action
-        self.steenrod_ok = True
-        self.steenrod_failures: list = []
-        if check_action:
-            self._check_invariance()
 
     def add_generator(self, x: Element):
         """Grow the ideal by the homogeneous element x, in place.
@@ -980,8 +966,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
         I, only x times the current quotient representatives is spanned;
         degrees are visited from the top down so that the representatives
         of degree d-|x| are still those of the old ideal.  Each product
-        rep·x is merged monomial by monomial into a sparse vector.  With
-        ``check_action`` the invariance check runs again on the new ideal.
+        rep·x is merged monomial by monomial into a sparse vector.
         """
         if x.algebra is not self.free:
             raise InputError("ideal generators must live in the base algebra")
@@ -1013,19 +998,24 @@ class QuotientTruncAlgebra(TruncAlgebra):
                     grew = True
             if grew:
                 self._reps[d] = space.non_pivot_columns()
-        if self.check_action:
-            self._check_invariance()
 
-    def _check_invariance(self):
-        """Is the ideal closed under the tabulated operations?
+    @property
+    def steenrod_ok(self):
+        """True (verified), False (violation found) or None (some checks
+        skipped because generator data is missing; no violation among the
+        checkable part), for the ideal as it stands."""
+        return self._invariance()[0]
 
-        Sets steenrod_ok to True (verified), False (violation found) or None
-        (some checks skipped because generator data is missing; no violation
-        among the checkable part).
-        """
+    @property
+    def steenrod_failures(self) -> list:
+        """The (op, degree) pairs where an operation leaves the ideal."""
+        return self._invariance()[1]
+
+    def _invariance(self):
+        """(steenrod_ok, steenrod_failures): is the ideal closed under the
+        tabulated operations?"""
         complete = True
-        failed = False
-        self.steenrod_failures = []
+        failures: list = []
         for op in self.free.op_list():
             shift = op_degree(self.p, op)
             for d in range(1, self.bound + 1 - shift):
@@ -1040,11 +1030,10 @@ class QuotientTruncAlgebra(TruncAlgebra):
                     if y.is_zero:
                         continue
                     if not self._ideal[d + shift].contains(y.coords(d + shift)):
-                        failed = True
                         failure = {"op": format_op(op), "degree": d}
-                        if failure not in self.steenrod_failures:
-                            self.steenrod_failures.append(failure)
-        self.steenrod_ok = False if failed else (True if complete else None)
+                        if failure not in failures:
+                            failures.append(failure)
+        return (False if failures else (True if complete else None)), failures
 
     # -- structure -----------------------------------------------------------
 
@@ -1098,15 +1087,6 @@ class QuotientTruncAlgebra(TruncAlgebra):
         up = self.free.element(degree, self._reps[degree][index])
         return self.project(self.free.act(op, up)).data
 
-    def annihilator_matches_ideal_of(self, x: Element) -> bool:
-        """True when, degreewise within bound, ann(x) equals the ideal (x)."""
-        d0 = x.degree()
-        if d0 is None:
-            return False
-        kernels, images = kernel_image_dims(self.dims(), mult_ranks(self, x),
-                                            d0)
-        return kernels == images
-
 
 def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     """rank[d] of multiplication by the homogeneous x from degree d to
@@ -1121,16 +1101,6 @@ def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
                 image.add(vec)
         ranks.append(image.dim)
     return ranks
-
-
-def kernel_image_dims(dims: list[int], ranks: list[int], shift: int):
-    """(kernels, images) per degree d < len(ranks) for a multiplication map
-    of degree ``shift`` with ``ranks`` as in mult_ranks: the kernel from
-    degree d has dimension dims[d] - ranks[d], and the image in degree d
-    has dimension ranks[d - shift] (0 below the shift)."""
-    kernels = [dims[d] - r for d, r in enumerate(ranks)]
-    images = [ranks[d - shift] if d >= shift else 0 for d in range(len(ranks))]
-    return kernels, images
 
 
 class TensorTruncAlgebra(TruncAlgebra):
@@ -1277,12 +1247,11 @@ def poincare(obj, bound=None) -> PoincareSeries:
     raise InputError(f"cannot take a Poincaré series of {type(obj).__name__}")
 
 
-def quotient_by_ideal(alg: FreeTruncAlgebra, ideal_gens,
-                      check_action: bool = True) -> QuotientTruncAlgebra:
+def quotient_by_ideal(alg: FreeTruncAlgebra, ideal_gens) -> QuotientTruncAlgebra:
     """Degreewise quotient by the (two-sided) ideal the generators span."""
     gens = [alg.element_from_poly(x) if isinstance(x, str) else x
             for x in ideal_gens]
-    return QuotientTruncAlgebra(alg, gens, check_action=check_action)
+    return QuotientTruncAlgebra(alg, gens)
 
 
 @dataclass
@@ -1325,25 +1294,26 @@ class FiniteModuleTable:
 def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
     """Quotient by products of positive-degree elements, with induced action.
 
-    Requires a connected algebra (dimension 1 in degree 0).
+    Requires a connected algebra (dimension 1 in degree 0).  The positive
+    part is generated by the representatives found below a degree d, so
+    the decomposables of degree d are spanned by each lower representative
+    times a basis element; the reduced rows, and with them the table, are
+    those of the span of all products.
     """
     if alg.dim(0) != 1:
         raise InputError("indecomposables needs a connected algebra")
     decomp: list[RowSpace] = [RowSpace(alg.p, alg.dim(d))
                               for d in range(alg.bound + 1)]
-    for d in range(2, alg.bound + 1):
+    reps: list[list[int]] = [[]]
+    for d in range(1, alg.bound + 1):
         for d1 in range(1, d):
-            d2 = d - d1
-            if d1 > d2:
-                break
-            for i1 in range(alg.dim(d1)):
-                for i2 in range(alg.dim(d2)):
+            for rep in reps[d1]:
+                for i2 in range(alg.dim(d - d1)):
                     vec = {it: c for (_dt, it), c in
-                           alg.product_basis(d1, i1, d2, i2).items()}
+                           alg.product_basis(d1, rep, d - d1, i2).items()}
                     if vec:
                         decomp[d].add(vec)
-    reps = [[] if d == 0 else decomp[d].non_pivot_columns()
-            for d in range(alg.bound + 1)]
+        reps.append(decomp[d].non_pivot_columns())
     dims = [len(r) for r in reps]
     labels = [[alg.basis_label(d, i) for i in reps[d]]
               for d in range(alg.bound + 1)]

@@ -7,8 +7,8 @@ width of the space.  The ideals spanned here are large in degrees where the
 quotient they leave is small, and then each reduced row has nonzeros only
 on its pivot and on the few non-pivot columns.
 
-``solve`` is a dense Gauss-Jordan solve for the finite-generation
-certificates, whose systems are small.
+``solve`` keeps the dense-list interface of the finite-generation
+certificates, whose systems are small, on top of the same kernel.
 """
 
 from __future__ import annotations
@@ -96,35 +96,21 @@ class RowSpace:
 
 
 def solve(columns: list[list[int]], target: list[int], p: int) -> list[int] | None:
-    """Solve sum_j x_j * columns[j] = target over F_p; None if inconsistent."""
-    if not columns:
-        return [] if not any(x % p for x in target) else None
-    height = len(columns[0])
-    ncols = len(columns)
-    # augmented matrix rows
-    mat = [[columns[j][i] % p for j in range(ncols)] + [target[i] % p]
-           for i in range(height)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, height) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = _inv(mat[r][c], p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(height):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == height:
-            break
-    for i in range(r, height):
-        if mat[i][ncols]:
-            return None
-    out = [0] * ncols
-    for row, col in pivots:
-        out[col] = mat[row][ncols]
-    return out
+    """Solve sum_j x_j * columns[j] = target over F_p; None if inconsistent.
+
+    Column j is tagged with the unit coordinate height + j, past the
+    target's coordinates, and enters a ``RowSpace`` only when its data part
+    is independent of the earlier columns, so a dependent column gets
+    x_j = 0, as in Gauss-Jordan.  Every pivot then lies in the data part,
+    and reducing the target leaves a data part (no solution) or -x_j on
+    each tag."""
+    height = len(target)
+    space = RowSpace(p, height + len(columns))
+    for j, column in enumerate(columns):
+        vec = space.reduce(dict(enumerate(column)) | {height + j: 1})
+        if min(vec) < height:
+            space.add(vec)
+    rest = space.reduce(dict(enumerate(target)))
+    if rest and min(rest) < height:
+        return None
+    return [-rest.get(height + j, 0) % p for j in range(len(columns))]

@@ -446,6 +446,8 @@ def is_square_int(p: int, n: int, precision: int) -> SquareReport:
     """p-adic square test for an arbitrary integer: zero is a square, an
     odd valuation is not, otherwise the unit part decides."""
     steenrod.check_prime(p)
+    if precision < 1:
+        raise InputError("precision must be >= 1")
     if n == 0:
         return SquareReport(p, 0, precision, True, 0, "zero is a square")
     v, u = padic_valuation(p, n)

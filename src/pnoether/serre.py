@@ -29,8 +29,8 @@ from .errors import (BoundExceededError, EngineContractError, InputError,
                      UnsupportedFibrationError)
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
-                     TensorTruncAlgebra, _apply_factor, expand,
-                     kernel_image_dims, mult_ranks, op_degree)
+                     TensorTruncAlgebra, _apply_factor, expand, mult_ranks,
+                     op_degree)
 
 
 class FibrationSpec:
@@ -216,8 +216,12 @@ def annihilator_profile(alg, x: Element) -> str:
 
 def _profile(dims, ranks, degree: int, square_zero: bool) -> str:
     """annihilator_profile from the ranks of multiplication by a class of
-    the given degree (see graded.mult_ranks) and whether it squares to 0."""
-    kernels, images = kernel_image_dims(dims, ranks, degree)
+    the given degree (see graded.mult_ranks) and whether it squares to 0:
+    the kernel from degree d has dimension dims[d] - ranks[d], and the
+    image in degree d has dimension ranks[d - degree] (0 below it)."""
+    kernels = [dims[d] - r for d, r in enumerate(ranks)]
+    images = [ranks[d - degree] if d >= degree else 0
+              for d in range(len(ranks))]
     if not any(kernels):
         return "zero"
     return "principal" if square_zero and kernels == images else "other"
@@ -244,7 +248,8 @@ class Survivor:
 @dataclass
 class SSResult:
     """E∞ through the bound: the base modulo the killed ideal (``quotient``),
-    the surviving fiber generators, and the engine's log.
+    the surviving fiber generators, the engine's log, and the series of its
+    last page (``series``).
 
     ``total``, the E∞ model ``quotient`` ⊗ (free algebra on the survivors,
     with the induced action over a trivial quotient), is built on first
@@ -258,6 +263,7 @@ class SSResult:
     killed_base_ideal: list
     log: list
     flags: dict
+    series: list
     # builds ``total``; dropped once it has run
     _build_total: object = field(default=None, repr=False, compare=False)
 
@@ -267,15 +273,13 @@ class SSResult:
         return total
 
     def poincare(self, bound: int = None) -> PoincareSeries:
-        """The series of ``total`` through the bound (at most ``self.bound``),
-        from the quotient's dimensions and the survivors' degrees."""
+        """The series of ``total`` through the bound (at most ``self.bound``):
+        the last page's series, truncated."""
         bound = self.bound if bound is None else bound
         if bound > self.bound:
             raise InputError(f"series bound {bound} exceeds truncation bound "
                              f"{self.bound}")
-        factors = [(s.degree, s.kind) for s in self.surviving_fiber_generators]
-        return PoincareSeries(bound, _page_series(self.quotient, factors,
-                                                  self.bound))
+        return PoincareSeries(bound, self.series)
 
     def survivor_element(self, name: str) -> Element:
         """The class 1 ⊗ (named survivor) in the total algebra."""
@@ -300,16 +304,6 @@ class SSResult:
         }
 
 
-def _page_series(quotient, factors, bound: int) -> list:
-    """The quotient's series times that of the free algebra on the
-    (degree, kind) factors, through the bound: each factor is applied in
-    place to the quotient's dimensions, in O(bound)."""
-    coeffs = quotient.dims()[: bound + 1]
-    for degree, kind in factors:
-        _apply_factor(coeffs, degree, kind)
-    return coeffs
-
-
 class _Engine:
     def __init__(self, spec: FibrationSpec, assert_finite_base: bool = False):
         self.spec = spec
@@ -319,8 +313,7 @@ class _Engine:
         self.fiber_alg = expand(spec.fiber_pres, spec.bound)
         self.taus = propagate_transgression(spec, self.base_alg)
         # the base modulo the killed ideal, grown in place at every kill
-        self.quotient = QuotientTruncAlgebra(self.base_alg, [],
-                                             check_action=False)
+        self.quotient = QuotientTruncAlgebra(self.base_alg, [])
         self.log: list[dict] = []
         self.survivors: list[Survivor] = []  # in the order they survive
         self.flags = {}
@@ -335,15 +328,18 @@ class _Engine:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _model_series(self, queue_items, pending) -> list:
-        """Series of the current page model through the bound: quotient of
-        the base times free factors (queued fiber gens at their current
-        power state, everything that already survived, and the (degree,
-        kind) pairs of classes taken off the queue but not yet settled)."""
-        factors = [(d, kind) for (d, _seq, kind, *_rest) in queue_items]
-        factors += [(s.degree, s.kind) for s in self.survivors]
-        factors += pending
-        return _page_series(self.quotient, factors, self.bound)
+    def _model_series(self, queue_items) -> list:
+        """Series of the current page model through the bound: the
+        quotient's dimensions times the free factors of the queued fiber
+        gens at their current power state and of everything that already
+        survived, each applied in place in O(bound).  run builds it once
+        before its loop and once after each transgression step."""
+        coeffs = self.quotient.dims()[: self.bound + 1]
+        for degree, _seq, kind, *_rest in queue_items:
+            _apply_factor(coeffs, degree, kind)
+        for s in self.survivors:
+            _apply_factor(coeffs, s.degree, s.kind)
+        return coeffs
 
     def _log(self, step: dict):
         """Record one step after checking its Euler ledger.
@@ -364,9 +360,6 @@ class _Engine:
                     f"drop {diff} is not (1+t)·K(t) with K >= 0 (K[{degree}] "
                     f"= {k})")
         self.log.append(step)
-
-    def _project_is_zero(self, rep: Element) -> bool:
-        return rep.is_zero or self.quotient.contains_in_ideal(rep)
 
     def _kill(self, rep: Element) -> str:
         """Add rep to the killed ideal; return the annihilator profile of
@@ -406,19 +399,21 @@ class _Engine:
             for name, _degree, kind, _word, _on_bottom in factor.gens:
                 push(kind, name, _kudo_powers(self.spec, self.base_alg,
                                               self.taus, name))
+        # a step's series before is the previous step's series after; a
+        # survivor leaves it unchanged
+        series = self._model_series(queue)
         while queue:
             degree, _s, kind, label, exponent, rep, chain = \
                 heapq.heappop(queue)
             origin = label if exponent == 1 else f"{label}^{exponent}"
-            before = self._model_series(queue, [(degree, kind)])
-            if self._project_is_zero(rep):
+            if self.quotient.contains_in_ideal(rep):
                 self.survivors.append(Survivor(
                     name="", degree=degree, kind=kind, origin=origin,
                     display="", label=label, exponent=exponent,
                     fiber_class=self.fiber_alg.element_from_poly(origin)))
                 self._log({"event": "survivor", "class": origin,
-                           "degree": degree, "series_before": before,
-                           "series_after": before})
+                           "degree": degree, "series_before": series,
+                           "series_after": series})
                 continue
             profile = self._kill(rep)
             step = {"event": "transgression", "class": origin,
@@ -438,10 +433,10 @@ class _Engine:
                 step["companion"] = self._companion(label, exponent, degree,
                                                     rep, profile)
                 push(kind, label, chain)
-            step["series_before"] = before
-            step["series_after"] = self._model_series(queue, [])
+            step["series_before"] = series
+            series = step["series_after"] = self._model_series(queue)
             self._log(step)
-        return self._assemble()
+        return self._assemble(series)
 
     def _companion(self, label, exponent, degree, rep, profile):
         """Settle the companion class u^{p-1}·τ(u) of a killed polynomial
@@ -451,7 +446,7 @@ class _Engine:
         if profile != "principal" or comp_degree > self.bound:
             return None
         target = kudo_companion_target(self.base_alg, degree, rep)
-        if self._project_is_zero(target):
+        if self.quotient.contains_in_ideal(target):
             self.survivors.append(Survivor(
                 name="", degree=comp_degree, kind="exterior",
                 origin=(f"{label}^{exponent * (self.p - 1)}"
@@ -464,7 +459,7 @@ class _Engine:
 
     # -- assembly --------------------------------------------------------------
 
-    def _assemble(self) -> SSResult:
+    def _assemble(self, series) -> SSResult:
         survivors = self.survivors
         survivors.sort(key=lambda s: (s.degree, s.origin))
         used: dict[str, int] = {}
@@ -486,7 +481,7 @@ class _Engine:
         return SSResult(p=self.p, bound=self.bound, quotient=self.quotient,
                         surviving_fiber_generators=survivors,
                         killed_base_ideal=killed, log=self.log, flags=flags,
-                        _build_total=functools.partial(
+                        series=series, _build_total=functools.partial(
                             self._total, survivors, coordinate))
 
     def _total(self, survivors, coordinate) -> TensorTruncAlgebra:
@@ -727,10 +722,10 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
         if kinds.get(name, "polynomial") != "polynomial":
             raise InputError(f"{name} is not a polynomial generator")
         chain = []
-        quotient = QuotientTruncAlgebra(base_alg, [], check_action=False)
+        quotient = QuotientTruncAlgebra(base_alg, [])
         for exponent, degree, value in _kudo_powers(spec, base_alg, taus,
                                                     name):
-            if value.is_zero or quotient.contains_in_ideal(value):
+            if quotient.contains_in_ideal(value):
                 break
             chain.append(value)
             quotient.add_generator(value)

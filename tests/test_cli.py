@@ -2,6 +2,7 @@
 catalog-file plumbing, and one frozen invocation per verb."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,8 +12,9 @@ import sys
 import pytest
 
 import pnoether
-from pnoether import __version__, cli, em, steenrod
+from pnoether import __version__, cli, em, fixtures, steenrod
 from pnoether.cli import main
+from pnoether.graded import appendix_generators
 
 BOREL_CATALOG = {
     "entries": {
@@ -420,6 +422,19 @@ def test_padic_sum_mode():
     assert "need p ≡ 3 mod 4" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--sum", "0", "0"),
+    ("--square", "0"),
+    ("--square", "7"),
+    ("--square", "2"),
+])
+def test_padic_refuses_precision_zero_in_every_mode(argv):
+    # n = 0 and an odd valuation used to return before the precision check
+    code, rep = run_json("padic", *argv, "--precision", "0", "--p", "7")
+    assert code == 2
+    assert rep["error"]["message"] == "precision must be >= 1"
+
+
 def test_padic_needs_exactly_one_mode():
     code, rep = run_json("padic")
     assert code == 2
@@ -479,6 +494,58 @@ def test_appendix_fixtures():
     code, rep = run_json("appendix", "--fixture", "nope")
     assert code == 2
     assert "unknown appendix fixture" in rep["error"]["message"]
+
+
+def test_appendix_runs_at_max_degree_zero():
+    # a bound of 0 used to fall back to the fixture's default bound
+    code, rep = run_json("appendix", "--fixture", "compatible",
+                         "--max-degree", "0")
+    assert code == 0
+    assert rep["provenance"]["bounds"] == {"max_degree": 0}
+    data = fixtures.appendix_compatible(0)
+    result = appendix_generators(data["G"], data["B"], data["module_gens"],
+                                 data["proj"], data["embed"], data["bound"])
+    assert result.generators == [("1", 0)]
+    assert rep["payload"]["generators"] == [{"name": "1", "degree": 0}]
+
+
+# ---------------------------------------------------------------------------
+# frozen report bytes
+
+
+GOLDEN_REPORTS = {
+    ("cover", "--catalog", "BS3", "--p", "2", "--max-degree", "100"):
+        (0, "db17fc0adcbbc5c5c24b468c0a6e9fcb0c4ee47c6acbb8b9aa79cd4b855a4dec"),
+    ("cover", "--catalog", "BS3", "--p", "3", "--max-degree", "130"):
+        (0, "6f3050d2f88a02d4d1e665ad90f4908cdb18263c3311477d9992e4d54dc5dfaa"),
+    ("cover", "--catalog", "BS3", "--p", "5", "--max-degree", "140"):
+        (0, "80787dd67668aaf8f9a5b79a4f0f693a045ab0d6d8403e4ad870b73868c61496"),
+    ("cover", "--catalog", "X2b_4", "--p", "3", "--max-degree", "110"):
+        (0, "c8812ba4820a6c321b6cfa4cc373cf1681d65c40f8cf3ffc69edd05efda43254"),
+    ("appendix", "--fixture", "compatible"):
+        (0, "d17911fe257dce5c139a70c240b41cf0ae28247ca29074f00c5afec1523061a4"),
+    ("appendix", "--fixture", "tensor"):
+        (0, "41eb3de44340460d79a074386332aa133fd59538d373e67704eb5fca4fc75dc8"),
+    ("appendix", "--fixture", "tensor-untwisted"):
+        (0, "6ea80db9eaba013369d54c80d1b4c0f403d4312f12bb3274dc419ec15d444bf0"),
+    ("appendix", "--fixture", "broken"):
+        (3, "763076791bb3608b3d29b1a26686154dc333df749171639d9506e51eebe9f809"),
+    ("em", "--space", "K(Z,3)", "--max-degree", "60"):
+        (0, "6f31dfe77dc19f03594d4a3d913172c1f133235dc9654e74d77892edb4b187ae"),
+    ("krull", "F(1)*F(2)"):
+        (0, "3b86917bb20c594d7acf945551611aab7dd6b2e62c8207e79ab6a7afe416af57"),
+    ("poincare", "--catalog", "BS3"):
+        (0, "d415482f08224f18016dddc7491693e70cdc0017f86d6ba35c57a8d2fac70f7a"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REPORTS), ids=" ".join)
+def test_report_bytes_are_frozen(argv):
+    """sha256 of whole reports: a change to any byte of these is a change
+    of the output contract and must be made on purpose."""
+    code, out = run(*argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        GOLDEN_REPORTS[argv]
 
 
 # ---------------------------------------------------------------------------

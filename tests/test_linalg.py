@@ -1,9 +1,10 @@
-"""The sparse F_p row-reduction kernel against a dense Gauss-Jordan reference."""
+"""The sparse F_p row-reduction kernel against a dense Gauss-Jordan
+reference, and ``solve`` against brute-force spans."""
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from pnoether.linalg import RowSpace
+from pnoether.linalg import RowSpace, solve
 
 
 def dense(vec, width, p):
@@ -115,3 +116,60 @@ def test_a_column_cleared_by_cancellation_can_become_a_pivot(p):
         assert space.add(vec)
     assert space.rows == {j: {j: 1} for j in range(3)}
     assert space.non_pivot_columns() == []
+
+
+@hs.composite
+def _system(draw, p):
+    """Columns of a system of height at most 5, at most 5 of them (repeats
+    and combinations of earlier columns included), and a target that is a
+    combination of them or arbitrary."""
+    height = draw(hs.integers(1, 5))
+    vector = hs.lists(hs.integers(-p, 2 * p), min_size=height,
+                      max_size=height)
+    columns = []
+    for kind in draw(hs.lists(hs.sampled_from("rrsc"), max_size=5)):
+        if kind == "r" or not columns:
+            columns.append(draw(vector))
+        elif kind == "s":
+            columns.append(list(draw(hs.sampled_from(columns))))
+        else:
+            a, b = draw(hs.sampled_from(columns)), draw(hs.sampled_from(columns))
+            k = draw(hs.integers(1, p - 1))
+            columns.append([x + k * y for x, y in zip(a, b)])
+    if columns and draw(hs.booleans()):
+        coeffs = [draw(hs.integers(0, p - 1)) for _ in columns]
+        target = [sum(c * col[i] for c, col in zip(coeffs, columns))
+                  for i in range(height)]
+    else:
+        target = draw(vector)
+    return columns, target
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_matches_brute_force_spans(p):
+    """A solution exists exactly when the target lies in the span of the
+    columns (listed element by element); the answer then solves the
+    system and is 0 on each column in the span of the earlier ones."""
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(_system(p))
+    def check(system):
+        columns, target = system
+        height = len(target)
+        spans = [{(0,) * height}]  # spans[j]: the span of columns[:j]
+        for column in columns:
+            spans.append({tuple((v + c * x) % p for v, x in zip(vec, column))
+                          for vec in spans[-1] for c in range(p)})
+        x = solve(columns, target, p)
+        if tuple(t % p for t in target) not in spans[-1]:
+            assert x is None
+            return
+        assert x is not None and len(x) == len(columns)
+        assert all(0 <= c < p for c in x)
+        assert [sum(c * col[i] for c, col in zip(x, columns)) % p
+                for i in range(height)] == [t % p for t in target]
+        for j, column in enumerate(columns):
+            if tuple(c % p for c in column) in spans[j]:
+                assert x[j] == 0
+
+    check()

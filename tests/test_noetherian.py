@@ -430,6 +430,15 @@ def test_is_square_int_cases():
     assert js["is_square"] is True and js["witness"] == 311
 
 
+@pytest.mark.parametrize("n", [0, 7, 2, 3])
+def test_is_square_int_refuses_precision_zero(n):
+    # zero and an odd valuation used to answer before the precision check
+    with pytest.raises(InputError, match="precision must be >= 1"):
+        is_square_int(7, n, 0)
+    with pytest.raises(InputError, match="precision must be >= 1"):
+        padic_sum_of_squares_nonzero(7, n, 0, 0)
+
+
 def test_sum_of_squares_certificates():
     cert = padic_sum_of_squares_nonzero(7, 1, 2, 3)
     assert cert.sum_is_zero is False and cert.both_zero is False

@@ -642,8 +642,8 @@ def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
     calls = []
     model_series = _Engine._model_series
 
-    def tampered(engine, queue_items, free_items):
-        series = model_series(engine, queue_items, free_items)
+    def tampered(engine, queue_items):
+        series = model_series(engine, queue_items)
         calls.append(len(calls))
         if len(calls) == 2:  # the series after the first kill
             series[0] += 1
@@ -652,6 +652,71 @@ def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
     monkeypatch.setattr(_Engine, "_model_series", tampered)
     with pytest.raises(EngineContractError):
         run_ss(s3_loop_fibration(2, 10))
+
+
+LEDGER_CASES = [("BS3", 2, 60), ("BS3", 3, 80), ("BS3", 5, 110),
+                ("X2b_4", 3, 60), ("BSO(3)^2", 2, 28)]
+
+
+def ledger_spec(name, p, bound):
+    """The BSO(3)^2 fibration, or the cover of a catalog entry."""
+    if name == "BSO(3)^2":
+        return bso3_squared_fibration(bound)
+    entry = get_entry(name)
+    x4 = next(g.name for g in entry.presentation(p).generators
+              if g.degree == 4)
+    return FibrationSpec(p, entry.presentation(p), EMSpec(IntegerClass(), 3),
+                         {"i3": x4}, bound)
+
+
+@pytest.mark.parametrize("name,p,bound", LEDGER_CASES)
+def test_each_step_starts_from_the_series_the_last_step_left(name, p, bound):
+    res = run_ss(ledger_spec(name, p, bound))
+    assert len(res.log) >= 3
+    for first, second in zip(res.log, res.log[1:]):
+        assert second["series_before"] == first["series_after"]
+    assert res.poincare().coeffs == res.log[-1]["series_after"]
+    assert res.poincare(bound // 2).coeffs == \
+        res.log[-1]["series_after"][: bound // 2 + 1]
+
+
+@pytest.mark.parametrize("name,p,bound", LEDGER_CASES)
+def test_the_page_series_is_built_once_per_transgression(monkeypatch, name,
+                                                         p, bound):
+    """One build before the loop and one after each transgression step: a
+    survivor step reuses the running series, and poincare() reads the
+    last one."""
+    calls = []
+    model_series = _Engine._model_series
+
+    def counted(engine, queue_items):
+        calls.append(None)
+        return model_series(engine, queue_items)
+
+    monkeypatch.setattr(_Engine, "_model_series", counted)
+    res = run_ss(ledger_spec(name, p, bound))
+    res.poincare()
+    kills = sum(1 for step in res.log if step["event"] == "transgression")
+    assert any(step["event"] == "survivor" for step in res.log)
+    assert len(calls) == 1 + kills
+
+
+def test_the_engine_never_checks_ideal_invariance(monkeypatch):
+    """run_ss and permanent_powers grow ideals that need not be closed
+    under the action; only reading steenrod_ok runs the check."""
+    def refuse(quotient):
+        raise AssertionError("invariance checked")
+
+    monkeypatch.setattr(graded.QuotientTruncAlgebra, "_invariance", refuse)
+    for case in LEDGER_CASES:
+        assert run_ss(ledger_spec(*case)).log
+    entry = get_entry("BS3")
+    spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
+                         {"i3": "y4"}, bound=40)
+    assert permanent_powers(spec, ["i3"])[0]["k"] == 1
+    quotient = graded.QuotientTruncAlgebra(expand(spec.base, 8), [])
+    with pytest.raises(AssertionError, match="invariance checked"):
+        quotient.steenrod_ok
 
 
 # ---------------------------------------------------------------------------
