@@ -23,6 +23,15 @@ from .serre import FibrationSpec
 # module-algebra fixtures for the finite-generation certificates
 
 
+def _check_bound(bound: int, module_degree: int) -> None:
+    """Refuse a bound below the degree of the module generator that a
+    fixture builds."""
+    if bound < module_degree:
+        raise InputError(
+            f"bound {bound} is below the degree-{module_degree} module "
+            f"generator; the smallest usable bound is {module_degree}")
+
+
 def identity_map(source, target) -> GradedMap:
     """Basis-by-basis identity between two expansions of one presentation."""
     return GradedMap.from_function(
@@ -58,6 +67,7 @@ def appendix_tensor(bound: int = 10, twist: bool = True) -> dict:
     actions agree and every correction is zero.  Either way the expected
     generator set is {b, u·1}.
     """
+    _check_bound(bound, 3)
     g_pres = FreeCommPresentation(2, [GeneratorSpec("u", 2)], {})
     b_action = {
         ("u", "Sq1"): "b" if twist else "0",
@@ -96,6 +106,7 @@ def appendix_broken(bound: int = 8) -> dict:
     with proj the identity: the operation-compatibility contract
     proj(θ(g·1)) = θg fails on (Sq¹, u) and must be reported, not repaired.
     """
+    _check_bound(bound, 3)
     gens = [GeneratorSpec("u", 2), GeneratorSpec("w", 3, "exterior")]
     shared = {("w", "Sq1"): "0", ("w", "Sq2"): "0"}
     g_pres = FreeCommPresentation(2, gens, {("u", "Sq1"): "0", **shared})

@@ -409,10 +409,11 @@ class Element:
 
     def __init__(self, algebra, data=None):
         self.algebra = algebra
-        self.data = {k: v % algebra.p for k, v in (data or {}).items() if v % algebra.p}
+        p = algebra.p
+        self.data = {k: r for k, v in (data or {}).items() if (r := v % p)}
 
     def copy(self) -> "Element":
-        return Element(self.algebra, dict(self.data))
+        return _reduced(self.algebra, dict(self.data))
 
     @property
     def is_zero(self) -> bool:
@@ -479,6 +480,15 @@ class Element:
         return f"<{self.algebra.describe(self)}>"
 
 
+def _reduced(algebra, data: dict) -> Element:
+    """An Element that takes ``data`` as it is, not copied: the caller
+    guarantees every coefficient is already reduced mod p and nonzero."""
+    x = Element.__new__(Element)
+    x.algebra = algebra
+    x.data = data
+    return x
+
+
 # ---------------------------------------------------------------------------
 # truncated algebras
 
@@ -508,7 +518,7 @@ class TruncAlgebra:
         return PoincareSeries(bound, self.dims()[: bound + 1])
 
     def zero(self) -> Element:
-        return Element(self)
+        return _reduced(self, {})
 
     def one(self) -> Element:
         return Element(self, {(0, 0): 1})
@@ -516,7 +526,8 @@ class TruncAlgebra:
     def element(self, degree: int, index: int, coeff: int = 1) -> Element:
         if not (0 <= degree <= self.bound) or not (0 <= index < self.dim(degree)):
             raise InputError(f"no basis element ({degree}, {index})")
-        return Element(self, {(degree, index): coeff})
+        coeff %= self.p
+        return _reduced(self, {(degree, index): coeff} if coeff else {})
 
     def from_vector(self, degree: int, vec) -> Element:
         return Element(self, {(degree, i): c for i, c in enumerate(vec) if c % self.p})
@@ -542,19 +553,27 @@ class TruncAlgebra:
     def act(self, op: tuple, x: Element, drop_above: bool = False) -> Element:
         """Apply one Steenrod operation (Sq^i / P^i / beta) to an element."""
         shift = op_degree(self.p, op)
-        out: dict = {}
-        for (d, i), c in x.data.items():
+        data, out = x.data, {}
+        for (d, i), c in data.items():
             if d + shift > self.bound:
                 if drop_above:
                     continue
                 raise TruncationError(
                     f"{format_op(op)} on a degree-{d} element lands in degree "
                     f"{d + shift}, above the truncation bound {self.bound}")
-            for (dt, it), ct in self.act_basis(op, d, i).items():
-                out[(dt, it)] = out.get((dt, it), 0) + ct * c
+            value = self.act_basis(op, d, i)
+            if c == 1 and len(data) == 1:
+                # a basis element: the value is reduced already; copy it,
+                # since act_basis may hand out a memoized dict
+                return _reduced(self, value.copy())
+            for key, ct in value.items():
+                out[key] = out.get(key, 0) + ct * c
         return Element(self, out)
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
+        """op on the basis element (degree, index) as {basis key: coeff},
+        each coefficient reduced mod p and nonzero.  The dict may be shared
+        with a memo: callers must not mutate it."""
         raise NotImplementedError
 
     def act_word(self, word: tuple, x: Element, drop_above: bool = False) -> Element:
@@ -640,8 +659,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         # would point back at the algebra and make it a reference cycle
         self._gen_action: dict = {}
         self._total_cache: dict = {}
-        self._total_buckets: dict = {}
         self._beta_cache: dict = {}
+        self._action: dict = {}  # (op, degree, index) -> act_basis value
         self.gaps: list = []
         self._gap_gens: set = set()
         self._resolve_generator_action()
@@ -871,18 +890,6 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._total_cache[mono] = out
         return out
 
-    def _total_by_degree(self, mono: tuple) -> dict:
-        """The total operation on a basis monomial split by degree,
-        {degree: {basis key: coeff}} in the total's key order (memoized), so
-        that one op's value is one lookup, not a pass over the total."""
-        if mono in self._total_buckets:
-            return self._total_buckets[mono]
-        out: dict = {}
-        for key, c in self._total_on_monomial(mono).items():
-            out.setdefault(key[0], {})[key] = c
-        self._total_buckets[mono] = out
-        return out
-
     def _beta_on_monomial(self, mono: tuple) -> dict:
         """Bockstein on a basis monomial via the signed derivation rule."""
         if mono in self._beta_cache:
@@ -907,23 +914,45 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        # one list index on a listed degree: the hot path of action sweeps
-        mono = (self._basis[degree] or self.basis(degree))[index]
+        """op on the basis element (degree, index) as {basis key: coeff}.
+
+        Values are memoized by (op, degree, index), so a value read before
+        costs one lookup.  A value is shared with the memo and with every
+        earlier caller, already reduced mod p with no zero entries, and
+        must not be mutated (``act`` copies it).  A monomial on a generator
+        with missing data raises MissingDataError on every request: a
+        refusal is never memoized."""
+        key = (op, degree, index)
+        value = self._action.get(key)
+        if value is not None:
+            return value
+        mono = self.basis(degree)[index]
         if not self.can_act_on(mono):
             raise MissingDataError(
                 "Steenrod data needed within the bound is missing",
                 gaps=self.gaps)
+        ops = ops_on_degree(self.p, degree, self.bound)
         if op == ("B",):
-            return self._beta_on_monomial(mono)
-        if sum(mono) == 1:
-            # a generator: the value is its one entry, the same as the
-            # total's part of that degree, which would read every entry
-            g = self.generators[mono.index(1)]
-            if op in ops_on_degree(self.p, g.degree, self.bound):
-                return self._gen_value(g, op)
-            return {}
-        shift = op_degree(self.p, op)
-        return self._total_by_degree(mono).get(degree + shift, {})
+            value = self._beta_on_monomial(mono)
+        elif op not in ops:
+            value = {}  # zero by instability, or landing above the bound
+        elif sum(mono) == 1:
+            # a generator reads only its own table entry, not its total
+            value = self._gen_value(self.generators[mono.index(1)], op)
+        else:
+            # one pass over the total gives every Sq^i (P^i) value on the
+            # monomial, each in the total's key order
+            values = {o: {} for o in ops if o[0] == op[0]}
+            by_target = {degree + op_degree(self.p, o): v
+                         for o, v in values.items()}
+            for k, c in self._total_on_monomial(mono).items():
+                if k[0] != degree:
+                    by_target[k[0]][k] = c
+            for o, v in values.items():
+                self._action[(o, degree, index)] = v
+            return values[op]
+        self._action[key] = value
+        return value
 
 
 class QuotientTruncAlgebra(TruncAlgebra):
@@ -1199,7 +1228,9 @@ class TensorTruncAlgebra(TruncAlgebra):
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         """Cartan rule across the tensor: Sq^k = Σ Sq^i ⊗ Sq^j (likewise P^k),
-        and β acts as a signed derivation."""
+        and β acts as a signed derivation.  Only the terms that instability
+        leaves nonzero are summed: Sq^i x = 0 for i > |x|, and P^i x = 0
+        for 2i > |x|."""
         (dl, il), (dr, ir) = self._pair(degree, index)
         xl = self.left.element(dl, il)
         xr = self.right.element(dr, ir)
@@ -1208,10 +1239,11 @@ class TensorTruncAlgebra(TruncAlgebra):
             out = (self.pair_element(self.left.act(op, xl), xr)
                    + self.pair_element(xl, self.right.act(op, xr)).scale(sign))
         else:
-            sym = op[0]
+            sym, k = op
+            top_l, top_r = (dl, dr) if self.p == 2 else (dl // 2, dr // 2)
             out = self.zero()
-            for i in range(op[1] + 1):
-                j = op[1] - i
+            for i in range(max(0, k - top_r), min(k, top_l) + 1):
+                j = k - i
                 el = xl if i == 0 else self.left.act((sym, i), xl)
                 er = xr if j == 0 else self.right.act((sym, j), xr)
                 out = out + self.pair_element(el, er)

@@ -509,6 +509,21 @@ def test_appendix_runs_at_max_degree_zero():
     assert rep["payload"]["generators"] == [{"name": "1", "degree": 0}]
 
 
+@pytest.mark.parametrize("fixture", ["tensor", "tensor-untwisted", "broken"])
+def test_appendix_refuses_a_bound_below_its_module_generator(fixture):
+    """These fixtures have a module generator of degree 3: a lower bound is
+    refused up front as an input error naming the smallest usable bound,
+    not met by a TruncationError from inside the expansion."""
+    for bound in (0, 1, 2):
+        code, rep = run_json("appendix", "--fixture", fixture,
+                             "--max-degree", str(bound))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert "smallest usable bound is 3" in rep["error"]["message"]
+    code, _rep = run_json("appendix", "--fixture", fixture, "--max-degree", "3")
+    assert code == (3 if fixture == "broken" else 0)
+
+
 # ---------------------------------------------------------------------------
 # frozen report bytes
 

@@ -38,6 +38,7 @@ from pnoether import serre
 from pnoether.catalog import get_entry
 from pnoether.graded import op_degree, presentation_poincare
 from pnoether.linalg import RowSpace
+from pnoether.steenrod import letters_to_word
 
 
 def brute_dims(gens, bound):
@@ -666,6 +667,110 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
             max_size=alg.dim(d)))) for d in (a, b))
         assert total(alg, x * y) == alg.product(
             total(alg, x), total(alg, y), drop_above=True)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the action kernel's contract: act_basis values are reduced and shared with
+# a memo, act hands out copies, refusals are not remembered
+
+
+def kernel_algebras(p):
+    """K(Z/p,2)'s free algebra (complete action data), its quotient by the
+    square of the degree-2 class, and the tensor product of the two."""
+    bound = {2: 12, 3: 16, 5: 24}[p]
+    free = expand(em_generators(parse_space(f"K(Z/{p},2)", p), p, bound),
+                  bound)
+    u = free.element(2, 0)
+    quo = quotient_by_ideal(free, [u * u])
+    return {"free": free, "quotient": quo,
+            "tensor": TensorTruncAlgebra(quo, free)}
+
+
+def acting_keys(alg):
+    """(op, degree, index) of every op on every basis element whose value
+    lands within the bound."""
+    return [(op, d, i) for op in alg.op_list()
+            for d in range(alg.bound + 1 - op_degree(alg.p, op))
+            for i in range(alg.dim(d))]
+
+
+@pytest.mark.parametrize("kind", ["free", "quotient", "tensor"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_act_basis_values_are_reduced_with_no_zero_entries(p, kind):
+    alg = kernel_algebras(p)[kind]
+    nonzero = 0
+    for op, d, i in acting_keys(alg):
+        value = alg.act_basis(op, d, i)
+        assert all(isinstance(c, int) and 0 < c < p for c in value.values())
+        assert all(dt == d + op_degree(p, op) for dt, _ in value)
+        nonzero += bool(value)
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("kind", ["free", "quotient", "tensor"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mutating_what_act_returns_leaves_later_values_alone(p, kind):
+    """act on a basis element copies the memoized value, so writing into
+    the data of its result, or of act_word's, changes no later act."""
+    alg = kernel_algebras(p)[kind]
+    junk = {(0, 0): 1, (alg.bound, 0): p - 1}
+    for op, d, i in acting_keys(alg):
+        before = dict(alg.act_basis(op, d, i))
+        for y in (alg.act(op, alg.element(d, i)),
+                  alg.act_word(letters_to_word(p, [op]), alg.element(d, i))):
+            assert y.data == before
+            y.data.clear()
+            y.data.update(junk)
+        assert alg.act(op, alg.element(d, i)).data == before
+        assert alg.act_basis(op, d, i) == before
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_gap_monomial_is_refused_on_every_request(p):
+    """Sq1 x2 (β y2 at odd p) is determined by nothing: each request on a
+    basis element carrying the generator raises, the second one too, in
+    the free algebra, a quotient and a tensor product."""
+    if p == 2:
+        gens, op, cube = [GeneratorSpec("x2", 2), GeneratorSpec("x3", 3)], \
+            ("Sq", 1), "x2^3"
+    else:
+        gens, op, cube = [GeneratorSpec("y2", 2),
+                          GeneratorSpec("e3", 3, "exterior")], ("B",), "y2^3"
+    free = expand(FreeCommPresentation(p, gens), 8)
+    assert not free.action_complete
+    quo = quotient_by_ideal(free, [cube])
+    both = TensorTruncAlgebra(quo, free)
+    (key, _), = both.pair_element(quo.element(2, 0), free.one()).data.items()
+    for alg, (d, i) in ((free, (2, 0)), (quo, (2, 0)), (both, key)):
+        for _ in range(2):
+            with pytest.raises(MissingDataError):
+                alg.act_basis(op, d, i)
+            with pytest.raises(MissingDataError):
+                alg.act(op, alg.element(d, i))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
+    algebras = kernel_algebras(p)
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(hs.data())
+    def check(data):
+        alg = algebras[data.draw(hs.sampled_from(sorted(algebras)))]
+        op = data.draw(hs.sampled_from(alg.op_list()))
+        keys = [(d, i) for d in range(alg.bound + 1)
+                for i in range(alg.dim(d))]
+        terms = data.draw(hs.dictionaries(
+            hs.sampled_from(keys), hs.integers(-p, 2 * p),
+            min_size=2, max_size=6))
+        x, expected = alg.zero(), alg.zero()
+        for (d, i), c in terms.items():
+            x = x + alg.element(d, i, c)
+            expected = expected + alg.act(
+                op, alg.element(d, i), drop_above=True).scale(c)
+        assert alg.act(op, x, drop_above=True) == expected
 
     check()
 
