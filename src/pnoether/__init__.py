@@ -28,7 +28,7 @@ from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
                        Sigma, Sum, Tensor, ZERO, expr_dims, format_expr,
                        krull_degree, normal_form, parse_expr, tbar)
 from .em import (CyclicClass, EMProduct, EMSpec, IntegerClass, PadicClass,
-                 PruferClass, em_generators, em_product_presentation,
+                 PruferClass, em_product_presentation,
                  fiber_layout, parse_space)
 from .serre import (FibrationSpec, SSResult, connected_cover_cohomology,
                     kudo_chain, permanent_powers, propagate_transgression,

@@ -23,10 +23,10 @@ rather than every admissible word up to the bound.
 Steenrod action entries are produced by word composition: apply the
 operation to the defining word, reduce to admissible form, and resolve each
 summand against the same rules (boundary words become p-th powers).  The
-library presentations (``em_generators``, ``em_product_presentation``,
-``fiber_layout``) list every action entry within their enumeration bound up
-front and compute each one, by one Adem reduction, the first time it is
-read (a ``graded.LazyActionTable``).  The ``em`` verb prints the
+library presentations (``em_product_presentation``, ``fiber_layout``)
+list every action entry within their enumeration bound up front and
+compute each one, by one Adem reduction, the first time it is read (a
+``graded.LazyActionTable``).  The ``em`` verb prints the
 generators only, so it makes no Adem reduction.
 """
 
@@ -360,11 +360,6 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
 
     action = LazyActionTable(sources, compute)
     return FiberLayout(FreeCommPresentation(p, gens, action), layouts)
-
-
-def em_generators(spec: EMSpec, p: int, bound: int) -> FreeCommPresentation:
-    """Presentation of H^*(K(A, n); F_p) through the given degree bound."""
-    return fiber_layout(spec, p, bound).presentation
 
 
 def em_product_presentation(product, p: int, bound: int) -> FreeCommPresentation:

@@ -5,16 +5,21 @@ The concrete carrier for every cohomology ring in the package is a
 D, a product table, and Steenrod-operation matrices.  Three flavors exist:
 
 * ``FreeTruncAlgebra`` — free graded-commutative algebra on named generators,
-  with the Steenrod action filled in from per-generator data via the Cartan
-  formula (total-operation bookkeeping) and the instability relations;
+  with the Steenrod action filled in from per-generator data and the
+  instability relations;
 * ``QuotientTruncAlgebra`` — degreewise linear quotient by a homogeneous
   ideal, with induced product and (when the ideal is invariant) action;
 * ``TensorTruncAlgebra`` — graded tensor product with Koszul signs.
 
+The free and the tensor algebra take an operation's value on a product
+from one Cartan rule, ``cartan_terms``, applied to the values on the two
+factors.
+
 Truncation semantics: values above the bound are *unknown*, never zero.  A
-public product that would land above the bound raises ``TruncationError``;
-internal total-operation bookkeeping may drop above-bound components, which
-is sound because those components cannot influence degrees within bound.
+public product or operation that would land above the bound raises
+``TruncationError``; with ``drop_above`` the components above the bound are
+dropped instead, which is sound because they cannot influence degrees
+within bound.
 
 ``appendix_generators`` implements a constructive finite-generation
 algorithm for an algebra B that is simultaneously a module-algebra over a
@@ -99,6 +104,20 @@ def ops_on_degree(p: int, degree: int, bound: int) -> list[tuple]:
         ops.append(("P", i))
         i += 1
     return ops
+
+
+def cartan_terms(p: int, op: tuple, dx: int, dy: int) -> list[tuple]:
+    """The Cartan rule: op on a product x·y with |x| = dx, |y| = dy as the
+    terms (sign, op on x, op on y), None standing for the identity.
+    Sq^k = Σ Sq^i ⊗ Sq^(k-i) and P^k = Σ P^i ⊗ P^(k-i), keeping the terms
+    that instability leaves nonzero (Sq^i x = 0 for i > |x|, P^i x = 0 for
+    2i > |x|); β acts as a derivation with sign (-1)^|x|."""
+    if op == ("B",):
+        return [(1, op, None), (-1 if dx % 2 else 1, None, op)]
+    sym, k = op
+    top_x, top_y = (dx, dy) if p == 2 else (dx // 2, dy // 2)
+    return [(1, (sym, i) if i else None, (sym, k - i) if k - i else None)
+            for i in range(max(0, k - top_y), min(k, top_x) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +643,10 @@ class FreeTruncAlgebra(TruncAlgebra):
     above-top = 0), Bockstein links, and zero-dimensional target degrees;
     anything else still needed within the bound is a gap, and gaps raise
     MissingDataError listing every one.  Construction finds the gaps from
-    which table entries exist, reading none of them; a generator's values
-    are computed, and a table entry read, the first time an operation on
-    it is needed.
+    which table entries exist, reading none of them; a generator's value
+    under an operation is computed, and its table entry read, the first
+    time it is needed.  The value on any other monomial comes from the
+    Cartan rule (``act_basis``), and every value is kept in one memo.
     """
 
     def __init__(self, presentation: FreeCommPresentation, bound: int,
@@ -655,12 +675,10 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._index: list = [None] * (bound + 1)
         self._blocks: list[dict] = [{} for _ in self.generators] + [
             {0: [(0,) * len(self.generators)]}]
-        # action memos hold {basis key: coeff} dicts, not Elements, which
-        # would point back at the algebra and make it a reference cycle
-        self._gen_action: dict = {}
-        self._total_cache: dict = {}
-        self._beta_cache: dict = {}
-        self._action: dict = {}  # (op, degree, index) -> act_basis value
+        # (op, degree, index) -> act_basis value: {basis key: coeff} dicts,
+        # not Elements, which would point back at the algebra and make it a
+        # reference cycle
+        self._action: dict = {}
         self.gaps: list = []
         self._gap_gens: set = set()
         self._resolve_generator_action()
@@ -851,77 +869,20 @@ class FreeTruncAlgebra(TruncAlgebra):
             return dict
         return None
 
-    def _gen_value(self, g: GeneratorSpec, op: tuple) -> dict:
-        """op on generator g as {basis key: coeff}, computed on first use
-        (memoized); a value landing above the bound is dropped ({})."""
-        key = (g.name, op)
-        value = self._gen_action.get(key)
-        if value is None:
-            if g.degree + op_degree(self.p, op) > self.bound:
-                return {}
-            value = self._gen_action[key] = self._gen_op_value(g, op)()
-        return value
-
-    def _gen_total(self, gen_index: int) -> dict:
-        """Total operation (sum of Sq^i, resp. P^i) on one generator."""
-        if ("gen", gen_index) in self._total_cache:
-            return self._total_cache[("gen", gen_index)]
-        g = self.generators[gen_index]
-        out = self.generator_element(g.name)
-        for op in ops_on_degree(self.p, g.degree, self.bound):
-            if op == ("B",):
-                continue
-            out = out + Element(self, self._gen_value(g, op))
-        self._total_cache[("gen", gen_index)] = out.data
-        return out.data
-
-    def _total_on_monomial(self, mono: tuple) -> dict:
-        """Multiplicative total operation on a basis monomial (memoized)."""
-        if mono in self._total_cache:
-            return self._total_cache[mono]
-        if not any(mono):
-            out = self.one().data
-        else:
-            idx = next(i for i, e in enumerate(mono) if e)
-            rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            out = self.product(Element(self, self._gen_total(idx)),
-                               Element(self, self._total_on_monomial(rest)),
-                               drop_above=True).data
-        self._total_cache[mono] = out
-        return out
-
-    def _beta_on_monomial(self, mono: tuple) -> dict:
-        """Bockstein on a basis monomial via the signed derivation rule."""
-        if mono in self._beta_cache:
-            return self._beta_cache[mono]
-        if not any(mono):
-            out = {}
-        else:
-            idx = next(i for i, e in enumerate(mono) if e)
-            g = self.generators[idx]
-            single = tuple(1 if i == idx else 0 for i in range(len(mono)))
-            rest = tuple(e - (1 if i == idx else 0) for i, e in enumerate(mono))
-            beta_g = Element(self, self._gen_value(g, ("B",)))
-            key = self.monomial_key(rest)
-            term1 = self.product(beta_g, Element(self, {key: 1}), drop_above=True) \
-                if key is not None else self.zero()
-            beta_rest = Element(self, self._beta_on_monomial(rest))
-            term2 = self.product(self.monomial_element(single), beta_rest,
-                                 drop_above=True)
-            sign = -1 if g.degree % 2 == 1 else 1
-            out = (term1 + term2.scale(sign)).data
-        self._beta_cache[mono] = out
-        return out
-
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         """op on the basis element (degree, index) as {basis key: coeff}.
 
-        Values are memoized by (op, degree, index), so a value read before
-        costs one lookup.  A value is shared with the memo and with every
-        earlier caller, already reduced mod p with no zero entries, and
-        must not be mutated (``act`` copies it).  A monomial on a generator
-        with missing data raises MissingDataError on every request: a
-        refusal is never memoized."""
+        A generator's value comes from its ``_gen_op_value`` rule; any other
+        monomial g·rest, g its first generator, takes the terms of
+        ``cartan_terms`` from the values of g and of rest, read through this
+        method, one frame per generator factor.  A miss on a Sq^i (P^i)
+        computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
+        monomial; β is computed on its own.  Values are memoized by (op,
+        degree, index), so a value read before costs one lookup.  A value
+        is shared with the memo and with every earlier caller, already
+        reduced mod p with no zero entries, and must not be mutated (``act``
+        copies it).  A monomial on a generator with missing data raises
+        MissingDataError on every request: a refusal is never memoized."""
         key = (op, degree, index)
         value = self._action.get(key)
         if value is not None:
@@ -932,27 +893,39 @@ class FreeTruncAlgebra(TruncAlgebra):
                 "Steenrod data needed within the bound is missing",
                 gaps=self.gaps)
         ops = ops_on_degree(self.p, degree, self.bound)
-        if op == ("B",):
-            value = self._beta_on_monomial(mono)
-        elif op not in ops:
-            value = {}  # zero by instability, or landing above the bound
-        elif sum(mono) == 1:
-            # a generator reads only its own table entry, not its total
-            value = self._gen_value(self.generators[mono.index(1)], op)
-        else:
-            # one pass over the total gives every Sq^i (P^i) value on the
-            # monomial, each in the total's key order
-            values = {o: {} for o in ops if o[0] == op[0]}
-            by_target = {degree + op_degree(self.p, o): v
-                         for o, v in values.items()}
-            for k, c in self._total_on_monomial(mono).items():
-                if k[0] != degree:
-                    by_target[k[0]][k] = c
-            for o, v in values.items():
-                self._action[(o, degree, index)] = v
-            return values[op]
-        self._action[key] = value
-        return value
+        if op not in ops or not degree:
+            # zero by instability, on the unit, or landing above the bound
+            value = self._action[key] = {}
+            return value
+        first = next(k for k, e in enumerate(mono) if e)
+        g = self.generators[first]
+        if degree == g.degree:  # the monomial is g
+            value = self._action[key] = self._gen_op_value(g, op)()
+            return value
+        p, basis, merge = self.p, self._basis, self._merge_monomials
+        rest = mono[:first] + (mono[first] - 1,) + mono[first + 1:]
+        unit = (0,) * first + (1,) + (0,) * (len(mono) - first - 1)
+        dg, dr = g.degree, degree - g.degree
+        g_key = (dg, self._indexed(dg)[unit])
+        rest_key = (dr, self._indexed(dr)[rest])
+        family = [op] if op == ("B",) else [o for o in ops if o[0] == op[0]]
+        for o in family:
+            target = self._indexed(degree + op_degree(p, o))
+            out: dict = {}
+            for sign, o_g, o_rest in cartan_terms(p, o, dg, dr):
+                left = self.act_basis(o_g, *g_key) if o_g else {g_key: 1}
+                right = self.act_basis(o_rest, *rest_key) if o_rest \
+                    else {rest_key: 1}
+                for (d1, i1), c1 in left.items():
+                    m1 = basis[d1][i1]
+                    for (d2, i2), c2 in right.items():
+                        merged = merge(m1, basis[d2][i2])
+                        if merged is not None:
+                            t = (d1 + d2, target[merged[1]])
+                            out[t] = out.get(t, 0) + merged[0] * sign * c1 * c2
+            self._action[(o, degree, index)] = {
+                t: r for t, c in out.items() if (r := c % p)}
+        return self._action[key]
 
 
 class QuotientTruncAlgebra(TruncAlgebra):
@@ -1083,11 +1056,8 @@ class QuotientTruncAlgebra(TruncAlgebra):
             raise InputError("project expects an element of the base algebra")
         out: dict = {}
         for d in sorted({k[0] for k in x.data}):
-            vec = self._ideal[d].reduce(x.coords(d))
-            reps = self._reps[d]
-            for col in sorted(vec):
-                out[(d, bisect_left(reps, col))] = vec[col]
-        return Element(self, out)
+            out.update(_coset(self._ideal[d], self._reps[d], d, x.coords(d)))
+        return _reduced(self, out)
 
     def lift(self, x: Element) -> Element:
         """The canonical representative of a quotient element, upstairs."""
@@ -1103,18 +1073,26 @@ class QuotientTruncAlgebra(TruncAlgebra):
                    for d in {k[0] for k in x.data})
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        m1 = self.free.basis(d1)[self._reps[d1][i1]]
-        m2 = self.free.basis(d2)[self._reps[d2][i2]]
-        merged = self.free._merge_monomials(m1, m2)
-        if merged is None:
+        d, reps = d1 + d2, self._reps
+        prod = self.free.product_basis(d1, reps[d1][i1], d2, reps[d2][i2])
+        if not prod:  # an exterior square
             return {}
-        sign, mono = merged
-        prod = self.free.monomial_element(mono, sign)
-        return self.project(prod).data
+        (_d, i), c = prod.popitem()  # the one merged monomial
+        return _coset(self._ideal[d], reps[d], d, {i: c})
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         up = self.free.element(degree, self._reps[degree][index])
-        return self.project(self.free.act(op, up)).data
+        value = self.free.act(op, up)  # raises above the bound
+        d = degree + op_degree(self.p, op)
+        return _coset(self._ideal[d], self._reps[d], d, value.coords(d))
+
+
+def _coset(space: RowSpace, reps: list, degree: int, vec: dict) -> dict:
+    """The class of the sparse vector vec of one degree modulo space, as
+    {(degree, index in reps): coeff}: the columns of its reduction are
+    representatives, listed in ascending order by reps."""
+    red = space.reduce(vec)
+    return {(degree, bisect_left(reps, col)): red[col] for col in sorted(red)}
 
 
 def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
@@ -1227,27 +1205,23 @@ class TensorTruncAlgebra(TruncAlgebra):
         return Element(self, out)
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        """Cartan rule across the tensor: Sq^k = Σ Sq^i ⊗ Sq^j (likewise P^k),
-        and β acts as a signed derivation.  Only the terms that instability
-        leaves nonzero are summed: Sq^i x = 0 for i > |x|, and P^i x = 0
-        for 2i > |x|."""
-        (dl, il), (dr, ir) = self._pair(degree, index)
-        xl = self.left.element(dl, il)
-        xr = self.right.element(dr, ir)
-        if op == ("B",):
-            sign = -1 if (self.p != 2 and dl % 2) else 1
-            out = (self.pair_element(self.left.act(op, xl), xr)
-                   + self.pair_element(xl, self.right.act(op, xr)).scale(sign))
-        else:
-            sym, k = op
-            top_l, top_r = (dl, dr) if self.p == 2 else (dl // 2, dr // 2)
-            out = self.zero()
-            for i in range(max(0, k - top_r), min(k, top_l) + 1):
-                j = k - i
-                el = xl if i == 0 else self.left.act((sym, i), xl)
-                er = xr if j == 0 else self.right.act((sym, j), xr)
-                out = out + self.pair_element(el, er)
-        return out.data
+        """op on the pair x ⊗ y by the terms of ``cartan_terms``, each read
+        from the factors' ``act_basis`` values.  A value above the bound
+        raises TruncationError."""
+        if degree + op_degree(self.p, op) > self.bound:
+            raise TruncationError(
+                f"{format_op(op)} on a degree-{degree} element lands above "
+                f"the truncation bound {self.bound}")
+        x, y = self._pair(degree, index)
+        out: dict = {}
+        for sign, op_x, op_y in cartan_terms(self.p, op, x[0], y[0]):
+            left = self.left.act_basis(op_x, *x) if op_x else {x: 1}
+            right = self.right.act_basis(op_y, *y) if op_y else {y: 1}
+            for (dl, il), cl in left.items():
+                for (dr, ir), cr in right.items():
+                    key = self._key(dl, il, dr, ir)
+                    out[key] = out.get(key, 0) + sign * cl * cr
+        return {k: r for k, c in out.items() if (r := c % self.p)}
 
 
 # ---------------------------------------------------------------------------
@@ -1350,10 +1324,6 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
     labels = [[alg.basis_label(d, i) for i in reps[d]]
               for d in range(alg.bound + 1)]
 
-    def project(d: int, vec: dict) -> dict:
-        red = decomp[d].reduce(vec)
-        return {(d, bisect_left(reps[d], col)): red[col] for col in sorted(red)}
-
     action: dict = {}
     action_complete = True
     for op in alg.op_list():
@@ -1365,7 +1335,8 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
                 except MissingDataError:
                     action_complete = False
                     continue
-                entry = project(d + shift, value.coords(d + shift))
+                t = d + shift
+                entry = _coset(decomp[t], reps[t], t, value.coords(t))
                 if entry:
                     action[(op, (d, j))] = entry
     return FiniteModuleTable(alg.p, alg.bound, dims, labels, action,

@@ -266,6 +266,8 @@ def is_zero(expr: ModuleExpr) -> bool:
 
 def expr_dims(expr: ModuleExpr, max_degree: int, p: int = 2) -> list[int]:
     """Graded dimensions of an expression through max_degree."""
+    if max_degree < 0:
+        raise InputError("expr_dims needs max_degree >= 0")
     out = [0] * (max_degree + 1)
     for (sigma, fs, _q1, fin), mult in normal_form(expr, p).items():
         dims = [1] + [0] * max_degree

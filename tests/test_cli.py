@@ -182,6 +182,14 @@ def test_fmod_dims():
                               "total": 6}
 
 
+@pytest.mark.parametrize("text", ["Fin(0:1)", "0", "Q1", "F(1)"])
+def test_fmod_refuses_a_negative_max_degree(text):
+    code, rep = run_json("fmod", text, "--max-degree", "-1")
+    assert code == 2
+    assert rep["status"] == "error"
+    assert rep["error"]["type"] == "InputError"
+
+
 def test_krull_suspension_trace():
     code, rep = run_json("krull", "Sigma(F(1))")
     assert code == 0

@@ -21,7 +21,6 @@ from pnoether import (
     IntegerClass,
     PadicClass,
     PruferClass,
-    em_generators,
     em_product_presentation,
     expand,
     fiber_layout,
@@ -89,7 +88,7 @@ def em_degrees_oracle_p2(n, r, bound):
     (CyclicClass(3), 3, 1, 10),
 ])
 def test_generator_degrees_match_oracle_p2(coeff, r, n, bound):
-    pres = em_generators(EMSpec(coeff, n), 2, bound)
+    pres = em_product_presentation(EMSpec(coeff, n), 2, bound)
     assert sorted(g.degree for g in pres.generators) == \
         em_degrees_oracle_p2(n, r, bound)
 
@@ -98,24 +97,23 @@ def test_classical_small_spaces_p2():
     # the projective-space classics; the enumeration is excess-bounded, so
     # degree 10_000 builds one word, not every admissible word up to it
     for bound in (10, 10_000):
-        assert [(g.name, g.degree) for g in
-                em_generators(EMSpec(CyclicClass(1), 1), 2, bound).generators] == \
-            [("i1", 1)]
-    assert [(g.name, g.degree) for g in
-            em_generators(EMSpec(IntegerClass(), 2), 2, 16).generators] == \
-        [("i2", 2)]
+        pres = em_product_presentation(EMSpec(CyclicClass(1), 1), 2, bound)
+        assert [(g.name, g.degree) for g in pres.generators] == [("i1", 1)]
+    pres = em_product_presentation(EMSpec(IntegerClass(), 2), 2, 16)
+    assert [(g.name, g.degree) for g in pres.generators] == [("i2", 2)]
     # one degree up the words fan out
-    gens = em_generators(EMSpec(CyclicClass(1), 2), 2, 12).generators
+    gens = em_product_presentation(EMSpec(CyclicClass(1), 2), 2, 12).generators
     assert [(g.name, g.degree) for g in gens] == \
         [("i2", 2), ("Sq1i2", 3), ("Sq2Sq1i2", 5), ("Sq4Sq2Sq1i2", 9)]
-    gens3 = em_generators(EMSpec(IntegerClass(), 3), 2, 20).generators
+    gens3 = em_product_presentation(EMSpec(IntegerClass(), 3), 2,
+                                    20).generators
     assert [(g.name, g.degree) for g in gens3] == \
         [("i3", 3), ("Sq2i3", 5), ("Sq4Sq2i3", 9), ("Sq8Sq4Sq2i3", 17)]
     assert all(g.kind == "polynomial" for g in gens3)
 
 
 def test_classical_k_z_3_odd_p():
-    gens = em_generators(EMSpec(IntegerClass(), 3), 3, 20).generators
+    gens = em_product_presentation(EMSpec(IntegerClass(), 3), 3, 20).generators
     assert [(g.name, g.degree, g.kind) for g in gens] == [
         ("i3", 3, "exterior"),
         ("P1i3", 7, "exterior"),
@@ -127,22 +125,22 @@ def test_classical_k_z_3_odd_p():
 
 def test_prufer_coefficients_shift_the_degree():
     # K(Zpinf, 2) carries the cohomology of K(Z, 3)
-    shifted = em_generators(EMSpec(PruferClass(), 2), 2, 20)
-    integral = em_generators(EMSpec(IntegerClass(), 3), 2, 20)
+    shifted = em_product_presentation(EMSpec(PruferClass(), 2), 2, 20)
+    integral = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 20)
     assert [(g.name, g.degree) for g in shifted.generators] == \
         [(g.name, g.degree) for g in integral.generators]
 
 
 def test_padic_coefficients_match_integral():
     for n, bound in ((2, 12), (3, 18)):
-        a = em_generators(EMSpec(PadicClass(), n), 2, bound)
-        b = em_generators(EMSpec(IntegerClass(), n), 2, bound)
+        a = em_product_presentation(EMSpec(PadicClass(), n), 2, bound)
+        b = em_product_presentation(EMSpec(IntegerClass(), n), 2, bound)
         assert [(g.name, g.degree) for g in a.generators] == \
             [(g.name, g.degree) for g in b.generators]
 
 
 def test_action_table_is_complete_and_classical():
-    pres = em_generators(EMSpec(IntegerClass(), 3), 2, 12)
+    pres = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 12)
     alg = expand(pres, 12, require_action=True)
     i3 = alg.generator_element("i3")
     sq2i3 = alg.generator_element("Sq2i3")
@@ -155,8 +153,8 @@ def test_action_table_is_complete_and_classical():
 
 
 def test_first_bockstein_depends_on_coefficient_order():
-    small = em_generators(EMSpec(CyclicClass(1), 2), 2, 8)
-    big = em_generators(EMSpec(CyclicClass(2), 2), 2, 8)
+    small = em_product_presentation(EMSpec(CyclicClass(1), 2), 2, 8)
+    big = em_product_presentation(EMSpec(CyclicClass(2), 2), 2, 8)
     assert [(g.name, g.degree) for g in small.generators] == \
         [(g.name, g.degree) for g in big.generators]
     alg_small = expand(small, 8, require_action=True)
@@ -172,7 +170,7 @@ def test_first_bockstein_depends_on_coefficient_order():
 
 
 def test_higher_bockstein_link_odd_p():
-    pres = em_generators(EMSpec(CyclicClass(2), 2), 3, 8)
+    pres = em_product_presentation(EMSpec(CyclicClass(2), 2), 3, 8)
     i2 = next(g for g in pres.generators if g.name == "i2")
     assert i2.bockstein_link == (2, "bi2")
     companion = next(g for g in pres.generators if g.name == "bi2")
@@ -182,7 +180,7 @@ def test_higher_bockstein_link_odd_p():
 
 
 def test_series_of_em_presentation():
-    pres = em_generators(EMSpec(CyclicClass(1), 2), 2, 12)
+    pres = em_product_presentation(EMSpec(CyclicClass(1), 2), 2, 12)
     got = poincare(pres, 12)
     oracle = poincare(FreeCommPresentation(
         2, [GeneratorSpec(f"g{d}", d) for d in (2, 3, 5, 9)]), 12)
@@ -204,8 +202,8 @@ def test_product_prefixes_and_dims():
                                      2, 8)
     assert [g.name for g in single.generators] == ["i1"]
     # dims multiply: F2[a1] x F2[b2]
-    left = expand(em_generators(EMSpec(CyclicClass(1), 1), 2, 8), 8)
-    right = expand(em_generators(EMSpec(IntegerClass(), 2), 2, 8), 8)
+    left = expand(em_product_presentation(EMSpec(CyclicClass(1), 1), 2, 8), 8)
+    right = expand(em_product_presentation(EMSpec(IntegerClass(), 2), 2, 8), 8)
     joint = expand(pres, 8)
     convolution = [sum(left.dim(i) * right.dim(d - i) for i in range(d + 1))
                    for d in range(9)]
@@ -275,9 +273,9 @@ def test_parse_space_rejects():
 
 def test_bound_below_fundamental_degree():
     with pytest.raises(InputError):
-        em_generators(EMSpec(IntegerClass(), 3), 2, 2)
+        em_product_presentation(EMSpec(IntegerClass(), 3), 2, 2)
     # bound exactly at the fundamental degree: just the bottom class
-    pres = em_generators(EMSpec(IntegerClass(), 3), 2, 3)
+    pres = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 3)
     assert [(g.name, g.degree) for g in pres.generators] == [("i3", 3)]
 
 

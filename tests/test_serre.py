@@ -26,7 +26,7 @@ from pnoether import (
     IntegerClass,
     CyclicClass,
     connected_cover_cohomology,
-    em_generators,
+    em_product_presentation,
     expand,
     kudo_chain,
     permanent_powers,
@@ -125,7 +125,7 @@ def test_s3_cover_log_events():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_path_fibration_cancels(p):
-    base = em_generators(EMSpec(CyclicClass(1), 2), p, 13)
+    base = em_product_presentation(EMSpec(CyclicClass(1), 2), p, 13)
     spec = FibrationSpec(p, base, EMSpec(CyclicClass(1), 1),
                          {"i1": "i2"}, bound=12)
     res = run_ss(spec)
@@ -983,7 +983,7 @@ def test_propagate_transgression_values():
 
 
 def test_split_fiber_generators():
-    fiber = em_generators(EMSpec(IntegerClass(), 3), 2, 17)
+    fiber = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 17)
     small, large = split_fiber_generators(fiber, 6)
     assert [g.degree for g in small] == [3, 5]
     assert [g.degree for g in large] == [9, 17]

@@ -120,6 +120,14 @@ def test_sigma_shifts():
     assert expr_dims(Sigma(ZERO), 4, 2) == [0] * 5
 
 
+@pytest.mark.parametrize("text", ["Fin(0:1)", "0", "Q1", "F(1)"])
+def test_a_negative_max_degree_is_refused_whatever_the_expression(text):
+    """No expression has dimensions through a negative degree: every one is
+    refused, not only those whose free factors would be enumerated."""
+    with pytest.raises(InputError, match="max_degree"):
+        expr_dims(parse_expr(text), -1)
+
+
 def test_sum_adds_and_tensor_convolves():
     a, b = F(1), Fin({2: 3})
     da = expr_dims(a, 8, 2)
