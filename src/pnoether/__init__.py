@@ -15,10 +15,9 @@ __version__ = "1.0.0"
 from .errors import (BoundExceededError, DSLSyntaxError, EngineContractError,
                      InconsistencyError, InputError, MissingDataError,
                      PNoetherError, TruncationError, UnsupportedFibrationError)
-from .steenrod import (AdmissibleWord, SteenrodSum, adem_reduce,
-                       admissible_words, excess, format_word,
-                       format_word_compact, is_admissible, parse_word_expr,
-                       word_degree)
+from .steenrod import (SteenrodSum, adem_reduce, admissible_words, excess,
+                       format_word, format_word_compact, is_admissible,
+                       parse_word_expr, word_degree)
 from .graded import (FiniteModuleTable, FreeCommPresentation,
                      FreeTruncAlgebra, GeneratorSpec, GradedMap,
                      PoincareSeries, QuotientTruncAlgebra, TensorTruncAlgebra,

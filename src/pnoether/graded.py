@@ -595,6 +595,13 @@ class TruncAlgebra:
         with a memo: callers must not mutate it."""
         raise NotImplementedError
 
+    def _refuse_above(self, op: tuple, degree: int) -> None:
+        """Raise TruncationError if op on degree lands above the bound."""
+        if degree + op_degree(self.p, op) > self.bound:
+            raise TruncationError(
+                f"{format_op(op)} on a degree-{degree} element lands above "
+                f"the truncation bound {self.bound}")
+
     def act_word(self, word: tuple, x: Element, drop_above: bool = False) -> Element:
         """Apply a composite word (rightmost factor first)."""
         out = x
@@ -881,8 +888,9 @@ class FreeTruncAlgebra(TruncAlgebra):
         degree, index), so a value read before costs one lookup.  A value
         is shared with the memo and with every earlier caller, already
         reduced mod p with no zero entries, and must not be mutated (``act``
-        copies it).  A monomial on a generator with missing data raises
-        MissingDataError on every request: a refusal is never memoized."""
+        copies it).  An op landing above the bound raises TruncationError,
+        and a monomial on a generator with missing data raises
+        MissingDataError, on every request: a refusal is never memoized."""
         key = (op, degree, index)
         value = self._action.get(key)
         if value is not None:
@@ -894,7 +902,8 @@ class FreeTruncAlgebra(TruncAlgebra):
                 gaps=self.gaps)
         ops = ops_on_degree(self.p, degree, self.bound)
         if op not in ops or not degree:
-            # zero by instability, on the unit, or landing above the bound
+            self._refuse_above(op, degree)
+            # zero by instability, or on the unit
             value = self._action[key] = {}
             return value
         first = next(k for k, e in enumerate(mono) if e)
@@ -1208,10 +1217,7 @@ class TensorTruncAlgebra(TruncAlgebra):
         """op on the pair x ⊗ y by the terms of ``cartan_terms``, each read
         from the factors' ``act_basis`` values.  A value above the bound
         raises TruncationError."""
-        if degree + op_degree(self.p, op) > self.bound:
-            raise TruncationError(
-                f"{format_op(op)} on a degree-{degree} element lands above "
-                f"the truncation bound {self.bound}")
+        self._refuse_above(op, degree)
         x, y = self._pair(degree, index)
         out: dict = {}
         for sign, op_x, op_y in cartan_terms(self.p, op, x[0], y[0]):

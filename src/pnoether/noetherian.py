@@ -23,7 +23,7 @@ from .em import CyclicClass, EMProduct, EMSpec, PruferClass
 from .errors import EngineContractError, InputError
 from .graded import FreeCommPresentation
 from .steenrod import padic_valuation
-from .unstable import F, ModuleExpr, Power, Q1, Tensor, ZERO, krull_degree
+from .unstable import F, ModuleExpr, Power, Q1, Tensor, krull_degree
 
 # ---------------------------------------------------------------------------
 # abelian p-groups (finite sums of cyclic and Prüfer summands)
@@ -273,12 +273,7 @@ def tq_of_classifying_space(pres: PNoetherianPresentation) -> TQReport:
     theory promises is ≤ 1.
     """
     k = hom_zp(pres.P)
-    if k == 0:
-        expr: ModuleExpr = ZERO
-    elif k == 1:
-        expr = Q1()
-    else:
-        expr = Power(Q1(), k)
+    expr = Power(Q1(), k)
     report = krull_degree(expr, p=pres.p)
     ok = report.determined and report.degree <= 1
     return TQReport(p=pres.p, rank=k, expression=expr, krull=report,
@@ -292,8 +287,7 @@ def schwartz_target(k: int) -> ModuleExpr:
         raise InputError("rank must be >= 0")
     if k == 0:
         return F(1)
-    base = Q1() if k == 1 else Power(Q1(), k)
-    return Tensor((F(1), base))
+    return Tensor((F(1), Power(Q1(), k)))
 
 
 # ---------------------------------------------------------------------------

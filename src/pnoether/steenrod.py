@@ -31,7 +31,6 @@ groups at odd p; juxtaposed groups compose, ``1`` is the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DSLSyntaxError, InputError
@@ -140,34 +139,6 @@ def trailing_bockstein(p: int, word: tuple) -> bool:
 def reduced_excess(p: int, word: tuple) -> int:
     """Excess with a leading Bockstein not counted (generator enumeration)."""
     return excess(p, word) - leading_bockstein(p, word)
-
-
-@dataclass(frozen=True)
-class AdmissibleWord:
-    """An admissible word over the mod-p Steenrod algebra."""
-
-    p: int
-    word: tuple
-
-    def __post_init__(self):
-        check_prime(self.p)
-        _validate_word_shape(self.p, self.word)
-        if not is_admissible(self.p, self.word):
-            raise InputError(f"word {self.word} is not admissible at p={self.p}")
-
-    @property
-    def degree(self) -> int:
-        return word_degree(self.p, self.word)
-
-    @property
-    def excess(self) -> int:
-        return excess(self.p, self.word)
-
-    def is_identity(self) -> bool:
-        return self.word == identity_word(self.p)
-
-    def __str__(self) -> str:
-        return format_word(self.p, self.word)
 
 
 def _validate_word_shape(p: int, word: tuple) -> None:

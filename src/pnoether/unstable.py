@@ -9,7 +9,14 @@ Module expressions are formal sums/tensors built from the atoms
 * ``Fin(d1:m1, ...)`` — an arbitrary finite module, recorded by dimensions,
 
 with constructors ``Sigma`` (suspension), ``+`` (direct sum), ``*`` (tensor)
-and ``^k`` (k-fold direct sum; ``^0`` normalizes to the zero module).
+and ``^k`` (k-fold direct sum; ``^0`` is the zero module).
+
+An expression is held only as its normal form, a multiset of tensor terms
+(``ModuleExpr.terms``); every constructor builds it directly, so equal
+modules compare, hash and print alike however they were written.  A term
+with a finite factor carries its suspensions in that factor's degrees, so
+``Sigma(a)*b`` and ``a*Sigma(b)`` give the same terms.  The Q1 atom stays
+symbolic until ``normal_form`` is asked for a prime.
 
 The reduced-T functor follows fixed rules:
 
@@ -19,8 +26,7 @@ The reduced-T functor follows fixed rules:
 * ``T`` commutes with suspension and is additive;
 * ``T(a (x) b) = Ta (x) b + a (x) Tb + Ta (x) Tb``.
 
-Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.  Both work
-on normal forms (the ``Normal`` leaf); trees are built only by the parser.
+Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.
 """
 
 from __future__ import annotations
@@ -33,11 +39,23 @@ from .errors import DSLSyntaxError, InputError
 from .graded import _series_mul
 
 # ---------------------------------------------------------------------------
-# expression trees
+# normal form: multiset of terms
+#
+# A term is (sigma, fs, q1, fin) with fs a sorted tuple of F-indices, q1 the
+# number of Q1 tensor factors, fin either None or a sorted dims tuple.  The
+# empty tensor is represented by fs=(0,) (the unit F(0)).  A term with a
+# finite factor absorbs its suspensions into that factor's degrees (sigma 0),
+# and in a merged normal form it has multiplicity 1: m copies of X (x) Fin
+# are X (x) Fin(m*dims).
 
 
+@dataclass(frozen=True, eq=False)
 class ModuleExpr:
-    """Base class for module expressions (immutable trees)."""
+    """A module expression, held as its merged normal form: a mapping
+    term -> multiplicity, empty for the zero module.  Build one with the
+    constructors below; the mapping must not be mutated."""
+
+    terms: dict
 
     def __add__(self, other):
         return Sum((self, other))
@@ -48,131 +66,42 @@ class ModuleExpr:
     def __eq__(self, other):
         if not isinstance(other, ModuleExpr):
             return NotImplemented
-        return normal_form(self) == normal_form(other)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(normal_form(self).items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return format_expr(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class F(ModuleExpr):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise InputError("F(n) needs n >= 0")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Q1(ModuleExpr):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Fin(ModuleExpr):
-    dims: tuple  # sorted tuple of (degree, multiplicity)
-
-    def __init__(self, dims):
-        if isinstance(dims, dict):
-            items = dims.items()
-        else:
-            items = dict(dims).items()
-        clean = tuple(sorted((d, m) for d, m in items if m))
-        for d, m in clean:
-            if d < 0 or m < 0:
-                raise InputError("Fin entries need degree >= 0 and mult >= 0")
-        object.__setattr__(self, "dims", clean)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Sigma(ModuleExpr):
-    inner: ModuleExpr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Sum(ModuleExpr):
-    parts: tuple
-
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Tensor(ModuleExpr):
-    parts: tuple
-
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Power(ModuleExpr):
-    base: ModuleExpr
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InputError("Power exponent must be >= 0")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Normal(ModuleExpr):
-    """A module held as its normal form (term -> multiplicity), as returned
-    by ``tbar``; the terms are taken at a prime, so none is a symbolic Q1."""
-
-    terms: dict
-
-    def __post_init__(self):
-        if any(q1 for _s, _fs, q1, _fin in self.terms):
-            raise InputError("a Normal module needs a normal form taken at "
-                             "a prime (Q1 written as its finite table)")
-
-
-ZERO = Sum(())
-
-# ---------------------------------------------------------------------------
-# normal form: multiset of terms
-#
-# A term is (sigma, fs, q1, fin) with fs a sorted tuple of F-indices, q1 the
-# number of Q1 tensor factors, fin either None or a sorted dims tuple.  The
-# empty tensor is represented by fs=(0,) (the unit F(0)).  A term that is a
-# pure finite module absorbs its suspensions into the degree shift.
+def _terms(expr) -> dict:
+    if not isinstance(expr, ModuleExpr):
+        raise InputError(f"not a module expression: {expr!r}")
+    return expr.terms
 
 
 def _make_term(sigma: int, fs, q1: int, fins) -> tuple:
     fs = tuple(sorted(fs))
     fin = None
     if fins:
-        acc = {0: 1}
+        acc = {sigma: 1}  # the suspensions, carried by the finite factor
         for dims in fins:
             nxt: dict[int, int] = {}
             for d1, m1 in acc.items():
-                for d2, m2 in dict(dims).items() or {}:
+                for d2, m2 in dims:
                     nxt[d1 + d2] = nxt.get(d1 + d2, 0) + m1 * m2
             acc = nxt
         fin = tuple(sorted(acc.items()))
-        if not fin:
-            return None  # a zero-dimensional Fin annihilates the term
+        sigma = 0
     if len(fs) + q1 + (1 if fin is not None else 0) > 1:
         fs = tuple(i for i in fs if i != 0)  # F(0) is the tensor unit
     if not fs and not q1 and fin is None:
         fs = (0,)
-    if not fs and not q1 and fin is not None:
-        fin = tuple(sorted((d + sigma, m) for d, m in fin))
-        sigma = 0
     return (sigma, fs, q1, fin)
 
 
-def _nf_add(a: dict, b: dict, mult: int = 1) -> dict:
-    out = dict(a)
-    for t, m in b.items():
-        out[t] = out.get(t, 0) + m * mult
-        if not out[t]:
-            del out[t]
-    return out
+_UNIT = _make_term(0, (0,), 0, [])
 
 
 def _nf_tensor(a: dict, b: dict) -> dict:
@@ -181,52 +110,13 @@ def _nf_tensor(a: dict, b: dict) -> dict:
         for (s2, f2, q2, fin2), m2 in b.items():
             fins = [f for f in (fin1, fin2) if f is not None]
             t = _make_term(s1 + s2, f1 + f2, q1 + q2, fins)
-            if t is not None:
-                out[t] = out.get(t, 0) + m1 * m2
+            out[t] = out.get(t, 0) + m1 * m2
     return out
 
 
-def _raw_nf(expr: ModuleExpr, p) -> dict:
-    if isinstance(expr, Normal):
-        return dict(expr.terms)
-    if isinstance(expr, F):
-        return {_make_term(0, (expr.n,), 0, []): 1}
-    if isinstance(expr, Q1):
-        if p is None:
-            return {_make_term(0, (), 1, []): 1}
-        return {_make_term(0, (), 0, [tuple(sorted(q1_dims(p).items()))]): 1}
-    if isinstance(expr, Fin):
-        if not expr.dims:
-            return {}
-        return {_make_term(0, (), 0, [expr.dims]): 1}
-    if isinstance(expr, Sigma):
-        out = {}
-        for (s, fs, q1, fin), m in _raw_nf(expr.inner, p).items():
-            t = _make_term(s + 1, fs, q1, [fin] if fin is not None else [])
-            out[t] = out.get(t, 0) + m
-        return out
-    if isinstance(expr, Sum):
-        out: dict = {}
-        for part in expr.parts:
-            out = _nf_add(out, _raw_nf(part, p))
-        return out
-    if isinstance(expr, Tensor):
-        out = {_make_term(0, (0,), 0, []): 1}
-        for part in expr.parts:
-            out = _nf_tensor(out, _raw_nf(part, p))
-            if not out:
-                return {}
-        return out
-    if isinstance(expr, Power):
-        if expr.k == 0:
-            return {}
-        base = _raw_nf(expr.base, p)
-        return {t: m * expr.k for t, m in base.items()}
-    raise InputError(f"not a module expression: {expr!r}")
-
-
-def _merge_finite(nf: dict) -> dict:
-    """Fold multiplicities of finite factors into their dimension tables.
+def _merge_finite(pairs) -> dict:
+    """The merged normal form of (term, multiplicity) pairs, a term that
+    repeats adding up.
 
     m copies of X (x) Fin(dims) form X (x) Fin(m*dims), and two terms that
     differ only in their finite factor add those factors dimensionwise.
@@ -234,34 +124,101 @@ def _merge_finite(nf: dict) -> dict:
     """
     out: dict = {}
     grouped: dict = {}
-    for term, mult in nf.items():
+    for term, mult in pairs:
         sigma, fs, q1, fin = term
         if fin is None:
             out[term] = out.get(term, 0) + mult
             continue
-        key = (sigma, fs, q1)
-        acc = grouped.setdefault(key, {})
+        acc = grouped.setdefault((fs, q1), {})
         for d, m in fin:
-            acc[d] = acc.get(d, 0) + m * mult
-    for (sigma, fs, q1), dims in grouped.items():
-        term = _make_term(sigma, fs, q1, [tuple(sorted(dims.items()))])
-        if term is not None:
-            out[term] = out.get(term, 0) + 1
+            acc[d + sigma] = acc.get(d + sigma, 0) + m * mult
+    for (fs, q1), dims in grouped.items():
+        out[_make_term(0, fs, q1, [tuple(sorted(dims.items()))])] = 1
     return out
+
+
+def _expr(pairs) -> ModuleExpr:
+    """The module of (term, multiplicity) pairs; the zero module is ZERO."""
+    terms = _merge_finite(pairs)
+    return ModuleExpr(terms) if terms else ZERO
+
+
+# ---------------------------------------------------------------------------
+# constructors: each builds its merged normal form
+
+
+def F(n: int) -> ModuleExpr:
+    if n < 0:
+        raise InputError("F(n) needs n >= 0")
+    return ModuleExpr({_make_term(0, (n,), 0, []): 1})
+
+
+def Q1() -> ModuleExpr:
+    return ModuleExpr({_make_term(0, (), 1, []): 1})
+
+
+def Fin(dims) -> ModuleExpr:
+    """A finite module from {degree: multiplicity} (or its pairs)."""
+    items = dims.items() if isinstance(dims, dict) else dict(dims).items()
+    clean = tuple(sorted((d, m) for d, m in items if m))
+    for d, m in clean:
+        if d < 0 or m < 0:
+            raise InputError("Fin entries need degree >= 0 and mult >= 0")
+    return _expr([(_make_term(0, (), 0, [clean]), 1)] if clean else [])
+
+
+def Sigma(inner: ModuleExpr) -> ModuleExpr:
+    return _expr((_make_term(s + 1, fs, q1, [fin] if fin else []), m)
+                 for (s, fs, q1, fin), m in _terms(inner).items())
+
+
+def Sum(parts) -> ModuleExpr:
+    return _expr(pair for part in parts for pair in _terms(part).items())
+
+
+def Tensor(parts) -> ModuleExpr:
+    out = {_UNIT: 1}
+    for part in parts:
+        out = _nf_tensor(out, _terms(part))
+    return _expr(out.items())
+
+
+def Power(base: ModuleExpr, k: int) -> ModuleExpr:
+    if k < 0:
+        raise InputError("Power exponent must be >= 0")
+    return _expr((t, m * k) for t, m in _terms(base).items() if k)
+
+
+def Normal(terms: dict) -> ModuleExpr:
+    """A module from a normal form (term -> multiplicity) taken at a prime,
+    as ``tbar`` reads it: no term may hold a symbolic Q1."""
+    if any(q1 for _s, _fs, q1, _fin in terms):
+        raise InputError("a Normal module needs a normal form taken at "
+                         "a prime (Q1 written as its finite table)")
+    return _expr(terms.items())
+
+
+ZERO = ModuleExpr({})
 
 
 def normal_form(expr: ModuleExpr, p=None) -> dict:
     """Normal form: mapping term -> multiplicity (empty dict = zero module).
 
-    With ``p`` given, the Q1 atom is rewritten as its finite-module table
-    (degree 1 at p=2; degrees 1 and 2 at odd primes) before canonicalizing.
-    With ``p=None`` the Q1 atom stays symbolic.
+    With ``p=None`` the Q1 atom stays symbolic.  With ``p`` given, each Q1
+    factor is rewritten as its finite-module table (degree 1 at p=2;
+    degrees 1 and 2 at odd primes) and the terms are merged again.
     """
-    return _merge_finite(_raw_nf(expr, p))
+    terms = _terms(expr)
+    if p is None:
+        return dict(terms)
+    q1_table = tuple(sorted(q1_dims(p).items()))
+    return _merge_finite(
+        (_make_term(s, fs, 0, ([fin] if fin else []) + [q1_table] * q1), m)
+        for (s, fs, q1, fin), m in terms.items())
 
 
 def is_zero(expr: ModuleExpr) -> bool:
-    return not normal_form(expr)
+    return not _terms(expr)
 
 
 def expr_dims(expr: ModuleExpr, max_degree: int, p: int = 2) -> list[int]:
@@ -300,7 +257,7 @@ def q1_dims(p: int) -> dict[int, int]:
     return {1: 1} if p == 2 else {1: 1, 2: 1}
 
 
-def tbar(expr: ModuleExpr, p: int = 2) -> Normal:
+def tbar(expr: ModuleExpr, p: int = 2) -> ModuleExpr:
     """One application of the reduced-T functor, in normal form.
 
     Reduced T F(n) = F(0) + ... + F(n-1), each summand once: Hom_U(T F(n), M)
@@ -312,25 +269,18 @@ def tbar(expr: ModuleExpr, p: int = 2) -> Normal:
     mentions Q1.
     """
     steenrod.check_prime(p)
-    out: dict = {}
+    out = []
     for (sigma, fs, _q1, fin), mult in normal_form(expr, p).items():
         # T(x1 (x) ... (x) xk) = prod(xi + T xi) - prod(xi), with T Fin = 0
-        prod: dict = {_make_term(0, (0,), 0, []): 1}
+        prod: dict = {_UNIT: 1}
         for n in fs:
             prod = _nf_tensor(prod, {_make_term(0, (i,), 0, []): 1
                                      for i in range(n + 1)})
-        fins = [fin] if fin is not None else []
-        if fins:
-            prod = _nf_tensor(prod, {_make_term(0, (), 0, fins): 1})
-        prod = _nf_add(prod, {_make_term(0, fs, 0, fins): 1}, mult=-1)
-        for (s2, f2, q2, fin2), m in prod.items():
-            t = _make_term(s2 + sigma, f2, q2, [fin2] if fin2 is not None else [])
-            if t is None:
-                continue
-            out[t] = out.get(t, 0) + m * mult
-            if not out[t]:
-                del out[t]
-    return Normal(_merge_finite(out))
+        prod[_make_term(0, fs, 0, [])] -= 1
+        fins = [fin] if fin else []
+        out.extend((_make_term(sigma, f2, 0, fins), m * mult)
+                   for (_s, f2, _q, _fin), m in prod.items() if m)
+    return _expr(out)
 
 
 @dataclass
@@ -356,7 +306,7 @@ def krull_degree(expr: ModuleExpr, p: int = 2,
     degree + 2 for a determined computation.
     """
     steenrod.check_prime(p)
-    current = Normal(normal_form(expr, p))
+    current = ModuleExpr(normal_form(expr, p))
     trace = [current]
     if not current.terms:
         # the zero module sits at the bottom of the filtration
@@ -505,8 +455,8 @@ def parse_expr(text: str) -> ModuleExpr:
 
 
 def format_expr(expr: ModuleExpr) -> str:
-    """Pretty-print an expression; parse(format(e)) == e in normal form."""
-    nf = normal_form(expr)
+    """Pretty-print an expression; parse(format(e)) == e."""
+    nf = _terms(expr)
     if not nf:
         return "0"
     parts = []

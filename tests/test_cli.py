@@ -206,6 +206,17 @@ def test_krull_free_module_trace():
         "trace": ["F(3)", "F(0) + F(1) + F(2)", "F(0)^2 + F(1)", "F(0)", "0"]}
 
 
+def test_krull_reports_do_not_depend_on_where_a_suspension_sits():
+    # Sigma(F(2) (x) Q1) and F(2) (x) Sigma(Q1) are one module; at p = 2 the
+    # finite table of Q1 carries the suspension in both
+    code, left = run_json("krull", "Sigma(F(2)*Q1)", "--p", "2")
+    assert code == 0
+    code, right = run_json("krull", "F(2)*Sigma(Q1)", "--p", "2")
+    assert code == 0
+    assert left["payload"] == right["payload"]
+    assert left["payload"]["trace"][0] == "F(2)*Fin(2:1)"
+
+
 def test_krull_compound_multiplicity_traces():
     # a compound term of multiplicity m is printed m times
     code, rep = run_json("krull", "F(1)*F(1)*F(1)")
@@ -215,14 +226,15 @@ def test_krull_compound_multiplicity_traces():
         "F(1)*F(1)*F(1)",
         "F(0) + F(1)^3 + F(1)*F(1) + F(1)*F(1) + F(1)*F(1)",
         "F(0)^6 + F(1)^6", "F(0)^6", "0"]
-    # Q1 is written as its finite table at p = 3; finite factors merge
+    # Q1 is written as its finite table at p = 3, which carries the
+    # suspension; finite factors merge
     code, rep = run_json("krull", "Sigma(F(2)*Q1) + F(1)*Fin(0:1,2:1)",
                          "--p", "3")
     assert code == 0
     assert rep["payload"]["degree"] == 2
     assert rep["payload"]["trace"] == [
-        "F(1)*Fin(0:1,2:1) + Sigma(F(2)*Fin(1:1,2:1))",
-        "Fin(0:1,2:2,3:1) + Sigma(F(1)*Fin(1:1,2:1))",
+        "F(1)*Fin(0:1,2:1) + F(2)*Fin(2:1,3:1)",
+        "Fin(0:1,2:2,3:1) + F(1)*Fin(2:1,3:1)",
         "Fin(2:1,3:1)", "0"]
 
 

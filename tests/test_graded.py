@@ -764,8 +764,9 @@ def test_a_gap_monomial_is_refused_on_every_request(p):
 
 
 def test_a_quotient_refuses_values_above_the_bound():
-    """A quotient's act_basis and product_basis raise TruncationError when
-    the value would land above the bound, as the free algebra's act does."""
+    """A free algebra's and a quotient's act_basis, and a quotient's
+    product_basis, raise TruncationError when the value would land above
+    the bound: such a value is unknown, never zero."""
     free = expand(FreeCommPresentation(2, [GeneratorSpec("x", 1)]), 2)
     quo = quotient_by_ideal(free, [])
     with pytest.raises(TruncationError):
@@ -773,6 +774,11 @@ def test_a_quotient_refuses_values_above_the_bound():
     with pytest.raises(TruncationError):
         quo.product_basis(1, 0, 2, 0)
     assert quo.act_basis(("Sq", 1), 1, 0) == {(2, 0): 1}
+    deep = expand(FreeCommPresentation(2, [GeneratorSpec("x", 1)]), 8)
+    for _ in range(2):  # a refusal is not memoized as a zero
+        with pytest.raises(TruncationError):
+            deep.act_basis(("Sq", 1), 8, 0)
+    assert deep.act_basis(("Sq", 1), 7, 0) == {(8, 0): 1}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

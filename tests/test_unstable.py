@@ -9,6 +9,7 @@ package's own word tables.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from pnoether import steenrod as st
 from pnoether import unstable as un
@@ -129,18 +130,19 @@ def test_a_negative_max_degree_is_refused_whatever_the_expression(text):
 
 
 def test_sum_adds_and_tensor_convolves():
-    a, b = F(1), Fin({2: 3})
-    da = expr_dims(a, 8, 2)
-    db = expr_dims(b, 8, 2)
-    assert expr_dims(Sum((a, b)), 8, 2) == [x + y for x, y in zip(da, db)]
-    conv = [sum(da[i] * db[d - i] for i in range(d + 1)) for d in range(9)]
-    assert expr_dims(Tensor((a, b)), 8, 2) == conv
+    # in the second pair, Q1 taken at p = 2 adds up with an equal finite term
+    for a, b in ((F(1), Fin({2: 3})),
+                 (Tensor((F(1), Q1())), Tensor((F(1), Fin({1: 1}))))):
+        da = expr_dims(a, 8, 2)
+        db = expr_dims(b, 8, 2)
+        assert expr_dims(Sum((a, b)), 8, 2) == [x + y for x, y in zip(da, db)]
+        conv = [sum(da[i] * db[d - i] for i in range(d + 1)) for d in range(9)]
+        assert expr_dims(Tensor((a, b)), 8, 2) == conv
 
 
 def test_fin_atom():
     f = Fin({3: 2, 5: 1})
     assert expr_dims(f, 6, 2) == [0, 0, 0, 2, 0, 1, 0]
-    assert Fin({}).dims == ()
     assert is_zero(Fin({}))
     with pytest.raises(InputError):
         Fin({-1: 1})
@@ -316,3 +318,46 @@ def test_format_parse_round_trip_random():
         assert normal_form(again) == normal_form(e), text
         # printing is canonical: formatting the reparse changes nothing
         assert format_expr(again) == text
+
+
+# expressions drawn small enough that a report prints in a few kilobytes
+expressions = hs.recursive(
+    hs.one_of(hs.integers(0, 3).map(F), hs.builds(Q1),
+              hs.dictionaries(hs.integers(0, 5), hs.integers(0, 2),
+                              max_size=2).map(Fin)),
+    lambda inner: hs.one_of(
+        inner.map(Sigma),
+        hs.lists(inner, max_size=3).map(Sum),
+        hs.lists(inner, max_size=2).map(Tensor),
+        hs.builds(Power, inner, hs.integers(0, 2))),
+    max_leaves=6)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(expressions)
+def test_format_parse_round_trip_property(e):
+    text = format_expr(e)
+    again = parse_expr(text)
+    assert again == e, text
+    assert format_expr(again) == text
+
+
+# ---------------------------------------------------------------------------
+# one suspension rule: a term with a finite factor carries its suspensions
+# in that factor's degrees, so equal modules print alike
+
+
+def test_a_suspension_over_a_finite_factor_may_sit_on_either_factor():
+    left = Sigma(Tensor((F(2), Fin({1: 1}))))
+    right = Tensor((F(2), Sigma(Fin({1: 1}))))
+    assert left == right
+    assert format_expr(left) == format_expr(right) == "F(2)*Fin(2:1)"
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(expressions, expressions)
+def test_a_suspension_may_sit_on_either_tensor_factor(a, b):
+    left, right = Sigma(a) * b, a * Sigma(b)
+    assert left == right
+    for p in (None, 2, 3, 5):
+        assert normal_form(left, p) == normal_form(right, p), p
