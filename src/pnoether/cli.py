@@ -46,10 +46,84 @@ def _report(verb: str, status: str, body_key: str, body, input_echo: dict,
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "table":
-        print(_render_table(report))
+    text = _render_table(report) if fmt == "table" else _dumps(report)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the flush at exit cannot raise again, and exit 1 as
+        # the Python docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+# JSON text of the exact scalar types reports are made of, without the
+# encoder object ``_encode`` sets up on every call; floats and subclasses
+# take ``_encode``
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+# item types whose compact JSON holds no comma but the separators
+_FLAT = {int, bool, type(None)}
+
+
+def _dumps(node) -> str:
+    """The text of ``json.dumps(node, sort_keys=True, indent=2)``.
+
+    On Python < 3.13, ``indent`` makes ``json.dumps`` run its pure-Python
+    encoder.  Here only dicts and lists are walked in Python: scalars, and
+    lists of ints or of strings, are encoded by C functions.  The pieces
+    are joined once, so no byte of a long list is copied per level."""
+    out = []
+    _write(node, "\n", out)
+    return "".join(out)
+
+
+def _write(node, indent: str, out: list) -> None:
+    leaf = _LEAVES.get(type(node))
+    if leaf is not None:
+        out.append(leaf(node))
+        return
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        lead = "{" + inner
+        for key, value in sorted(node.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = _encode(key)
+            out.append(lead + _encode_str(key) + ": ")
+            _write(value, inner, out)
+            lead = sep
+        out.append(indent + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+            return
+        out.append("[" + inner)
+        kinds = set(map(type, node))
+        if kinds <= _FLAT:
+            out.append(_encode(node)[1:-1].replace(",", sep))
+        elif kinds == {str}:
+            out.append(sep.join(map(_encode_str, node)))
+        else:
+            for i, item in enumerate(node):
+                if i:
+                    out.append(sep)
+                _write(item, inner, out)
+        out.append(indent + "]")
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        out.append(_encode(node))
 
 
 def _render_table(node, indent: str = "") -> str:

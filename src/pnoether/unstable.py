@@ -204,13 +204,15 @@ ZERO = ModuleExpr({})
 def normal_form(expr: ModuleExpr, p=None) -> dict:
     """Normal form: mapping term -> multiplicity (empty dict = zero module).
 
-    With ``p=None`` the Q1 atom stays symbolic.  With ``p`` given, each Q1
-    factor is rewritten as its finite-module table (degree 1 at p=2;
-    degrees 1 and 2 at odd primes) and the terms are merged again.
+    With ``p=None`` the Q1 atom stays symbolic.  With ``p`` given, which
+    must be prime (InputError otherwise), each Q1 factor is rewritten as
+    its finite-module table (degree 1 at p=2; degrees 1 and 2 at odd
+    primes) and the terms are merged again.
     """
     terms = _terms(expr)
     if p is None:
         return dict(terms)
+    steenrod.check_prime(p)
     q1_table = tuple(sorted(q1_dims(p).items()))
     return _merge_finite(
         (_make_term(s, fs, 0, ([fin] if fin else []) + [q1_table] * q1), m)
@@ -268,7 +270,6 @@ def tbar(expr: ModuleExpr, p: int = 2) -> ModuleExpr:
     rewritten as its finite-module table first, so the result never
     mentions Q1.
     """
-    steenrod.check_prime(p)
     out = []
     for (sigma, fs, _q1, fin), mult in normal_form(expr, p).items():
         # T(x1 (x) ... (x) xk) = prod(xi + T xi) - prod(xi), with T Fin = 0
@@ -305,7 +306,6 @@ def krull_degree(expr: ModuleExpr, p: int = 2,
     The trace includes the input and the terminal zero, so its length is
     degree + 2 for a determined computation.
     """
-    steenrod.check_prime(p)
     current = ModuleExpr(normal_form(expr, p))
     trace = [current]
     if not current.terms:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 import pnoether
 from pnoether import __version__, cli, em, fixtures, steenrod
@@ -571,6 +572,27 @@ GOLDEN_REPORTS = {
         (0, "3b86917bb20c594d7acf945551611aab7dd6b2e62c8207e79ab6a7afe416af57"),
     ("poincare", "--catalog", "BS3"):
         (0, "d415482f08224f18016dddc7491693e70cdc0017f86d6ba35c57a8d2fac70f7a"),
+    ("adem", "bP[0;1,1]bP[0;1,0]", "--p", "3"):
+        (0, "1bce8174536a913443e583a441b4c0da5f10c3ba8728476941ed3b5380acb01c"),
+    ("fmod", "Sigma(F(1)) + Q1^2", "--max-degree", "20"):
+        (0, "38febdc0058c627027990cc72844b1e11ce4c84a5489075003c11d430fd2def6"),
+    ("tq", "Z/9+Zpinf", "--p", "3"):
+        (0, "7feccc60c074bfb71123aef0165ca742d0a5e3e076d362dc9f92c9ed91ea3f14"),
+    ("structure", "Z/4+Zpinf^2", "--base", "BS3"):
+        (0, "bc066a78cfdf2766ae4f64acc11a494a5a5c09e9936f034fdcb0c41bf5fd7664"),
+    ("split", "--list"):
+        (0, "3c9bc82a2a8e930f7b7c4d651625b673ee0ab5cd4983173d580241cb4019e892"),
+    # a non-ASCII description, escaped in the report
+    ("split", "--scenario", "section-projection"):
+        (0, "c28df69283bb5ae443610d198d5fb39640a833d2e936ed2511f9363cd50971f7"),
+    ("padic", "--sum", "1", "2"):
+        (0, "3870c92cde091671acfced7beb16a927fd0cd41b4f1c04b549893b6fb82ab3ab"),
+    # a parse error carries the offset of the bad token
+    ("adem", "Sq[2]Sq[3"):
+        (2, "6a2607d7fd4a5684dd28dfe35af4e180af5803b478bd0319732e86382fcc4b71"),
+    # missing action data carries its gaps
+    ("cover", "--catalog", "X23", "--p", "19", "--max-degree", "80"):
+        (5, "9653b80fcd1bbd6d8b4e9be8b908a12048818a2343527a7a3993ea0fa292131c"),
 }
 
 
@@ -581,6 +603,70 @@ def test_report_bytes_are_frozen(argv):
     code, out = run(*argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN_REPORTS[argv]
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter: json.dumps(sort_keys=True, indent=2) is its oracle
+
+
+def _keyed_dicts(values):
+    """Dicts whose keys ``sorted`` can order: str keys, number keys (int,
+    bool and float together), or the one None key."""
+    keys = hs.sampled_from([
+        hs.text(),
+        hs.one_of(hs.integers(), hs.booleans(), hs.floats()),
+        hs.none(),
+    ])
+    return keys.flatmap(lambda k: hs.dictionaries(k, values, max_size=5))
+
+
+_json_trees = hs.recursive(
+    hs.one_of(hs.none(), hs.booleans(), hs.integers(), hs.floats(),
+              hs.text(),
+              hs.lists(hs.one_of(hs.integers(), hs.booleans(), hs.none()),
+                       max_size=6),
+              hs.lists(hs.text(), max_size=4)),
+    lambda children: hs.one_of(
+        hs.lists(children, max_size=4),
+        hs.lists(children, max_size=4).map(tuple),
+        _keyed_dicts(children)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_json_trees)
+@example({"a\"b\\c\x00\x1f\u00b3\U0001f600": ["\ud800", "\t,\n"],
+          "n": {1.5: float("nan"), 2: [float("inf"), -float("inf"), -0.0],
+                True: [3, True, None, False]},
+          "z": {None: ((), {}, [[]])}})
+@example({float("nan"): 1, 0: [1, (2, None)], False: {}})
+def test_emitter_prints_the_bytes_of_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("tree", [{1, 2}, {"a": [0, {1}]}, {(1, 2): 0},
+                                  {"a": 1, 2: 3}])
+def test_emitter_refuses_what_json_dumps_refuses(tree):
+    with pytest.raises(TypeError):
+        json.dumps(tree, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps(tree)
+
+
+def test_a_closed_stdout_exits_quietly():
+    """A reader that has gone (``| head``) ends the report with exit 1 and
+    nothing on stderr, not a BrokenPipeError traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnoether.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnoether.cli", "fmod", "Q1", "--p", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_sigma_shifts():
     assert expr_dims(Sigma(ZERO), 4, 2) == [0] * 5
 
 
+@pytest.mark.parametrize("p", [4, 1, True])
+@pytest.mark.parametrize("text", ["Q1", "Q1^2 + Fin(0:1)", "0"])
+def test_a_p_that_is_not_prime_is_refused_without_free_factors(text, p):
+    """A Q1 table is defined only at a prime, so an expression with no F
+    factor is refused at a non-prime p as one with F factors is."""
+    with pytest.raises(InputError, match="prime"):
+        normal_form(parse_expr(text), p)
+    with pytest.raises(InputError, match="prime"):
+        expr_dims(parse_expr(text), 3, p)
+
+
 @pytest.mark.parametrize("text", ["Fin(0:1)", "0", "Q1", "F(1)"])
 def test_a_negative_max_degree_is_refused_whatever_the_expression(text):
     """No expression has dimensions through a negative degree: every one is
