@@ -977,7 +977,8 @@ class QuotientTruncAlgebra(TruncAlgebra):
         I, only x times the current quotient representatives is spanned;
         degrees are visited from the top down so that the representatives
         of degree d-|x| are still those of the old ideal.  Each product
-        rep·x is merged monomial by monomial into a sparse vector.
+        rep·x is merged monomial by monomial into a sparse vector.  Pivots
+        stay, so the new reps are the previous reps less the new pivots.
         """
         if x.algebra is not self.free:
             raise InputError("ideal generators must live in the base algebra")
@@ -996,7 +997,6 @@ class QuotientTruncAlgebra(TruncAlgebra):
                 continue
             space, source, index = self._ideal[d], free.basis(d - d0), \
                 free._indexed(d)
-            grew = False
             for rep in reps:
                 mono = source[rep]
                 vec = {}
@@ -1005,10 +1005,10 @@ class QuotientTruncAlgebra(TruncAlgebra):
                     if merged is not None:
                         # distinct terms give distinct products
                         vec[index[merged[1]]] = merged[0] * c % p
-                if vec and space.add(vec):
-                    grew = True
-            if grew:
-                self._reps[d] = space.non_pivot_columns()
+                if vec:
+                    space.add(vec)
+            rows = space.rows
+            self._reps[d] = [j for j in self._reps[d] if j not in rows]
 
     @property
     def steenrod_ok(self):
@@ -1107,6 +1107,8 @@ def _coset(space: RowSpace, reps: list, degree: int, vec: dict) -> dict:
 def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     """rank[d] of multiplication by the homogeneous x from degree d to
     degree d+|x|, for d = 0 .. bound-|x|."""
+    if x.is_zero:
+        raise InputError("multiplication ranks of zero are not meaningful")
     d0 = x.degree()
     ranks = []
     for d in range(alg.bound - d0 + 1):

@@ -5,7 +5,8 @@
 way in, so a reduction step costs the size of the rows it touches, not the
 width of the space.  The ideals spanned here are large in degrees where the
 quotient they leave is small, and then each reduced row has nonzeros only
-on its pivot and on the few non-pivot columns.
+on its pivot and on the few non-pivot columns.  A vector reducing to one
+entry, as a monomial ideal's do, is stored as the unit row {pivot: 1}.
 
 ``solve`` keeps the dense-list interface of the finite-generation
 certificates, whose systems are small, on top of the same kernel.
@@ -44,8 +45,13 @@ class RowSpace:
         The rows vanish on each other's pivots, so one pass over the pivot
         columns in the support of vec clears them all."""
         p, rows = self.p, self.rows
-        out = {j: c % p for j, c in vec.items() if c % p}
-        for piv in [j for j in out if j in rows]:
+        out, hits = {}, []
+        for j, c in vec.items():
+            if r := c % p:
+                out[j] = r
+                if j in rows:
+                    hits.append(j)
+        for piv in hits:
             c = out.pop(piv)
             for j, b in rows[piv].items():
                 if j != piv:
@@ -60,11 +66,18 @@ class RowSpace:
         return not self.reduce(vec)
 
     def add(self, vec: dict) -> bool:
-        """Insert vec into the span; return True if the dimension grew."""
+        """Insert vec into the span; return True if the dimension grew.  A
+        unit row {pivot: 1} has no tail: it only clears its pivot elsewhere."""
         p = self.p
         v = self.reduce(vec)
         if not v:
             return False
+        if len(v) == 1:
+            (piv,) = v
+            for q in self._users.pop(piv, ()):
+                del self.rows[q][piv]
+            self.rows[piv] = {piv: 1}
+            return True
         piv = min(v)
         inv = _inv(v[piv], p)
         if inv != 1:

@@ -36,7 +36,7 @@ from pnoether import (
 )
 from pnoether import serre
 from pnoether.catalog import get_entry
-from pnoether.graded import op_degree, presentation_poincare
+from pnoether.graded import mult_ranks, op_degree, presentation_poincare
 from pnoether.linalg import RowSpace
 from pnoether.steenrod import letters_to_word
 
@@ -890,6 +890,17 @@ def test_annihilator_profile():
     assert serre.annihilator_profile(trivial, x) == "zero"
 
 
+def test_mult_ranks_refuses_zero():
+    """Multiplication by zero has no degree to shift by: a typed refusal,
+    as annihilator_profile gives, not a TypeError from the degree."""
+    alg = free_p2([("x2", 2)], 8)
+    x2 = alg.generator_element("x2")
+    assert mult_ranks(alg, x2) == [1, 0, 1, 0, 1, 0, 1]
+    for x in (alg.zero(), quotient_by_ideal(alg, ["x2"]).zero()):
+        with pytest.raises(InputError):
+            mult_ranks(x.algebra, x)
+
+
 # ---------------------------------------------------------------------------
 # growing a quotient in place
 
@@ -987,6 +998,8 @@ def test_quotient_grows_in_place_like_a_from_scratch_span(make, bound, seed):
         quo.add_generator(x)
         assert quo.ideal_gens == gens[:k]
         assert_matches_from_scratch_span(quo, alg, gens[:k])
+        for d in range(bound + 1):  # the narrowed reps are a full scan's
+            assert quo.basis(d) == quo._ideal[d].non_pivot_columns(), d
     # the constructor spans through the same growth step
     built = quotient_by_ideal(alg, gens)
     for d in range(bound + 1):

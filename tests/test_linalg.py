@@ -118,6 +118,30 @@ def test_a_column_cleared_by_cancellation_can_become_a_pivot(p):
     assert space.non_pivot_columns() == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("last", ["on the shared column", "on a pivot"])
+def test_a_one_entry_vector_makes_every_row_a_unit_row(p, last):
+    """Rows {0:1, 2:a} and {1:1, 2:b} share column 2.  A vector reducing to
+    one entry there, {2:k} itself or {0:k} on a pivot whose tail is 2,
+    becomes the unit row {2:1}, and clearing column 2 leaves no row with a
+    tail and no bookkeeping for column 2."""
+    a, b, k = 1, p - 1, max(1, p - 2)
+    vectors = [{0: 1, 2: a}, {1: 1, 2: b}]
+    space = RowSpace(p, 3)
+    for vec in vectors:
+        assert space.add(vec)
+    third = {2: k} if last == "on the shared column" else {0: k}
+    assert space.reduce(third) == {2: k if 2 in third else -k * a % p}
+    vectors.append(third)
+    assert space.add(third)
+    pivots, rows = gauss_jordan(vectors, 3, p)
+    assert sorted(space.rows) == pivots == [0, 1, 2]
+    for piv, row in zip(pivots, rows):
+        assert space.rows[piv] == sparse(row) == {piv: 1}
+    assert 2 not in space._users and not any(space._users.values())
+    assert space.non_pivot_columns() == []
+
+
 @hs.composite
 def _system(draw, p):
     """Columns of a system of height at most 5, at most 5 of them (repeats

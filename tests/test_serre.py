@@ -789,6 +789,32 @@ def test_kill_profiles_match_annihilator_profile_of_every_kind(kill_profiles):
     assert all(want == got for want, got in kill_profiles)
 
 
+@pytest.mark.parametrize("case", ["BSO3^2 fibration", "X2b_4 cover"])
+def test_the_engine_quotient_reps_stay_the_non_pivot_columns(
+        monkeypatch, case):
+    """add_generator narrows each degree's reps from the previous ones; after
+    every growth step they must be the full scan of the non-pivot columns,
+    on kills by monomials and by a two-term class."""
+    grow = graded.QuotientTruncAlgebra.add_generator
+    terms = []
+
+    def checked(quo, x):
+        grow(quo, x)
+        terms.append(len(x.data))
+        for d in range(quo.bound + 1):
+            assert quo.basis(d) == quo._ideal[d].non_pivot_columns(), d
+
+    monkeypatch.setattr(graded.QuotientTruncAlgebra, "add_generator", checked)
+    if case == "BSO3^2 fibration":
+        res = run_ss(bso3_squared_fibration(28))
+    else:
+        entry = get_entry("X2b_4")
+        res = connected_cover_cohomology(entry.presentation(3), 3, 90,
+                                         torsion_free=entry.torsion_free)
+    assert len(terms) == len(res.quotient.ideal_gens) >= 2
+    assert max(terms) == (1 if case == "BSO3^2 fibration" else 2)
+
+
 def test_kill_tells_a_principal_annihilator_from_a_lookalike():
     # F_2[x2,y2]/(x2^2 + x2*y2) is F_2[x2,z2]/(x2*z2) with z2 = x2 + y2:
     # ann(x2) = (z2) has the dimensions of (x2) in every degree, yet
