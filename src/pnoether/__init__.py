@@ -21,7 +21,7 @@ from .steenrod import (SteenrodSum, adem_reduce, admissible_words, excess,
 from .graded import (FiniteModuleTable, FreeCommPresentation,
                      FreeTruncAlgebra, GeneratorSpec, GradedMap,
                      PoincareSeries, QuotientTruncAlgebra, TensorTruncAlgebra,
-                     appendix_generators, expand, indecomposables, poincare,
+                     appendix_generators, expand, indecomposables,
                      quotient_by_ideal)
 from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
                        Sigma, Sum, Tensor, ZERO, expr_dims, format_expr,

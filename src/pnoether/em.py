@@ -24,10 +24,10 @@ Steenrod action entries are produced by word composition: apply the
 operation to the defining word, reduce to admissible form, and resolve each
 summand against the same rules (boundary words become p-th powers).  The
 library presentations (``em_product_presentation``, ``fiber_layout``)
-list every action entry within their enumeration bound up front and
-compute each one, by one Adem reduction, the first time it is read (a
-``graded.LazyActionTable``).  The ``em`` verb prints the
-generators only, so it makes no Adem reduction.
+list their action entries within the enumeration bound when the table is
+first used and compute each one, by one Adem reduction, the first time it
+is read (a ``graded.LazyActionTable``).  The ``em`` verb prints the
+generators only, so it lists no entry and makes no Adem reduction.
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ class _Atom:
         self.fund_degree = fund_degree
         self.allow_trailing = allow_trailing
         self.mark_trailing = mark_trailing
-        self.words: list[tuple] = []
         self.global_index: dict[tuple, int] = {}
 
     def name_word(self, p: int, word: tuple) -> tuple:
@@ -219,7 +218,6 @@ class _Enumeration:
                                                max_excess=atom.fund_degree - 1):
                 if not atom.allow_trailing and steenrod.trailing_bockstein(p, w):
                     continue
-                atom.words.append(w)
                 entries.append((atom.fund_degree + steenrod.word_degree(p, w),
                                 atom.name_word(p, w), atom, w))
         entries.sort(key=lambda e: (e[0], e[1]))
@@ -290,24 +288,25 @@ class _Enumeration:
         return {m: c for m, c in out.items() if c}
 
 
-@dataclass
-class FiberFactorLayout:
-    """Per-factor generator data used by the spectral-sequence engine."""
+@dataclass(frozen=True)
+class FiberGenerator:
+    """A fiber generator as the spectral-sequence engine reads it: the
+    bottom class of its factor, and the admissible word carrying that class
+    to it; the word is None for a class built on a higher-Bockstein
+    companion, which no primary word reaches."""
 
-    spec: EMSpec
-    prefix: str
-    bottom_name: str
-    bottom_degree: int
-    single_atom: bool
-    # (name, degree, kind, defining word,
-    #  True when the word acts on the factor's bottom class)
-    gens: list
+    name: str
+    degree: int
+    kind: str
+    bottom: str
+    word: tuple | None
 
 
 @dataclass
 class FiberLayout:
     presentation: FreeCommPresentation
-    factors: list
+    generators: list  # FiberGenerator, in the presentation's order
+    bottoms: dict  # each factor's bottom class name -> its degree
 
 
 def _factor_enumerations(product, p: int, bound: int) -> list:
@@ -321,45 +320,43 @@ def _factor_enumerations(product, p: int, bound: int) -> list:
 
 
 def fiber_layout(product, p: int, bound: int) -> FiberLayout:
-    """Combined presentation of a product of EM spaces plus, per factor, the
-    admissible word defining each generator (needed to propagate maps that
-    commute with the Steenrod action).
+    """Combined presentation of a product of EM spaces plus, per generator,
+    its factor's bottom class and the admissible word defining it (needed
+    to propagate maps that commute with the Steenrod action).
 
     The action table lists each generator with the operations of
-    ``ops_on_degree``; an entry's value is composed, and its degree
-    checked, the first time it is read."""
+    ``ops_on_degree`` when it is first used; an entry's value is composed,
+    and its degree checked, the first time it is read."""
     enums = _factor_enumerations(product, p, bound)
     gens: list[GeneratorSpec] = []
-    sources: dict = {}  # (name, op) -> (enumeration, atom, word, offset)
-    layouts = []
+    records, bottoms = [], {}
+    sources: dict = {}  # name -> (enumeration, atom, word, offset)
     total = sum(e.size for e in enums)
     offset = 0
     for enum in enums:
-        spec_list = enum.generator_specs()
-        gens.extend(spec_list)
-        gen_rows = []
-        for g, (_deg, _nw, atom, w) in zip(spec_list, enum.entries):
-            gen_rows.append((g.name, g.degree, g.kind, w,
-                             atom is enum.atoms[0]))
-            for op in ops_on_degree(p, g.degree, bound):
-                sources[(g.name, op)] = (enum, atom, w, offset)
-        layouts.append(FiberFactorLayout(
-            spec=enum.spec, prefix=enum.prefix,
-            bottom_name=enum.name(steenrod.identity_word(p)),
-            bottom_degree=enum.n,
-            single_atom=len(enum.atoms) == 1,
-            gens=gen_rows))
+        bottom = enum.name(steenrod.identity_word(p))
+        bottoms[bottom] = enum.n
+        for g, (_deg, _nw, atom, w) in zip(enum.generator_specs(),
+                                           enum.entries):
+            gens.append(g)
+            records.append(FiberGenerator(g.name, g.degree, g.kind, bottom,
+                                          w if atom is enum.atoms[0] else None))
+            sources[g.name] = (enum, atom, w, offset)
         offset += enum.size
+
+    def list_keys():
+        return [(g.name, op) for g in gens
+                for op in ops_on_degree(p, g.degree, bound)]
 
     def compute(key):
         """The entry's value, widened to the combined generator list."""
-        enum, atom, word, start = sources[key]
+        enum, atom, word, start = sources[key[0]]
         pad = (0,) * (total - start - enum.size)
         return {(0,) * start + mono + pad: c
                 for mono, c in enum._compose(key[1], atom, word).items()}
 
-    action = LazyActionTable(sources, compute)
-    return FiberLayout(FreeCommPresentation(p, gens, action), layouts)
+    action = LazyActionTable(list_keys, compute)
+    return FiberLayout(FreeCommPresentation(p, gens, action), records, bottoms)
 
 
 def em_product_presentation(product, p: int, bound: int) -> FreeCommPresentation:

@@ -187,9 +187,6 @@ class FreeCommPresentation:
                     raise InputError(
                         f"generator {g.name}: bockstein partner degree must be "
                         f"{g.degree + 1}")
-        for gen_name, _op in action or ():
-            if gen_name not in self.index:
-                raise InputError(f"action entry for unknown generator {gen_name!r}")
         # a function of the generator list, not a bound method, so that a
         # lazy table holding it does not point back at this presentation
         check = functools.partial(_checked_action_value, p, self.generators,
@@ -200,6 +197,8 @@ class FreeCommPresentation:
             return
         self.action = {}
         for (gen_name, op_text), value in (action or {}).items():
+            if gen_name not in self.index:
+                raise InputError(f"action entry for unknown generator {gen_name!r}")
             op = parse_op(p, op_text) if isinstance(op_text, str) else tuple(op_text)
             poly = self.parse_poly(value) if isinstance(value, str) else dict(value)
             self.action[(gen_name, op)] = check((gen_name, op), poly)
@@ -255,36 +254,6 @@ class FreeCommPresentation:
             parts.append("*".join(factors))
         return " + ".join(parts) if parts else "0"
 
-    def degrees(self) -> list[int]:
-        return [g.degree for g in self.generators]
-
-    def to_jsonable(self) -> dict:
-        gens = []
-        for g in self.generators:
-            entry = {"name": g.name, "degree": g.degree, "kind": g.kind}
-            if g.bockstein_link is not None:
-                entry["bockstein"] = {"r": g.bockstein_link[0],
-                                      "partner": g.bockstein_link[1]}
-            gens.append(entry)
-        action = []
-        for (gen_name, op) in sorted(self.action,
-                                     key=lambda k: (self.index[k[0]], k[1])):
-            action.append({"gen": gen_name, "op": format_op(op),
-                           "value": self.format_poly(self.action[(gen_name, op)])})
-        return {"p": self.p, "generators": gens, "action": action}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FreeCommPresentation":
-        gens = []
-        for entry in data["generators"]:
-            link = None
-            if entry.get("bockstein"):
-                link = (entry["bockstein"]["r"], entry["bockstein"]["partner"])
-            gens.append(GeneratorSpec(entry["name"], entry["degree"],
-                                      entry.get("kind", "polynomial"), link))
-        action = {(a["gen"], a["op"]): a["value"] for a in data.get("action", [])}
-        return cls(data["p"], gens, action)
-
 
 def _checked_action_value(p: int, generators: list, index: dict, key: tuple,
                           poly: dict) -> dict:
@@ -307,19 +276,25 @@ def _checked_action_value(p: int, generators: list, index: dict, key: tuple,
 
 
 class LazyActionTable(Mapping):
-    """An action table whose keys are listed up front and whose values are
-    computed on first read.
+    """An action table whose keys are listed on first use and whose values
+    are computed on first read.
 
-    ``compute(key)`` gives the monomial dict of a (generator name, op) key.
-    The FreeCommPresentation that takes the table checks each value's
-    degree the first time it is read, as it checks a given table at
-    construction.  Membership, iteration and length read only the keys.
+    ``list_keys()`` lists the (generator name, op) keys; it runs the first
+    time the table is searched, iterated, sized or read.  ``compute(key)``
+    gives the monomial dict of a key.  The FreeCommPresentation that takes
+    the table checks each value's degree the first time it is read, as it
+    checks a given table at construction.  Membership, iteration and
+    length read only the keys.
     """
 
-    def __init__(self, keys, compute):
-        self._values = dict.fromkeys(keys)  # None until first read
+    def __init__(self, list_keys, compute):
+        self._list_keys = list_keys
         self._compute = compute
         self._check = None  # set by the presentation that takes the table
+
+    @functools.cached_property
+    def _values(self) -> dict:
+        return dict.fromkeys(self._list_keys())  # None until first read
 
     def __getitem__(self, key):
         value = self._values[key]
@@ -362,15 +337,6 @@ class PoincareSeries:
     def __repr__(self):
         return f"PoincareSeries({self.bound}, {self.coeffs})"
 
-    def truncate(self, bound: int) -> "PoincareSeries":
-        if bound > self.bound:
-            raise InputError(
-                f"cannot extend a series of bound {self.bound} to {bound}")
-        return PoincareSeries(bound, self.coeffs[: bound + 1])
-
-    def total(self) -> int:
-        return sum(self.coeffs)
-
     def to_jsonable(self) -> dict:
         return {"bound": self.bound, "coeffs": self.coeffs}
 
@@ -396,27 +362,6 @@ def _apply_factor(coeffs: list[int], degree: int, kind: str) -> None:
         coeffs[i] += coeffs[i - degree]
 
 
-def presentation_poincare(pres_or_degrees, bound: int) -> PoincareSeries:
-    """Series of a free presentation: 1/(1-t^d) per polynomial generator,
-    (1+t^d) per exterior generator, truncated at the bound, each factor
-    applied in place.  A degree-0 entry of a raw degree list multiplies
-    by 1."""
-    if bound < 0:
-        raise InputError("poincare bound must be >= 0")
-    if isinstance(pres_or_degrees, FreeCommPresentation):
-        gens = [(g.degree, g.kind) for g in pres_or_degrees.generators]
-    else:
-        gens = [(d, "polynomial") if isinstance(d, int) else (d[0], d[1])
-                for d in pres_or_degrees]
-    coeffs = [1] + [0] * bound
-    for degree, kind in gens:
-        if degree < 0:
-            raise InputError(f"generator degree {degree} is negative")
-        if degree:
-            _apply_factor(coeffs, degree, kind)
-    return PoincareSeries(bound, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -430,9 +375,6 @@ class Element:
         self.algebra = algebra
         p = algebra.p
         self.data = {k: r for k, v in (data or {}).items() if (r := v % p)}
-
-    def copy(self) -> "Element":
-        return _reduced(self.algebra, dict(self.data))
 
     @property
     def is_zero(self) -> bool:
@@ -656,8 +598,7 @@ class FreeTruncAlgebra(TruncAlgebra):
     Cartan rule (``act_basis``), and every value is kept in one memo.
     """
 
-    def __init__(self, presentation: FreeCommPresentation, bound: int,
-                 require_action: bool = False):
+    def __init__(self, presentation: FreeCommPresentation, bound: int):
         if bound < 0:
             raise InputError("truncation bound must be >= 0")
         self.presentation = presentation
@@ -689,10 +630,6 @@ class FreeTruncAlgebra(TruncAlgebra):
         self.gaps: list = []
         self._gap_gens: set = set()
         self._resolve_generator_action()
-        if require_action and self.gaps:
-            raise MissingDataError(
-                "Steenrod data needed within the bound is missing",
-                gaps=self.gaps)
 
     @property
     def action_complete(self) -> bool:
@@ -1233,32 +1170,17 @@ class TensorTruncAlgebra(TruncAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# expand / poincare / indecomposables / quotient
+# expand / indecomposables / quotient
 
 
-def expand(presentation: FreeCommPresentation, bound: int,
-           require_action: bool = False) -> FreeTruncAlgebra:
+def expand(presentation: FreeCommPresentation, bound: int) -> FreeTruncAlgebra:
     """Truncated table of a free presentation.
 
     Steenrod gaps (values needed within the bound that no data or forcing
-    rule determines) are collected on ``.gaps``; with ``require_action`` they
-    raise MissingDataError immediately, otherwise the error is deferred until
-    an affected action value is actually used.
+    rule determines) are collected on ``.gaps``; MissingDataError is raised
+    when an affected action value is used.
     """
-    return FreeTruncAlgebra(presentation, bound, require_action=require_action)
-
-
-def poincare(obj, bound=None) -> PoincareSeries:
-    """Poincaré series of a presentation (product formula) or algebra (dims)."""
-    if isinstance(obj, FreeCommPresentation):
-        if bound is None:
-            raise InputError("a presentation needs an explicit series bound")
-        return presentation_poincare(obj, bound)
-    if isinstance(obj, TruncAlgebra):
-        return obj.poincare(bound)
-    if isinstance(obj, PoincareSeries):
-        return obj if bound is None else obj.truncate(bound)
-    raise InputError(f"cannot take a Poincaré series of {type(obj).__name__}")
+    return FreeTruncAlgebra(presentation, bound)
 
 
 def quotient_by_ideal(alg: FreeTruncAlgebra, ideal_gens) -> QuotientTruncAlgebra:

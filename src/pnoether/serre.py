@@ -37,9 +37,12 @@ class FibrationSpec:
     """A fibration fiber → E → base with declared transgression.
 
     ``transgression`` maps the name of each fiber factor's bottom class
-    (e.g. ``"i3"``, or ``"f2_i3"`` in a product) to a base element — a
-    polynomial string, a monomial dict, or an Element; omitted names mean 0.
-    π₁ of the base is assumed to act trivially on the fiber's cohomology.
+    (e.g. ``"i3"``, or ``"f2_i3"`` in a product) to a base element, given
+    as a polynomial string or a monomial dict over the base (anything else,
+    an Element included, raises InputError); omitted names mean 0.
+    ``fiber_gens`` holds the fiber generators (``em.FiberGenerator``) by
+    name, in the fiber presentation's order.  π₁ of the base is assumed to
+    act trivially on the fiber's cohomology.
     """
 
     def __init__(self, p: int, base: FreeCommPresentation, fiber,
@@ -59,14 +62,14 @@ class FibrationSpec:
         if bound < 0:
             raise InputError("bound must be >= 0")
         self.bound = bound
-        self.layout = fiber_layout(fiber, p, bound)
-        self.fiber_pres = self.layout.presentation
-        bottoms = {f.bottom_name: f for f in self.layout.factors}
+        layout = fiber_layout(fiber, p, bound)
+        self.fiber_pres = layout.presentation
+        self.fiber_gens = {g.name: g for g in layout.generators}
+        bottoms = layout.bottoms
         self.transgression = {}
         given = dict(transgression or {})
         for key, value in given.items():
-            factor = bottoms.get(key)
-            if factor is None:
+            if key not in bottoms:
                 raise InputError(
                     f"transgression key {key!r} is not a fiber bottom class "
                     f"(expected one of {sorted(bottoms)})")
@@ -80,16 +83,16 @@ class FibrationSpec:
             degrees = {base.monomial_degree(m) for m in poly}
             if len(degrees) > 1:
                 raise InputError(f"transgression of {key} is not homogeneous")
-            if poly and degrees.pop() != factor.bottom_degree + 1:
+            if poly and degrees.pop() != bottoms[key] + 1:
                 raise InputError(
                     f"transgression of {key} must have degree "
-                    f"{factor.bottom_degree + 1}")
+                    f"{bottoms[key] + 1}")
             self.transgression[key] = poly
         for name in bottoms:
             self.transgression.setdefault(name, {})
 
-    def base_algebra(self, bound: int = None) -> FreeTruncAlgebra:
-        return expand(self.base, self.bound + 1 if bound is None else bound)
+    def base_algebra(self) -> FreeTruncAlgebra:
+        return expand(self.base, self.bound + 1)
 
 
 def default_bound(base: FreeCommPresentation, fiber) -> int:
@@ -115,66 +118,42 @@ def propagate_transgression(spec: FibrationSpec, base_alg=None) -> dict:
     """
     if base_alg is None:
         base_alg = spec.base_algebra()
+    tau_bottoms = {name: base_alg.element_from_poly(poly)
+                   for name, poly in spec.transgression.items()}
     out = {}
-    for factor in spec.layout.factors:
-        tau_poly = spec.transgression[factor.bottom_name]
-        tau_bottom = (base_alg.element_from_poly(tau_poly) if tau_poly
-                      else base_alg.zero())
-        for name, degree, _kind, word, on_bottom in factor.gens:
-            if tau_bottom.is_zero:
-                out[name] = base_alg.zero()
-                continue
-            if not factor.single_atom and not on_bottom:
-                raise UnsupportedFibrationError(
-                    f"fiber factor {factor.spec} has classes built on a "
-                    "higher-Bockstein companion; their transgression is not "
-                    "determined by the primary Steenrod action")
-            if degree + 1 > base_alg.bound:
-                raise UnsupportedFibrationError(
-                    f"transgression of {name} lands above the working bound")
-            out[name] = base_alg.act_word(word, tau_bottom)
+    for g in spec.fiber_gens.values():
+        tau_bottom = tau_bottoms[g.bottom]
+        if tau_bottom.is_zero:
+            out[g.name] = base_alg.zero()
+            continue
+        if g.word is None:
+            raise UnsupportedFibrationError(
+                f"fiber class {g.name} is built on a higher-Bockstein "
+                f"companion of {g.bottom}; its transgression is not "
+                "determined by the primary Steenrod action")
+        if g.degree + 1 > base_alg.bound:
+            raise UnsupportedFibrationError(
+                f"transgression of {g.name} lands above the working bound")
+        out[g.name] = base_alg.act_word(g.word, tau_bottom)
     return out
-
-
-def kudo_power_transgression(base_alg, x_degree: int, tau_rep: Element) -> Element:
-    """τ(x^p) from τ(x): Sq^{|x|}τ(x) at p=2, P^{|x|/2}τ(x) at odd p."""
-    if tau_rep.is_zero:
-        return base_alg.zero()
-    if base_alg.p == 2:
-        return base_alg.act(("Sq", x_degree), tau_rep, drop_above=True)
-    if x_degree % 2:
-        raise InputError("odd-prime power transgression needs an even class")
-    return base_alg.act(("P", x_degree // 2), tau_rep, drop_above=True)
-
-
-def kudo_companion_target(base_alg, x_degree: int, tau_rep: Element) -> Element:
-    """Differential target of the companion class x^{p-1}·τ(x):
-    τ(x)² at p=2, -βP^{|x|/2}τ(x) at odd p."""
-    if tau_rep.is_zero:
-        return base_alg.zero()
-    if base_alg.p == 2:
-        return base_alg.product(tau_rep, tau_rep, drop_above=True)
-    power = base_alg.act(("P", x_degree // 2), tau_rep, drop_above=True)
-    return base_alg.act(("B",), power, drop_above=True).scale(-1)
 
 
 def _kudo_powers(spec: FibrationSpec, base_alg, taus: dict, gen_name: str):
     """Yield (exponent, degree, τ value) for a, a^p, a^p², … while the degree
     stays within the bound; an exterior a (a² = 0) yields only itself.
 
-    A power's value is computed only once its degree is known to be in
-    range, because kudo_power_transgression raises on an odd degree at odd p.
-    """
-    if gen_name not in taus:
+    τ(x^p) = Sq^{|x|}τ(x) at p = 2 and P^{|x|/2}τ(x) at odd p, where a
+    polynomial x has even degree."""
+    gen = spec.fiber_gens.get(gen_name)
+    if gen is None:
         raise InputError(f"{gen_name!r} is not a fiber generator")
-    degree, kind = next((d, kind) for f in spec.layout.factors
-                        for n, d, kind, *_ in f.gens if n == gen_name)
-    exponent, value = 1, taus[gen_name]
+    degree, exponent, value = gen.degree, 1, taus[gen_name]
     while True:
         yield exponent, degree, value
-        if kind == "exterior" or degree * spec.p > spec.bound:
+        if gen.kind == "exterior" or degree * spec.p > spec.bound:
             return
-        value = kudo_power_transgression(base_alg, degree, value)
+        op = ("Sq", degree) if spec.p == 2 else ("P", degree // 2)
+        value = base_alg.act(op, value, drop_above=True)
         degree *= spec.p
         exponent *= spec.p
 
@@ -395,10 +374,9 @@ class _Engine:
                 heapq.heappush(queue, (degree, next(seq), kind, label,
                                        exponent, rep, chain))
 
-        for factor in self.spec.layout.factors:
-            for name, _degree, kind, _word, _on_bottom in factor.gens:
-                push(kind, name, _kudo_powers(self.spec, self.base_alg,
-                                              self.taus, name))
+        for g in self.spec.fiber_gens.values():
+            push(g.kind, g.name, _kudo_powers(self.spec, self.base_alg,
+                                              self.taus, g.name))
         # a step's series before is the previous step's series after; a
         # survivor leaves it unchanged
         series = self._model_series(queue)
@@ -440,12 +418,18 @@ class _Engine:
 
     def _companion(self, label, exponent, degree, rep, profile):
         """Settle the companion class u^{p-1}·τ(u) of a killed polynomial
-        class u = label^exponent; returns the log note (None when there is
+        class u = label^exponent, whose differential hits τ(u)² at p = 2 and
+        -βP^{|u|/2}τ(u) at odd p; returns the log note (None when there is
         no companion within the bound)."""
         comp_degree = (self.p - 1) * degree + rep.degree()  # = p·|u| + 1
         if profile != "principal" or comp_degree > self.bound:
             return None
-        target = kudo_companion_target(self.base_alg, degree, rep)
+        base = self.base_alg
+        if self.p == 2:
+            target = base.product(rep, rep, drop_above=True)
+        else:
+            power = base.act(("P", degree // 2), rep, drop_above=True)
+            target = base.act(("B",), power, drop_above=True).scale(-1)
         if self.quotient.contains_in_ideal(target):
             self.survivors.append(Survivor(
                 name="", degree=comp_degree, kind="exterior",
@@ -525,7 +509,7 @@ class _Engine:
         reduced excess carries the anchor to 0 (it applies Sq^s with s > n,
         or P^s with 2s > n, to a class of degree n), so the first word
         matching a nonzero survivor class is unchanged."""
-        if anchor is None or anchor.fiber_class is None:
+        if anchor is None:
             return {}
         gaps = {s.degree - anchor.degree for s in survivors
                 if s.fiber_class is not None and s.degree > anchor.degree}
@@ -541,9 +525,8 @@ class _Engine:
     def _word_from_anchor(self, anchor, survivor, words):
         """The first word of the survivor's gap in ``words`` (see
         _words_by_degree) that carries the anchor's fiber class onto the
-        survivor's, or None; a zero survivor class raises."""
-        if survivor.fiber_class is None:
-            return None
+        survivor's, or None; a zero survivor class raises.  Neither class is
+        a companion's, so both are set."""
         if survivor.fiber_class.is_zero:
             raise EngineContractError(
                 f"survivor {survivor.name} has fiber class 0")
@@ -713,13 +696,12 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
     Kudo power-transgression of a zero modulo the earlier chain values;
     reports (name, k, p^k, degree of a^{p^k}, chain as base polynomials)."""
     base_alg = spec.base_algebra()
-    kinds = {n: kind for f in spec.layout.factors
-             for n, _d, kind, *_ in f.gens}
     taus = propagate_transgression(spec, base_alg)
     out = []
     for name in poly_gens:
         # an unknown name is refused by _kudo_powers
-        if kinds.get(name, "polynomial") != "polynomial":
+        gen = spec.fiber_gens.get(name)
+        if gen is not None and gen.kind != "polynomial":
             raise InputError(f"{name} is not a polynomial generator")
         chain = []
         quotient = QuotientTruncAlgebra(base_alg, [])

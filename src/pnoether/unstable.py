@@ -31,6 +31,7 @@ Krull degree of ``M`` is the least ``n`` with ``T^{n+1} M = 0``.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -288,35 +289,36 @@ def tbar(expr: ModuleExpr, p: int = 2) -> ModuleExpr:
 class KrullReport:
     """Result of a Krull-degree computation."""
 
-    degree: int | None
+    degree: int
     trace: list = field(default_factory=list)  # successive iterates, as exprs
 
     @property
     def determined(self) -> bool:
-        return self.degree is not None
+        """Always true: krull_degree iterates until T̄ gives zero."""
+        return True
 
     def trace_strings(self) -> list[str]:
         return [format_expr(e) for e in self.trace]
 
 
-def krull_degree(expr: ModuleExpr, p: int = 2,
-                 max_iterations: int = 64) -> KrullReport:
+def krull_degree(expr: ModuleExpr, p: int = 2) -> KrullReport:
     """Least n with T^{n+1}(expr) = 0, with the full iterate trace.
 
     The trace includes the input and the terminal zero, so its length is
-    degree + 2 for a determined computation.
+    degree + 2.  Each T̄ step lowers the largest sum of F indices over the
+    terms by at least one (a term with no F factor goes to 0), so the
+    iteration ends after at most that sum plus one steps.
     """
     current = ModuleExpr(normal_form(expr, p))
     trace = [current]
     if not current.terms:
         # the zero module sits at the bottom of the filtration
         return KrullReport(0, [current, ZERO])
-    for n in range(max_iterations):
+    for n in itertools.count():
         current = tbar(current, p=p)
         trace.append(current)
         if not current.terms:
             return KrullReport(n, trace)
-    return KrullReport(None, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,15 @@ def test_krull_free_module_trace():
         "trace": ["F(3)", "F(0) + F(1) + F(2)", "F(0)^2 + F(1)", "F(0)", "0"]}
 
 
+@pytest.mark.parametrize("n", [64, 70])
+def test_krull_of_a_large_free_module_is_determined(n):
+    code, rep = run_json("krull", f"F({n})")
+    assert code == 0
+    payload = rep["payload"]
+    assert (payload["degree"], payload["determined"]) == (n, True)
+    assert len(payload["trace"]) == n + 2 and payload["trace"][-1] == "0"
+
+
 def test_krull_reports_do_not_depend_on_where_a_suspension_sits():
     # Sigma(F(2) (x) Q1) and F(2) (x) Sigma(Q1) are one module; at p = 2 the
     # finite table of Q1 carries the suspension in both

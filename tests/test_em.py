@@ -25,7 +25,6 @@ from pnoether import (
     expand,
     fiber_layout,
     parse_space,
-    poincare,
 )
 from pnoether import em, steenrod
 from pnoether.cli import main
@@ -141,7 +140,8 @@ def test_padic_coefficients_match_integral():
 
 def test_action_table_is_complete_and_classical():
     pres = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 12)
-    alg = expand(pres, 12, require_action=True)
+    alg = expand(pres, 12)
+    assert alg.action_complete
     i3 = alg.generator_element("i3")
     sq2i3 = alg.generator_element("Sq2i3")
     assert alg.act(("Sq", 1), i3).is_zero     # integral class: Sq1 dies
@@ -157,8 +157,9 @@ def test_first_bockstein_depends_on_coefficient_order():
     big = em_product_presentation(EMSpec(CyclicClass(2), 2), 2, 8)
     assert [(g.name, g.degree) for g in small.generators] == \
         [(g.name, g.degree) for g in big.generators]
-    alg_small = expand(small, 8, require_action=True)
-    alg_big = expand(big, 8, require_action=True)
+    alg_small = expand(small, 8)
+    alg_big = expand(big, 8)
+    assert alg_small.action_complete and alg_big.action_complete
     assert alg_small.act(("Sq", 1), alg_small.generator_element("i2")) == \
         alg_small.generator_element("Sq1i2")
     assert alg_big.act(("Sq", 1), alg_big.generator_element("i2")).is_zero
@@ -181,9 +182,9 @@ def test_higher_bockstein_link_odd_p():
 
 def test_series_of_em_presentation():
     pres = em_product_presentation(EMSpec(CyclicClass(1), 2), 2, 12)
-    got = poincare(pres, 12)
-    oracle = poincare(FreeCommPresentation(
-        2, [GeneratorSpec(f"g{d}", d) for d in (2, 3, 5, 9)]), 12)
+    got = expand(pres, 12).poincare()
+    oracle = expand(FreeCommPresentation(
+        2, [GeneratorSpec(f"g{d}", d) for d in (2, 3, 5, 9)]), 12).poincare()
     assert got == oracle
 
 
@@ -213,26 +214,32 @@ def test_product_prefixes_and_dims():
 def test_product_action_stays_within_factor():
     pres = em_product_presentation(
         parse_space("K(Z/2,2) x K(Z/2,2)", 2), 2, 8)
-    alg = expand(pres, 8, require_action=True)
+    alg = expand(pres, 8)
+    assert alg.action_complete
     a = alg.act(("Sq", 1), alg.generator_element("f1_i2"))
     assert a == alg.generator_element("f1_Sq1i2")
 
 
 def test_fiber_layout_metadata():
     layout = fiber_layout(parse_space("K(Z/4,2)", 2), 2, 9)
-    assert len(layout.factors) == 1
-    factor = layout.factors[0]
-    assert factor.bottom_name == "i2"
-    assert factor.bottom_degree == 2
-    assert factor.prefix == ""
-    assert not factor.single_atom  # fundamental class plus its companion
-    names = [row[0] for row in factor.gens]
+    assert layout.bottoms == {"i2": 2}
+    assert [(g.name, g.degree, g.kind) for g in layout.generators] == \
+        [(g.name, g.degree, g.kind) for g in layout.presentation.generators]
+    assert {g.bottom for g in layout.generators} == {"i2"}
+    names = [g.name for g in layout.generators]
     assert "i2" in names and "Sq1i2" in names
-    bottom_rows = [row for row in factor.gens if row[4]]
-    assert {row[0] for row in bottom_rows} == {"i2"}
+    # the fundamental class has a word; the classes on its companion do not
+    on_bottom = [g for g in layout.generators if g.word is not None]
+    assert [(g.name, g.word) for g in on_bottom] == \
+        [("i2", steenrod.identity_word(2))]
     simple = fiber_layout(EMSpec(CyclicClass(1), 2), 2, 9)
-    assert simple.factors[0].single_atom
+    assert all(g.word is not None for g in simple.generators)
     assert simple.presentation.generators  # passthrough to a presentation
+    product = fiber_layout(parse_space("K(Z,3) x K(Z/2,2)", 2), 2, 9)
+    assert product.bottoms == {"f1_i3": 3, "f2_i2": 2}
+    assert {g.name: g.bottom for g in product.generators
+            if g.name in ("f1_Sq2i3", "f2_Sq2Sq1i2")} == \
+        {"f1_Sq2i3": "f1_i3", "f2_Sq2Sq1i2": "f2_i2"}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,7 @@ def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
 
     monkeypatch.setattr(steenrod, "adem_reduce", counted)
     pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 100).presentation
-    alg = expand(pres, 100, require_action=True)
+    alg = expand(pres, 100)
     assert alg.action_complete and not calls
     entries = len(pres.action)
     assert entries == 102
@@ -342,6 +349,28 @@ def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
         assert main(["cover", "--catalog", "BS3", "--p", "2",
                      "--max-degree", "100"]) == 0
     assert 0 < len(calls) <= entries // 4
+
+
+def test_the_em_verb_lists_no_action_entry(monkeypatch):
+    """The em verb prints generators only: its action table never lists
+    its keys, which it does on first use."""
+    calls = []
+    ops_on_degree = em.ops_on_degree
+
+    def counted(*args):
+        calls.append(args)
+        return ops_on_degree(*args)
+
+    monkeypatch.setattr(em, "ops_on_degree", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["em", "--space", "K(Z,3)", "--max-degree", "100"]) == 0
+    assert json.loads(out.getvalue())["payload"]["count"] > 0
+    assert calls == []
+    pres = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 100)
+    assert calls == []
+    assert ("i3", ("Sq", 2)) in pres.action and len(pres.action) == 102
+    assert calls
 
 
 @pytest.mark.parametrize("text,p,bound", [
@@ -375,7 +404,8 @@ def test_a_wrong_degree_entry_raises_when_it_is_read(monkeypatch):
 
     monkeypatch.setattr(em._Enumeration, "_compose", wrong)
     pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 20).presentation
-    alg = expand(pres, 20, require_action=True)
+    alg = expand(pres, 20)
+    assert alg.action_complete
     with pytest.raises(InputError, match="expected 5"):
         pres.action[("i3", ("Sq", 2))]
     with pytest.raises(InputError):

@@ -30,7 +30,6 @@ from pnoether import (
     expand,
     kudo_chain,
     permanent_powers,
-    poincare,
     propagate_transgression,
     run_ss,
     split_fiber_generators,
@@ -188,8 +187,8 @@ def test_bs3_cover_p2_series(bs3_cover_p2):
     frozen = [1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 2, 1, 2]
     assert res.poincare().coeffs == frozen
     # and the total must be the polynomial algebra on the survivor degrees
-    oracle = poincare(FreeCommPresentation(
-        2, [GeneratorSpec(f"g{d}", d) for d in (5, 6, 9, 17)]), 17)
+    oracle = expand(FreeCommPresentation(
+        2, [GeneratorSpec(f"g{d}", d) for d in (5, 6, 9, 17)]), 17).poincare()
     assert res.poincare() == oracle
 
 
@@ -904,6 +903,18 @@ def test_fibration_spec_validation():
         FibrationSpec(2, base, fiber, None, bound=-1)
     ok = FibrationSpec(2, base, fiber, {"i2": "t^3"}, bound=8)
     assert ok.transgression["i2"] == base.parse_poly("t^3")
+
+
+def test_a_transgression_value_is_a_string_or_a_monomial_dict():
+    base = FreeCommPresentation(2, [GeneratorSpec("x3", 3, "exterior")], {})
+    fiber = EMSpec(IntegerClass(), 2)
+    by_string = run_ss(FibrationSpec(2, base, fiber, {"i2": "x3"}, 10))
+    by_dict = run_ss(FibrationSpec(2, base, fiber, {"i2": {(1,): 1}}, 10))
+    assert by_dict.poincare().coeffs == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+    assert by_dict.to_jsonable() == by_string.to_jsonable()
+    x3 = expand(base, 11).generator_element("x3")
+    with pytest.raises(InputError, match="polynomial strings or monomial"):
+        FibrationSpec(2, base, fiber, {"i2": x3}, 10)
 
 
 def test_default_bound():

@@ -303,15 +303,16 @@ def _b_zp_squared(p: int, bound: int):
     """H*(B(Z/p)^2): F_2[t1, t2] with |t_i| = 1 at p = 2, and at odd p
     E(x1, x2) (x) F_p[y1, y2] with beta x_i = y_i and beta y_i = 0."""
     if p == 2:
-        return expand(FreeCommPresentation(
-            2, [GeneratorSpec("t1", 1), GeneratorSpec("t2", 1)]), bound,
-            require_action=True)
-    gens = [GeneratorSpec("x1", 1, "exterior", (1, "y1")),
-            GeneratorSpec("x2", 1, "exterior", (1, "y2")),
-            GeneratorSpec("y1", 2), GeneratorSpec("y2", 2)]
-    return expand(FreeCommPresentation(
-        p, gens, {("y1", "beta"): "0", ("y2", "beta"): "0"}), bound,
-        require_action=True)
+        alg = expand(FreeCommPresentation(
+            2, [GeneratorSpec("t1", 1), GeneratorSpec("t2", 1)]), bound)
+    else:
+        gens = [GeneratorSpec("x1", 1, "exterior", (1, "y1")),
+                GeneratorSpec("x2", 1, "exterior", (1, "y2")),
+                GeneratorSpec("y1", 2), GeneratorSpec("y2", 2)]
+        alg = expand(FreeCommPresentation(
+            p, gens, {("y1", "beta"): "0", ("y2", "beta"): "0"}), bound)
+    assert alg.action_complete
+    return alg
 
 
 @pytest.mark.parametrize("p,bound,top", [(2, 12, 8), (3, 22, 4), (5, 30, 3)])

@@ -237,6 +237,16 @@ def test_krull_free_modules():
             assert krull_degree(F(n), p).degree == n, (p, n)
 
 
+def test_krull_degree_iterates_until_zero():
+    """T̄ lowers the largest F index by one per step, so F(n) takes n + 1
+    steps; no step count caps the iteration."""
+    for n in (64, 70):
+        report = krull_degree(F(n), 2)
+        assert report.degree == n and report.determined
+        assert len(report.trace) == n + 2
+        assert report.trace_strings()[-1] == "0"
+
+
 def test_krull_sigma_f1():
     report = krull_degree(Sigma(F(1)), 2)
     assert report.degree == 1
