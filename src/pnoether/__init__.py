@@ -30,8 +30,8 @@ from .em import (CyclicClass, EMProduct, EMSpec, IntegerClass, PadicClass,
                  PruferClass, em_product_presentation,
                  fiber_layout, parse_space)
 from .serre import (FibrationSpec, SSResult, connected_cover_cohomology,
-                    kudo_chain, permanent_powers, propagate_transgression,
-                    run_ss, split_fiber_generators)
+                    kudo_chain, permanent_powers, run_ss,
+                    split_fiber_generators)
 from .noetherian import (AbelianPGroup, FibrationDescription,
                          PNoetherianPresentation, SplitVerdict, SquareReport,
                          SumOfSquaresCertificate, TQReport, hom_zp,

@@ -277,9 +277,7 @@ def _run_cover(args):
     entry = _resolve_catalog(args.catalog, args.entry)
     pres = entry.presentation(args.p)
     result = connected_cover_cohomology(
-        pres, args.p, args.max_degree,
-        torsion_free=entry.torsion_free,
-        assert_finite_base=args.assert_finite_base)
+        pres, args.p, args.max_degree, torsion_free=entry.torsion_free)
     payload = result.to_jsonable()
     payload["catalog_entry"] = entry.name
     payload["surviving_degrees"] = sorted(
@@ -433,8 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="entry name when --catalog is a file")
     sp.add_argument("--max-degree", type=int, default=None,
                     help="default: 2*(top base degree) + 3")
-    sp.add_argument("--assert-finite-base", action="store_true",
-                    help="require a finite-dimensional base (all generators exterior)")
     common(sp)
 
     sp = sub.add_parser("split", help="fibration splitting verdicts")

@@ -3,11 +3,13 @@
 Supported pattern: every differential is generated by the transgression
 values of the fiber's fundamental classes, extended to all fiber algebra
 generators through the Steenrod action on the base, to p-th powers through
-the power-transgression rule, and multiplicatively.  For a polynomial fiber
-generator ``u`` with |u| = 2m at an odd prime, killing b = τ(u) leaves the
-companion class u^{p-1}·b, whose own differential hits βP^m(b), while
-``u^p`` transgresses to P^m(b); at p = 2 the companion's target is b² and
-``u²`` transgresses to Sq^{|u|}(b).  Any configuration outside this pattern
+the power-transgression rule, and multiplicatively: one Kudo chain per
+fiber generator, whose values are computed when first read, and read only
+where the quotient of the base has a class in the target degree.  For a
+polynomial fiber generator ``u`` with |u| = 2m at an odd prime, killing
+b = τ(u) leaves the companion class u^{p-1}·b, whose own differential hits
+βP^m(b), while ``u^p`` transgresses to P^m(b); at p = 2 the companion's
+target is b² and ``u²`` transgresses to Sq^{|u|}(b).  Any configuration outside this pattern
 (detected through annihilator profiles of the killed classes) aborts with
 ``UnsupportedFibrationError`` rather than reporting a wrong answer.
 
@@ -106,56 +108,58 @@ def default_bound(base: FreeCommPresentation, fiber) -> int:
 
 
 # ---------------------------------------------------------------------------
-# transgression propagation
+# the Kudo chain: the one place a transgression is computed
 
 
-def propagate_transgression(spec: FibrationSpec, base_alg=None) -> dict:
-    """Transgression image of every fiber algebra generator, as an element
-    of the base expanded through bound+1 (τ raises degree by one).
+class _KudoStage:
+    """The stage a^e of the Kudo chain a, a^p, a^p², … of the named fiber
+    generator a, within the bound (a alone when a is exterior).
 
-    τ commutes with the Steenrod action: the generator defined by the word
-    w on a bottom class ι has τ = w·τ(ι), computed in the base algebra.
-    """
-    if base_alg is None:
-        base_alg = spec.base_algebra()
-    tau_bottoms = {name: base_alg.element_from_poly(poly)
-                   for name, poly in spec.transgression.items()}
-    out = {}
-    for g in spec.fiber_gens.values():
-        tau_bottom = tau_bottoms[g.bottom]
-        if tau_bottom.is_zero:
-            out[g.name] = base_alg.zero()
-            continue
-        if g.word is None:
-            raise UnsupportedFibrationError(
-                f"fiber class {g.name} is built on a higher-Bockstein "
-                f"companion of {g.bottom}; its transgression is not "
-                "determined by the primary Steenrod action")
-        if g.degree + 1 > base_alg.bound:
-            raise UnsupportedFibrationError(
-                f"transgression of {g.name} lands above the working bound")
-        out[g.name] = base_alg.act_word(g.word, tau_bottom)
-    return out
-
-
-def _kudo_powers(spec: FibrationSpec, base_alg, taus: dict, gen_name: str):
-    """Yield (exponent, degree, τ value) for a, a^p, a^p², … while the degree
-    stays within the bound; an exterior a (a² = 0) yields only itself.
-
-    τ(x^p) = Sq^{|x|}τ(x) at p = 2 and P^{|x|/2}τ(x) at odd p, where a
+    ``tau``, its transgression in the base algebra (expanded through
+    bound + 1), is computed when first read.  τ commutes with the Steenrod
+    action, so τ(a) = w·τ(ι) for a's word w on its bottom class ι; and
+    τ(x^p) = Sq^{|x|}τ(x) at p = 2, P^{|x|/2}τ(x) at odd p, where a
     polynomial x has even degree."""
-    gen = spec.fiber_gens.get(gen_name)
-    if gen is None:
-        raise InputError(f"{gen_name!r} is not a fiber generator")
-    degree, exponent, value = gen.degree, 1, taus[gen_name]
-    while True:
-        yield exponent, degree, value
-        if gen.kind == "exterior" or degree * spec.p > spec.bound:
-            return
-        op = ("Sq", degree) if spec.p == 2 else ("P", degree // 2)
-        value = base_alg.act(op, value, drop_above=True)
-        degree *= spec.p
-        exponent *= spec.p
+
+    def __init__(self, spec: FibrationSpec, base_alg, name: str, below=None):
+        self.spec, self.base_alg = spec, base_alg
+        self.gen = gen = spec.fiber_gens.get(name)
+        if gen is None:
+            raise InputError(f"{name!r} is not a fiber generator")
+        self.below = below  # the previous stage, None at a itself
+        self.exponent = 1 if below is None else below.exponent * spec.p
+        self.degree = gen.degree * self.exponent
+        self.origin = name if below is None else f"{name}^{self.exponent}"
+
+    @functools.cached_property
+    def tau(self) -> Element:
+        spec, base, gen, below = self.spec, self.base_alg, self.gen, self.below
+        if below is not None:
+            d = below.degree
+            op = ("Sq", d) if spec.p == 2 else ("P", d // 2)
+            return base.act(op, below.tau, drop_above=True)
+        bottom = base.element_from_poly(spec.transgression[gen.bottom])
+        if bottom.is_zero:
+            return bottom
+        if gen.word is None:
+            raise UnsupportedFibrationError(
+                f"fiber class {gen.name} is built on a higher-Bockstein "
+                f"companion of {gen.bottom}; its transgression is not "
+                "determined by the primary Steenrod action")
+        return base.act_word(gen.word, bottom)
+
+    def next(self):
+        """The stage a^{pe}, or None past the bound or for an exterior a."""
+        if self.gen.kind == "exterior" \
+                or self.degree * self.spec.p > self.spec.bound:
+            return None
+        return _KudoStage(self.spec, self.base_alg, self.gen.name, self)
+
+    def hits(self, quotient: QuotientTruncAlgebra) -> bool:
+        """Whether τ of this stage is nonzero in the quotient; τ is read
+        only when the quotient has a class in degree |a^e| + 1."""
+        return bool(quotient.dim(self.degree + 1)) \
+            and not quotient.contains_in_ideal(self.tau)
 
 
 def kudo_chain(spec: FibrationSpec, gen_name: str):
@@ -166,14 +170,10 @@ def kudo_chain(spec: FibrationSpec, gen_name: str):
     the base algebra; the chain stops after the first zero value or when the
     next power's degree exceeds the bound.
     """
-    base_alg = spec.base_algebra()
-    taus = propagate_transgression(spec, base_alg)
-    chain = []
-    for exponent, _degree, value in _kudo_powers(spec, base_alg, taus,
-                                                 gen_name):
-        chain.append((exponent, value))
-        if value.is_zero:
-            break
+    stage = _KudoStage(spec, spec.base_algebra(), gen_name)
+    chain = [(1, stage.tau)]
+    while not stage.tau.is_zero and (stage := stage.next()) is not None:
+        chain.append((stage.exponent, stage.tau))
     return chain
 
 
@@ -284,38 +284,28 @@ class SSResult:
 
 
 class _Engine:
-    def __init__(self, spec: FibrationSpec, assert_finite_base: bool = False):
+    def __init__(self, spec: FibrationSpec):
         self.spec = spec
         self.p = spec.p
         self.bound = spec.bound
         self.base_alg = spec.base_algebra()  # bound + 1
         self.fiber_alg = expand(spec.fiber_pres, spec.bound)
-        self.taus = propagate_transgression(spec, self.base_alg)
         # the base modulo the killed ideal, grown in place at every kill
         self.quotient = QuotientTruncAlgebra(self.base_alg, [])
         self.log: list[dict] = []
         self.survivors: list[Survivor] = []  # in the order they survive
-        self.flags = {}
-        if assert_finite_base:
-            poly = [g.name for g in spec.base.generators
-                    if g.kind == "polynomial"]
-            if poly:
-                raise InputError(
-                    "finite-base mode: base has polynomial generators "
-                    f"{poly}, so its cohomology is not finite-dimensional")
-            self.flags["finite_base"] = True
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _model_series(self, queue_items) -> list:
         """Series of the current page model through the bound: the
-        quotient's dimensions times the free factors of the queued fiber
-        gens at their current power state and of everything that already
-        survived, each applied in place in O(bound).  run builds it once
-        before its loop and once after each transgression step."""
+        quotient's dimensions times the free factors of the queued Kudo
+        stages and of everything that already survived, each applied in
+        place in O(bound).  run builds it once before its loop and once
+        after each transgression step."""
         coeffs = self.quotient.dims()[: self.bound + 1]
-        for degree, _seq, kind, *_rest in queue_items:
-            _apply_factor(coeffs, degree, kind)
+        for _degree, _seq, stage in queue_items:
+            _apply_factor(coeffs, stage.degree, stage.gen.kind)
         for s in self.survivors:
             _apply_factor(coeffs, s.degree, s.kind)
         return coeffs
@@ -360,39 +350,29 @@ class _Engine:
     # -- main loop ------------------------------------------------------------
 
     def run(self) -> SSResult:
-        # queue items: (degree, seq, kind, label, exponent, rep, chain) where
-        # chain is the _kudo_powers iterator of the fiber generator label and
-        # (exponent, degree, rep) its last stage: label^exponent with
-        # transgression rep
+        # queue items: (degree, seq, stage), one Kudo stage per fiber
+        # generator; a polynomial kill queues the stage's successor
         seq = itertools.count()
-        queue = []
-
-        def push(kind, label, chain):
-            stage = next(chain, None)
-            if stage is not None:
-                exponent, degree, rep = stage
-                heapq.heappush(queue, (degree, next(seq), kind, label,
-                                       exponent, rep, chain))
-
-        for g in self.spec.fiber_gens.values():
-            push(g.kind, g.name, _kudo_powers(self.spec, self.base_alg,
-                                              self.taus, g.name))
+        stages = [_KudoStage(self.spec, self.base_alg, name)
+                  for name in self.spec.fiber_gens]
+        queue = [(stage.degree, next(seq), stage) for stage in stages]
+        heapq.heapify(queue)
         # a step's series before is the previous step's series after; a
         # survivor leaves it unchanged
         series = self._model_series(queue)
         while queue:
-            degree, _s, kind, label, exponent, rep, chain = \
-                heapq.heappop(queue)
-            origin = label if exponent == 1 else f"{label}^{exponent}"
-            if self.quotient.contains_in_ideal(rep):
+            degree, _s, stage = heapq.heappop(queue)
+            label, kind, origin = stage.gen.name, stage.gen.kind, stage.origin
+            if not stage.hits(self.quotient):
                 self.survivors.append(Survivor(
                     name="", degree=degree, kind=kind, origin=origin,
-                    display="", label=label, exponent=exponent,
+                    display="", label=label, exponent=stage.exponent,
                     fiber_class=self.fiber_alg.element_from_poly(origin)))
                 self._log({"event": "survivor", "class": origin,
                            "degree": degree, "series_before": series,
                            "series_after": series})
                 continue
+            rep = stage.tau
             profile = self._kill(rep)
             step = {"event": "transgression", "class": origin,
                     "degree": degree, "target": self.base_alg.describe(rep)}
@@ -408,38 +388,39 @@ class _Engine:
                         f"killing τ({origin}) = {step['target']} does not "
                         "follow the Borel pattern (annihilator is neither "
                         "zero nor the class's own ideal)")
-                step["companion"] = self._companion(label, exponent, degree,
-                                                    rep, profile)
-                push(kind, label, chain)
+                step["companion"] = self._companion(stage, profile)
+                if (successor := stage.next()) is not None:
+                    heapq.heappush(queue, (successor.degree, next(seq),
+                                           successor))
             step["series_before"] = series
             series = step["series_after"] = self._model_series(queue)
             self._log(step)
         return self._assemble(series)
 
-    def _companion(self, label, exponent, degree, rep, profile):
+    def _companion(self, stage: _KudoStage, profile):
         """Settle the companion class u^{p-1}·τ(u) of a killed polynomial
-        class u = label^exponent, whose differential hits τ(u)² at p = 2 and
-        -βP^{|u|/2}τ(u) at odd p; returns the log note (None when there is
-        no companion within the bound)."""
-        comp_degree = (self.p - 1) * degree + rep.degree()  # = p·|u| + 1
+        class u (the Kudo stage), whose differential hits τ(u)² at p = 2
+        and -βP^{|u|/2}τ(u) at odd p; returns the log note (None when there
+        is no companion within the bound)."""
+        comp_degree = self.p * stage.degree + 1
         if profile != "principal" or comp_degree > self.bound:
             return None
-        base = self.base_alg
+        base, rep, label = self.base_alg, stage.tau, stage.gen.name
         if self.p == 2:
             target = base.product(rep, rep, drop_above=True)
         else:
-            power = base.act(("P", degree // 2), rep, drop_above=True)
+            power = base.act(("P", stage.degree // 2), rep, drop_above=True)
             target = base.act(("B",), power, drop_above=True).scale(-1)
         if self.quotient.contains_in_ideal(target):
             self.survivors.append(Survivor(
                 name="", degree=comp_degree, kind="exterior",
-                origin=(f"{label}^{exponent * (self.p - 1)}"
-                        f"*[{self.base_alg.describe(rep)}]"),
+                origin=(f"{label}^{stage.exponent * (self.p - 1)}"
+                        f"*[{base.describe(rep)}]"),
                 display="", fiber_class=None, is_companion=True,
-                label=label, exponent=exponent * self.p))
+                label=label, exponent=stage.exponent * self.p))
             return "companion survives"
         self.quotient.add_generator(target)
-        return "companion kills " + self.base_alg.describe(target)
+        return "companion kills " + base.describe(target)
 
     # -- assembly --------------------------------------------------------------
 
@@ -459,9 +440,8 @@ class _Engine:
         coordinate = (self._survivor_coordinates(survivors)
                       if quotient_trivial else None)
         killed = [self.base_alg.describe(x) for x in self.quotient.ideal_gens]
-        flags = dict(self.flags)
-        flags["finitely_generated"] = True
-        flags["quotient_trivial"] = quotient_trivial
+        flags = {"finitely_generated": True,
+                 "quotient_trivial": quotient_trivial}
         return SSResult(p=self.p, bound=self.bound, quotient=self.quotient,
                         surviving_fiber_generators=survivors,
                         killed_base_ideal=killed, log=self.log, flags=flags,
@@ -648,27 +628,19 @@ class _Engine:
 
     def _companion_shadow(self, survivors) -> set:
         """Degrees ≤ bound of survivor monomials with a companion factor:
-        survivors are taken in one at a time, tracking the degrees of the
-        monomials so far without and with a companion factor."""
-        plain, shadow = {0}, set()
+        those where the series of all survivors exceeds the series of the
+        survivors other than companions (which are exterior)."""
+        every, plain = [1] + [0] * self.bound, [1] + [0] * self.bound
         for s in survivors:
-            top = s.degree if s.kind == "exterior" else self.bound
-            steps = range(s.degree, top + 1, s.degree)
-
-            def shifted(degrees):
-                return {d + t for d in degrees for t in steps
-                        if d + t <= self.bound}
-
-            if s.is_companion:
-                shadow |= shifted(plain | shadow)
-            else:
-                plain, shadow = plain | shifted(plain), shadow | shifted(shadow)
-        return shadow
+            _apply_factor(every, s.degree, s.kind)
+            if not s.is_companion:
+                _apply_factor(plain, s.degree, s.kind)
+        return {d for d, (a, b) in enumerate(zip(every, plain)) if a > b}
 
 
-def run_ss(spec: FibrationSpec, assert_finite_base: bool = False) -> SSResult:
+def run_ss(spec: FibrationSpec) -> SSResult:
     """E∞ of the fibration through the bound, by the transgressive algorithm."""
-    return _Engine(spec, assert_finite_base).run()
+    return _Engine(spec).run()
 
 
 # ---------------------------------------------------------------------------
@@ -696,28 +668,24 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
     Kudo power-transgression of a zero modulo the earlier chain values;
     reports (name, k, p^k, degree of a^{p^k}, chain as base polynomials)."""
     base_alg = spec.base_algebra()
-    taus = propagate_transgression(spec, base_alg)
     out = []
     for name in poly_gens:
-        # an unknown name is refused by _kudo_powers
-        gen = spec.fiber_gens.get(name)
-        if gen is not None and gen.kind != "polynomial":
+        stage = _KudoStage(spec, base_alg, name)
+        if stage.gen.kind != "polynomial":
             raise InputError(f"{name} is not a polynomial generator")
         chain = []
         quotient = QuotientTruncAlgebra(base_alg, [])
-        for exponent, degree, value in _kudo_powers(spec, base_alg, taus,
-                                                    name):
-            if quotient.contains_in_ideal(value):
-                break
-            chain.append(value)
-            quotient.add_generator(value)
-        else:
-            raise BoundExceededError(
-                f"no p-power of {name} has vanishing transgression "
-                f"within degree {spec.bound}",
-                partial=[base_alg.describe(v) for v in chain])
-        out.append({"generator": name, "k": len(chain), "exponent": exponent,
-                    "degree": degree,
+        while stage.hits(quotient):
+            chain.append(stage.tau)
+            quotient.add_generator(stage.tau)
+            stage = stage.next()
+            if stage is None:
+                raise BoundExceededError(
+                    f"no p-power of {name} has vanishing transgression "
+                    f"within degree {spec.bound}",
+                    partial=[base_alg.describe(v) for v in chain])
+        out.append({"generator": name, "k": len(chain),
+                    "exponent": stage.exponent, "degree": stage.degree,
                     "chain": [base_alg.describe(v) for v in chain]})
     return out
 
@@ -727,8 +695,8 @@ def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
 
 
 def connected_cover_cohomology(entry: FreeCommPresentation, p: int,
-                               bound: int = None, torsion_free: bool = None,
-                               assert_finite_base: bool = False) -> SSResult:
+                               bound: int = None,
+                               torsion_free: bool = None) -> SSResult:
     """H* of the 3-connected cover of a space with H*(BG)-style cohomology:
     runs the fibration K(Z,3) → X⟨4⟩ → X with τ(ι₃) = the degree-4 class."""
     if entry.p != p:
@@ -743,4 +711,4 @@ def connected_cover_cohomology(entry: FreeCommPresentation, p: int,
     fiber = EMSpec(IntegerClass(), 3)
     spec = FibrationSpec(p, entry, fiber,
                          transgression={"i3": x4[0].name}, bound=bound)
-    return run_ss(spec, assert_finite_base=assert_finite_base)
+    return run_ss(spec)

@@ -11,6 +11,7 @@ an independent product formula.
 import contextlib
 import io
 import itertools
+import json
 import random
 import re
 
@@ -30,7 +31,6 @@ from pnoether import (
     expand,
     kudo_chain,
     permanent_powers,
-    propagate_transgression,
     run_ss,
     split_fiber_generators,
 )
@@ -864,22 +864,40 @@ def test_companion_classes_block_transgression_propagation():
     spec = FibrationSpec(2, base, EMSpec(CyclicClass(2), 2),
                          {"i2": "x1^3"}, bound=8)
     with pytest.raises(UnsupportedFibrationError) as err:
-        propagate_transgression(spec)
+        kudo_chain(spec, "Sq1i2")[0]
     assert "higher-Bockstein companion" in str(err.value)
     # with zero transgression the companion family is harmless
     quiet = FibrationSpec(2, base, EMSpec(CyclicClass(2), 2), None, bound=8)
-    taus = propagate_transgression(quiet)
-    assert all(v.is_zero for v in taus.values())
+    assert all(kudo_chain(quiet, name)[0][1].is_zero
+               for name in quiet.fiber_gens)
 
 
-def test_propagation_respects_a_small_working_bound():
-    entry = get_entry("BS3")
-    spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                         {"i3": "y4"}, bound=12)
-    small = expand(entry.presentation(2), 8)
-    with pytest.raises(UnsupportedFibrationError) as err:
-        propagate_transgression(spec, base_alg=small)
-    assert "above the working bound" in str(err.value)
+def z4_fibration(base):
+    """K(Z/4,2) → E → base with τ(i2) = x1^3, at p = 2 and bound 8."""
+    return FibrationSpec(2, base, EMSpec(CyclicClass(2), 2), {"i2": "x1^3"},
+                         bound=8)
+
+
+def test_an_unread_companion_transgression_does_not_refuse():
+    """Over F_2[x1] the quotient F_2[x1]/(x1^3) is zero from degree 3 on,
+    so the classes built on the higher-Bockstein companion of i2 survive
+    without their transgression being read."""
+    res = run_ss(z4_fibration(FreeCommPresentation(2, [GeneratorSpec("x1", 1)])))
+    assert [(s.origin, s.degree) for s in res.surviving_fiber_generators] == \
+        [("Sq1i2", 3), ("i2^2", 4), ("Sq2Sq1i2", 5)]
+    assert res.killed_base_ideal == ["x1^3"]
+    assert res.poincare().coeffs == [1, 1, 1, 1, 2, 3, 3, 3, 4]
+
+
+def test_a_read_companion_transgression_still_refuses():
+    """With y4 in the base the quotient has a class in degree 4, so the
+    transgression of Sq1i2 is read, and the engine refuses it."""
+    base = FreeCommPresentation(
+        2, [GeneratorSpec("x1", 1), GeneratorSpec("y4", 4)],
+        {("y4", f"Sq{i}"): "0" for i in (1, 2, 3)})
+    with pytest.raises(UnsupportedFibrationError,
+                       match="higher-Bockstein companion"):
+        run_ss(z4_fibration(base))
 
 
 # ---------------------------------------------------------------------------
@@ -926,19 +944,6 @@ def test_default_bound():
     assert spec.bound == 11
 
 
-def test_finite_base_mode():
-    spec = s3_loop_fibration(2, 10)
-    res = run_ss(spec, assert_finite_base=True)
-    assert res.flags["finite_base"]
-    entry = get_entry("BS3")
-    poly_spec = FibrationSpec(2, entry.presentation(2),
-                              EMSpec(IntegerClass(), 3), {"i3": "y4"},
-                              bound=12)
-    with pytest.raises(InputError) as err:
-        run_ss(poly_spec, assert_finite_base=True)
-    assert "y4" in str(err.value)
-
-
 # ---------------------------------------------------------------------------
 # power bookkeeping helpers
 
@@ -978,6 +983,46 @@ def test_the_engine_walks_the_kudo_chain(p):
             assert chain == [("i3", "y4")]
 
 
+def test_only_i3_transgression_is_read_in_the_bs3_cover(monkeypatch):
+    """Once y4 is killed the quotient is zero above degree 0, so every
+    later class survives on its degree alone: run_ss and kudo_chain each
+    apply one word on the base algebra, i3's."""
+    spec = FibrationSpec(2, get_entry("BS3").presentation(2),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=100)
+    calls = []
+    act_word = graded.TruncAlgebra.act_word
+
+    def counted(alg, word, x, drop_above=False):
+        if getattr(alg, "presentation", None) is spec.base:
+            calls.append(word)
+        return act_word(alg, word, x, drop_above)
+
+    monkeypatch.setattr(graded.TruncAlgebra, "act_word", counted)
+    run_ss(spec)
+    assert len(calls) == 1
+    kudo_chain(spec, "i3")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name,p", [("X30", 3), ("X2b_4", 5)])
+def test_a_cover_answers_where_missing_steenrod_data_goes_unread(name, p):
+    """Neither entry tabulates a reduced power at p, and no transgression
+    these covers read needs one."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["cover", "--catalog", name, "--p", str(p),
+                     "--max-degree", "60"]) == 0
+    spec = ledger_spec(name, p, 60)
+    res = run_ss(spec)
+    assert json.loads(out.getvalue())["payload"]["poincare"] == \
+        res.poincare().coeffs
+    assert_euler_ledger_telescopes(res, spec)
+    survivors = expand(FreeCommPresentation(p, [
+        GeneratorSpec(s.name, s.degree, s.kind)
+        for s in res.surviving_fiber_generators]), 60)
+    assert res.poincare().coeffs == \
+        convolve(res.quotient.dims(), survivors.dims(), 60)
+
+
 def test_permanent_powers_bs3():
     entry = get_entry("BS3")
     spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
@@ -1015,7 +1060,8 @@ def test_propagate_transgression_values():
     entry = get_entry("BS3")
     spec = FibrationSpec(3, entry.presentation(3), EMSpec(IntegerClass(), 3),
                          {"i3": "y4"}, bound=11)
-    taus = {name: repr(v) for name, v in propagate_transgression(spec).items()}
+    taus = {name: repr(kudo_chain(spec, name)[0][1])
+            for name in spec.fiber_gens}
     assert taus == {"i3": "<y4>", "P1i3": "<2*y4^2>", "bP1i3": "<0>"}
 
 
