@@ -11,9 +11,10 @@ D, a product table, and Steenrod-operation matrices.  Three flavors exist:
   ideal, with induced product and (when the ideal is invariant) action;
 * ``TensorTruncAlgebra`` — graded tensor product with Koszul signs.
 
-The free and the tensor algebra take an operation's value on a product
-from one Cartan rule, ``cartan_terms``, applied to the values on the two
-factors.
+The tensor algebra takes an operation's value on a pair from the Cartan
+rule ``cartan_terms``; the free algebra reads it on a monomial g^a·rest
+from a total operation such as Sq = Σ Sq^i, a ring map, on g^a (from the
+base-p digits of a) and on rest.
 
 Truncation semantics: values above the bound are *unknown*, never zero.  A
 public product or operation that would land above the bound raises
@@ -37,6 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
+from types import MappingProxyType
 
 from . import steenrod
 from .errors import (
@@ -395,20 +397,23 @@ class Element:
 
     def __add__(self, other):
         self._check_same(other)
-        out = dict(self.data)
+        p, out = self.algebra.p, dict(self.data)
         for k, v in other.data.items():
-            out[k] = out.get(k, 0) + v
-        return Element(self.algebra, out)
+            if r := (out.get(k, 0) + v) % p:
+                out[k] = r
+            else:
+                del out[k]  # v is nonzero mod p, so k was in out
+        return _reduced(self.algebra, out)
 
     def __sub__(self, other):
         self._check_same(other)
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0) - v
-        return Element(self.algebra, out)
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "Element":
-        return Element(self.algebra, {k: v * c for k, v in self.data.items()})
+        p = self.algebra.p
+        c %= p  # p is prime, so a nonzero c keeps every entry nonzero
+        return _reduced(self.algebra,
+                        {k: v * c % p for k, v in self.data.items()} if c else {})
 
     def __mul__(self, other):
         self._check_same(other)
@@ -454,11 +459,19 @@ def _reduced(algebra, data: dict) -> Element:
 # truncated algebras
 
 
+@functools.lru_cache(maxsize=None)
+def _letters_applied(p: int, word: tuple) -> tuple:
+    """A word's letters in the order they act, rightmost first."""
+    return tuple(reversed(steenrod.word_to_letters(p, word)))
+
+
 class TruncAlgebra:
     """Shared behavior: basis bookkeeping, series, op-word application."""
 
     p: int
     bound: int
+    # act reads an act_basis memo inline; an algebra that keeps one sets it
+    _action: Mapping = MappingProxyType({})
 
     def dim(self, degree: int) -> int:
         if degree < 0 or degree > self.bound:
@@ -513,23 +526,28 @@ class TruncAlgebra:
 
     def act(self, op: tuple, x: Element, drop_above: bool = False) -> Element:
         """Apply one Steenrod operation (Sq^i / P^i / beta) to an element."""
-        shift = op_degree(self.p, op)
-        data, out = x.data, {}
+        return _reduced(self, self._act_data(op, x.data, drop_above))
+
+    def _act_data(self, op: tuple, data: dict, drop_above: bool) -> dict:
+        """op on reduced {(degree, index): coeff} data as new reduced data,
+        never shared with the memo; a memoized value is read inline."""
+        p, bound, memo = self.p, self.bound, self._action
+        shift = op_degree(p, op)
+        out: dict = {}
         for (d, i), c in data.items():
-            if d + shift > self.bound:
+            if d + shift > bound:
                 if drop_above:
                     continue
-                raise TruncationError(
-                    f"{format_op(op)} on a degree-{d} element lands in degree "
-                    f"{d + shift}, above the truncation bound {self.bound}")
-            value = self.act_basis(op, d, i)
-            if c == 1 and len(data) == 1:
-                # a basis element: the value is reduced already; copy it,
-                # since act_basis may hand out a memoized dict
-                return _reduced(self, value.copy())
-            for key, ct in value.items():
-                out[key] = out.get(key, 0) + ct * c
-        return Element(self, out)
+                self._refuse_above(op, d)
+            value = memo.get((op, d, i))
+            if value is None:
+                value = self.act_basis(op, d, i)
+            if len(data) == 1:  # reduced: c·v is nonzero mod the prime p
+                return value.copy() if c == 1 else \
+                    {k: v * c % p for k, v in value.items()}
+            for key, v in value.items():
+                out[key] = out.get(key, 0) + v * c
+        return {k: r for k, v in out.items() if (r := v % p)}
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         """op on the basis element (degree, index) as {basis key: coeff},
@@ -539,19 +557,19 @@ class TruncAlgebra:
 
     def _refuse_above(self, op: tuple, degree: int) -> None:
         """Raise TruncationError if op on degree lands above the bound."""
-        if degree + op_degree(self.p, op) > self.bound:
+        if (target := degree + op_degree(self.p, op)) > self.bound:
             raise TruncationError(
-                f"{format_op(op)} on a degree-{degree} element lands above "
-                f"the truncation bound {self.bound}")
+                f"{format_op(op)} on a degree-{degree} element lands in degree "
+                f"{target}, above the truncation bound {self.bound}")
 
     def act_word(self, word: tuple, x: Element, drop_above: bool = False) -> Element:
         """Apply a composite word (rightmost factor first)."""
-        out = x
-        for letter in reversed(steenrod.word_to_letters(self.p, word)):
-            out = self.act(letter, out, drop_above)
-            if out.is_zero:
-                return out
-        return out
+        data = x.data
+        for letter in _letters_applied(self.p, tuple(word)):
+            data = self._act_data(letter, data, drop_above)
+            if not data:
+                break
+        return _reduced(self, data.copy() if data is x.data else data)
 
     def op_list(self) -> list[tuple]:
         """All single operations that stay within the bound somewhere."""
@@ -595,7 +613,7 @@ class FreeTruncAlgebra(TruncAlgebra):
     which table entries exist, reading none of them; a generator's value
     under an operation is computed, and its table entry read, the first
     time it is needed.  The value on any other monomial comes from the
-    Cartan rule (``act_basis``), and every value is kept in one memo.
+    total operation (``act_basis``), and every value is kept in one memo.
     """
 
     def __init__(self, presentation: FreeCommPresentation, bound: int):
@@ -749,7 +767,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         return sign, merged
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        # one list index on listed degrees, as in act_basis
+        # one list index on listed degrees
         merged = self._merge_monomials((self._basis[d1] or self.basis(d1))[i1],
                                        (self._basis[d2] or self.basis(d2))[i2])
         if merged is None:
@@ -816,18 +834,18 @@ class FreeTruncAlgebra(TruncAlgebra):
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         """op on the basis element (degree, index) as {basis key: coeff}.
 
-        A generator's value comes from its ``_gen_op_value`` rule; any other
-        monomial g·rest, g its first generator, takes the terms of
-        ``cartan_terms`` from the values of g and of rest, read through this
-        method, one frame per generator factor.  A miss on a Sq^i (P^i)
+        A generator's value comes from its ``_gen_op_value`` rule.  Any
+        other monomial g^a·rest, g its first generator, is read from a
+        total operation T, Sq = Σ Sq^i or P = Σ P^i, or 1 + β (which is
+        multiplicative once β·β terms are dropped and β passes x with the
+        sign (-1)^|x|): T(g^a·rest) = T(g^a)·T(rest), both read through
+        this method, one frame per generator, and T(g^a) for a > 1 comes
+        from T(g) by the base-p digits of a.  A miss on a Sq^i (P^i)
         computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
-        monomial; β is computed on its own.  Values are memoized by (op,
-        degree, index), so a value read before costs one lookup.  A value
-        is shared with the memo and with every earlier caller, already
-        reduced mod p with no zero entries, and must not be mutated (``act``
-        copies it).  An op landing above the bound raises TruncationError,
-        and a monomial on a generator with missing data raises
-        MissingDataError, on every request: a refusal is never memoized."""
+        monomial.  Values are memoized by (op, degree, index).  An op
+        landing above the bound raises TruncationError, and a monomial on
+        a generator with missing data raises MissingDataError, on every
+        request: a refusal is never memoized."""
         key = (op, degree, index)
         value = self._action.get(key)
         if value is not None:
@@ -837,41 +855,76 @@ class FreeTruncAlgebra(TruncAlgebra):
             raise MissingDataError(
                 "Steenrod data needed within the bound is missing",
                 gaps=self.gaps)
-        ops = ops_on_degree(self.p, degree, self.bound)
+        p = self.p
+        ops = ops_on_degree(p, degree, self.bound)
         if op not in ops or not degree:
             self._refuse_above(op, degree)
             # zero by instability, or on the unit
             value = self._action[key] = {}
             return value
         first = next(k for k, e in enumerate(mono) if e)
-        g = self.generators[first]
+        g, a = self.generators[first], mono[first]
         if degree == g.degree:  # the monomial is g
             value = self._action[key] = self._gen_op_value(g, op)()
             return value
-        p, basis, merge = self.p, self._basis, self._merge_monomials
-        rest = mono[:first] + (mono[first] - 1,) + mono[first + 1:]
-        unit = (0,) * first + (1,) + (0,) * (len(mono) - first - 1)
-        dg, dr = g.degree, degree - g.degree
-        g_key = (dg, self._indexed(dg)[unit])
-        rest_key = (dr, self._indexed(dr)[rest])
         family = [op] if op == ("B",) else [o for o in ops if o[0] == op[0]]
-        for o in family:
-            target = self._indexed(degree + op_degree(p, o))
-            out: dict = {}
-            for sign, o_g, o_rest in cartan_terms(p, o, dg, dr):
-                left = self.act_basis(o_g, *g_key) if o_g else {g_key: 1}
-                right = self.act_basis(o_rest, *rest_key) if o_rest \
-                    else {rest_key: 1}
-                for (d1, i1), c1 in left.items():
-                    m1 = basis[d1][i1]
-                    for (d2, i2), c2 in right.items():
-                        merged = merge(m1, basis[d2][i2])
-                        if merged is not None:
-                            t = (d1 + d2, target[merged[1]])
-                            out[t] = out.get(t, 0) + merged[0] * sign * c1 * c2
-            self._action[(o, degree, index)] = {
-                t: r for t, c in out.items() if (r := c % p)}
+        step, top = op_degree(p, family[0]), op_degree(p, family[-1])
+        dg, zeros = a * g.degree, (0,) * (len(mono) - first - 1)
+        if degree > dg:
+            rest = (0,) * (first + 1) + mono[first + 1:]
+            total = self._times(self._total(op[0], dg, mono[:first + 1] + zeros, top),
+                                self._total(op[0], degree - dg, rest, top), top)
+        else:
+            # a > 1, so g is of even degree or p = 2, and the p-th power of a
+            # sum of T-terms is the sum of their p-th powers (zero for a
+            # monomial with an exterior factor, above excess 1 for a β term):
+            # T(g^a) = Π_j (T(g)^(p^j))^(d_j) over the base-p digits d_j of a
+            unit = mono[:first] + (1,) + zeros
+            factor, q = self._total(op[0], g.degree, unit, top), 1
+            total = {(0, (0,) * len(mono)): 1}
+            while a:
+                a, digit = divmod(a, p)
+                frobenius = {(e * q, tuple(x * q for x in m)): c
+                             for (e, m), c in factor.items() if e * q <= top}
+                for _ in range(digit):
+                    total = self._times(total, frobenius, top)
+                q *= p
+        values = [{} for _ in family]
+        for (e, m), c in total.items():
+            if e:
+                values[e // step - 1][(degree + e, self._indexed(degree + e)[m])] = c
+        self._action.update(((o, degree, index), v) for o, v in zip(family, values))
         return self._action[key]
+
+    def _total(self, sym: str, degree: int, mono: tuple, top: int) -> dict:
+        """mono, of the given degree, plus its values under the ops named
+        sym ("Sq", "P" or "B") that shift by at most top, as {(excess,
+        monomial): coeff}, the excess of a term being its degree less
+        mono's."""
+        basis, index = self._basis, self._indexed(degree)[mono]
+        out = {(0, mono): 1}
+        for o in ops_on_degree(self.p, degree, self.bound):
+            if o[0] == sym and op_degree(self.p, o) <= top:
+                value = self._action.get((o, degree, index))
+                if value is None:
+                    value = self.act_basis(o, degree, index)
+                for (d, i), c in value.items():
+                    out[(d - degree, basis[d][i])] = c
+        return out
+
+    def _times(self, x: dict, y: dict, top: int) -> dict:
+        """The product of two {(excess, monomial): coeff} sums, less the
+        terms of excess above top; a y term of odd excess (a β value at odd
+        p) passes an x term m with the sign (-1)^|m|."""
+        out, merge, odd = {}, self._merge_monomials, self._odd_indices
+        for (e1, m1), c1 in x.items():
+            parity = sum(m1[j] for j in odd) % 2
+            for (e2, m2), c2 in y.items():
+                if e1 + e2 <= top and (merged := merge(m1, m2)):
+                    t = (e1 + e2, merged[1])
+                    sign = -merged[0] if e2 & parity else merged[0]
+                    out[t] = out.get(t, 0) + sign * c1 * c2
+        return {t: r for t, c in out.items() if (r := c % self.p)}
 
 
 class QuotientTruncAlgebra(TruncAlgebra):
@@ -1027,10 +1080,11 @@ class QuotientTruncAlgebra(TruncAlgebra):
         return _coset(self._ideal[d], reps[d], d, {i: c})
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        up = self.free.element(degree, self._reps[degree][index])
-        value = self.free.act(op, up)  # raises above the bound
+        self._refuse_above(op, degree)
+        value = self.free.act_basis(op, degree, self._reps[degree][index])
         d = degree + op_degree(self.p, op)
-        return _coset(self._ideal[d], self._reps[d], d, value.coords(d))
+        return _coset(self._ideal[d], self._reps[d], d,
+                      {i: c for (_d, i), c in value.items()})
 
 
 def _coset(space: RowSpace, reps: list, degree: int, vec: dict) -> dict:

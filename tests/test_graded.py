@@ -10,7 +10,9 @@ to the same numbers.
 
 import gc
 import itertools
+import math
 import random
+import time
 import weakref
 
 import pytest
@@ -36,9 +38,15 @@ from pnoether import (
 )
 from pnoether import serre
 from pnoether.catalog import get_entry
-from pnoether.graded import mult_ranks, op_degree
+from pnoether.graded import (
+    Element,
+    cartan_terms,
+    mult_ranks,
+    op_degree,
+    ops_on_degree,
+)
 from pnoether.linalg import RowSpace
-from pnoether.steenrod import letters_to_word
+from pnoether.steenrod import admissible_words, letters_to_word, word_to_letters
 
 
 def brute_dims(gens, bound):
@@ -628,17 +636,144 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
     check()
 
 
-def test_an_operation_on_a_deep_power_takes_one_frame_per_factor():
-    """Sq1 x^499 = 499 x^500 = x^500 at p = 2, and P1 y^499 = 499 y^501 =
-    y^501 at p = 3 (P1 y = y^3): act_basis reads the value on the power
-    one below through itself, so the recursion is one frame per factor
-    and stays within Python's default limit of 1000 frames."""
-    for p, gen, op, top in ((2, GeneratorSpec("x", 1), ("Sq", 1), 500),
-                            (3, GeneratorSpec("y", 2), ("P", 1), 501)):
-        bound = top * gen.degree
-        alg = expand(FreeCommPresentation(p, [gen]), bound)
-        power = alg.monomial_element((499,))
-        assert alg.act(op, power) == alg.monomial_element((top,))
+def recursive_act_basis(alg, op, degree, index, memo):
+    """An oracle for FreeTruncAlgebra.act_basis: op on a basis monomial
+    g·rest, g its first generator factor, by the Cartan rule on the values
+    on g and on rest, so one frame per factor and each value on its own;
+    a generator's value comes from its rule.  ``memo`` maps (op, degree,
+    index) to values already found.  An op above instability, or on the
+    unit, gives 0; a monomial on a generator with missing data raises
+    MissingDataError."""
+    key = (op, degree, index)
+    if key in memo:
+        return memo[key]
+    mono = alg.basis(degree)[index]
+    if not alg.can_act_on(mono):
+        raise MissingDataError("missing data", gaps=alg.gaps)
+    p, value = alg.p, {}
+    if degree and op in ops_on_degree(p, degree, alg.bound):
+        first = next(k for k, e in enumerate(mono) if e)
+        g = alg.generators[first]
+        if degree == g.degree:
+            value = dict(alg._gen_op_value(g, op)())
+        else:
+            unit = tuple(int(k == first) for k in range(len(mono)))
+            g_key = alg.monomial_key(unit)
+            rest_key = alg.monomial_key(tuple(e - u for e, u in zip(mono, unit)))
+            for sign, o_g, o_rest in cartan_terms(p, op, g.degree,
+                                                  degree - g.degree):
+                left = recursive_act_basis(alg, o_g, *g_key, memo) \
+                    if o_g else {g_key: 1}
+                right = recursive_act_basis(alg, o_rest, *rest_key, memo) \
+                    if o_rest else {rest_key: 1}
+                for (d1, i1), c1 in left.items():
+                    for (d2, i2), c2 in right.items():
+                        merged = alg._merge_monomials(alg.basis(d1)[i1],
+                                                      alg.basis(d2)[i2])
+                        if merged is not None:
+                            t = alg.monomial_key(merged[1])
+                            value[t] = value.get(t, 0) + merged[0] * sign * c1 * c2
+            value = {t: c % p for t, c in value.items() if c % p}
+    memo[key] = value
+    return value
+
+
+def recursive_act(alg, op, data, memo):
+    """op on {basis key: coeff} data through the oracle, dropping what lands
+    above the bound."""
+    p, out = alg.p, {}
+    for (d, i), c in data.items():
+        if d + op_degree(p, op) <= alg.bound:
+            for t, v in recursive_act_basis(alg, op, d, i, memo).items():
+                out[t] = (out.get(t, 0) + v * c) % p
+    return {t: v for t, v in out.items() if v}
+
+
+def missing_or(compute):
+    """compute(), or "missing" when it raises MissingDataError."""
+    try:
+        return compute()
+    except MissingDataError:
+        return "missing"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
+    """act_basis on every basis element (a power's total operation read
+    from the digits of its exponent, one split g^a·rest per generator),
+    act on random sums and act_word on random admissible words agree with
+    the recursion through each factor, refusals for missing data included;
+    on random presentations and on K(Z/p,2), whose powers reach the
+    Frobenius terms of their digits at every prime."""
+
+    def compare(alg, data):
+        memo = {}
+        for op, d, i in acting_keys(alg):
+            assert missing_or(lambda: alg.act_basis(op, d, i)) == \
+                missing_or(lambda: recursive_act_basis(alg, op, d, i, memo))
+        if data is None:
+            return
+        keys = [(d, i) for d in range(alg.bound + 1) for i in range(alg.dim(d))]
+        terms = data.draw(hs.dictionaries(hs.sampled_from(keys),
+                                          hs.integers(1, p - 1), max_size=5))
+        x = Element(alg, terms)
+        op = data.draw(hs.sampled_from(alg.op_list()))
+        assert missing_or(lambda: alg.act(op, x, drop_above=True).data) == \
+            missing_or(lambda: recursive_act(alg, op, terms, memo))
+        word = data.draw(hs.sampled_from(admissible_words(p, alg.bound)))
+
+        def chain():
+            out = terms
+            for letter in reversed(word_to_letters(p, word)):
+                out = recursive_act(alg, letter, out, memo)
+            return out
+
+        assert missing_or(lambda: alg.act_word(word, x, drop_above=True).data) \
+            == missing_or(chain)
+
+    for bound in (24, 40):
+        compare(expand(em_product_presentation(parse_space(f"K(Z/{p},2)", p),
+                                               p, bound), bound), None)
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(hs.data())
+    def check(data):
+        compare(random_presentation(data, p), data)
+
+    check()
+
+
+def test_an_operation_on_a_power_is_the_binomial_multiple_of_a_power():
+    """Sq(x) = x + x^2 for |x| = 1 and P(y) = y + y^p for |y| = 2, so the
+    total operation on the power is (x + x^2)^k and (y + y^p)^k:
+    Sq^i x^k = C(k, i) x^(k+i) and P^i y^k = C(k, i) y^(k+i(p-1)), here
+    at k = 499, where a power's family is read from the digits of k."""
+    for p, gen, sym in ((2, GeneratorSpec("x", 1), "Sq"),
+                        (3, GeneratorSpec("y", 2), "P"),
+                        (5, GeneratorSpec("y", 2), "P")):
+        k, step = 499, 1 if p == 2 else p - 1
+        alg = expand(FreeCommPresentation(p, [gen]), (k + 12 * step) * gen.degree)
+        power = alg.monomial_element((k,))
+        for i in range(1, 13):
+            assert alg.act((sym, i), power) == alg.monomial_element(
+                (k + i * step,), math.comb(k, i))
+
+
+@pytest.mark.parametrize("p, gen, op, top", [
+    (2, GeneratorSpec("x", 1), ("Sq", 1), 5000),
+    (3, GeneratorSpec("y", 2), ("P", 1), 5001),
+], ids=["Sq1_x4999", "P1_y4999"])
+def test_an_operation_on_a_deep_power_answers_at_once(p, gen, op, top):
+    """Sq1 x^4999 = x^5000 at p = 2, and P1 y^4999 = 4999 y^5001 = y^5001
+    at p = 3 (P1 y = y^3): the value on a power does not recurse through
+    the lower powers, so it takes no frame per factor (a recursion that
+    did raised RecursionError here) and answers in well under 0.1 s."""
+    alg = expand(FreeCommPresentation(p, [gen]), top * gen.degree)
+    power = alg.monomial_element((4999,))
+    start = time.perf_counter()
+    value = alg.act(op, power)
+    assert time.perf_counter() - start < 0.1
+    assert value == alg.monomial_element((top,))
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +876,9 @@ def test_a_quotient_refuses_values_above_the_bound():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
+    """act and act_word on a multi-term element are the weighted sums of
+    their values on its terms; act_word is act letter by letter, rightmost
+    first."""
     algebras = kernel_algebras(p)
 
     @settings(derandomize=True, database=None, max_examples=60)
@@ -748,17 +886,77 @@ def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
     def check(data):
         alg = algebras[data.draw(hs.sampled_from(sorted(algebras)))]
         op = data.draw(hs.sampled_from(alg.op_list()))
+        word = data.draw(hs.sampled_from(admissible_words(p, alg.bound)))
         keys = [(d, i) for d in range(alg.bound + 1)
                 for i in range(alg.dim(d))]
         terms = data.draw(hs.dictionaries(
             hs.sampled_from(keys), hs.integers(-p, 2 * p),
             min_size=2, max_size=6))
-        x, expected = alg.zero(), alg.zero()
+        x, expected, expected_word = alg.zero(), alg.zero(), alg.zero()
         for (d, i), c in terms.items():
             x = x + alg.element(d, i, c)
             expected = expected + alg.act(
                 op, alg.element(d, i), drop_above=True).scale(c)
+            expected_word = expected_word + alg.act_word(
+                word, alg.element(d, i), drop_above=True).scale(c)
         assert alg.act(op, x, drop_above=True) == expected
+        chain = x
+        for letter in reversed(word_to_letters(p, word)):
+            chain = alg.act(letter, chain, drop_above=True)
+        assert alg.act_word(word, x, drop_above=True) == expected_word == chain
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["free", "quotient", "tensor"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_word_whose_middle_letter_lands_above_the_bound(p, kind):
+    """Three letters, the first (rightmost) with a nonzero value within the
+    bound and the middle one, the algebra's top operation, landing above
+    it: act_word drops the value with drop_above and raises
+    TruncationError without, on every request."""
+    alg = kernel_algebras(p)[kind]
+    first = ("Sq", 1) if p == 2 else ("B",)
+    top = alg.op_list()[-1]
+    word = letters_to_word(p, [first, top, first])
+    x = next(alg.element(d, i) for d in range(1, alg.bound)
+             for i in range(alg.dim(d))
+             if not alg.act(first, alg.element(d, i)).is_zero)
+    assert x.degree() + op_degree(p, first) + op_degree(p, top) > alg.bound
+    for _ in range(2):
+        assert alg.act_word(word, x, drop_above=True).is_zero
+        with pytest.raises(TruncationError):
+            alg.act_word(word, x)
+
+
+@pytest.mark.parametrize("kind", ["free", "quotient", "tensor"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_element_sums_and_multiples_are_reduced_and_new(p, kind):
+    """+, - and scale give data reduced mod p with no zero entry, equal to
+    the sum taken coefficient by coefficient, in a dict that is neither
+    operand's: writing into it leaves the operands alone.  So does
+    act_word with the identity word, which gives the operand's value."""
+    alg = kernel_algebras(p)[kind]
+    keys = [(d, i) for d in range(alg.bound + 1) for i in range(alg.dim(d))]
+
+    @settings(derandomize=True, database=None, max_examples=40)
+    @given(hs.data())
+    def check(data):
+        x, y = (Element(alg, data.draw(hs.dictionaries(
+            hs.sampled_from(keys), hs.integers(-2 * p, 2 * p), max_size=6)))
+            for _ in range(2))
+        c = data.draw(hs.integers(-2 * p, 2 * p))
+        before = (dict(x.data), dict(y.data))
+        for z, sign in ((x + y, 1), (x - y, -1), (x.scale(c), None),
+                        (alg.act_word(letters_to_word(p, []), x), 0)):
+            want = {k: (x.data.get(k, 0) + sign * y.data.get(k, 0)) % p
+                    for k in {*x.data, *y.data}} if sign is not None else \
+                {k: v * c % p for k, v in x.data.items()}
+            assert z.data == {k: v for k, v in want.items() if v}
+            assert all(0 < v < p for v in z.data.values())
+            assert z.data is not x.data and z.data is not y.data
+            z.data[(0, 0)] = 1
+            assert (x.data, y.data) == before
 
     check()
 
