@@ -36,7 +36,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add, mul
 from types import MappingProxyType
 
@@ -937,9 +937,11 @@ class QuotientTruncAlgebra(TruncAlgebra):
     stands is closed under the tabulated operations — the induced action is
     only meaningful when it is.
 
-    The ideal grows in place with ``add_generator``, which spans only the
-    new generator's multiples, each built straight from the free algebra's
-    monomials.  Each degree's ideal is a sparse ``RowSpace`` in reduced row
+    The ideal grows in place with ``add_generator``, one degree at a time:
+    the new generator times the quotient representatives |x| degrees lower,
+    read off the free algebra's monomial index in one pass per term, goes
+    to that degree's ``RowSpace`` at once, which places one-entry vectors
+    without a reduction.  Each degree's ideal is in reduced row
     echelon form, which is canonical for the subspace, so the basis does
     not depend on the order or grouping in which generators arrive; a
     reduced row is nonzero only on its pivot and on quotient basis columns,
@@ -966,9 +968,15 @@ class QuotientTruncAlgebra(TruncAlgebra):
         Degree d of the new ideal is I_d + x·A_{d-|x|}.  Because x·I lies in
         I, only x times the current quotient representatives is spanned;
         degrees are visited from the top down so that the representatives
-        of degree d-|x| are still those of the old ideal.  Each product
-        rep·x is merged monomial by monomial into a sparse vector.  Pivots
-        stay, so the new reps are the previous reps less the new pivots.
+        of degree d-|x| are still those of the old ideal.  A degree's
+        products are built in one pass over the representatives' monomials
+        per term t of x: the column of mono·t is the index of the exponent
+        sum, which is missing exactly when an exterior factor squares to
+        zero, and at odd p its Koszul sign is the parity of mono's
+        exponents on the odd generators that come after an odd number of
+        t's odd factors.  ``RowSpace.extend`` places the degree's vectors;
+        pivots stay, so the new reps are the previous reps less the new
+        pivots.
         """
         if x.algebra is not self.free:
             raise InputError("ideal generators must live in the base algebra")
@@ -979,24 +987,30 @@ class QuotientTruncAlgebra(TruncAlgebra):
             return
         d0 = x.degree()
         free, p = self.free, self.p
-        merge = free._merge_monomials
-        terms = [(free.basis(d0)[i], c) for (_d, i), c in x.data.items()]
+        odd = set(free._odd_indices) if p != 2 else set()
+        terms = []
+        for (_d, i), c in x.data.items():
+            t = free.basis(d0)[i]
+            mask, parity = [], False
+            for k, e in enumerate(t):
+                mask.append(k in odd and parity)
+                parity ^= k in odd and e > 0
+            terms.append((t, c, -c % p, mask if any(mask) else []))
         for d in range(self.bound, d0 - 1, -1):
             reps = self._reps[d - d0]
             if not reps:
                 continue
-            space, source, index = self._ideal[d], free.basis(d - d0), \
-                free._indexed(d)
-            for rep in reps:
-                mono = source[rep]
-                vec = {}
-                for term, c in terms:
-                    merged = merge(mono, term)
-                    if merged is not None:
-                        # distinct terms give distinct products
-                        vec[index[merged[1]]] = merged[0] * c % p
-                if vec:
-                    space.add(vec)
+            source, index = free.basis(d - d0), free._indexed(d)
+            monos = [source[rep] for rep in reps]
+            vecs = [{} for _ in monos]
+            for t, c, neg, mask in terms:
+                for vec, mono in zip(vecs, monos):
+                    j = index.get(tuple(map(add, mono, t)))
+                    if j is not None:  # distinct terms give distinct products
+                        vec[j] = (neg if mask and sum(compress(mono, mask)) % 2
+                                  else c)
+            space = self._ideal[d]
+            space.extend(vecs)
             rows = space.rows
             self._reps[d] = [j for j in self._reps[d] if j not in rows]
 
@@ -1101,15 +1115,10 @@ def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     if x.is_zero:
         raise InputError("multiplication ranks of zero are not meaningful")
     d0 = x.degree()
-    ranks = []
-    for d in range(alg.bound - d0 + 1):
-        image = RowSpace(alg.p, alg.dim(d + d0))
-        for i in range(alg.dim(d)):
-            vec = alg.product(alg.element(d, i), x).coords(d + d0)
-            if vec:
-                image.add(vec)
-        ranks.append(image.dim)
-    return ranks
+    return [RowSpace(alg.p, alg.dim(d + d0)).extend(
+                alg.product(alg.element(d, i), x).coords(d + d0)
+                for i in range(alg.dim(d)))
+            for d in range(alg.bound - d0 + 1)]
 
 
 class TensorTruncAlgebra(TruncAlgebra):
@@ -1296,13 +1305,10 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
                               for d in range(alg.bound + 1)]
     reps: list[list[int]] = [[]]
     for d in range(1, alg.bound + 1):
-        for d1 in range(1, d):
-            for rep in reps[d1]:
-                for i2 in range(alg.dim(d - d1)):
-                    vec = {it: c for (_dt, it), c in
-                           alg.product_basis(d1, rep, d - d1, i2).items()}
-                    if vec:
-                        decomp[d].add(vec)
+        decomp[d].extend({it: c for (_dt, it), c in
+                          alg.product_basis(d1, rep, d - d1, i2).items()}
+                         for d1 in range(1, d) for rep in reps[d1]
+                         for i2 in range(alg.dim(d - d1)))
         reps.append(decomp[d].non_pivot_columns())
     dims = [len(r) for r in reps]
     labels = [[alg.basis_label(d, i) for i in reps[d]]

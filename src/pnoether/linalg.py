@@ -6,7 +6,8 @@ way in, so a reduction step costs the size of the rows it touches, not the
 width of the space.  The ideals spanned here are large in degrees where the
 quotient they leave is small, and then each reduced row has nonzeros only
 on its pivot and on the few non-pivot columns.  A vector reducing to one
-entry, as a monomial ideal's do, is stored as the unit row {pivot: 1}.
+entry, as a monomial ideal's do, is stored as the unit row {pivot: 1},
+and ``RowSpace.extend`` places a one-entry vector without reducing it.
 
 ``solve`` keeps the dense-list interface of the finite-generation
 certificates, whose systems are small, on top of the same kernel.
@@ -66,41 +67,56 @@ class RowSpace:
         return not self.reduce(vec)
 
     def add(self, vec: dict) -> bool:
-        """Insert vec into the span; return True if the dimension grew.  A
-        unit row {pivot: 1} has no tail: it only clears its pivot elsewhere."""
-        p = self.p
-        v = self.reduce(vec)
-        if not v:
-            return False
-        if len(v) == 1:
-            (piv,) = v
-            for q in self._users.pop(piv, ()):
-                del self.rows[q][piv]
-            self.rows[piv] = {piv: 1}
-            return True
-        piv = min(v)
-        inv = _inv(v[piv], p)
-        if inv != 1:
-            v = {j: c * inv % p for j, c in v.items()}
-        # keep RREF: clear the new pivot column from the rows that use it
-        users = self._users
-        tail = [(j, c) for j, c in v.items() if j != piv]
-        for j, _c in tail:
-            users.setdefault(j, set()).add(piv)
-        for q in users.pop(piv, ()):
-            row = self.rows[q]
-            c = row.pop(piv)
-            for j, b in tail:
-                x = (row.get(j, 0) - c * b) % p
-                if x:
-                    if j not in row:
-                        users[j].add(q)
-                    row[j] = x
-                else:
-                    del row[j]
-                    users[j].discard(q)
-        self.rows[piv] = v
-        return True
+        """Insert vec into the span; return True if the dimension grew."""
+        return self.extend((vec,)) == 1
+
+    def extend(self, vecs) -> int:
+        """Insert the vectors in order; return how many raised the dimension.
+
+        A one-entry vector is placed without a reduction: on a column j that
+        is no pivot it is the unit row {j: 1}, which has no tail and only
+        clears j from the rows that use it; on a unit row or 0 mod p it adds
+        nothing."""
+        p, rows, users = self.p, self.rows, self._users
+        grown = 0
+        for vec in vecs:
+            if len(vec) == 1:
+                ((piv, c),) = vec.items()
+                if piv not in rows:
+                    if c % p:
+                        grown += 1
+                        for q in users.pop(piv, ()):
+                            del rows[q][piv]
+                        rows[piv] = {piv: 1}
+                    continue
+                if len(rows[piv]) == 1:
+                    continue
+            v = self.reduce(vec)
+            if not v:
+                continue
+            grown += 1
+            piv = min(v)
+            inv = _inv(v[piv], p)
+            if inv != 1:
+                v = {j: c * inv % p for j, c in v.items()}
+            # keep RREF: clear the new pivot column from the rows that use it
+            tail = [(j, c) for j, c in v.items() if j != piv]
+            for j, _c in tail:
+                users.setdefault(j, set()).add(piv)
+            for q in users.pop(piv, ()):
+                row = rows[q]
+                c = row.pop(piv)
+                for j, b in tail:
+                    x = (row.get(j, 0) - c * b) % p
+                    if x:
+                        if j not in row:
+                            users[j].add(q)
+                        row[j] = x
+                    else:
+                        del row[j]
+                        users[j].discard(q)
+            rows[piv] = v
+        return grown
 
     def non_pivot_columns(self) -> list[int]:
         """Columns without a pivot: the coordinates of canonical coset reps."""

@@ -16,7 +16,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import example, given, settings, strategies as hs
+from hypothesis import assume, example, given, settings, strategies as hs
 
 from pnoether import (
     FiniteModuleTable,
@@ -515,10 +515,10 @@ def test_op_list_by_prime():
     assert alg3.op_list() == [("B",), ("P", 1), ("P", 2)]
 
 
-def random_presentation(data, p):
+def random_presentation(data, p, max_gens=3):
     """A free presentation with random action data and its truncation.
 
-    Up to three generators, odd and exterior ones included, some linked by
+    Up to max_gens generators, odd and exterior ones included, some linked by
     a primary Bockstein to a partner one degree up; every op below the top
     one (which instability fills in) gets a random explicit value, left out
     one time in ten so that gaps occur.  At p = 2 the values on an exterior
@@ -527,7 +527,7 @@ def random_presentation(data, p):
     ring map."""
     kinds_halves = data.draw(hs.lists(
         hs.tuples(hs.sampled_from(("polynomial", "exterior")),
-                  hs.integers(1, 4)), min_size=1, max_size=3))
+                  hs.integers(1, 4)), min_size=1, max_size=max_gens))
     bound = data.draw(hs.integers(1, 12))
     gens = generator_list(p, kinds_halves)
     specs = []
@@ -1133,7 +1133,8 @@ def random_generators(alg, rng, count):
             gens.append(x)
     gens.insert(1, alg.zero())
     first = gens[0]
-    other = alg.element(1, 0) if alg.dim(1) else alg.element(2, 0)
+    other = alg.element(next(d for d in range(1, alg.bound + 1)
+                             if alg.dim(d)), 0)
     gens.insert(3, alg.product(other, first, drop_above=True))
     return gens
 
@@ -1159,6 +1160,48 @@ def test_quotient_grows_in_place_like_a_from_scratch_span(make, bound, seed):
     built = quotient_by_ideal(alg, gens)
     for d in range(bound + 1):
         assert built._ideal[d].rows == quo._ideal[d].rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_random_quotients_grow_like_a_from_scratch_span(p):
+    """Random presentations (exterior generators, and odd ones with Koszul
+    signs at odd p) grown by multi-term, zero and already-contained
+    generators: each growth step's ideal is the span of every basis
+    monomial times every generator, built through ``product``.  A sign can
+    differ between the terms of one product only with three odd
+    generators or more, hence up to five generators at odd p."""
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(hs.data())
+    def check(data):
+        alg = random_presentation(data, p, max_gens=3 if p == 2 else 5)
+        assume(any(alg.dim(d) for d in range(1, alg.bound // 2 + 1)))
+        rng = random.Random(data.draw(hs.integers(0, 2**16)))
+        gens = random_generators(alg, rng, data.draw(hs.integers(1, 4)))
+        quo = quotient_by_ideal(alg, [])
+        for k, x in enumerate(gens, start=1):
+            quo.add_generator(x)
+            assert_matches_from_scratch_span(quo, alg, gens[:k])
+
+    check()
+
+
+@pytest.mark.parametrize("poly", ["x3 + x1*y2", "x1*x3 + y4",
+                                  "x1*x3*y2 + x1*x5 + y2^3"])
+def test_koszul_signs_of_a_multi_term_generator(poly):
+    """Generators whose terms take different Koszul signs against one
+    representative, which random presentations seldom draw: a term's odd
+    factors pass the representative's odd factors an even or an odd number
+    of times, and even factors lie between them."""
+    gens = [GeneratorSpec("x1", 1, "exterior"), GeneratorSpec("y2", 2),
+            GeneratorSpec("x5", 5, "exterior"),
+            GeneratorSpec("x3", 3, "exterior"), GeneratorSpec("y4", 4),
+            GeneratorSpec("x7", 7, "exterior")]
+    for p in (3, 5):
+        alg = expand(FreeCommPresentation(p, gens), 13)
+        x = alg.element_from_poly(poly)
+        quo = quotient_by_ideal(alg, [x])
+        assert_matches_from_scratch_span(quo, alg, [x])
 
 
 def test_growth_by_a_member_of_the_ideal_changes_nothing():

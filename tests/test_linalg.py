@@ -48,14 +48,30 @@ def dense_reduce(vec, pivots, rows, p):
 @hs.composite
 def _vector_stream(draw, p):
     """A width and a list of sparse vectors over it: random ones (entries
-    outside 0..p-1 and explicit zeros included), zero vectors, repeats and
-    combinations of earlier vectors."""
+    outside 0..p-1 and explicit zeros included), zero vectors, repeats,
+    combinations of earlier vectors, and one-entry vectors that are 0 mod
+    p, on a unit row, on the pivot of a row with a tail, or on a column
+    that some row's tail uses (rows of the span of the earlier vectors).
+    Also cut points that split the list into chunks for ``extend``."""
     width = draw(hs.integers(1, 8))
     entry = hs.tuples(hs.integers(0, width - 1), hs.integers(-p, 2 * p))
     vectors = []
-    for kind in draw(hs.lists(hs.sampled_from("rrrzsc"), max_size=16)):
+    for kind in draw(hs.lists(hs.sampled_from("rrrzsco"), max_size=16)):
         if kind == "z":
             vectors.append({})
+        elif kind == "o":
+            pivots, rows = gauss_jordan(vectors, width, p)
+            support = [[j for j, c in enumerate(row) if c] for row in rows]
+            on = {"zero": list(range(width)),
+                  "unit": [piv for piv, s in zip(pivots, support) if len(s) == 1],
+                  "tailed": [piv for piv, s in zip(pivots, support) if len(s) > 1],
+                  "tail": sorted({j for piv, s in zip(pivots, support)
+                                  for j in s if j != piv})}
+            where = draw(hs.sampled_from(sorted(k for k in on if on[k])))
+            coeff = draw(hs.integers(-1, 2)) * p
+            if where != "zero":
+                coeff += draw(hs.integers(1, p - 1))
+            vectors.append({draw(hs.sampled_from(on[where])): coeff})
         elif kind == "r" or not vectors:
             vectors.append(dict(draw(hs.lists(entry, min_size=1, max_size=width))))
         elif kind == "s":
@@ -72,16 +88,31 @@ def _vector_stream(draw, p):
     probes = draw(hs.lists(hs.lists(hs.integers(0, p - 1), min_size=width,
                                     max_size=width), max_size=3))
     order = draw(hs.permutations(range(len(vectors))))
-    return width, vectors, probes, order
+    cuts = sorted(draw(hs.sets(hs.integers(0, len(vectors)), max_size=3)))
+    return width, vectors, probes, order, cuts
+
+
+def assert_users_match_rows(space):
+    """The column -> rows bookkeeping lists exactly the rows with that
+    column in their tail."""
+    users = {}
+    for piv, row in space.rows.items():
+        for j in row:
+            if j != piv:
+                users.setdefault(j, set()).add(piv)
+    assert {j: qs for j, qs in space._users.items() if qs} == users
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sparse_kernel_matches_dense_gauss_jordan(p):
+    """``add`` one vector at a time, ``extend`` by chunks and every order
+    of the stream give the rows of Gauss-Jordan elimination; each call
+    reports the rise in rank."""
 
     @settings(derandomize=True, database=None, max_examples=150)
     @given(_vector_stream(p))
     def check(stream):
-        width, vectors, probes, order = stream
+        width, vectors, probes, order, cuts = stream
         space = RowSpace(p, width)
         for k, vec in enumerate(vectors):
             rank_before = space.dim
@@ -92,15 +123,23 @@ def test_sparse_kernel_matches_dense_gauss_jordan(p):
             assert sorted(space.rows) == pivots
             for piv, row in zip(pivots, rows):
                 assert space.rows[piv] == sparse(row)
+            assert_users_match_rows(space)
             assert space.non_pivot_columns() == [j for j in range(width)
                                                  if j not in pivots]
             for probe in probes + [dense(v, width, p) for v in vectors]:
                 red = dense_reduce(probe, pivots, rows, p)
                 assert space.reduce(sparse(probe)) == sparse(red)
                 assert space.contains(sparse(probe)) == (not any(red))
+        chunked = RowSpace(p, width)
+        for lo, hi in zip([0] + cuts, cuts + [len(vectors)]):
+            rank_before = chunked.dim
+            pivots, rows = gauss_jordan(vectors[:hi], width, p)
+            assert chunked.extend(vectors[lo:hi]) == len(pivots) - rank_before
+            assert chunked.rows == {piv: sparse(row)
+                                    for piv, row in zip(pivots, rows)}
+            assert_users_match_rows(chunked)
         shuffled = RowSpace(p, width)
-        for k in order:
-            shuffled.add(vectors[k])
+        assert shuffled.extend(vectors[k] for k in order) == space.dim
         assert shuffled.rows == space.rows
 
     check()
