@@ -170,27 +170,31 @@ def _scalar(value) -> str:
 
 
 def _resolve_catalog(value: str, entry_name: str = None):
+    """A built-in entry named value, unless --entry is given; else the entry
+    of the catalog file at that path (its only one, or --entry's)."""
     builtin = load_catalog()
     if value in builtin and entry_name is None:
         return builtin[value]
-    if os.path.exists(value):
-        cat = load_catalog(value)
-        if entry_name is None:
-            if len(cat) == 1:
-                return next(iter(cat.values()))
+    if not os.path.exists(value):
+        if value in builtin:
             raise InputError(
-                f"catalog file {value} has entries "
-                f"{sorted(cat)}; pick one with --entry")
-        if entry_name not in cat:
-            raise InputError(
-                f"catalog file {value} has no entry {entry_name!r} "
-                f"(available: {sorted(cat)})")
-        return cat[entry_name]
-    if value in builtin:
-        return builtin[value]
-    raise InputError(
-        f"{value!r} is neither a built-in catalog entry "
-        f"({', '.join(sorted(builtin))}) nor a catalog file path")
+                f"--entry picks an entry of a catalog file, and {value!r} "
+                "is a built-in catalog entry, not a file")
+        raise InputError(
+            f"{value!r} is neither a built-in catalog entry "
+            f"({', '.join(sorted(builtin))}) nor a catalog file path")
+    cat = load_catalog(value)
+    if entry_name is None:
+        if len(cat) == 1:
+            return next(iter(cat.values()))
+        raise InputError(
+            f"catalog file {value} has entries "
+            f"{sorted(cat)}; pick one with --entry")
+    if entry_name not in cat:
+        raise InputError(
+            f"catalog file {value} has no entry {entry_name!r} "
+            f"(available: {sorted(cat)})")
+    return cat[entry_name]
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +293,15 @@ def _run_split(args):
     if args.list:
         return {
             "scenarios": [{"name": name, "description": desc}
-                          for name, (desc, _)
+                          for name, (desc, _, _)
                           in sorted(fixtures.SPLITTING_SCENARIOS.items())],
         }, {"max_degree": None}
     if args.scenario:
-        desc, _ = fixtures.SPLITTING_SCENARIOS.get(args.scenario, ("", None))
         verdict = fixtures.run_splitting_scenario(args.scenario)
         payload = verdict.to_jsonable()
         payload["scenario"] = args.scenario
-        payload["description"] = desc
+        payload["description"] = \
+            fixtures.SPLITTING_SCENARIOS[args.scenario][0]
         return payload, {"max_degree": None}
     if args.criterion is None or args.b_connectivity is None \
             or args.fiber_top is None or args.trivial is None:
@@ -331,7 +335,7 @@ def _run_poincare(args):
     entry = _resolve_catalog(args.catalog, args.entry)
     pres = entry.presentation(args.p)
     alg = expand(pres, args.max_degree)
-    series = alg.poincare(args.max_degree)
+    series = alg.poincare()
     return {
         "catalog_entry": entry.name,
         "generator_degrees": entry.degrees(),

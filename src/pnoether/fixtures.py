@@ -128,81 +128,50 @@ def appendix_broken(bound: int = 8) -> dict:
 # named splitting scenarios
 
 
-def _sphere_cover_connecting() -> SplitVerdict:
+# name -> (description, criterion, its keyword flags)
+SPLITTING_SCENARIOS = {
     # K(Z,3) → S⁴⟨4⟩ → S⁴: the base is 3-connected and the connecting
     # morphism π₄(S⁴) → π₃(K(Z,3)) is an isomorphism — as far from trivial
     # as possible, so the cover never splits off its bottom fiber.
-    return splitting_by_connecting(
-        b_connectivity=3, fiber_top=3, connecting_is_trivial=False)
-
-
-def _sphere_cover_connecting_trivial() -> SplitVerdict:
-    return splitting_by_connecting(
-        b_connectivity=3, fiber_top=3, connecting_is_trivial=True)
-
-
-def _section_projection() -> SplitVerdict:
+    "sphere-cover-connecting": (
+        "connected cover of a sphere: connecting morphism an isomorphism",
+        splitting_by_connecting,
+        dict(b_connectivity=3, fiber_top=3, connecting_is_trivial=False)),
+    "sphere-cover-connecting-trivial": (
+        "same connectivity data with a trivial connecting morphism",
+        splitting_by_connecting,
+        dict(b_connectivity=3, fiber_top=3, connecting_is_trivial=True)),
     # A fibration over S³ with a section whose clutching morphism
     # π₃(S³) ≅ Z → Z/p is the projection: nontrivial, hence no splitting
     # even though the connecting morphism vanishes (the section forces it).
-    return splitting_with_section(
-        b_connectivity=2, fiber_top=3, induced_pin_is_trivial=False)
-
-
-def _section_trivial() -> SplitVerdict:
-    return splitting_with_section(
-        b_connectivity=2, fiber_top=3, induced_pin_is_trivial=True)
-
-
-def _low_connectivity() -> SplitVerdict:
-    # Base only 2-connected against a fiber with top homotopy in degree 3:
-    # the connecting-morphism criterion does not apply.
-    return splitting_by_connecting(
-        b_connectivity=2, fiber_top=3, connecting_is_trivial=True)
-
-
-def _no_section() -> SplitVerdict:
-    return splitting_with_section(
-        b_connectivity=5, fiber_top=3, induced_pin_is_trivial=True,
-        section_exists=False)
-
-
-def _k1_action_trivial() -> SplitVerdict:
-    # Fiber a K(G,1): split iff the π₁(base)-action on G is trivial.
-    return splitting_with_section(
-        b_connectivity=0, fiber_top=1, induced_pin_is_trivial=True)
-
-
-def _k1_action_twisted() -> SplitVerdict:
-    return splitting_with_section(
-        b_connectivity=0, fiber_top=1, induced_pin_is_trivial=False)
-
-
-SPLITTING_SCENARIOS = {
-    "sphere-cover-connecting": (
-        "connected cover of a sphere: connecting morphism an isomorphism",
-        _sphere_cover_connecting),
-    "sphere-cover-connecting-trivial": (
-        "same connectivity data with a trivial connecting morphism",
-        _sphere_cover_connecting_trivial),
     "section-projection": (
         "sectioned fibration over S³ with Z → Z/p projection clutching",
-        _section_projection),
+        splitting_with_section,
+        dict(b_connectivity=2, fiber_top=3, induced_pin_is_trivial=False)),
     "section-trivial": (
         "sectioned fibration with trivial clutching morphism",
-        _section_trivial),
+        splitting_with_section,
+        dict(b_connectivity=2, fiber_top=3, induced_pin_is_trivial=True)),
+    # Base only 2-connected against a fiber with top homotopy in degree 3:
+    # the connecting-morphism criterion does not apply.
     "low-connectivity": (
         "base below the connectivity hypothesis: criterion not applicable",
-        _low_connectivity),
+        splitting_by_connecting,
+        dict(b_connectivity=2, fiber_top=3, connecting_is_trivial=True)),
     "no-section": (
         "section criterion invoked without a section: not applicable",
-        _no_section),
+        splitting_with_section,
+        dict(b_connectivity=5, fiber_top=3, induced_pin_is_trivial=True,
+             section_exists=False)),
+    # Fiber a K(G,1): split iff the π₁(base)-action on G is trivial.
     "k1-action-trivial": (
         "K(G,1) fiber with trivial fundamental-group action",
-        _k1_action_trivial),
+        splitting_with_section,
+        dict(b_connectivity=0, fiber_top=1, induced_pin_is_trivial=True)),
     "k1-action-twisted": (
         "K(G,1) fiber with a nontrivial fundamental-group action",
-        _k1_action_twisted),
+        splitting_with_section,
+        dict(b_connectivity=0, fiber_top=1, induced_pin_is_trivial=False)),
 }
 
 
@@ -210,7 +179,8 @@ def run_splitting_scenario(name: str) -> SplitVerdict:
     if name not in SPLITTING_SCENARIOS:
         known = ", ".join(sorted(SPLITTING_SCENARIOS))
         raise InputError(f"unknown splitting scenario {name!r} (try one of: {known})")
-    return SPLITTING_SCENARIOS[name][1]()
+    _description, criterion, flags = SPLITTING_SCENARIOS[name]
+    return criterion(**flags)
 
 
 # ---------------------------------------------------------------------------

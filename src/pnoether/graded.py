@@ -484,12 +484,8 @@ class TruncAlgebra:
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.bound + 1)]
 
-    def poincare(self, bound=None) -> PoincareSeries:
-        bound = self.bound if bound is None else bound
-        if bound > self.bound:
-            raise InputError(
-                f"series bound {bound} exceeds truncation bound {self.bound}")
-        return PoincareSeries(bound, self.dims()[: bound + 1])
+    def poincare(self) -> PoincareSeries:
+        return PoincareSeries(self.bound, self.dims())
 
     def zero(self) -> Element:
         return _reduced(self, {})
@@ -749,22 +745,26 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- product -------------------------------------------------------------
 
+    def _sign_mask(self, t: tuple) -> list:
+        """Per generator, whether it is odd and comes after an odd number
+        of t's odd factors, or [] when none is (always at p = 2): the
+        Koszul sign of mono·t is the parity of mono's exponents there."""
+        if self.p == 2:
+            return []
+        mask, parity = [False] * len(t), False
+        for k in self._odd_indices:
+            mask[k] = parity
+            parity ^= t[k] > 0
+        return mask if any(mask) else []
+
     def _merge_monomials(self, m1: tuple, m2: tuple):
         """(sign, monomial) or None when an exterior factor squares to zero."""
         merged = tuple(map(add, m1, m2))
-        sign = 1
-        if self.p != 2:
-            odd_indices = self._odd_indices
-            swaps = 0
-            for j in odd_indices:
-                if m2[j]:
-                    swaps += sum(m1[i] for i in odd_indices if i > j)
-            if swaps % 2:
-                sign = -1
         for i in self._exterior_indices:
             if merged[i] > 1:
                 return None
-        return sign, merged
+        mask = self._sign_mask(m2)
+        return -1 if mask and sum(compress(m1, mask)) % 2 else 1, merged
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         # one list index on listed degrees
@@ -972,11 +972,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
         products are built in one pass over the representatives' monomials
         per term t of x: the column of mono·t is the index of the exponent
         sum, which is missing exactly when an exterior factor squares to
-        zero, and at odd p its Koszul sign is the parity of mono's
-        exponents on the odd generators that come after an odd number of
-        t's odd factors.  ``RowSpace.extend`` places the degree's vectors;
-        pivots stay, so the new reps are the previous reps less the new
-        pivots.
+        zero, and its Koszul sign is read off ``_sign_mask(t)``.
+        ``RowSpace.extend`` places the degree's vectors; pivots stay, so the
+        new reps are the previous reps less the new pivots.
         """
         if x.algebra is not self.free:
             raise InputError("ideal generators must live in the base algebra")
@@ -987,15 +985,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
             return
         d0 = x.degree()
         free, p = self.free, self.p
-        odd = set(free._odd_indices) if p != 2 else set()
-        terms = []
-        for (_d, i), c in x.data.items():
-            t = free.basis(d0)[i]
-            mask, parity = [], False
-            for k, e in enumerate(t):
-                mask.append(k in odd and parity)
-                parity ^= k in odd and e > 0
-            terms.append((t, c, -c % p, mask if any(mask) else []))
+        basis = free.basis(d0)
+        terms = [(basis[i], c, -c % p, free._sign_mask(basis[i]))
+                 for (_d, i), c in x.data.items()]
         for d in range(self.bound, d0 - 1, -1):
             reps = self._reps[d - d0]
             if not reps:

@@ -212,12 +212,15 @@ def _profile(dims, ranks, degree: int, square_zero: bool) -> str:
 
 @dataclass
 class Survivor:
+    """A surviving fiber class: a companion, or the Kudo stage a^e of the
+    fiber generator a = ``label`` with e = ``exponent``, whose fiber class
+    is that monomial (see _Engine._monomial) and whose kind is a's."""
+
     name: str
     degree: int
     kind: str
     origin: str
     display: str
-    fiber_class: object  # Element of the fiber algebra, or None for companions
     is_companion: bool = False
     bockstein_link: tuple = None
     label: str = None  # the fiber generator this class comes from
@@ -251,14 +254,9 @@ class SSResult:
         total, self._build_total = self._build_total(), None
         return total
 
-    def poincare(self, bound: int = None) -> PoincareSeries:
-        """The series of ``total`` through the bound (at most ``self.bound``):
-        the last page's series, truncated."""
-        bound = self.bound if bound is None else bound
-        if bound > self.bound:
-            raise InputError(f"series bound {bound} exceeds truncation bound "
-                             f"{self.bound}")
-        return PoincareSeries(bound, self.series)
+    def poincare(self) -> PoincareSeries:
+        """The series of ``total`` through the bound: the last page's."""
+        return PoincareSeries(self.bound, self.series)
 
     def survivor_element(self, name: str) -> Element:
         """The class 1 ⊗ (named survivor) in the total algebra."""
@@ -366,8 +364,7 @@ class _Engine:
             if not stage.hits(self.quotient):
                 self.survivors.append(Survivor(
                     name="", degree=degree, kind=kind, origin=origin,
-                    display="", label=label, exponent=stage.exponent,
-                    fiber_class=self.fiber_alg.element_from_poly(origin)))
+                    display="", label=label, exponent=stage.exponent))
                 self._log({"event": "survivor", "class": origin,
                            "degree": degree, "series_before": series,
                            "series_after": series})
@@ -416,7 +413,7 @@ class _Engine:
                 name="", degree=comp_degree, kind="exterior",
                 origin=(f"{label}^{stage.exponent * (self.p - 1)}"
                         f"*[{base.describe(rep)}]"),
-                display="", fiber_class=None, is_companion=True,
+                display="", is_companion=True,
                 label=label, exponent=stage.exponent * self.p))
             return "companion survives"
         self.quotient.add_generator(target)
@@ -492,7 +489,7 @@ class _Engine:
         if anchor is None:
             return {}
         gaps = {s.degree - anchor.degree for s in survivors
-                if s.fiber_class is not None and s.degree > anchor.degree}
+                if not s.is_companion and s.degree > anchor.degree}
         words: dict = {gap: [] for gap in gaps}
         if gaps:
             for word in steenrod.admissible_words(
@@ -502,17 +499,22 @@ class _Engine:
                     bucket.append(word)
         return words
 
+    def _monomial(self, s: Survivor) -> tuple:
+        """The fiber monomial a^e of a non-companion survivor: the exponent
+        tuple with its ``exponent`` at the index of its ``label``."""
+        index = self.fiber_alg.presentation.index[s.label]
+        return tuple(s.exponent if k == index else 0
+                     for k in range(len(self.fiber_alg.generators)))
+
     def _word_from_anchor(self, anchor, survivor, words):
         """The first word of the survivor's gap in ``words`` (see
-        _words_by_degree) that carries the anchor's fiber class onto the
-        survivor's, or None; a zero survivor class raises.  Neither class is
-        a companion's, so both are set."""
-        if survivor.fiber_class.is_zero:
-            raise EngineContractError(
-                f"survivor {survivor.name} has fiber class 0")
+        _words_by_degree) that carries the anchor's fiber monomial onto the
+        survivor's (never 0), or None; neither is a companion."""
+        alg = self.fiber_alg
+        source = alg.monomial_element(self._monomial(anchor))
+        target = {alg.monomial_key(self._monomial(survivor)): 1}
         for word in words.get(survivor.degree - anchor.degree, ()):
-            if self.fiber_alg.act_word(word, anchor.fiber_class,
-                                       drop_above=True) == survivor.fiber_class:
+            if alg.act_word(word, source, drop_above=True).data == target:
                 return word
         return None
 
@@ -545,13 +547,14 @@ class _Engine:
         shadow = self._companion_shadow(survivors)
         alg, action = self.fiber_alg, {}
         for s in survivors:
-            if s.fiber_class is None:
+            if s.is_companion:
                 continue
+            fiber_class = alg.monomial_element(self._monomial(s))
             for op in alg.op_list():
                 target = s.degree + op_degree(self.p, op)
                 if target > self.bound or target in shadow:
                     continue
-                value = alg.act(op, s.fiber_class, drop_above=True).data
+                value = alg.act(op, fiber_class, drop_above=True).data
                 coords = [coordinate(key) for key in value]
                 if None not in coords:
                     action[(s.name, op)] = dict(sorted(
@@ -563,65 +566,42 @@ class _Engine:
         """A memoized map: fiber basis key -> (exponent tuple, sign) of the
         survivor monomial restricting to ± that fiber monomial, or None.
 
-        Injectivity is certified up front: each non-companion survivor's
-        fiber class must be ±1 times a power g^a of one fiber generator, no
-        two classes may lie on one generator, and a non-exterior survivor on
-        an exterior generator must not have its square (restricting to 0)
-        within the bound; each violation raises EngineContractError.  Then
+        Each non-companion survivor restricts to its monomial g^a (see
+        _monomial), and no two may lie on one fiber generator g, or
+        EngineContractError is raised; run never makes two, since it queues
+        each generator and then only p-powers of it, one at a time.  Then
         ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
-        and a key resolves by dividing its exponents by the a's, its sign
-        the classes' coefficients times the Koszul signs of
-        _merge_monomials taken in survivor order.
-
-        This contract is narrower than injectivity on the survivor
-        monomials: it refuses a class on a product of distinct generators,
-        and two classes on one generator even if no two of their monomials
-        meet within the bound.  run never makes either: it queues each
-        fiber generator and then only p-powers of it, one at a time, so
-        each non-companion fiber class is g^(p^k) for its own label g."""
+        and a key resolves by dividing its exponents by the a's (an exterior
+        survivor reaching no square), its sign the Koszul signs of
+        _merge_monomials taken in survivor order."""
         alg, p = self.fiber_alg, self.p
-        classes, owner = [], {}  # (pos, generator, power, coeff, exterior)
+        classes, owner = [], {}  # (pos, generator, monomial, exterior)
         for pos, s in enumerate(survivors):
-            if s.fiber_class is None:
+            if s.is_companion:
                 continue
-            terms = list(s.fiber_class.data.items())
-            mono = alg.basis(terms[0][0][0])[terms[0][0][1]] if terms else ()
-            support = [g for g, a in enumerate(mono) if a]
-            if len(terms) != 1 or terms[0][1] not in (1, p - 1) \
-                    or len(support) != 1:
-                raise EngineContractError(
-                    f"survivor {s.name} has fiber class "
-                    f"{alg.describe(s.fiber_class)}, not ±1 times a power "
-                    "of one fiber generator")
-            g, = support
-            gen = alg.generators[g]
+            g = alg.presentation.index[s.label]
             if g in owner:
                 raise EngineContractError(
                     f"survivors {owner[g]} and {s.name} both restrict to "
-                    f"powers of {gen.name}")
-            if gen.kind == "exterior" and s.kind != "exterior" \
-                    and 2 * s.degree <= self.bound:
-                raise EngineContractError(
-                    f"survivor monomial {s.name}^2 restricts to 0, not a "
-                    "signed fiber monomial")
+                    f"powers of {s.label}")
             owner[g] = s.name
-            classes.append((pos, g, mono, terms[0][1], s.kind == "exterior"))
+            classes.append((pos, g, self._monomial(s), s.kind == "exterior"))
         merge, one = alg._merge_monomials, alg.basis(0)[0]
 
         def resolve(key):
             target = alg.basis(key[0])[key[1]]
             expo, rest = [0] * len(survivors), list(target)
-            for pos, g, power, _coeff, exterior in classes:
+            for pos, g, power, exterior in classes:
                 expo[pos], rest[g] = divmod(target[g], power[g])
                 if exterior and expo[pos] > 1:
                     return None
             if any(rest):
                 return None
             sign, mono = 1, one
-            for pos, _g, factor, coeff, _exterior in classes:
+            for pos, _g, factor, _exterior in classes:
                 for _ in range(expo[pos]):
                     koszul, mono = merge(mono, factor)
-                    sign = sign * koszul * coeff % p
+                    sign = sign * koszul % p
             return tuple(expo), sign
 
         return functools.lru_cache(maxsize=None)(resolve)

@@ -374,6 +374,36 @@ def test_catalog_file_entry_selection(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("cover", "--catalog", "BS3", "--entry", "nonsense", "--p", "3",
+     "--max-degree", "10"),
+    ("poincare", "--catalog", "BS3", "--entry", "X30"),
+    ("structure", "Z/p", "--p", "3", "--base", "BS3", "--entry", "BS3"),
+])
+def test_entry_beside_a_built_in_name_is_refused(argv):
+    """--entry picks an entry of a catalog file; beside a built-in name,
+    with no file of that name, it is refused, not dropped."""
+    code, rep = run_json(*argv)
+    assert code == 2
+    assert rep["error"]["type"] == "InputError"
+    assert "--entry picks an entry of a catalog file" in \
+        rep["error"]["message"]
+
+
+def test_a_built_in_name_wins_over_a_file_unless_entry_is_given(
+        tmp_path, monkeypatch):
+    two = {"entries": {"A": BOREL_CATALOG["entries"]["BAD4"],
+                       "B": BOREL_CATALOG["entries"]["BAD4"]}}
+    (tmp_path / "BS3").write_text(json.dumps(two))
+    monkeypatch.chdir(tmp_path)
+    code, rep = run_json("cover", "--catalog", "BS3", "--p", "2",
+                         "--max-degree", "17")
+    assert code == 0 and rep["payload"]["catalog_entry"] == "BS3"
+    code, rep = run_json("cover", "--catalog", "BS3", "--entry", "A",
+                         "--p", "2")
+    assert code == 4  # the file's entry A, in the engine's exit-4 abort
+
+
 # ---------------------------------------------------------------------------
 # split
 

@@ -1204,6 +1204,43 @@ def test_koszul_signs_of_a_multi_term_generator(poly):
         assert_matches_from_scratch_span(quo, alg, [x])
 
 
+def swap_count_product(gens, m1, m2):
+    """(sign, monomial) of m1·m2 or None, by writing the two monomials out
+    factor by factor, m1's before m2's, and counting the pairs of odd
+    factors that sorting the word into generator order swaps."""
+    merged = tuple(a + b for a, b in zip(m1, m2))
+    if any(e > 1 for e, g in zip(merged, gens) if g.kind == "exterior"):
+        return None
+    word = [k for m in (m1, m2) for k, e in enumerate(m) for _ in range(e)]
+    odd = [k for k in word if gens[k].degree % 2]
+    swaps = sum(1 for a, b in itertools.combinations(odd, 2) if a > b)
+    return (-1) ** swaps, merged
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_the_koszul_sign_rule_is_the_swap_count(p):
+    """_merge_monomials, and through the same _sign_mask the ideal growth,
+    signs m1·m2 as the parity of the odd-factor swaps that bring the
+    written-out word m1 m2 into generator order."""
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(hs.data())
+    def check(data):
+        kinds_halves = data.draw(hs.lists(
+            hs.tuples(hs.sampled_from(("polynomial", "exterior")),
+                      hs.integers(1, 4)), min_size=3, max_size=7))
+        assume(sum(kind == "exterior" for kind, _ in kinds_halves) >= 3)
+        gens = [GeneratorSpec(f"g{k}", d, kind) for k, (d, kind)
+                in enumerate(generator_list(p, kinds_halves))]
+        alg = expand(FreeCommPresentation(p, gens), 0)
+        m1, m2 = (tuple(data.draw(hs.integers(
+            0, 1 if g.kind == "exterior" else 3)) for g in gens)
+            for _ in range(2))
+        assert alg._merge_monomials(m1, m2) == swap_count_product(gens, m1, m2)
+
+    check()
+
+
 def test_growth_by_a_member_of_the_ideal_changes_nothing():
     alg = bso3_squared_base(12)
     quo = quotient_by_ideal(alg, ["a2 + b2"])
