@@ -595,11 +595,19 @@ class TruncAlgebra:
 class FreeTruncAlgebra(TruncAlgebra):
     """Monomial-basis truncation of a free graded-commutative presentation.
 
-    A degree's basis lists its monomials in lexicographic order.  It is
-    listed and indexed the first time the degree is read (``basis``,
-    ``monomial_key``, a product or an operation landing there), so the
-    cost follows the degrees read; ``dim`` and ``dims`` come from a suffix
-    table of dimensions built at construction and list nothing.
+    A degree's basis lists its monomials in lexicographic order (see
+    ``_list_degree``); ``dim`` and ``dims`` come from a suffix table of
+    dimensions built at construction and list nothing.  The listing rule:
+    a degree is listed and indexed when it is read in bulk (``basis``, or
+    the degrees a growing quotient reads in ``add_generator``), or once
+    its single-key lookups reach its dimension, and never otherwise.  A
+    single key, ``rank`` (monomial to index) or ``unrank`` (index to
+    monomial), is one dict or list index on a listed degree and arithmetic
+    over the suffix table on any other, every key read through
+    ``monomial_key``, a product, an operation or a label included.  A
+    degree read key by key thus costs at most about twice the cheaper of
+    listing it and ranking each key, and a deep table costs what is read
+    from it.
 
     Per-generator Steenrod values come from the presentation's action
     table, the instability relations (top operation = p-th power,
@@ -631,10 +639,12 @@ class FreeTruncAlgebra(TruncAlgebra):
             row = self._suffix[0].copy()
             _apply_factor(row, g.degree, g.kind)
             self._suffix.insert(0, row)
-        # a degree's monomials and their index, None until first read; and
-        # _blocks[k][s], the blocks block(k, s) listed so far (_list_degree)
+        # a degree's monomials and their index, None until listed; the
+        # arithmetic lookups made on each degree; and _blocks[k][s], the
+        # blocks block(k, s) listed so far (_list_degree)
         self._basis: list = [None] * (bound + 1)
         self._index: list = [None] * (bound + 1)
+        self._lookups = [0] * (bound + 1)
         self._blocks: list[dict] = [{} for _ in self.generators] + [
             {0: [(0,) * len(self.generators)]}]
         # (op, degree, index) -> act_basis value: {basis key: coeff} dicts,
@@ -651,20 +661,24 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- basis ---------------------------------------------------------------
 
-    def _list_degree(self, degree: int) -> list:
-        """List and index the monomials of a degree within the bound.
+    def _list_degree(self, degrees) -> None:
+        """List and index the monomials of some degrees within the bound,
+        none of them listed yet.
 
         block(k, s), the monomials of degree s in generators k, k+1, ...
         (zero on the earlier ones) in lexicographic order, is block(k+1, s)
         followed, for e = 1, 2, ... (at most 1 for an exterior generator),
         by block(k+1, s - e·|g_k|) with exponent e on generator k.  The
-        blocks needed are found from the first generator down, skipping
-        the empty ones by the suffix table and those listed by an earlier
-        read, then built from the last generator up; each new monomial is
-        built once, and a block that adds nothing to block(k+1, s) is that
-        list itself."""
+        blocks needed are found from the first generator down, and built
+        from the last generator up; an empty block, read off the suffix
+        table, is never visited, and a block listed by an earlier call is
+        not built again.  Each new monomial is built once, and a block
+        that adds nothing to block(k+1, s) is that list itself.  Callers
+        keep the listing rule of the class docstring: a bulk read lists all
+        the degrees it reads in one call, and a single key lists its degree
+        only when that degree's lookups reach its dimension."""
         gens, suffix, blocks = self.generators, self._suffix, self._blocks
-        needed = [{degree}]
+        needed = [set(degrees)]
         for k, g in enumerate(gens):
             top = 1 if g.kind == "exterior" else self.bound
             rows, known = suffix[k + 1], blocks[k + 1]
@@ -672,19 +686,78 @@ class FreeTruncAlgebra(TruncAlgebra):
                            for t in range(s, -1, -g.degree)[: top + 1]
                            if rows[t] and t not in known})
         for k in range(len(gens) - 1, -1, -1):
-            g, child = gens[k], blocks[k + 1]
+            g, child, rows = gens[k], blocks[k + 1], suffix[k + 1]
             top = 1 if g.kind == "exterior" else self.bound
             for s in needed[k]:
                 extra = []
-                for e in range(1, min(top, s // g.degree) + 1):
-                    head = (0,) * k + (e,)
-                    extra.extend([head + m[k + 1:]
-                                  for m in child.get(s - e * g.degree, ())])
+                for t in range(s - g.degree, -1, -g.degree)[:top]:
+                    if rows[t]:
+                        head = (0,) * k + ((s - t) // g.degree,)
+                        extra.extend([head + m[k + 1:] for m in child[t]])
                 block = child.get(s, [])
                 blocks[k][s] = block + extra if extra else block
-        monos = self._basis[degree] = blocks[0].setdefault(degree, [])
-        self._index[degree] = {m: i for i, m in enumerate(monos)}
-        return monos
+        for s in needed[0]:
+            monos = self._basis[s] = blocks[0].setdefault(s, [])
+            self._index[s] = {m: i for i, m in enumerate(monos)}
+
+    def _looked_up(self, degree: int) -> None:
+        """Count one arithmetic lookup on an unlisted degree, and list the
+        degree once the count reaches its dimension."""
+        self._lookups[degree] += 1
+        if self._lookups[degree] >= self._suffix[0][degree]:
+            self._list_degree((degree,))
+
+    def rank(self, degree: int, mono: tuple) -> int:
+        """The index of a basis monomial of the given degree, which the
+        caller guarantees (``monomial_key`` checks any tuple).  Unlisted, it
+        is the number of monomials before mono in the order of
+        ``_list_degree``: for each generator k with exponent e > 0 at
+        remaining degree r, those with exponent 0 there, suffix[k+1][r],
+        when e = 1 (always, for an exterior generator), and else those
+        with an exponent below e, suffix[k][r] - suffix[k][r - e·|g_k|];
+        r then falls by e·|g_k|."""
+        index = self._index[degree]
+        if index is not None:
+            return index[mono]
+        suffix, i, r = self._suffix, 0, degree
+        for k, (e, d) in enumerate(zip(mono, self._degrees)):
+            if e:
+                i += suffix[k + 1][r] if e == 1 else \
+                    suffix[k][r] - suffix[k][r - e * d]
+                r -= e * d
+        self._looked_up(degree)
+        return i
+
+    def unrank(self, degree: int, index: int) -> tuple:
+        """The basis monomial at an index of a degree: ``rank``'s inverse,
+        choosing each exponent, from the first generator on, as the largest
+        whose monomials before it number at most what is left of index.
+        An index outside the degree's basis raises IndexError."""
+        if not 0 <= index < self.dim(degree):
+            raise IndexError(f"no basis monomial ({degree}, {index})")
+        monos = self._basis[degree]
+        if monos is not None:
+            return monos[index]
+        suffix, mono, r = self._suffix, [0] * len(self.generators), degree
+        for k, g in enumerate(self.generators):
+            if not r:
+                break
+            d = g.degree
+            if g.kind == "exterior":
+                e = int(index >= suffix[k + 1][r])
+                index -= e * suffix[k + 1][r]
+            else:
+                # suffix[k] at r mod d, ..., r - d, r: ascending, and the
+                # count before exponent e is its last entry less the one
+                # at r - e·d
+                row = suffix[k][r % d: r + 1: d]
+                j = bisect_left(row, row[-1] - index)
+                e = len(row) - 1 - j
+                index -= row[-1] - row[j]
+            mono[k] = e
+            r -= e * d
+        self._looked_up(degree)
+        return tuple(mono)
 
     def dim(self, degree: int) -> int:
         if degree < 0 or degree > self.bound:
@@ -697,25 +770,22 @@ class FreeTruncAlgebra(TruncAlgebra):
     def basis(self, degree: int) -> list:
         if degree < 0 or degree > self.bound:
             return []
-        monos = self._basis[degree]
-        return self._list_degree(degree) if monos is None else monos
-
-    def _indexed(self, degree: int) -> dict:
-        """{monomial: index} of a degree within the bound."""
-        if self._index[degree] is None:
-            self._list_degree(degree)
-        return self._index[degree]
+        if self._basis[degree] is None:
+            self._list_degree((degree,))
+        return self._basis[degree]
 
     def monomial_key(self, mono: tuple):
         """(degree, index) for an exponent tuple, or None when it is no
         basis monomial within the bound (wrong length, a negative exponent,
         an exterior exponent above 1, a degree above the bound)."""
         mono = tuple(mono)
-        degree = sum(map(mul, mono, self._degrees))
-        if degree < 0 or degree > self.bound:
+        if len(mono) != len(self._degrees) or any(e < 0 for e in mono) or \
+                any(mono[k] > 1 for k in self._exterior_indices):
             return None
-        index = self._indexed(degree).get(mono)
-        return None if index is None else (degree, index)
+        degree = sum(map(mul, mono, self._degrees))
+        if degree > self.bound:
+            return None
+        return degree, self.rank(degree, mono)
 
     def monomial_element(self, mono: tuple, coeff: int = 1) -> Element:
         key = self.monomial_key(mono)
@@ -741,7 +811,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         return out
 
     def basis_label(self, degree: int, index: int) -> str:
-        return self.presentation.format_poly({self.basis(degree)[index]: 1})
+        return self.presentation.format_poly({self.unrank(degree, index): 1})
 
     # -- product -------------------------------------------------------------
 
@@ -768,8 +838,10 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         # one list index on listed degrees
-        merged = self._merge_monomials((self._basis[d1] or self.basis(d1))[i1],
-                                       (self._basis[d2] or self.basis(d2))[i2])
+        basis = self._basis
+        merged = self._merge_monomials(
+            basis[d1][i1] if basis[d1] else self.unrank(d1, i1),
+            basis[d2][i2] if basis[d2] else self.unrank(d2, i2))
         if merged is None:
             return {}
         sign, mono = merged
@@ -777,8 +849,9 @@ class FreeTruncAlgebra(TruncAlgebra):
         if degree > self.bound:
             # callers guard on d1 + d2 <= bound
             raise TruncationError("product above the truncation bound")
-        index = self._index[degree] or self._indexed(degree)
-        return {(degree, index[mono]): sign % self.p}
+        index = self._index[degree]
+        return {(degree, index[mono] if index else self.rank(degree, mono)):
+                sign % self.p}
 
     # -- Steenrod action -----------------------------------------------------
 
@@ -850,7 +923,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         value = self._action.get(key)
         if value is not None:
             return value
-        mono = self.basis(degree)[index]
+        mono = self.unrank(degree, index)
         if not self.can_act_on(mono):
             raise MissingDataError(
                 "Steenrod data needed within the bound is missing",
@@ -892,7 +965,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         values = [{} for _ in family]
         for (e, m), c in total.items():
             if e:
-                values[e // step - 1][(degree + e, self._indexed(degree + e)[m])] = c
+                values[e // step - 1][(degree + e, self.rank(degree + e, m))] = c
         self._action.update(((o, degree, index), v) for o, v in zip(family, values))
         return self._action[key]
 
@@ -901,7 +974,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         sym ("Sq", "P" or "B") that shift by at most top, as {(excess,
         monomial): coeff}, the excess of a term being its degree less
         mono's."""
-        basis, index = self._basis, self._indexed(degree)[mono]
+        index, basis = self.rank(degree, mono), self._basis
         out = {(0, mono): 1}
         for o in ops_on_degree(self.p, degree, self.bound):
             if o[0] == sym and op_degree(self.p, o) <= top:
@@ -909,7 +982,8 @@ class FreeTruncAlgebra(TruncAlgebra):
                 if value is None:
                     value = self.act_basis(o, degree, index)
                 for (d, i), c in value.items():
-                    out[(d - degree, basis[d][i])] = c
+                    monos = basis[d]  # one list index on a listed degree
+                    out[(d - degree, monos[i] if monos else self.unrank(d, i))] = c
         return out
 
     def _times(self, x: dict, y: dict, top: int) -> dict:
@@ -972,7 +1046,9 @@ class QuotientTruncAlgebra(TruncAlgebra):
         products are built in one pass over the representatives' monomials
         per term t of x: the column of mono·t is the index of the exponent
         sum, which is missing exactly when an exterior factor squares to
-        zero, and its Koszul sign is read off ``_sign_mask(t)``.
+        zero, and its Koszul sign is read off ``_sign_mask(t)``.  The free
+        degrees read, each target with representatives |x| degrees lower
+        and that lower degree, are listed in one ``_list_degree`` call.
         ``RowSpace.extend`` places the degree's vectors; pivots stay, so the
         new reps are the previous reps less the new pivots.
         """
@@ -985,15 +1061,16 @@ class QuotientTruncAlgebra(TruncAlgebra):
             return
         d0 = x.degree()
         free, p = self.free, self.p
-        basis = free.basis(d0)
-        terms = [(basis[i], c, -c % p, free._sign_mask(basis[i]))
-                 for (_d, i), c in x.data.items()]
-        for d in range(self.bound, d0 - 1, -1):
-            reps = self._reps[d - d0]
-            if not reps:
-                continue
-            source, index = free.basis(d - d0), free._indexed(d)
-            monos = [source[rep] for rep in reps]
+        terms = []
+        for (_d, i), c in x.data.items():
+            t = free.unrank(d0, i)
+            terms.append((t, c, -c % p, free._sign_mask(t)))
+        targets = [d for d in range(self.bound, d0 - 1, -1) if self._reps[d - d0]]
+        free._list_degree({s for d in targets for s in (d, d - d0)
+                           if free._basis[s] is None})
+        for d in targets:
+            source, index = free._basis[d - d0], free._index[d]
+            monos = [source[rep] for rep in self._reps[d - d0]]
             vecs = [{} for _ in monos]
             for t, c, neg, mask in terms:
                 for vec, mono in zip(vecs, monos):

@@ -586,10 +586,10 @@ class _Engine:
                     f"powers of {s.label}")
             owner[g] = s.name
             classes.append((pos, g, self._monomial(s), s.kind == "exterior"))
-        merge, one = alg._merge_monomials, alg.basis(0)[0]
+        merge, one = alg._merge_monomials, alg.unrank(0, 0)
 
         def resolve(key):
-            target = alg.basis(key[0])[key[1]]
+            target = alg.unrank(*key)
             expo, rest = [0] * len(survivors), list(target)
             for pos, g, power, exterior in classes:
                 expo[pos], rest[g] = divmod(target[g], power[g])

@@ -316,9 +316,10 @@ def test_basis_enumeration_matches_recursion_then_sort(p):
     check()
 
 
-# A degree is listed on its first read, by basis or by monomial_key, from
-# blocks shared with the degrees read before it; the order of reads must
-# not show in the answer.
+# A degree is listed when it is read in bulk, from blocks shared with the
+# degrees listed before it, or once its single-key lookups, ranked from the
+# suffix table until then, reach its dimension; neither the order of reads
+# nor the route of a lookup may show in the answer.
 
 free_algebras = hs.tuples(
     hs.lists(hs.tuples(hs.sampled_from(("polynomial", "exterior")),
@@ -332,6 +333,13 @@ def free_algebra(p, kinds_halves, bound, cls=FreeTruncAlgebra):
         p, [GeneratorSpec(f"g{k}", d, kind)
             for k, (d, kind) in enumerate(gens)])
     return gens, pres, cls(pres, bound)
+
+
+class Unlisted(FreeTruncAlgebra):
+    """A free algebra that fails the test on listing any degree."""
+
+    def _list_degree(self, degrees):
+        raise AssertionError(f"listed degrees {sorted(degrees)}")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -350,14 +358,32 @@ def test_degrees_read_in_any_order_match_the_recursion(p):
     check()
 
 
+def assert_monomial_key_refuses(alg, gens, bound, monos):
+    """monomial_key is None on a wrong length, a negative exponent, an
+    exponent above the bound and an exterior square, around monos."""
+    n = len(gens)
+    for mono in monos:
+        assert alg.monomial_key(mono + (0,)) is None
+        assert alg.monomial_key(mono[:-1]) is None
+        for k in range(n):
+            negative = mono[:k] + (-1,) + mono[k + 1:]
+            assert alg.monomial_key(negative) is None
+    for k, (degree, kind) in enumerate(gens):
+        above = (0,) * k + (bound // degree + 1,) + (0,) * (n - k - 1)
+        assert alg.monomial_key(above) is None
+        if kind == "exterior":
+            assert alg.monomial_key(
+                (0,) * k + (2,) + (0,) * (n - k - 1)) is None
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_monomial_key_finds_each_monomial_and_nothing_else(p):
 
     @settings(derandomize=True, database=None, max_examples=100)
     @given(free_algebras, hs.randoms(use_true_random=False))
     def check(algebra, rng):
-        gens, _pres, alg = free_algebra(p, *algebra)
-        bound, n = algebra[1], len(gens)
+        gens, pres, alg = free_algebra(p, *algebra)
+        bound = algebra[1]
         keyed = [(mono, (d, i))
                  for d, monos in enumerate(recursive_basis(gens, bound))
                  for i, mono in enumerate(monos)]
@@ -365,28 +391,66 @@ def test_monomial_key_finds_each_monomial_and_nothing_else(p):
         for mono, key in keyed:
             assert alg.monomial_key(mono) == key
             assert alg.monomial_key(list(mono)) == key
-        for mono, _key in keyed[:8]:
-            assert alg.monomial_key(mono + (0,)) is None
-            assert alg.monomial_key(mono[:-1]) is None
-            for k in range(n):
-                negative = mono[:k] + (-1,) + mono[k + 1:]
-                assert alg.monomial_key(negative) is None
-        for k, (degree, kind) in enumerate(gens):
-            above = (0,) * k + (bound // degree + 1,) + (0,) * (n - k - 1)
-            assert alg.monomial_key(above) is None
-            if kind == "exterior":
-                assert alg.monomial_key(
-                    (0,) * k + (2,) + (0,) * (n - k - 1)) is None
+        monos = [mono for mono, _key in keyed[:8]]
+        assert_monomial_key_refuses(alg, gens, bound, monos)
+        # the same refusals on a copy that has listed nothing: each is
+        # checked up front, not found missing from a listed degree
+        assert_monomial_key_refuses(Unlisted(pres, bound), gens, bound, monos)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_and_unrank_match_the_listing_and_list_at_the_dimension(p):
+    """On copies that have listed nothing, monomial_key ranks and unrank
+    inverts each basis monomial of a listed copy by arithmetic alone, in a
+    random order across degrees; a degree is listed exactly when its
+    lookups reach its dimension, and then by itself."""
+
+    @settings(derandomize=True, database=None, max_examples=100)
+    @given(free_algebras, hs.randoms(use_true_random=False))
+    def check(algebra, rng):
+        gens, pres, listed = free_algebra(p, *algebra)
+        bound = algebra[1]
+        keyed = [(mono, (d, i)) for d in range(bound + 1)
+                 for i, mono in enumerate(listed.basis(d))]
+        rng.shuffle(keyed)
+        lists = []
+
+        class Recorded(FreeTruncAlgebra):
+            def _list_degree(self, degrees):
+                lists.append(sorted(degrees))
+                super()._list_degree(degrees)
+
+        for lookup in ("rank", "unrank"):
+            lists.clear()
+            alg, counts = Recorded(pres, bound), [0] * (bound + 1)
+            for mono, (d, i) in keyed:
+                assert [d] not in lists
+                if lookup == "rank":
+                    assert alg.monomial_key(mono) == (d, i)
+                else:
+                    assert alg.unrank(d, i) == mono
+                counts[d] += 1
+                assert ([d] in lists) == (counts[d] == alg.dim(d))
+            # listed, a lookup is one index, agrees and lists nothing more
+            for mono, (d, i) in keyed:
+                assert alg.rank(d, mono) == i and alg.unrank(d, i) == mono
+            assert sorted(lists) == [[d] for d in range(bound + 1) if alg.dim(d)]
+        # an index outside its degree's basis is refused, listed or not
+        for copy in (alg, Unlisted(pres, bound)):
+            for d in range(-1, bound + 2):
+                for i in (-1, copy.dim(d)):
+                    with pytest.raises(IndexError):
+                        copy.unrank(d, i)
+                    with pytest.raises(IndexError):
+                        copy.basis_label(d, i)
 
     check()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dims_are_the_series_and_list_no_degree(p):
-
-    class Unlisted(FreeTruncAlgebra):
-        def _list_degree(self, degree):
-            raise AssertionError(f"listed degree {degree}")
 
     @settings(derandomize=True, database=None, max_examples=100)
     @given(free_algebras)
