@@ -366,7 +366,7 @@ def _run_appendix(args):
     data = build() if args.max_degree is None else build(args.max_degree)
     from .graded import appendix_generators
     result = appendix_generators(data["G"], data["B"], data["module_gens"],
-                                 data["proj"], data["embed"], data["bound"])
+                                 data["proj"], data["embed"])
     payload = result.to_jsonable()
     payload["fixture"] = args.fixture
     payload["description"] = description

@@ -271,11 +271,8 @@ class _Enumeration:
         return {tuple(e * p for e in mono): c % p for mono, c in inner.items()}
 
     def _gen_monomial(self, atom: _Atom, word: tuple) -> dict:
-        idx = atom.global_index.get(word)
-        if idx is None:  # degree above the bound: value unknown -> drop
-            return {}
         mono = [0] * self.size
-        mono[idx] = 1
+        mono[atom.global_index[word]] = 1
         return {tuple(mono): 1}
 
     def _compose(self, op: tuple, atom: _Atom, word: tuple) -> dict:

@@ -17,10 +17,11 @@ from a total operation such as Sq = Σ Sq^i, a ring map, on g^a (from the
 base-p digits of a) and on rest.
 
 Truncation semantics: values above the bound are *unknown*, never zero.  A
-public product or operation that would land above the bound raises
-``TruncationError``; with ``drop_above`` the components above the bound are
-dropped instead, which is sound because they cannot influence degrees
-within bound.
+product or operation that would land above the bound raises
+``TruncationError``, and no option turns the unknown into zero.  A caller
+that needs only part of a value multiplies or acts on the components that
+stay within the bound; one that needs x² only when 2|x| lies within the
+bound (``serre.annihilator_profile``) tests that degree first.
 
 ``appendix_generators`` implements a constructive finite-generation
 algorithm for an algebra B that is simultaneously a module-algebra over a
@@ -502,13 +503,11 @@ class TruncAlgebra:
     def from_vector(self, degree: int, vec) -> Element:
         return Element(self, {(degree, i): c for i, c in enumerate(vec) if c % self.p})
 
-    def product(self, x: Element, y: Element, drop_above: bool = False) -> Element:
+    def product(self, x: Element, y: Element) -> Element:
         out: dict = {}
         for (d1, i1), c1 in x.data.items():
             for (d2, i2), c2 in y.data.items():
                 if d1 + d2 > self.bound:
-                    if drop_above:
-                        continue
                     raise TruncationError(
                         f"product lands in degree {d1 + d2}, above the "
                         f"truncation bound {self.bound}; the value there is "
@@ -520,11 +519,11 @@ class TruncAlgebra:
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
         raise NotImplementedError
 
-    def act(self, op: tuple, x: Element, drop_above: bool = False) -> Element:
+    def act(self, op: tuple, x: Element) -> Element:
         """Apply one Steenrod operation (Sq^i / P^i / beta) to an element."""
-        return _reduced(self, self._act_data(op, x.data, drop_above))
+        return _reduced(self, self._act_data(op, x.data))
 
-    def _act_data(self, op: tuple, data: dict, drop_above: bool) -> dict:
+    def _act_data(self, op: tuple, data: dict) -> dict:
         """op on reduced {(degree, index): coeff} data as new reduced data,
         never shared with the memo; a memoized value is read inline."""
         p, bound, memo = self.p, self.bound, self._action
@@ -532,8 +531,6 @@ class TruncAlgebra:
         out: dict = {}
         for (d, i), c in data.items():
             if d + shift > bound:
-                if drop_above:
-                    continue
                 self._refuse_above(op, d)
             value = memo.get((op, d, i))
             if value is None:
@@ -558,11 +555,11 @@ class TruncAlgebra:
                 f"{format_op(op)} on a degree-{degree} element lands in degree "
                 f"{target}, above the truncation bound {self.bound}")
 
-    def act_word(self, word: tuple, x: Element, drop_above: bool = False) -> Element:
+    def act_word(self, word: tuple, x: Element) -> Element:
         """Apply a composite word (rightmost factor first)."""
         data = x.data
         for letter in _letters_applied(self.p, tuple(word)):
-            data = self._act_data(letter, data, drop_above)
+            data = self._act_data(letter, data)
             if not data:
                 break
         return _reduced(self, data.copy() if data is x.data else data)
@@ -897,7 +894,7 @@ class FreeTruncAlgebra(TruncAlgebra):
             def power():  # instability: the top operation is the p-th power
                 x, out = self.generator_element(g.name), self.one()
                 for _ in range(self.p):
-                    out = self.product(out, x, drop_above=True)
+                    out = self.product(out, x)
                 return out.data
             return power
         if self.dim(g.degree + op_degree(self.p, op)) == 0:
@@ -1473,8 +1470,7 @@ class AppendixResult:
 
 
 def appendix_generators(G: FreeTruncAlgebra, B: TruncAlgebra, module_gens,
-                        proj: GradedMap, embed: GradedMap,
-                        bound=None) -> AppendixResult:
+                        proj: GradedMap, embed: GradedMap) -> AppendixResult:
     """Finite generation of a module-algebra, with rewriting certificates.
 
     Inputs: ``G`` — a truncated algebra with Steenrod tables; ``B`` — an
@@ -1483,18 +1479,21 @@ def appendix_generators(G: FreeTruncAlgebra, B: TruncAlgebra, module_gens,
     of B that generate it as a G-module, with b_1 the unit; ``proj`` — a
     G-module retraction B -> G (proj(g.1) = g).
 
-    Checks, not assumes: b_1 = 1; proj is G-linear; proj(theta(g.1)) =
-    theta(g) for every tabulated operation and basis element within bound.
-    Violations raise EngineContractError naming the offending pair.
+    Works through B's bound, which G's tables must reach (InputError
+    otherwise).  Checks, not assumes: b_1 = 1; proj is G-linear;
+    proj(theta(g.1)) = theta(g) for every tabulated operation and basis
+    element within bound.  Violations raise EngineContractError naming the
+    offending pair.
 
     Returns the generator set {normalized b_i, i >= 2} + {z.1 for algebra
     generators z of G}, with one certificate per correction term
     xi = theta(z.1) - (theta z).1 expressing xi over the output generators.
     A correction that cannot be rewritten raises InconsistencyError.
     """
-    bound = B.bound if bound is None else bound
-    if bound > B.bound or bound > G.bound:
-        raise InputError("certificate bound exceeds the truncation tables")
+    bound = B.bound
+    if bound > G.bound:
+        raise InputError(f"G's tables end at degree {G.bound}, below B's "
+                         f"bound {bound}")
     module_gens = list(module_gens)
     if not module_gens or module_gens[0] != B.one():
         raise EngineContractError("the first module generator must be the unit of B")

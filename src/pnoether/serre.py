@@ -137,7 +137,7 @@ class _KudoStage:
         if below is not None:
             d = below.degree
             op = ("Sq", d) if spec.p == 2 else ("P", d // 2)
-            return base.act(op, below.tau, drop_above=True)
+            return base.act(op, below.tau)
         bottom = base.element_from_poly(spec.transgression[gen.bottom])
         if bottom.is_zero:
             return bottom
@@ -189,15 +189,18 @@ def annihilator_profile(alg, x: Element) -> str:
     """
     if x.is_zero:
         raise InputError("annihilator profile of zero is not meaningful")
-    square_zero = alg.product(x, x, drop_above=True).is_zero
-    return _profile(alg.dims(), mult_ranks(alg, x), x.degree(), square_zero)
+    degree = x.degree()
+    square_zero = 2 * degree > alg.bound or alg.product(x, x).is_zero
+    return _profile(alg.dims(), mult_ranks(alg, x), degree, square_zero)
 
 
 def _profile(dims, ranks, degree: int, square_zero: bool) -> str:
     """annihilator_profile from the ranks of multiplication by a class of
     the given degree (see graded.mult_ranks) and whether it squares to 0:
     the kernel from degree d has dimension dims[d] - ranks[d], and the
-    image in degree d has dimension ranks[d - degree] (0 below it)."""
+    image in degree d has dimension ranks[d - degree] (0 below it).  With
+    ranks from degrees up to bound - degree, every image is 0 when twice
+    the degree exceeds the bound, and square_zero cannot change the answer."""
     kernels = [dims[d] - r for d, r in enumerate(ranks)]
     images = [ranks[d - degree] if d >= degree else 0
               for d in range(len(ranks))]
@@ -335,13 +338,14 @@ class _Engine:
         The profile is read off the drop in dimension: the quotient loses
         rank(·rep : Q_{d-|rep|} -> Q_d) in degree d, so the drop in degree
         d + |rep| is the rank of multiplication by rep from degree d.  The
-        class squares to zero when rep² already lies in the ideal."""
-        square = self.base_alg.product(rep, rep, drop_above=True)
-        square_zero = self.quotient.contains_in_ideal(square)
+        class counts as squaring to zero when rep² lies in the ideal or
+        above the bound, where it cannot change the profile."""
+        base, degree = self.base_alg, rep.degree()
+        square_zero = 2 * degree > base.bound \
+            or self.quotient.contains_in_ideal(base.product(rep, rep))
         before = self.quotient.dims()
         self.quotient.add_generator(rep)
         after = self.quotient.dims()
-        degree = rep.degree()
         ranks = [before[d] - after[d] for d in range(degree, len(before))]
         return _profile(before, ranks, degree, square_zero)
 
@@ -404,10 +408,10 @@ class _Engine:
             return None
         base, rep, label = self.base_alg, stage.tau, stage.gen.name
         if self.p == 2:
-            target = base.product(rep, rep, drop_above=True)
+            target = base.product(rep, rep)
         else:
-            power = base.act(("P", stage.degree // 2), rep, drop_above=True)
-            target = base.act(("B",), power, drop_above=True).scale(-1)
+            power = base.act(("P", stage.degree // 2), rep)
+            target = base.act(("B",), power).scale(-1)
         if self.quotient.contains_in_ideal(target):
             self.survivors.append(Survivor(
                 name="", degree=comp_degree, kind="exterior",
@@ -514,7 +518,7 @@ class _Engine:
         source = alg.monomial_element(self._monomial(anchor))
         target = {alg.monomial_key(self._monomial(survivor)): 1}
         for word in words.get(survivor.degree - anchor.degree, ()):
-            if alg.act_word(word, source, drop_above=True).data == target:
+            if alg.act_word(word, source).data == target:
                 return word
         return None
 
@@ -554,7 +558,7 @@ class _Engine:
                 target = s.degree + op_degree(self.p, op)
                 if target > self.bound or target in shadow:
                     continue
-                value = alg.act(op, fiber_class, drop_above=True).data
+                value = alg.act(op, fiber_class).data
                 coords = [coordinate(key) for key in value]
                 if None not in coords:
                     action[(s.name, op)] = dict(sorted(
@@ -571,11 +575,10 @@ class _Engine:
         EngineContractError is raised; run never makes two, since it queues
         each generator and then only p-powers of it, one at a time.  Then
         ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
-        and a key resolves by dividing its exponents by the a's (an exterior
-        survivor reaching no square), its sign the Koszul signs of
-        _merge_monomials taken in survivor order."""
+        and a key resolves by dividing its exponents by the a's, its sign the
+        Koszul signs of _merge_monomials taken in survivor order."""
         alg, p = self.fiber_alg, self.p
-        classes, owner = [], {}  # (pos, generator, monomial, exterior)
+        classes, owner = [], {}  # (pos, generator, monomial)
         for pos, s in enumerate(survivors):
             if s.is_companion:
                 continue
@@ -585,20 +588,18 @@ class _Engine:
                     f"survivors {owner[g]} and {s.name} both restrict to "
                     f"powers of {s.label}")
             owner[g] = s.name
-            classes.append((pos, g, self._monomial(s), s.kind == "exterior"))
+            classes.append((pos, g, self._monomial(s)))
         merge, one = alg._merge_monomials, alg.unrank(0, 0)
 
         def resolve(key):
             target = alg.unrank(*key)
             expo, rest = [0] * len(survivors), list(target)
-            for pos, g, power, exterior in classes:
+            for pos, g, power in classes:
                 expo[pos], rest[g] = divmod(target[g], power[g])
-                if exterior and expo[pos] > 1:
-                    return None
             if any(rest):
                 return None
             sign, mono = 1, one
-            for pos, _g, factor, _exterior in classes:
+            for pos, _g, factor in classes:
                 for _ in range(expo[pos]):
                     koszul, mono = merge(mono, factor)
                     sign = sign * koszul % p

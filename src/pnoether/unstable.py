@@ -457,7 +457,10 @@ def parse_expr(text: str) -> ModuleExpr:
 
 
 def format_expr(expr: ModuleExpr) -> str:
-    """Pretty-print an expression; parse(format(e)) == e."""
+    """Pretty-print an expression, one summand per normal-form term;
+    parse(format(e)) == e.  A multiplicity m > 1 is written ^m on the
+    term's last atom, inside any Sigma: ^ is a direct sum and the tensor
+    distributes over it, so F(1)*F(1)^3 is three copies of F(1)*F(1)."""
     nf = _terms(expr)
     if not nf:
         return "0"
@@ -469,13 +472,8 @@ def format_expr(expr: ModuleExpr) -> str:
         atoms.extend("Q1" for _ in range(q1))
         if fin is not None:
             atoms.append("Fin(" + ",".join(f"{d}:{m}" for d, m in fin) + ")")
-        body = "*".join(atoms)
+        body = "*".join(atoms) + (f"^{mult}" if mult > 1 else "")
         for _ in range(sigma):
             body = f"Sigma({body})"
-        if mult > 1:
-            if len(atoms) == 1 and sigma == 0:
-                body = f"{body}^{mult}"
-            else:
-                parts.extend([body] * (mult - 1))
         parts.append(body)
     return " + ".join(parts)

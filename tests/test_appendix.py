@@ -15,7 +15,7 @@ def run(fix, **over):
     kw = dict(fix)
     kw.update(over)
     return appendix_generators(kw["G"], kw["B"], kw["module_gens"],
-                               kw["proj"], kw["embed"], kw["bound"])
+                               kw["proj"], kw["embed"])
 
 
 def test_compatible_fixture_all_corrections_vanish():
@@ -72,7 +72,7 @@ def test_broken_fixture_reports_the_offending_pair():
 def test_trivial_algebra_reports_the_unit():
     E = expand(FreeCommPresentation(2, [], {}), 4)
     res = appendix_generators(E, E, [E.one()], identity_map(E, E),
-                              identity_map(E, E), 4)
+                              identity_map(E, E))
     assert res.generators == [("1", 0)]
     assert res.certificates == []
     assert res.checked_pairs == 4  # each Sq^k on the unit line
@@ -107,6 +107,8 @@ def test_contract_proj_must_restore_G():
 
 
 def test_certificate_bound_cannot_exceed_tables():
+    # the certificates run through B's bound, past the end of G's tables
     kw = appendix_compatible()
-    with pytest.raises(InputError):
-        run(kw, bound=99)
+    short = appendix_compatible(bound=kw["bound"] - 1)
+    with pytest.raises(InputError, match="G's tables end at degree 7"):
+        run(kw, G=short["G"])

@@ -228,13 +228,14 @@ def test_krull_reports_do_not_depend_on_where_a_suspension_sits():
 
 
 def test_krull_compound_multiplicity_traces():
-    # a compound term of multiplicity m is printed m times
+    # a compound term of multiplicity m is printed once, with ^m on its
+    # last atom
     code, rep = run_json("krull", "F(1)*F(1)*F(1)")
     assert code == 0
     assert rep["payload"]["degree"] == 3
     assert rep["payload"]["trace"] == [
         "F(1)*F(1)*F(1)",
-        "F(0) + F(1)^3 + F(1)*F(1) + F(1)*F(1) + F(1)*F(1)",
+        "F(0) + F(1)^3 + F(1)*F(1)^3",
         "F(0)^6 + F(1)^6", "F(0)^6", "0"]
     # Q1 is written as its finite table at p = 3, which carries the
     # suspension; finite factors merge
@@ -564,7 +565,7 @@ def test_appendix_runs_at_max_degree_zero():
     assert rep["provenance"]["bounds"] == {"max_degree": 0}
     data = fixtures.appendix_compatible(0)
     result = appendix_generators(data["G"], data["B"], data["module_gens"],
-                                 data["proj"], data["embed"], data["bound"])
+                                 data["proj"], data["embed"])
     assert result.generators == [("1", 0)]
     assert rep["payload"]["generators"] == [{"name": "1", "degree": 0}]
 

@@ -46,7 +46,9 @@ from pnoether.graded import (
     ops_on_degree,
 )
 from pnoether.linalg import RowSpace
-from pnoether.steenrod import admissible_words, letters_to_word, word_to_letters
+from pnoether.steenrod import (admissible_words, letters_to_word,
+                               word_degree, word_to_letters)
+from truncation import within_bound
 
 
 def brute_dims(gens, bound):
@@ -246,7 +248,6 @@ def test_product_truncation_guard():
     x = alg.generator_element("x4")
     with pytest.raises(TruncationError):
         x * x  # degree 8 > 6: the value there is unknown, not zero
-    assert alg.product(x, x, drop_above=True).is_zero
 
 
 def test_graded_commutativity_odd_p():
@@ -570,7 +571,6 @@ def test_act_above_bound_raises():
     t3 = alg.element_from_poly("t^3")
     with pytest.raises(TruncationError):
         alg.act(("Sq", 1), t3)
-    assert alg.act(("Sq", 1), t3, drop_above=True).is_zero
 
 
 def test_op_list_by_prime():
@@ -637,7 +637,7 @@ def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
         for d in range(alg.bound + 1):
             for i in range(alg.dim(d)):
                 for op in alg.op_list():
-                    alg.act(op, alg.element(d, i), drop_above=True)
+                    within_bound(alg, alg.element(d, i), op)
 
     pres = em_product_presentation(parse_space(f"K(Z/{p},2)", p), p, 16)
     was_enabled = gc.isenabled()
@@ -668,7 +668,7 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
         out = x
         for op in alg.op_list():
             if op != ("B",):
-                out = out + alg.act(op, x, drop_above=True)
+                out = out + within_bound(alg, x, op)
         return out
 
     @settings(derandomize=True, database=None, max_examples=40)
@@ -688,14 +688,13 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
         x, y = (alg.from_vector(d, data.draw(hs.lists(
             hs.integers(0, p - 1), min_size=alg.dim(d),
             max_size=alg.dim(d)))) for d in (a, b))
-        assert total(alg, x * y) == alg.product(
-            total(alg, x), total(alg, y), drop_above=True)
+        assert total(alg, x * y) == within_bound(
+            alg, total(alg, x), total(alg, y))
         if p != 2:
             beta = ("B",)
-            assert alg.act(beta, x * y, drop_above=True) == alg.product(
-                alg.act(beta, x, drop_above=True), y, drop_above=True) \
-                + alg.product(x, alg.act(beta, y, drop_above=True),
-                              drop_above=True).scale((-1) ** a)
+            assert within_bound(alg, x * y, beta) == \
+                within_bound(alg, x, beta, y) + within_bound(
+                    alg, x, within_bound(alg, y, beta)).scale((-1) ** a)
 
     check()
 
@@ -782,17 +781,18 @@ def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
                                           hs.integers(1, p - 1), max_size=5))
         x = Element(alg, terms)
         op = data.draw(hs.sampled_from(alg.op_list()))
-        assert missing_or(lambda: alg.act(op, x, drop_above=True).data) == \
+        assert missing_or(lambda: within_bound(alg, x, op).data) == \
             missing_or(lambda: recursive_act(alg, op, terms, memo))
         word = data.draw(hs.sampled_from(admissible_words(p, alg.bound)))
 
-        def chain():
-            out = terms
+        def chain():  # on the terms the word keeps within the bound
+            room = alg.bound - word_degree(p, word)
+            out = {k: c for k, c in terms.items() if k[0] <= room}
             for letter in reversed(word_to_letters(p, word)):
                 out = recursive_act(alg, letter, out, memo)
             return out
 
-        assert missing_or(lambda: alg.act_word(word, x, drop_above=True).data) \
+        assert missing_or(lambda: within_bound(alg, x, word).data) \
             == missing_or(chain)
 
     for bound in (24, 40):
@@ -959,15 +959,13 @@ def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
         x, expected, expected_word = alg.zero(), alg.zero(), alg.zero()
         for (d, i), c in terms.items():
             x = x + alg.element(d, i, c)
-            expected = expected + alg.act(
-                op, alg.element(d, i), drop_above=True).scale(c)
-            expected_word = expected_word + alg.act_word(
-                word, alg.element(d, i), drop_above=True).scale(c)
-        assert alg.act(op, x, drop_above=True) == expected
-        chain = x
-        for letter in reversed(word_to_letters(p, word)):
-            chain = alg.act(letter, chain, drop_above=True)
-        assert alg.act_word(word, x, drop_above=True) == expected_word == chain
+            expected = expected + within_bound(
+                alg, alg.element(d, i), op).scale(c)
+            expected_word = expected_word + within_bound(
+                alg, alg.element(d, i), word).scale(c)
+        assert within_bound(alg, x, op) == expected
+        chain = within_bound(alg, x, *reversed(word_to_letters(p, word)))
+        assert within_bound(alg, x, word) == expected_word == chain
 
     check()
 
@@ -977,8 +975,7 @@ def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
 def test_a_word_whose_middle_letter_lands_above_the_bound(p, kind):
     """Three letters, the first (rightmost) with a nonzero value within the
     bound and the middle one, the algebra's top operation, landing above
-    it: act_word drops the value with drop_above and raises
-    TruncationError without, on every request."""
+    it: act_word raises TruncationError, on every request."""
     alg = kernel_algebras(p)[kind]
     first = ("Sq", 1) if p == 2 else ("B",)
     top = alg.op_list()[-1]
@@ -988,7 +985,6 @@ def test_a_word_whose_middle_letter_lands_above_the_bound(p, kind):
              if not alg.act(first, alg.element(d, i)).is_zero)
     assert x.degree() + op_degree(p, first) + op_degree(p, top) > alg.bound
     for _ in range(2):
-        assert alg.act_word(word, x, drop_above=True).is_zero
         with pytest.raises(TruncationError):
             alg.act_word(word, x)
 
@@ -1199,7 +1195,7 @@ def random_generators(alg, rng, count):
     first = gens[0]
     other = alg.element(next(d for d in range(1, alg.bound + 1)
                              if alg.dim(d)), 0)
-    gens.insert(3, alg.product(other, first, drop_above=True))
+    gens.insert(3, alg.product(other, first))
     return gens
 
 

@@ -243,8 +243,8 @@ def test_schwartz_target_shapes():
     assert schwartz_target(2) == Tensor((F(1), Power(Q1(), 2)))
     assert format_expr(schwartz_target(0)) == "F(1)"
     assert format_expr(schwartz_target(1)) == "F(1)*Q1"
-    assert format_expr(schwartz_target(2)) == "F(1)*Q1 + F(1)*Q1"
-    assert format_expr(schwartz_target(3)) == "F(1)*Q1 + F(1)*Q1 + F(1)*Q1"
+    assert format_expr(schwartz_target(2)) == "F(1)*Q1^2"
+    assert format_expr(schwartz_target(3)) == "F(1)*Q1^3"
     with pytest.raises(InputError):
         schwartz_target(-1)
 

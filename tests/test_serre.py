@@ -35,7 +35,7 @@ from pnoether import (
     split_fiber_generators,
 )
 from pnoether.errors import (EngineContractError, MissingDataError,
-                             UnsupportedFibrationError)
+                             TruncationError, UnsupportedFibrationError)
 from pnoether.graded import op_degree
 from pnoether.linalg import solve
 from pnoether import graded, serre, steenrod
@@ -331,7 +331,7 @@ def unbounded_displays(res, fiber):
         source = fiber.element_from_poly(anchor.origin)
         word = next((w for w in steenrod.admissible_words(p, max(gap, 0))
                      if steenrod.word_degree(p, w) == gap
-                     and fiber.act_word(w, source, drop_above=True)
+                     and fiber.act_word(w, source)
                      == fiber.element_from_poly(s.origin)), None)
         if word is None:
             out.append(s.origin)
@@ -447,7 +447,7 @@ def reference_induced_action(res, fiber_alg):
             target = s.degree + op_degree(p, op)
             if target > bound or target in shadow:
                 continue
-            value = fiber_alg.act(op, classes[s.name], drop_above=True)
+            value = fiber_alg.act(op, classes[s.name])
             expos = sorted(monomials.get(target, []))
             cols = [fiber_value(expo).vector(target) for expo in expos]
             coords = solve(cols, value.vector(target), p)
@@ -592,10 +592,10 @@ def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
     keys = [(d, i) for d in range(fiber.bound + 1)
             for i in range(fiber.dim(d))]
 
-    def survivor(name, gen, kind="exterior"):
+    def survivor(name, gen):
         return Survivor(name=name,
                         degree=fiber.generator_element(gen).degree(),
-                        kind=kind, origin=gen, display=name, label=gen)
+                        kind="exterior", origin=gen, display=name, label=gen)
 
     def resolving(coordinate):
         return {key for key in keys if coordinate(key) is not None}
@@ -613,10 +613,6 @@ def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
     with pytest.raises(EngineContractError, match="both restrict"):
         engine._survivor_coordinates(
             [survivor("a", "i3"), survivor("c", "i3")])
-    # an exterior survivor on the polynomial bP1i3 reaches no square
-    coordinate = engine._survivor_coordinates([survivor("d", "bP1i3")])
-    assert resolving(coordinate) == {fiber.monomial_key(mono) for mono in
-                                     [(0, 0, 0, 0, 0), (0, 0, 1, 0, 0)]}
 
 
 def test_each_survivor_is_the_monomial_its_origin_names(monkeypatch):
@@ -855,6 +851,30 @@ def test_kill_tells_a_principal_annihilator_from_a_lookalike():
     assert engine._kill(x2) == "other"
 
 
+@pytest.mark.parametrize("p,killed,want", [
+    (2, None, "zero"),
+    (2, "x2*x8", "other"),
+    (3, "x4^2", "zero"),
+])
+def test_a_class_whose_square_lies_above_the_bound(p, killed, want):
+    # x8² lands in degree 16, above the base bound 13, where it is unknown;
+    # both routes give the profile without reading it
+    base = FreeCommPresentation(p, [GeneratorSpec(f"x{2 * p - 2}", 2 * p - 2),
+                                    GeneratorSpec("x8", 8)])
+    spec = FibrationSpec(p, base, EMSpec(IntegerClass(), 3), None, bound=12)
+    engine = _Engine(spec)
+    alg = engine.base_alg
+    if killed:
+        engine.quotient.add_generator(alg.element_from_poly(killed))
+    x8 = alg.generator_element("x8")
+    assert 2 * x8.degree() > alg.bound == 13
+    with pytest.raises(TruncationError):
+        x8 * x8
+    assert annihilator_profile(engine.quotient,
+                               engine.quotient.project(x8)) == want
+    assert engine._kill(x8) == want
+
+
 # ---------------------------------------------------------------------------
 # refusal on non-transgressive patterns
 
@@ -1017,10 +1037,10 @@ def test_only_i3_transgression_is_read_in_the_bs3_cover(monkeypatch):
     calls = []
     act_word = graded.TruncAlgebra.act_word
 
-    def counted(alg, word, x, drop_above=False):
+    def counted(alg, word, x):
         if getattr(alg, "presentation", None) is spec.base:
             calls.append(word)
-        return act_word(alg, word, x, drop_above)
+        return act_word(alg, word, x)
 
     monkeypatch.setattr(graded.TruncAlgebra, "act_word", counted)
     run_ss(spec)

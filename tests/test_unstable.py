@@ -361,6 +361,10 @@ def test_format_parse_round_trip_property(e):
     again = parse_expr(text)
     assert again == e, text
     assert format_expr(again) == text
+    # each normal-form term prints once: a multiplicity m > 1 is ^m on its
+    # last atom, since ^ is a direct sum and the tensor distributes over it
+    summands = [] if text == "0" else text.split(" + ")
+    assert len(summands) == len(normal_form(e)), text
 
 
 # ---------------------------------------------------------------------------
