@@ -35,9 +35,9 @@ from .serre import (FibrationSpec, SSResult, connected_cover_cohomology,
 from .noetherian import (AbelianPGroup, FibrationDescription,
                          PNoetherianPresentation, SplitVerdict, SquareReport,
                          SumOfSquaresCertificate, TQReport, hom_zp,
-                         is_divisible, is_square_int, mapping_space_postnikov,
-                         padic_is_square, padic_sum_of_squares_nonzero,
-                         padic_valuation, parse_group, schwartz_target,
+                         is_divisible, is_square_int, padic_is_square,
+                         padic_sum_of_squares_nonzero, padic_valuation,
+                         parse_group, schwartz_target,
                          splitting_by_connecting, splitting_with_section,
                          structure_fibration, tq_of_classifying_space)
 from .catalog import CatalogEntry, get_entry, load_catalog

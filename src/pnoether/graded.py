@@ -8,7 +8,8 @@ D, a product table, and Steenrod-operation matrices.  Three flavors exist:
   with the Steenrod action filled in from per-generator data and the
   instability relations;
 * ``QuotientTruncAlgebra`` — degreewise linear quotient by a homogeneous
-  ideal, with induced product and (when the ideal is invariant) action;
+  ideal, a kill linear in a generator eliminating it by substitution, with
+  induced product and (when the ideal is invariant) action;
 * ``TensorTruncAlgebra`` — graded tensor product with Koszul signs.
 
 The tensor algebra takes an operation's value on a pair from the Cartan
@@ -596,8 +597,9 @@ class FreeTruncAlgebra(TruncAlgebra):
     ``_list_degree``); ``dim`` and ``dims`` come from a suffix table of
     dimensions built at construction and list nothing.  The listing rule:
     a degree is listed and indexed when it is read in bulk (``basis``, or
-    the degrees a growing quotient reads in ``add_generator``), or once
-    its single-key lookups reach its dimension, and never otherwise.  A
+    the degrees a quotient's residual ideal reads as it grows, which a
+    kill linear in a generator never reaches), or once its single-key
+    lookups reach its dimension, and never otherwise.  A
     single key, ``rank`` (monomial to index) or ``unrank`` (index to
     monomial), is one dict or list index on a listed degree and arithmetic
     over the suffix table on any other, every key read through
@@ -1002,23 +1004,35 @@ class QuotientTruncAlgebra(TruncAlgebra):
     """Degreewise quotient of a FreeTruncAlgebra by a homogeneous ideal.
 
     The quotient basis in each degree is the set of free-basis monomials in
-    the complement of the ideal's row space (non-pivot columns); products and
-    Steenrod operations are computed upstairs and projected.  ``steenrod_ok``
-    and ``steenrod_failures`` check, when read, whether the ideal as it
-    stands is closed under the tabulated operations — the induced action is
-    only meaningful when it is.
+    the complement of the ideal's reduced row echelon form (the non-pivot
+    columns, a pivot being the lowest column of a row, so the monomial that
+    comes first in the listing order).  ``basis`` gives them as free
+    indices, and ``basis_label`` and ``lift`` read them there.  That form
+    is canonical for the subspace, so the basis does not depend on the
+    order or grouping in which generators arrive.
 
-    The ideal grows in place with ``add_generator``, one degree at a time:
-    the new generator times the quotient representatives |x| degrees lower,
-    read off the free algebra's monomial index in one pass per term, goes
-    to that degree's ``RowSpace`` at once, which places one-entry vectors
-    without a reduction.  Each degree's ideal is in reduced row
-    echelon form, which is canonical for the subspace, so the basis does
-    not depend on the order or grouping in which generators arrive; a
-    reduced row is nonzero only on its pivot and on quotient basis columns,
-    so the work follows the size of the quotient.  An Element of the
+    The ideal grows in place with ``add_generator``, and a kill linear in
+    a generator eliminates it.  Each new generator x is substituted and
+    reduced modulo the ideal as it stands; when the lowest monomial of what
+    is left, c·g + f, is a single generator g, then f does not involve g
+    (the only monomial of degree |g| that contains g is g itself) and
+    F[g, rest]/(c·g + f) ≅ F[rest] through g ↦ -f/c.  The quotient keeps
+    that substitution onto a smaller free algebra on the generators left,
+    whose dimensions come from its suffix table, and lists nothing of the
+    free algebra it drops.  The g-divisible monomials are exactly the new
+    pivots (x·u has lowest monomial g·u), so the basis stays the non-pivot
+    columns above.  Only a non-linear remainder goes to the residual ideal,
+    a ``RowSpace`` per degree of the smaller algebra (``_span``); an
+    exterior g also sends (f/c)² there, which is zero at odd p.
+    Membership, ``project``, products, operations and ``dims`` all
+    substitute, then reduce modulo the residual.  An Element of the
     quotient is written in the basis current when it was made: after a
     growth step it no longer refers to the same classes.
+
+    ``steenrod_ok`` and ``steenrod_failures`` check, when read, whether the
+    ideal as it stands is closed under the tabulated operations — the
+    induced action is only meaningful when it is.  By the Cartan formula
+    that is decided on the ideal's generators.
     """
 
     def __init__(self, free: FreeTruncAlgebra, ideal_gens):
@@ -1026,48 +1040,109 @@ class QuotientTruncAlgebra(TruncAlgebra):
         self.p = free.p
         self.bound = free.bound
         self.ideal_gens: list[Element] = []
-        self._ideal: list[RowSpace] = [RowSpace(self.p, free.dim(d))
-                                       for d in range(self.bound + 1)]
-        self._reps: list[list[int]] = [list(range(free.dim(d)))
-                                       for d in range(self.bound + 1)]
+        # the free algebra on the generators not eliminated (free itself
+        # until a linear kill), their positions in free's generator list,
+        # and each eliminated generator's value there, by position in free
+        self._small = free
+        self._kept = list(range(len(free.generators)))
+        self._sigma: dict[int, dict] = {}
+        # the residual ideal: its generators (free elements), and per degree
+        # its rows in _small and the representatives (indices of _small),
+        # both None while the residual is zero in that degree
+        self._residual: list[Element] = []
+        self._ideal: list = [None] * (self.bound + 1)
+        self._reps: list = [None] * (self.bound + 1)
+        # per degree the basis as free indices, None until read
+        self._basis: list = [None] * (self.bound + 1)
         for x in ideal_gens:
             self.add_generator(x)
 
     def add_generator(self, x: Element):
-        """Grow the ideal by the homogeneous element x, in place.
-
-        Degree d of the new ideal is I_d + x·A_{d-|x|}.  Because x·I lies in
-        I, only x times the current quotient representatives is spanned;
-        degrees are visited from the top down so that the representatives
-        of degree d-|x| are still those of the old ideal.  A degree's
-        products are built in one pass over the representatives' monomials
-        per term t of x: the column of mono·t is the index of the exponent
-        sum, which is missing exactly when an exterior factor squares to
-        zero, and its Koszul sign is read off ``_sign_mask(t)``.  The free
-        degrees read, each target with representatives |x| degrees lower
-        and that lower degree, are listed in one ``_list_degree`` call.
-        ``RowSpace.extend`` places the degree's vectors; pivots stay, so the
-        new reps are the previous reps less the new pivots.
-        """
+        """Grow the ideal by the homogeneous element x, in place."""
         if x.algebra is not self.free:
             raise InputError("ideal generators must live in the base algebra")
         if not x.is_zero and x.degree() == 0:
             raise InputError("ideal generators must have positive degree")
         self.ideal_gens.append(x)
-        if x.is_zero:
-            return
+        if not x.is_zero:
+            self._grow(x)
+            self._basis = [None] * (self.bound + 1)
+
+    def _grow(self, x: Element) -> None:
+        """Add the free element x to the ideal: eliminate a generator when
+        x is linear in one modulo the ideal, else span it in the residual."""
         d0 = x.degree()
-        free, p = self.free, self.p
+        small = self._small
+        r = self._reduce(d0, self._image(x.data))
+        if not r:
+            return
+        low = min(r)
+        mono = small.unrank(d0, low)
+        if sum(mono) == 1:
+            self._eliminate(mono.index(1), low, d0, r)
+        else:
+            self._residual.append(x)
+            self._span(d0, r)
+
+    def _eliminate(self, j: int, low: int, d0: int, r: dict) -> None:
+        """Eliminate generator j of _small, the lowest monomial (index low)
+        of r, a reduced vector of degree d0: g ↦ -f/c with r = c·g + f.
+        The earlier values and the residual's generators are carried to the
+        smaller algebra, and the residual is spanned again there."""
+        small, p = self._small, self.p
+        g = small.generators[j]
+        scale = -pow(r[low], p - 2, p)
+        rest = [h for k, h in enumerate(small.generators) if k != j]
+        # a link's partner may be gone, and the action is read upstairs
+        new = FreeTruncAlgebra(FreeCommPresentation(p, [
+            h if h.bockstein_link is None else
+            GeneratorSpec(h.name, h.degree, h.kind) for h in rest]), self.bound)
+        # f does not involve g, so carrying it over reads no value of g
+        value = _substituted(small, new, {j: None}, {
+            (d0, i): c * scale for i, c in r.items() if i != low})
+        move = {j: value}
+        self._sigma = {k: _substituted(small, new, move, v)
+                       for k, v in self._sigma.items()}
+        self._sigma[self._kept.pop(j)] = value
+        self._small = new
+        pending = self._residual
+        if g.kind == "exterior" and 2 * d0 <= self.bound:
+            free = self.free
+            lifted = Element(free, {
+                (d, free.rank(d, self._embed(new.unrank(d, i)))): c
+                for (d, i), c in value.items()})
+            pending = pending + [free.product(lifted, lifted)]
+        self._residual = []
+        self._ideal = [None] * (self.bound + 1)
+        self._reps = [None] * (self.bound + 1)
+        for y in pending:
+            if not y.is_zero:
+                self._grow(y)
+
+    def _span(self, d0: int, r: dict) -> None:
+        """Span the reduced vector r of degree d0 into the residual.
+
+        Degree d of the new residual is R_d + r·S_{d-d0}, S the smaller
+        algebra; because r·R lies in R, only r times the representatives
+        is spanned, from the top degree down so that those of degree
+        d - d0 are still the old ones.  The column of mono·t, t a term of
+        r, is the index of the exponent sum (missing exactly when an
+        exterior factor squares to zero), signed by ``_sign_mask(t)``; the
+        degrees read are listed in one ``_list_degree`` call.  Pivots
+        stay, so the new reps are the old ones less the new pivots."""
+        small, p, reps = self._small, self.p, self._reps
         terms = []
-        for (_d, i), c in x.data.items():
-            t = free.unrank(d0, i)
-            terms.append((t, c, -c % p, free._sign_mask(t)))
-        targets = [d for d in range(self.bound, d0 - 1, -1) if self._reps[d - d0]]
-        free._list_degree({s for d in targets for s in (d, d - d0)
-                           if free._basis[s] is None})
+        for i, c in r.items():
+            t = small.unrank(d0, i)
+            terms.append((t, c, -c % p, small._sign_mask(t)))
+        targets = [d for d in range(self.bound, d0 - 1, -1)
+                   if self._dim(d - d0)]
+        small._list_degree({s for d in targets for s in (d, d - d0)
+                            if small._basis[s] is None})
         for d in targets:
-            source, index = free._basis[d - d0], free._index[d]
-            monos = [source[rep] for rep in self._reps[d - d0]]
+            source, index = small._basis[d - d0], small._index[d]
+            monos = source if reps[d - d0] is None else \
+                [source[rep] for rep in reps[d - d0]]
             vecs = [{} for _ in monos]
             for t, c, neg, mask in terms:
                 for vec, mono in zip(vecs, monos):
@@ -1076,9 +1151,46 @@ class QuotientTruncAlgebra(TruncAlgebra):
                         vec[j] = (neg if mask and sum(compress(mono, mask)) % 2
                                   else c)
             space = self._ideal[d]
+            if space is None:
+                space = self._ideal[d] = RowSpace(p, len(index))
             space.extend(vecs)
             rows = space.rows
-            self._reps[d] = [j for j in self._reps[d] if j not in rows]
+            reps[d] = [j for j in (range(len(index)) if reps[d] is None
+                                   else reps[d]) if j not in rows]
+
+    def _image(self, data: dict) -> dict:
+        """Free-algebra data under the substitution, as data of _small."""
+        if self._small is self.free:
+            return data
+        return _substituted(self.free, self._small, self._sigma, data)
+
+    def _embed(self, mono: tuple) -> tuple:
+        """A monomial of _small as the free algebra's monomial."""
+        out = [0] * len(self.free.generators)
+        for k, e in zip(self._kept, mono):
+            out[k] = e
+        return tuple(out)
+
+    def _reduce(self, degree: int, data: dict) -> dict:
+        """The degree component of _small data reduced modulo the residual,
+        as {index of _small: coeff}."""
+        vec = {i: c for (d, i), c in data.items() if d == degree}
+        space = self._ideal[degree]
+        if space is None:
+            return {i: r for i, c in vec.items() if (r := c % self.p)}
+        return space.reduce(vec)
+
+    def _class(self, degree: int, data: dict) -> dict:
+        """The class of _small data of one degree, as quotient data: the
+        columns of its reduction are representatives, listed in ascending
+        order."""
+        red, reps = self._reduce(degree, data), self._reps[degree]
+        return {(degree, col if reps is None else bisect_left(reps, col)):
+                red[col] for col in sorted(red)}
+
+    def _dim(self, degree: int) -> int:
+        reps = self._reps[degree]
+        return self._small.dim(degree) if reps is None else len(reps)
 
     @property
     def steenrod_ok(self):
@@ -1089,82 +1201,136 @@ class QuotientTruncAlgebra(TruncAlgebra):
 
     @property
     def steenrod_failures(self) -> list:
-        """The (op, degree) pairs where an operation leaves the ideal."""
+        """The (op, degree) pairs where an operation takes an ideal
+        generator of that degree out of the ideal."""
         return self._invariance()[1]
 
     def _invariance(self):
         """(steenrod_ok, steenrod_failures): is the ideal closed under the
-        tabulated operations?"""
+        tabulated operations?  By the Cartan formula θ(x·a) is a sum of
+        θ'(x)·θ''(a), so the ideal is closed when each operation keeps
+        each generator x in it; only ops landing within the bound are read,
+        which is all a row of degree |x| or more can need."""
         complete = True
         failures: list = []
+        gens = sorted((x for x in self.ideal_gens if not x.is_zero),
+                      key=Element.degree)
         for op in self.free.op_list():
             shift = op_degree(self.p, op)
-            for d in range(1, self.bound + 1 - shift):
-                rows = self._ideal[d].rows
-                for piv in sorted(rows):
-                    x = Element(self.free, {(d, j): c for j, c in rows[piv].items()})
-                    try:
-                        y = self.free.act(op, x)
-                    except MissingDataError:
-                        complete = False
-                        continue
-                    if y.is_zero:
-                        continue
-                    if not self._ideal[d + shift].contains(y.coords(d + shift)):
-                        failure = {"op": format_op(op), "degree": d}
-                        if failure not in failures:
-                            failures.append(failure)
+            for x in gens:
+                if x.degree() + shift > self.bound:
+                    continue
+                try:
+                    y = self.free.act(op, x)
+                except MissingDataError:
+                    complete = False
+                    continue
+                if not self.contains_in_ideal(y):
+                    failure = {"op": format_op(op), "degree": x.degree()}
+                    if failure not in failures:
+                        failures.append(failure)
         return (False if failures else (True if complete else None)), failures
 
     # -- structure -----------------------------------------------------------
 
+    def dim(self, degree: int) -> int:
+        if degree < 0 or degree > self.bound:
+            return 0
+        return self._dim(degree)
+
     def basis(self, degree: int) -> list:
+        """The free indices of the degree's basis monomials, ascending;
+        listed on first read after each growth step."""
         if degree < 0 or degree > self.bound:
             return []
-        return self._reps[degree]
+        out = self._basis[degree]
+        if out is None:
+            reps = self._reps[degree]
+            if self._small is self.free:
+                out = list(range(self.free.dim(degree))) if reps is None \
+                    else reps
+            else:
+                monos = self._small.basis(degree)
+                out = [self.free.rank(degree, self._embed(monos[j]))
+                       for j in (range(len(monos)) if reps is None else reps)]
+            self._basis[degree] = out
+        return out
 
     def dims(self) -> list[int]:
-        return [len(reps) for reps in self._reps]
+        out = self._small.dims()
+        for d, reps in enumerate(self._reps):
+            if reps is not None:
+                out[d] = len(reps)
+        return out
 
     def basis_label(self, degree: int, index: int) -> str:
-        return self.free.basis_label(degree, self._reps[degree][index])
+        return self.free.basis_label(degree, self.basis(degree)[index])
 
     def project(self, x: Element) -> Element:
         """Image of a free-algebra element in the quotient."""
         if x.algebra is not self.free:
             raise InputError("project expects an element of the base algebra")
+        data = self._image(x.data)
         out: dict = {}
-        for d in sorted({k[0] for k in x.data}):
-            out.update(_coset(self._ideal[d], self._reps[d], d, x.coords(d)))
+        for d in sorted({k[0] for k in data}):
+            out.update(self._class(d, data))
         return _reduced(self, out)
 
     def lift(self, x: Element) -> Element:
         """The canonical representative of a quotient element, upstairs."""
         out: dict = {}
         for (d, i), c in x.data.items():
-            out[(d, self._reps[d][i])] = c
+            out[(d, self.basis(d)[i])] = c
         return Element(self.free, out)
 
     def contains_in_ideal(self, x: Element) -> bool:
         if x.algebra is not self.free:
             raise InputError("expects an element of the base algebra")
-        return all(self._ideal[d].contains(x.coords(d))
-                   for d in {k[0] for k in x.data})
+        data = self._image(x.data)
+        return not any(self._reduce(d, data) for d in {k[0] for k in data})
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        d, reps = d1 + d2, self._reps
-        prod = self.free.product_basis(d1, reps[d1][i1], d2, reps[d2][i2])
-        if not prod:  # an exterior square
-            return {}
-        (_d, i), c = prod.popitem()  # the one merged monomial
-        return _coset(self._ideal[d], reps[d], d, {i: c})
+        reps = self._reps
+        prod = self._small.product_basis(
+            d1, i1 if reps[d1] is None else reps[d1][i1],
+            d2, i2 if reps[d2] is None else reps[d2][i2])
+        return self._class(d1 + d2, prod)
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
         self._refuse_above(op, degree)
-        value = self.free.act_basis(op, degree, self._reps[degree][index])
-        d = degree + op_degree(self.p, op)
-        return _coset(self._ideal[d], self._reps[d], d,
-                      {i: c for (_d, i), c in value.items()})
+        value = self.free.act_basis(op, degree, self.basis(degree)[index])
+        return self._class(degree + op_degree(self.p, op), self._image(value))
+
+
+def _substituted(src: FreeTruncAlgebra, target: FreeTruncAlgebra,
+                 sigma: dict, data: dict) -> dict:
+    """The image of src data under the algebra map that sends generator k
+    of src to sigma[k], data of target, for k in sigma, and each other
+    generator to target's generator of the same name (target's generators
+    are src's less those in sigma, in src's order).  A monomial off sigma's
+    generators keeps its exponents; any other is the product of the
+    images of its factors in generator order."""
+    keep = [k for k in range(len(src.generators)) if k not in sigma]
+    p, out = src.p, {}
+    for (d, i), c in data.items():
+        mono = src.unrank(d, i)
+        if not any(mono[k] for k in sigma):
+            key = (d, target.rank(d, tuple(mono[k] for k in keep)))
+            out[key] = out.get(key, 0) + c
+            continue
+        value = target.one()
+        for k, e in enumerate(mono):
+            if not e:
+                continue
+            factor = _reduced(target, sigma[k]) if k in sigma else \
+                target.generator_element(src.generators[k].name)
+            for _ in range(e):
+                value = target.product(value, factor)
+            if value.is_zero:
+                break
+        for key, v in value.data.items():
+            out[key] = out.get(key, 0) + c * v
+    return {k: r for k, v in out.items() if (r := v % p)}
 
 
 def _coset(space: RowSpace, reps: list, degree: int, vec: dict) -> dict:

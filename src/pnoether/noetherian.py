@@ -291,34 +291,6 @@ def schwartz_target(k: int) -> ModuleExpr:
 
 
 # ---------------------------------------------------------------------------
-# mapping-space Postnikov summaries
-
-
-def mapping_space_postnikov(source_dims: list, target: EMSpec,
-                            pointed: bool = True) -> list:
-    """Homotopy of map(X, K(A,n)) as Eilenberg–MacLane data.
-
-    ``source_dims[i]`` describes H^i(X; A) — reduced cohomology for the
-    pointed variant — as an opaque descriptor (0 or "" meaning the trivial
-    group).  The mapping space splits as a product of K(H^i(X;A), n−i); the
-    pointed variant keeps homotopy degrees n−i ≥ 1, the unpointed variant
-    also reports the degree-0 (component) entry.
-    """
-    n = target.n
-    floor = 1 if pointed else 0
-    out = []
-    for i in range(0, n - floor + 1):
-        if i >= len(source_dims):
-            raise InputError(
-                f"missing cohomology in degree {i} (need degrees 0..{n - floor})")
-        group = source_dims[i]
-        if not group:
-            continue
-        out.append({"group": group, "degree": n - i})
-    return out
-
-
-# ---------------------------------------------------------------------------
 # splitting criteria (verdicts over supplied morphism flags)
 
 

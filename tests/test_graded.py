@@ -48,6 +48,7 @@ from pnoether.graded import (
 from pnoether.linalg import RowSpace
 from pnoether.steenrod import (admissible_words, letters_to_word,
                                word_degree, word_to_letters)
+from quotient_oracle import SpanQuotient
 from truncation import within_bound
 
 
@@ -1160,8 +1161,10 @@ def rref(vectors, p):
 
 
 def assert_matches_from_scratch_span(quo, alg, gens):
-    """Every degree's ideal, pivots and basis equal the span of every basis
-    monomial times every generator."""
+    """Every degree's basis is the non-pivot columns of the span of every
+    basis monomial times every generator, and ``project`` sends every free
+    monomial to its reduction by that span's reduced rows."""
+    p = alg.p
     for d in range(alg.bound + 1):
         vectors = []
         for x in gens:
@@ -1170,13 +1173,17 @@ def assert_matches_from_scratch_span(quo, alg, gens):
             for i in range(alg.dim(d - x.degree())):
                 vectors.append(alg.product(alg.element(d - x.degree(), i),
                                            x).vector(d))
-        pivots, rows = rref(vectors, alg.p)
-        space = quo._ideal[d]
-        assert sorted(space.rows) == pivots, d
-        for piv, row in zip(pivots, rows):
-            assert space.rows[piv] == {j: c for j, c in enumerate(row) if c}, d
-        assert quo.basis(d) == [i for i in range(alg.dim(d))
-                                if i not in pivots], d
+        pivots, rows = rref(vectors, p)
+        free_cols = [i for i in range(alg.dim(d)) if i not in pivots]
+        assert quo.basis(d) == free_cols, d
+        for i in range(alg.dim(d)):
+            if i in pivots:  # the monomial is minus the rest of its row
+                row = rows[pivots.index(i)]
+                want = {(d, free_cols.index(j)): -c % p
+                        for j, c in enumerate(row) if c and j != i}
+            else:
+                want = {(d, free_cols.index(i)): 1}
+            assert quo.project(alg.element(d, i)).data == want, (d, i)
 
 
 def random_generators(alg, rng, count):
@@ -1214,12 +1221,13 @@ def test_quotient_grows_in_place_like_a_from_scratch_span(make, bound, seed):
         quo.add_generator(x)
         assert quo.ideal_gens == gens[:k]
         assert_matches_from_scratch_span(quo, alg, gens[:k])
-        for d in range(bound + 1):  # the narrowed reps are a full scan's
-            assert quo.basis(d) == quo._ideal[d].non_pivot_columns(), d
-    # the constructor spans through the same growth step
+    # the constructor grows through the same step
     built = quotient_by_ideal(alg, gens)
     for d in range(bound + 1):
-        assert built._ideal[d].rows == quo._ideal[d].rows
+        assert built.basis(d) == quo.basis(d)
+        for i in range(alg.dim(d)):
+            x = alg.element(d, i)
+            assert built.project(x).data == quo.project(x).data
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1328,6 +1336,157 @@ def test_growth_reruns_the_invariance_check():
         for op in (("Sq", 1), ("Sq", 2)):
             assert quo.act(op, quo.project(b3)).data == \
                 fresh.act(op, fresh.project(b3)).data
+
+
+def draw_kill(data, alg):
+    """A homogeneous kill of a drawn kind: linear, c·g + f with f on the
+    monomials listed after the generator g (so that g is its lowest
+    monomial); non-linear, on products only; or mixed, on any monomials.
+    It may be zero or already lie in the ideal."""
+    p = alg.p
+    kind = data.draw(hs.sampled_from(("linear", "non-linear", "mixed")))
+    gens = [g.name for g in alg.generators if g.degree <= alg.bound]
+    if kind == "linear" and gens:
+        lead = alg.generator_element(data.draw(hs.sampled_from(gens)))
+        ((d, low),) = lead.data
+        lead = lead.scale(data.draw(hs.integers(1, p - 1)))
+        cols = range(low + 1, alg.dim(d))
+    else:
+        d = data.draw(hs.sampled_from(
+            [d for d in range(1, alg.bound + 1) if alg.dim(d)]))
+        lead = alg.zero()
+        cols = [i for i, m in enumerate(alg.basis(d))
+                if kind == "mixed" or sum(m) > 1]
+    coeffs = data.draw(hs.lists(hs.integers(0, p - 1), min_size=len(cols),
+                                max_size=len(cols)))
+    return lead + Element(alg, {(d, i): c for i, c in zip(cols, coeffs)})
+
+
+def assert_quotients_agree(quo, span):
+    """dims, basis, labels, membership, projections, products, operations
+    and the closure check of a quotient equal those of its SpanQuotient;
+    the closure check also equals the all-rows one wherever that one read
+    every row."""
+    alg, bound = quo.free, quo.bound
+    assert quo.dims() == span.dims()
+    keys = []
+    for d in range(bound + 1):
+        assert quo.basis(d) == span.basis(d), d
+        keys += [(d, i) for i in range(quo.dim(d))]
+        for i in range(alg.dim(d)):
+            x = alg.element(d, i)
+            assert quo.project(x).data == span.project(x).data, (d, i)
+            assert quo.contains_in_ideal(x) == span.contains_in_ideal(x)
+    assert [quo.basis_label(*k) for k in keys] == \
+        [span.basis_label(*k) for k in keys]
+    for k1, k2 in itertools.product(keys, repeat=2):
+        if k1[0] + k2[0] <= bound:
+            assert quo.product_basis(*k1, *k2) == span.product_basis(*k1, *k2)
+    for op in alg.op_list():
+        for key in keys:
+            if key[0] + op_degree(alg.p, op) > bound:
+                continue
+            try:
+                want = span.act_basis(op, *key)
+            except MissingDataError:
+                with pytest.raises(MissingDataError):
+                    quo.act_basis(op, *key)
+                continue
+            assert quo.act_basis(op, *key) == want, (op, key)
+    ok = quo.steenrod_ok
+    assert ok is span.steenrod_ok
+    old_ok, old_failures = span.all_rows_invariance()
+    if old_ok is not None:
+        assert ok is old_ok
+        assert all(f in old_failures for f in quo.steenrod_failures)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotients_match_the_full_span_oracle(p):
+    """Random presentations (exterior generators, Bockstein links and gaps
+    included) grown by linear, non-linear and mixed kills in random order:
+    after every step the quotient, which eliminates a generator per linear
+    kill, agrees with SpanQuotient, which spans the ideal in the whole free
+    algebra."""
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(hs.data())
+    def check(data):
+        alg = random_presentation(data, p, max_gens=4)
+        assume(any(alg.dim(d) for d in range(1, alg.bound + 1)))
+        quo, span = quotient_by_ideal(alg, []), SpanQuotient(alg)
+        for _ in range(data.draw(hs.integers(1, 4))):
+            x = draw_kill(data, alg)
+            quo.add_generator(x)
+            span.add_generator(x)
+            assert_quotients_agree(quo, span)
+
+    check()
+
+
+def test_a_linear_kill_after_a_residual_one_carries_the_residual_over():
+    """A non-linear kill, x·u + y, then one that eliminates the exterior u
+    (u ↦ x at p = 2), whose value's square x² joins the residual: carried
+    over, the residual holds x² + y, modulo which x² is linear in y, so y is
+    eliminated in turn.  The quotient is F_2[x, w]/(x²) throughout, as the
+    oracle spans it."""
+    gens = [GeneratorSpec("y", 2), GeneratorSpec("x", 1),
+            GeneratorSpec("u", 1, "exterior"), GeneratorSpec("w", 2)]
+    alg = expand(FreeCommPresentation(2, gens), 10)
+    quo, span = quotient_by_ideal(alg, []), SpanQuotient(alg)
+    for poly in ("x*u + y", "x + u"):
+        x = alg.element_from_poly(poly)
+        quo.add_generator(x)
+        span.add_generator(x)
+        assert_quotients_agree(quo, span)
+    assert quo.dims() == [1] * 11
+    assert [quo.basis_label(d, 0) for d in range(4)] == ["1", "x", "w", "x*w"]
+
+
+@pytest.mark.parametrize("gens,ideal", [
+    ([("y4", 4)], ["y4"]),
+    ([("t", 1)], ["t^2"]),
+    ("two generators", ["x4"]),
+    ("two generators", ["x6"]),
+    ("bso3", ["a2"]),
+    ("bso3", ["a2", "a3"]),
+    ("bso3", ["a2", "a3", "b2"]),
+])
+def test_the_generator_closure_check_agrees_with_every_row(gens, ideal):
+    """steenrod_ok reads the operations on the ideal's generators only; on
+    the quotients the tests above check, it equals the check of every row,
+    and each failure it names is one of that check's (which also names the
+    degrees of the failing generator's multiples)."""
+    if gens == "two generators":
+        alg = expand(FreeCommPresentation(
+            2, [GeneratorSpec("x4", 4), GeneratorSpec("x6", 6)],
+            {("x4", "Sq2"): "x6", ("x4", "Sq1"): "0", ("x4", "Sq3"): "0",
+             ("x6", "Sq1"): "0", ("x6", "Sq2"): "0", ("x6", "Sq3"): "0",
+             ("x6", "Sq4"): "x4*x6", ("x6", "Sq5"): "0"}), 12)
+    elif gens == "bso3":
+        alg = bso3_squared_base(12)
+    else:
+        alg = free_p2(gens, 12 if gens[0][1] == 4 else 4)
+    quo = quotient_by_ideal(alg, ideal)
+    old_ok, old_failures = SpanQuotient(alg, quo.ideal_gens).all_rows_invariance()
+    assert quo.steenrod_ok is old_ok is not None
+    assert all(f in old_failures for f in quo.steenrod_failures)
+    assert bool(quo.steenrod_failures) == bool(old_failures)
+
+
+def test_missing_data_on_multiples_alone_leaves_the_closure_check_true():
+    """Sq1 and Sq2 of y3 are missing, but the ideal (x2) is closed: its
+    generator's values are known (Sq1 x2 = 0, Sq2 x2 = x2²), and by the
+    Cartan formula they decide.  The every-row check skips the row x2·y3
+    and can only answer None."""
+    pres = FreeCommPresentation(2, [GeneratorSpec("x2", 2), GeneratorSpec("y3", 3)],
+                                {("x2", "Sq1"): "0"})
+    alg = expand(pres, 8)
+    quo = quotient_by_ideal(alg, ["x2"])
+    assert {g["generator"] for g in alg.gaps} == {"y3"}
+    assert quo.steenrod_ok is True and quo.steenrod_failures == []
+    assert SpanQuotient(alg, quo.ideal_gens).all_rows_invariance() == (None, [])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from pnoether import (AbelianPGroup, InputError, PNoetherianPresentation,
-                      hom_zp, is_divisible, is_square_int,
-                      mapping_space_postnikov, padic_is_square,
+                      hom_zp, is_divisible, is_square_int, padic_is_square,
                       padic_sum_of_squares_nonzero, padic_valuation,
                       parse_group, schwartz_target, splitting_by_connecting,
                       splitting_with_section, structure_fibration,
@@ -253,37 +252,6 @@ def test_schwartz_target_krull_is_one():
     for k in range(6):
         rep = krull_degree(schwartz_target(k), p=2)
         assert rep.determined and rep.degree == 1
-
-
-# ---------------------------------------------------------------------------
-# mapping-space Postnikov summaries
-
-
-def test_mapping_space_pointed_example():
-    # map_*(BZ/p, K(P,2)): reduced H^0 = 0, H^1 = Hom(Z/p, P)
-    out = mapping_space_postnikov([0, "Hom(Z/p,P)"], EMSpec(CyclicClass(1), 2))
-    assert out == [{"group": "Hom(Z/p,P)", "degree": 1}]
-
-
-def test_mapping_space_pointed_k1_is_trivial():
-    # map_*(X, K(A,1)) only sees reduced H^0 = 0
-    assert mapping_space_postnikov([0], EMSpec(CyclicClass(1), 1)) == []
-
-
-def test_mapping_space_unpointed_adds_component_entry():
-    out = mapping_space_postnikov(
-        ["A", 0, "H2"], EMSpec(CyclicClass(1), 2), pointed=False)
-    assert out == [{"group": "A", "degree": 2}, {"group": "H2", "degree": 0}]
-
-
-def test_mapping_space_skips_falsy_and_requires_full_range():
-    out = mapping_space_postnikov(
-        [0, "", "G2", 0], EMSpec(PruferClass(), 3))
-    assert out == [{"group": "G2", "degree": 1}]
-
-    with pytest.raises(InputError) as err:
-        mapping_space_postnikov([0, "G"], EMSpec(CyclicClass(1), 3))
-    assert "missing cohomology in degree 2 (need degrees 0..2)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from pnoether.fixtures import s3_loop_fibration
 from pnoether.em import EMProduct
 from pnoether.serre import (Survivor, _Engine, annihilator_profile,
                             default_bound)
+from quotient_oracle import SpanQuotient
 
 
 def convolve(a, b, bound):
@@ -812,17 +813,20 @@ def test_kill_profiles_match_annihilator_profile_of_every_kind(kill_profiles):
 @pytest.mark.parametrize("case", ["BSO3^2 fibration", "X2b_4 cover"])
 def test_the_engine_quotient_reps_stay_the_non_pivot_columns(
         monkeypatch, case):
-    """add_generator narrows each degree's reps from the previous ones; after
-    every growth step they must be the full scan of the non-pivot columns,
-    on kills by monomials and by a two-term class."""
+    """add_generator eliminates a generator per linear kill; after every
+    growth step the basis must be the full scan of the non-pivot columns
+    of the ideal spanned in the whole free algebra, on kills by monomials
+    and by a two-term class."""
     grow = graded.QuotientTruncAlgebra.add_generator
-    terms = []
+    terms, spans = [], {}
 
     def checked(quo, x):
         grow(quo, x)
         terms.append(len(x.data))
+        span = spans.setdefault(id(quo), SpanQuotient(quo.free))
+        span.add_generator(x)
         for d in range(quo.bound + 1):
-            assert quo.basis(d) == quo._ideal[d].non_pivot_columns(), d
+            assert quo.basis(d) == span.ideal[d].non_pivot_columns(), d
 
     monkeypatch.setattr(graded.QuotientTruncAlgebra, "add_generator", checked)
     if case == "BSO3^2 fibration":
