@@ -12,9 +12,9 @@ for p-Noetherian groups, and p-adic square certificates.
 
 __version__ = "1.0.0"
 
-from .errors import (BoundExceededError, DSLSyntaxError, EngineContractError,
-                     InconsistencyError, InputError, MissingDataError,
-                     PNoetherError, TruncationError, UnsupportedFibrationError)
+from .errors import (DSLSyntaxError, EngineContractError, InconsistencyError,
+                     InputError, MissingDataError, PNoetherError,
+                     TruncationError, UnsupportedFibrationError)
 from .steenrod import (SteenrodSum, adem_reduce, admissible_words, excess,
                        format_word, format_word_compact, is_admissible,
                        parse_word_expr, word_degree)
@@ -29,9 +29,7 @@ from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
 from .em import (CyclicClass, EMProduct, EMSpec, IntegerClass, PadicClass,
                  PruferClass, em_product_presentation,
                  fiber_layout, parse_space)
-from .serre import (FibrationSpec, SSResult, connected_cover_cohomology,
-                    kudo_chain, permanent_powers, run_ss,
-                    split_fiber_generators)
+from .serre import FibrationSpec, SSResult, connected_cover_cohomology, run_ss
 from .noetherian import (AbelianPGroup, FibrationDescription,
                          PNoetherianPresentation, SplitVerdict, SquareReport,
                          SumOfSquaresCertificate, TQReport, hom_zp,

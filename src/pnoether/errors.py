@@ -47,15 +47,6 @@ class TruncationError(EngineContractError):
     """
 
 
-class BoundExceededError(TruncationError):
-    """An iterative computation ran past the truncation bound; carries the
-    partial data gathered so far in ``partial``."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class InconsistencyError(EngineContractError):
     """A rewriting/certificate step could not be completed."""
 

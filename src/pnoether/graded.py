@@ -599,14 +599,12 @@ class FreeTruncAlgebra(TruncAlgebra):
     a degree is listed and indexed when it is read in bulk (``basis``, or
     the degrees a quotient's residual ideal reads as it grows, which a
     kill linear in a generator never reaches), or once its single-key
-    lookups reach its dimension, and never otherwise.  A
-    single key, ``rank`` (monomial to index) or ``unrank`` (index to
-    monomial), is one dict or list index on a listed degree and arithmetic
-    over the suffix table on any other, every key read through
-    ``monomial_key``, a product, an operation or a label included.  A
-    degree read key by key thus costs at most about twice the cheaper of
-    listing it and ranking each key, and a deep table costs what is read
-    from it.
+    lookups reach its dimension (a degree of dimension 1 at its first), and
+    never otherwise.  A single key, ``rank`` (monomial to index) or
+    ``unrank`` (index to monomial), is one dict or list index on a listed
+    degree and arithmetic over the suffix table on any other, every key
+    read through ``monomial_key``, a product, an operation or a label
+    included.  A deep table thus costs what is read from it.
 
     Per-generator Steenrod values come from the presentation's action
     table, the instability relations (top operation = p-th power,

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from . import steenrod
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
-from .errors import (BoundExceededError, EngineContractError, InputError,
-                     UnsupportedFibrationError)
+from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
                      TensorTruncAlgebra, _apply_factor, expand, mult_ranks,
@@ -112,7 +111,7 @@ def default_bound(base: FreeCommPresentation, fiber) -> int:
 
 
 class _KudoStage:
-    """The stage a^e of the Kudo chain a, a^p, a^p², … of the named fiber
+    """The stage a^e of the Kudo chain a, a^p, a^p², … of the fiber
     generator a, within the bound (a alone when a is exterior).
 
     ``tau``, its transgression in the base algebra (expanded through
@@ -121,15 +120,13 @@ class _KudoStage:
     τ(x^p) = Sq^{|x|}τ(x) at p = 2, P^{|x|/2}τ(x) at odd p, where a
     polynomial x has even degree."""
 
-    def __init__(self, spec: FibrationSpec, base_alg, name: str, below=None):
-        self.spec, self.base_alg = spec, base_alg
-        self.gen = gen = spec.fiber_gens.get(name)
-        if gen is None:
-            raise InputError(f"{name!r} is not a fiber generator")
+    def __init__(self, spec: FibrationSpec, base_alg, gen, below=None):
+        self.spec, self.base_alg, self.gen = spec, base_alg, gen
         self.below = below  # the previous stage, None at a itself
         self.exponent = 1 if below is None else below.exponent * spec.p
         self.degree = gen.degree * self.exponent
-        self.origin = name if below is None else f"{name}^{self.exponent}"
+        self.origin = gen.name if below is None \
+            else f"{gen.name}^{self.exponent}"
 
     @functools.cached_property
     def tau(self) -> Element:
@@ -153,28 +150,13 @@ class _KudoStage:
         if self.gen.kind == "exterior" \
                 or self.degree * self.spec.p > self.spec.bound:
             return None
-        return _KudoStage(self.spec, self.base_alg, self.gen.name, self)
+        return _KudoStage(self.spec, self.base_alg, self.gen, self)
 
     def hits(self, quotient: QuotientTruncAlgebra) -> bool:
         """Whether τ of this stage is nonzero in the quotient; τ is read
         only when the quotient has a class in degree |a^e| + 1."""
         return bool(quotient.dim(self.degree + 1)) \
             and not quotient.contains_in_ideal(self.tau)
-
-
-def kudo_chain(spec: FibrationSpec, gen_name: str):
-    """[(exponent, τ value)] for a, a^p, a^p², … while degrees stay in range
-    (a alone when a is exterior).
-
-    Stage k's value is the k-fold power-transgression of τ(a), an element of
-    the base algebra; the chain stops after the first zero value or when the
-    next power's degree exceeds the bound.
-    """
-    stage = _KudoStage(spec, spec.base_algebra(), gen_name)
-    chain = [(1, stage.tau)]
-    while not stage.tau.is_zero and (stage := stage.next()) is not None:
-        chain.append((stage.exponent, stage.tau))
-    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +337,8 @@ class _Engine:
         # queue items: (degree, seq, stage), one Kudo stage per fiber
         # generator; a polynomial kill queues the stage's successor
         seq = itertools.count()
-        stages = [_KudoStage(self.spec, self.base_alg, name)
-                  for name in self.spec.fiber_gens]
+        stages = [_KudoStage(self.spec, self.base_alg, gen)
+                  for gen in self.spec.fiber_gens.values()]
         queue = [(stage.degree, next(seq), stage) for stage in stages]
         heapq.heapify(queue)
         # a step's series before is the previous step's series after; a
@@ -622,53 +604,6 @@ class _Engine:
 def run_ss(spec: FibrationSpec) -> SSResult:
     """E∞ of the fibration through the bound, by the transgressive algorithm."""
     return _Engine(spec).run()
-
-
-# ---------------------------------------------------------------------------
-# splitting and power bookkeeping
-
-
-def split_fiber_generators(fiber_pres: FreeCommPresentation, base_dim: int):
-    """Partition fiber generators by whether they are guaranteed permanent
-    cycles over any base vanishing above base_dim.
-
-    A generator w·ι transgresses to w·τ(ι), which lands in base degree
-    ≥ |w·ι| + 1; generators of degree ≥ base_dim therefore map to zero.
-    Returns (F_small, G_large) with G_large the guaranteed permanent cycles.
-    """
-    if base_dim < 1:
-        raise InputError("base dimension must be >= 1")
-    small, large = [], []
-    for g in fiber_pres.generators:
-        (large if g.degree > base_dim - 1 else small).append(g)
-    return small, large
-
-
-def permanent_powers(spec: FibrationSpec, poly_gens) -> list:
-    """For each polynomial fiber generator a, the least k with the k-th
-    Kudo power-transgression of a zero modulo the earlier chain values;
-    reports (name, k, p^k, degree of a^{p^k}, chain as base polynomials)."""
-    base_alg = spec.base_algebra()
-    out = []
-    for name in poly_gens:
-        stage = _KudoStage(spec, base_alg, name)
-        if stage.gen.kind != "polynomial":
-            raise InputError(f"{name} is not a polynomial generator")
-        chain = []
-        quotient = QuotientTruncAlgebra(base_alg, [])
-        while stage.hits(quotient):
-            chain.append(stage.tau)
-            quotient.add_generator(stage.tau)
-            stage = stage.next()
-            if stage is None:
-                raise BoundExceededError(
-                    f"no p-power of {name} has vanishing transgression "
-                    f"within degree {spec.bound}",
-                    partial=[base_alg.describe(v) for v in chain])
-        out.append({"generator": name, "k": len(chain),
-                    "exponent": stage.exponent, "degree": stage.degree,
-                    "chain": [base_alg.describe(v) for v in chain]})
-    return out
 
 
 # ---------------------------------------------------------------------------

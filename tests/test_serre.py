@@ -18,7 +18,6 @@ import re
 import pytest
 
 from pnoether import (
-    BoundExceededError,
     EMSpec,
     FibrationSpec,
     FreeCommPresentation,
@@ -29,10 +28,7 @@ from pnoether import (
     connected_cover_cohomology,
     em_product_presentation,
     expand,
-    kudo_chain,
-    permanent_powers,
     run_ss,
-    split_fiber_generators,
 )
 from pnoether.errors import (EngineContractError, MissingDataError,
                              TruncationError, UnsupportedFibrationError)
@@ -723,19 +719,16 @@ def test_the_page_series_is_built_once_per_transgression(monkeypatch, name,
 
 
 def test_the_engine_never_checks_ideal_invariance(monkeypatch):
-    """run_ss and permanent_powers grow ideals that need not be closed
-    under the action; only reading steenrod_ok runs the check."""
+    """run_ss grows an ideal that need not be closed under the action;
+    only reading steenrod_ok runs the check."""
     def refuse(quotient):
         raise AssertionError("invariance checked")
 
     monkeypatch.setattr(graded.QuotientTruncAlgebra, "_invariance", refuse)
     for case in LEDGER_CASES:
         assert run_ss(ledger_spec(*case)).log
-    entry = get_entry("BS3")
-    spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                         {"i3": "y4"}, bound=40)
-    assert permanent_powers(spec, ["i3"])[0]["k"] == 1
-    quotient = graded.QuotientTruncAlgebra(expand(spec.base, 8), [])
+    base = get_entry("BS3").presentation(2)
+    quotient = graded.QuotientTruncAlgebra(expand(base, 8), [])
     with pytest.raises(AssertionError, match="invariance checked"):
         quotient.steenrod_ok
 
@@ -909,16 +902,17 @@ def test_polynomial_kill_off_borel_pattern_aborts():
 
 
 def test_companion_classes_block_transgression_propagation():
+    """With zero transgression the classes built on the higher-Bockstein
+    companion of i2 are harmless: over F_2[x1] every transgression is read
+    and is 0, so every fiber generator survives.  A nonzero one refuses
+    (test_a_read_companion_transgression_still_refuses)."""
     base = FreeCommPresentation(2, [GeneratorSpec("x1", 1)])
-    spec = FibrationSpec(2, base, EMSpec(CyclicClass(2), 2),
-                         {"i2": "x1^3"}, bound=8)
-    with pytest.raises(UnsupportedFibrationError) as err:
-        kudo_chain(spec, "Sq1i2")[0]
-    assert "higher-Bockstein companion" in str(err.value)
-    # with zero transgression the companion family is harmless
     quiet = FibrationSpec(2, base, EMSpec(CyclicClass(2), 2), None, bound=8)
-    assert all(kudo_chain(quiet, name)[0][1].is_zero
-               for name in quiet.fiber_gens)
+    res = run_ss(quiet)
+    assert [step["event"] for step in res.log] == \
+        ["survivor"] * len(quiet.fiber_gens)
+    assert sorted(s.origin for s in res.surviving_fiber_generators) == \
+        sorted(quiet.fiber_gens)
 
 
 def z4_fibration(base):
@@ -994,48 +988,79 @@ def test_default_bound():
 
 
 # ---------------------------------------------------------------------------
-# power bookkeeping helpers
+# the Kudo chain, computed apart from the engine
+
+
+def kudo_taus(spec, name):
+    """[(e, τ(a^e))] for e = 1, p, p², … on the fiber generator a, from the
+    declared transgression alone by the Kudo rule: τ(a) = w·τ(ι) for a's
+    word w on its bottom class ι, and τ(x^p) = Sq^{|x|}τ(x) at p = 2,
+    P^{|x|/2}τ(x) at odd p.  The list stops after the first zero value or
+    where the next power passes the bound; an exterior a has one stage."""
+    p, gen = spec.p, spec.fiber_gens[name]
+    base = expand(spec.base, spec.bound + 1)
+    value = base.act_word(gen.word, base.element_from_poly(
+        spec.transgression[gen.bottom]))
+    chain, degree = [(1, value)], gen.degree
+    while gen.kind == "polynomial" and not value.is_zero \
+            and p * degree <= spec.bound:
+        op = ("Sq", degree) if p == 2 else ("P", degree // 2)
+        value, degree = base.act(op, value), p * degree
+        chain.append((degree // gen.degree, value))
+    return chain
+
+
+def logged_chain(result, label):
+    """[(class, degree, target)] of the logged steps on the chain of the
+    fiber generator ``label``; the target is None for a survivor."""
+    return [(s["class"], s["degree"], s.get("target")) for s in result.log
+            if s["class"] == label or s["class"].startswith(label + "^")]
 
 
 def test_kudo_chain_bs3():
-    entry = get_entry("BS3")
-    spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                         {"i3": "y4"}, bound=12)
-    chain = kudo_chain(spec, "i3")
-    assert [(k, repr(v)) for k, v in chain] == [(1, "<y4>"), (2, "<0>")]
-    with pytest.raises(InputError):
-        kudo_chain(spec, "nope")
+    """Over BS3 at p = 2, τ(i3) = y4 and τ(i3²) = Sq³y4 = 0 (the engine's
+    walk of this chain is test_permanent_powers_bs3)."""
+    spec = FibrationSpec(2, get_entry("BS3").presentation(2),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=12)
+    chain = kudo_taus(spec, "i3")
+    assert [(e, repr(v)) for e, v in chain] == [(1, "<y4>"), (2, "<0>")]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_engine_walks_the_kudo_chain(p):
     """The targets the engine logs for i3, i3^p, i3^{p²}, ... are the values
-    kudo_chain lists, and the walk's classes are a prefix of the chain's
-    stages (the last may survive): the engine and kudo_chain walk one
-    chain.  At p = 2 the K(Z/2,1)^2 fibration over BSO(3)^2 adds a chain
-    with two kills before its survivor."""
+    kudo_taus computes, and the walk's classes are a prefix of the chain's
+    stages (the last may survive).  At p = 2 the K(Z/2,1)^2 fibration over
+    BSO(3)^2 adds a chain with two kills before its survivor; at odd p the
+    path fibration K(Z/p,1) → * → K(Z/p,2) adds the chain of βi1, whose
+    three kills within the bound read P^1 and P^p."""
     bs3 = FibrationSpec(p, get_entry("BS3").presentation(p),
                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=12 * p)
     cases = [(bs3, "i3", 1)]
     if p == 2:
         cases.append((bso3_squared_fibration(24), "f1_i1", 2))
+    else:
+        path = FibrationSpec(
+            p, em_product_presentation(EMSpec(CyclicClass(1), 2), p, 13 * p),
+            EMSpec(CyclicClass(1), 1), {"i1": "i2"}, bound=12 * p)
+        cases.append((path, "bi1", 3))
     for spec, label, kill_count in cases:
         base = spec.base_algebra()
         chain = [(label if e == 1 else f"{label}^{e}", base.describe(value))
-                 for e, value in kudo_chain(spec, label)]
-        steps = [(s["class"], s.get("target")) for s in run_ss(spec).log
-                 if s["class"] == label or s["class"].startswith(label + "^")]
+                 for e, value in kudo_taus(spec, label)]
+        steps = [(c, target) for c, _d, target in
+                 logged_chain(run_ss(spec), label)]
         kills = [step for step in steps if step[1] is not None]
         assert len(kills) == kill_count and kills == chain[:kill_count]
         assert [c for c, _ in steps] == [c for c, _ in chain[:len(steps)]]
-        if p != 2:  # i3 is exterior at odd p: i3^p = 0, the chain is i3
+        if spec is bs3 and p != 2:  # i3 is exterior at odd p: the chain is i3
             assert chain == [("i3", "y4")]
 
 
 def test_only_i3_transgression_is_read_in_the_bs3_cover(monkeypatch):
     """Once y4 is killed the quotient is zero above degree 0, so every
-    later class survives on its degree alone: run_ss and kudo_chain each
-    apply one word on the base algebra, i3's."""
+    later class survives on its degree alone: run_ss applies one word on
+    the base algebra, i3's."""
     spec = FibrationSpec(2, get_entry("BS3").presentation(2),
                          EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=100)
     calls = []
@@ -1049,8 +1074,6 @@ def test_only_i3_transgression_is_read_in_the_bs3_cover(monkeypatch):
     monkeypatch.setattr(graded.TruncAlgebra, "act_word", counted)
     run_ss(spec)
     assert len(calls) == 1
-    kudo_chain(spec, "i3")
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name,p", [("X30", 3), ("X2b_4", 5)])
@@ -1073,51 +1096,25 @@ def test_a_cover_answers_where_missing_steenrod_data_goes_unread(name, p):
 
 
 def test_permanent_powers_bs3():
-    entry = get_entry("BS3")
-    spec = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                         {"i3": "y4"}, bound=12)
-    assert permanent_powers(spec, ["i3"]) == [
-        {"generator": "i3", "k": 1, "exponent": 2, "degree": 6,
-         "chain": ["y4"]}]
-    quiet = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                          None, bound=12)
-    assert permanent_powers(quiet, ["i3"]) == [
-        {"generator": "i3", "k": 0, "exponent": 1, "degree": 3, "chain": []}]
-    with pytest.raises(InputError):
-        permanent_powers(spec, ["zzz"])
-
-
-def test_permanent_powers_rejects_exterior_and_reports_partial():
-    entry = get_entry("BS3")
-    spec3 = FibrationSpec(3, entry.presentation(3), EMSpec(IntegerClass(), 3),
-                          {"i3": "y4"}, bound=11)
-    with pytest.raises(InputError):  # i3 is exterior at odd primes
-        permanent_powers(spec3, ["i3"])
-    assert permanent_powers(spec3, ["bP1i3"]) == [
-        {"generator": "bP1i3", "k": 0, "exponent": 1, "degree": 8,
-         "chain": []}]
-    # a bound too small to see the vanishing power: honest abort with the
-    # partial chain attached
-    tight = FibrationSpec(2, entry.presentation(2), EMSpec(IntegerClass(), 3),
-                          {"i3": "y4"}, bound=5)
-    with pytest.raises(BoundExceededError) as err:
-        permanent_powers(tight, ["i3"])
-    assert err.value.partial == ["y4"]
+    """The first power of i3 that is a permanent cycle: over BS3 at p = 2
+    the chain kills y4 and i3² survives in degree 6; with the transgression
+    quiet, i3 itself survives in degree 3."""
+    base = get_entry("BS3").presentation(2)
+    for transgression, want in (({"i3": "y4"}, [("i3", 3, "y4"),
+                                                ("i3^2", 6, None)]),
+                                (None, [("i3", 3, None)])):
+        spec = FibrationSpec(2, base, EMSpec(IntegerClass(), 3),
+                             transgression, bound=12)
+        assert logged_chain(run_ss(spec), "i3") == want
 
 
 def test_propagate_transgression_values():
-    entry = get_entry("BS3")
-    spec = FibrationSpec(3, entry.presentation(3), EMSpec(IntegerClass(), 3),
-                         {"i3": "y4"}, bound=11)
-    taus = {name: repr(kudo_chain(spec, name)[0][1])
+    """τ(w·i3) = w·τ(i3) over BS3 at p = 3: the engine kills y4, and
+    P1i3 and bP1i3 survive, since their values lie in (y4)."""
+    spec = FibrationSpec(3, get_entry("BS3").presentation(3),
+                         EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=11)
+    taus = {name: repr(kudo_taus(spec, name)[0][1])
             for name in spec.fiber_gens}
     assert taus == {"i3": "<y4>", "P1i3": "<2*y4^2>", "bP1i3": "<0>"}
-
-
-def test_split_fiber_generators():
-    fiber = em_product_presentation(EMSpec(IntegerClass(), 3), 2, 17)
-    small, large = split_fiber_generators(fiber, 6)
-    assert [g.degree for g in small] == [3, 5]
-    assert [g.degree for g in large] == [9, 17]
-    with pytest.raises(InputError):
-        split_fiber_generators(fiber, 0)
+    assert [(s["class"], s.get("target")) for s in run_ss(spec).log] == \
+        [("i3", "y4"), ("P1i3", None), ("bP1i3", None)]
