@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from importlib import resources
+import os
 from types import MappingProxyType
 
+from ._record import Frozen
 from .errors import InputError
 from .graded import FreeCommPresentation, GeneratorSpec
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    torsion_free: bool | None
-    generators: tuple          # GeneratorSpec, degree order
-    action: dict               # prime -> {(gen, op string): value string},
-                               # read-only at both levels
-    recommended_primes: tuple | None
+class CatalogEntry(Frozen):
+    """A catalog entry: ``generators`` are GeneratorSpecs in degree order,
+    and ``action`` maps prime -> {(gen, op string): value string},
+    read-only at both levels."""
+
+    __slots__ = ("name", "description", "torsion_free", "generators",
+                 "action", "recommended_primes")
+
+    def __init__(self, name: str, description: str, torsion_free: bool | None,
+                 generators: tuple, action: dict,
+                 recommended_primes: tuple | None):
+        self._assign(name, description, torsion_free, generators, action,
+                     recommended_primes)
 
     def degrees(self) -> list:
         return [g.degree for g in self.generators]
@@ -130,8 +134,11 @@ def load_catalog(path: str = None) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _builtin_catalog() -> dict:
-    text = (resources.files("pnoether") / "data" / "catalog.json") \
-        .read_text(encoding="utf-8")
+    # through this module's loader, which reads inside a zipped install
+    # too; importlib.resources would cost more than the parse (it loads
+    # pathlib, tempfile and zipfile, and inspect on Python 3.12+)
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    text = __loader__.get_data(path).decode("utf-8")
     return _parse_catalog(text, "built-in catalog")
 
 

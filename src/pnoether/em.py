@@ -33,9 +33,9 @@ generators only, so it lists no entry and makes no Adem reduction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import steenrod
+from ._record import Frozen, Record
 from .errors import InputError
 from .graded import (FreeCommPresentation, GeneratorSpec, LazyActionTable,
                      ops_on_degree)
@@ -44,57 +44,59 @@ from .graded import (FreeCommPresentation, GeneratorSpec, LazyActionTable,
 # coefficient classes and space specs
 
 
-@dataclass(frozen=True)
-class IntegerClass:
+class IntegerClass(Frozen):
+    __slots__ = ()
+
     def __str__(self):
         return "Z"
 
 
-@dataclass(frozen=True)
-class PadicClass:
+class PadicClass(Frozen):
+    __slots__ = ()
+
     def __str__(self):
         return "Zp"
 
 
-@dataclass(frozen=True)
-class PruferClass:
+class PruferClass(Frozen):
+    __slots__ = ()
+
     def __str__(self):
         return "Zpinf"
 
 
-@dataclass(frozen=True)
-class CyclicClass:
-    r: int = 1
+class CyclicClass(Frozen):
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int = 1):
+        if r < 1:
             raise InputError("cyclic coefficient class needs r >= 1")
+        self._assign(r)
 
     def __str__(self):
         return f"Z/p^{self.r}" if self.r > 1 else "Z/p"
 
 
-@dataclass(frozen=True)
-class EMSpec:
-    coefficient: object
-    n: int
+class EMSpec(Frozen):
+    __slots__ = ("coefficient", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, coefficient, n: int):
+        if n < 1:
             raise InputError("Eilenberg-MacLane degree must be >= 1")
+        self._assign(coefficient, n)
 
     def __str__(self):
         return f"K({self.coefficient},{self.n})"
 
 
-@dataclass(frozen=True)
-class EMProduct:
-    factors: tuple
+class EMProduct(Frozen):
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-        if not self.factors:
+        factors = tuple(factors)
+        if not factors:
             raise InputError("a product of Eilenberg-MacLane spaces needs a factor")
+        self._assign(factors)
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
@@ -285,25 +287,28 @@ class _Enumeration:
         return {m: c for m, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class FiberGenerator:
+class FiberGenerator(Frozen):
     """A fiber generator as the spectral-sequence engine reads it: the
     bottom class of its factor, and the admissible word carrying that class
     to it; the word is None for a class built on a higher-Bockstein
     companion, which no primary word reaches."""
 
-    name: str
-    degree: int
-    kind: str
-    bottom: str
-    word: tuple | None
+    __slots__ = ("name", "degree", "kind", "bottom", "word")
+
+    def __init__(self, name: str, degree: int, kind: str, bottom: str,
+                 word: tuple | None):
+        self._assign(name, degree, kind, bottom, word)
 
 
-@dataclass
-class FiberLayout:
-    presentation: FreeCommPresentation
-    generators: list  # FiberGenerator, in the presentation's order
-    bottoms: dict  # each factor's bottom class name -> its degree
+class FiberLayout(Record):
+    """The combined presentation, its FiberGenerators in the presentation's
+    order, and each factor's bottom class name -> its degree."""
+
+    __slots__ = ("presentation", "generators", "bottoms")
+
+    def __init__(self, presentation: FreeCommPresentation, generators: list,
+                 bottoms: dict):
+        self._assign(presentation, generators, bottoms)
 
 
 def _factor_enumerations(product, p: int, bound: int) -> list:

@@ -37,12 +37,12 @@ import functools
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import add, mul
 from types import MappingProxyType
 
 from . import steenrod
+from ._record import Frozen, Record
 from .errors import (
     EngineContractError,
     InconsistencyError,
@@ -128,8 +128,7 @@ def cartan_terms(p: int, op: tuple, dx: int, dy: int) -> list[tuple]:
 # generators and presentations
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
     """One algebra generator: name, degree, kind, optional Bockstein link.
 
     ``bockstein_link = (r, partner)`` records that the r-th Bockstein sends
@@ -137,23 +136,22 @@ class GeneratorSpec:
     participates in the Steenrod action tables; higher links are metadata.
     """
 
-    name: str
-    degree: int
-    kind: str = "polynomial"
-    bockstein_link: tuple | None = None
+    __slots__ = ("name", "degree", "kind", "bockstein_link")
 
-    def __post_init__(self):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
-            raise InputError(f"bad generator name {self.name!r}")
-        if self.degree <= 0:
-            raise InputError(f"generator {self.name}: degree must be positive")
-        if self.kind not in ("polynomial", "exterior"):
-            raise InputError(f"generator {self.name}: unknown kind {self.kind!r}")
-        if self.bockstein_link is not None:
-            r, partner = self.bockstein_link
+    def __init__(self, name: str, degree: int, kind: str = "polynomial",
+                 bockstein_link: tuple | None = None):
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise InputError(f"bad generator name {name!r}")
+        if degree <= 0:
+            raise InputError(f"generator {name}: degree must be positive")
+        if kind not in ("polynomial", "exterior"):
+            raise InputError(f"generator {name}: unknown kind {kind!r}")
+        if bockstein_link is not None:
+            r, partner = bockstein_link
             if r < 1:
-                raise InputError(f"generator {self.name}: bockstein index must be >= 1")
-            object.__setattr__(self, "bockstein_link", (int(r), str(partner)))
+                raise InputError(f"generator {name}: bockstein index must be >= 1")
+            bockstein_link = (int(r), str(partner))
+        self._assign(name, degree, kind, bockstein_link)
 
 
 class FreeCommPresentation:
@@ -785,10 +783,18 @@ class FreeTruncAlgebra(TruncAlgebra):
         return degree, self.rank(degree, mono)
 
     def monomial_element(self, mono: tuple, coeff: int = 1) -> Element:
+        """The monomial times coeff; zero when an exterior exponent is above
+        1, as in a product."""
+        mono = tuple(mono)
+        if len(mono) != len(self._degrees) or any(e < 0 for e in mono):
+            raise InputError(f"{mono} is not an exponent tuple of "
+                             f"{len(self._degrees)} generators")
+        if any(mono[k] > 1 for k in self._exterior_indices):
+            return self.zero()
         key = self.monomial_key(mono)
         if key is None:
             raise TruncationError(
-                f"monomial of degree {self.presentation.monomial_degree(tuple(mono))} "
+                f"monomial of degree {self.presentation.monomial_degree(mono)} "
                 f"is above the truncation bound {self.bound}")
         return Element(self, {key: coeff})
 
@@ -1483,20 +1489,18 @@ def quotient_by_ideal(alg: FreeTruncAlgebra, ideal_gens) -> QuotientTruncAlgebra
     return QuotientTruncAlgebra(alg, gens)
 
 
-@dataclass
-class FiniteModuleTable:
+class FiniteModuleTable(Record):
     """An explicit finite module: graded dimensions, labels, action entries.
 
     ``action`` maps (op, (degree, index)) to {(degree', index'): coeff}; only
     nonzero values are stored and only where the target degree is in bound.
     """
 
-    p: int
-    bound: int
-    dims: list
-    labels: list
-    action: dict
-    action_complete: bool = True
+    __slots__ = ("p", "bound", "dims", "labels", "action", "action_complete")
+
+    def __init__(self, p: int, bound: int, dims: list, labels: list,
+                 action: dict, action_complete: bool = True):
+        self._assign(p, bound, dims, labels, action, action_complete)
 
     def nonzero_degrees(self) -> list[int]:
         return [d for d, n in enumerate(self.dims) if n]
@@ -1603,23 +1607,29 @@ class GradedMap:
 # constructive finite generation with certificates
 
 
-@dataclass
-class AppendixCertificate:
-    """One correction term and its rewriting in the returned generators."""
+class AppendixCertificate(Record):
+    """One correction term and its rewriting in the returned generators:
+    the operation theta, the algebra generator z of G, the degree of the
+    correction term, its rendered value theta(z.1) - (theta z).1, and the
+    same value as a polynomial in the output generators."""
 
-    op: str              # the operation theta
-    generator: str       # the algebra generator z of G
-    degree: int          # degree of the correction term
-    correction: str      # rendered value of theta(z.1) - (theta z).1
-    expression: str      # the same value as a polynomial in the output generators
-    verified: bool
+    __slots__ = ("op", "generator", "degree", "correction", "expression",
+                 "verified")
+
+    def __init__(self, op: str, generator: str, degree: int, correction: str,
+                 expression: str, verified: bool):
+        self._assign(op, generator, degree, correction, expression, verified)
 
 
-@dataclass
-class AppendixResult:
-    generators: list      # (name, degree) pairs
-    certificates: list    # AppendixCertificate
-    checked_pairs: int    # how many (theta, g) contract pairs were verified
+class AppendixResult(Record):
+    """The (name, degree) pairs of the generators, their certificates, and
+    how many (theta, g) contract pairs were verified."""
+
+    __slots__ = ("generators", "certificates", "checked_pairs")
+
+    def __init__(self, generators: list, certificates: list,
+                 checked_pairs: int):
+        self._assign(generators, certificates, checked_pairs)
 
     def to_jsonable(self) -> dict:
         return {

@@ -16,21 +16,20 @@ square arithmetic behind the rank-3 non-splitting example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import steenrod, unstable
+from ._record import Frozen, Record
 from .em import CyclicClass, EMProduct, EMSpec, PruferClass
 from .errors import EngineContractError, InputError
 from .graded import FreeCommPresentation
 from .steenrod import padic_valuation
-from .unstable import F, ModuleExpr, Power, Q1, Tensor, krull_degree
+from .unstable import (F, KrullReport, ModuleExpr, Power, Q1, Tensor,
+                       krull_degree)
 
 # ---------------------------------------------------------------------------
 # abelian p-groups (finite sums of cyclic and Prüfer summands)
 
 
-@dataclass(frozen=True)
-class AbelianPGroup:
+class AbelianPGroup(Frozen):
     """A finite direct sum of Z/p^r and Z/p^∞ summands, over a fixed p.
 
     Summands are the coefficient-class descriptors ``CyclicClass(r)`` and
@@ -38,19 +37,17 @@ class AbelianPGroup:
     equal groups compare equal.
     """
 
-    p: int
-    summands: tuple = ()
+    __slots__ = ("p", "summands")
 
-    def __post_init__(self):
-        steenrod.check_prime(self.p)
-        clean = []
-        for s in self.summands:
+    def __init__(self, p: int, summands: tuple = ()):
+        steenrod.check_prime(p)
+        clean = list(summands)
+        for s in clean:
             if not isinstance(s, (CyclicClass, PruferClass)):
                 raise InputError(
                     "summands must be CyclicClass(r) or PruferClass()")
-            clean.append(s)
         clean.sort(key=_summand_key)
-        object.__setattr__(self, "summands", tuple(clean))
+        self._assign(p, tuple(clean))
 
     def __str__(self):
         if not self.summands:
@@ -168,42 +165,40 @@ def is_divisible(P: AbelianPGroup) -> bool:
 # presentations and the structure fibration
 
 
-@dataclass(frozen=True)
-class PNoetherianPresentation:
+class PNoetherianPresentation(Frozen):
     """The data of the structure fibration: the abelian kernel P, the
     classifying-space cohomology of the p-compact base, and the order of the
     fundamental group (bookkeeping; must be a power of p)."""
 
-    p: int
-    P: AbelianPGroup
-    y_cohomology: FreeCommPresentation = None
-    pi1_order: int = 1
+    __slots__ = ("p", "P", "y_cohomology", "pi1_order")
 
-    def __post_init__(self):
-        steenrod.check_prime(self.p)
-        if self.P.p != self.p:
+    def __init__(self, p: int, P: AbelianPGroup,
+                 y_cohomology: FreeCommPresentation = None,
+                 pi1_order: int = 1):
+        steenrod.check_prime(p)
+        if P.p != p:
             raise InputError("group and presentation primes differ")
-        if self.y_cohomology is None:
-            object.__setattr__(self, "y_cohomology",
-                               FreeCommPresentation(self.p, [], {}))
-        if self.y_cohomology.p != self.p:
+        if y_cohomology is None:
+            y_cohomology = FreeCommPresentation(p, [], {})
+        if y_cohomology.p != p:
             raise InputError("base cohomology is over the wrong prime")
-        if self.pi1_order < 1:
+        if pi1_order < 1:
             raise InputError("pi1 order must be >= 1")
-        if padic_valuation(self.p, self.pi1_order)[1] != 1:
-            raise InputError(
-                f"pi1 order {self.pi1_order} is not a power of {self.p}")
+        if padic_valuation(p, pi1_order)[1] != 1:
+            raise InputError(f"pi1 order {pi1_order} is not a power of {p}")
+        self._assign(p, P, y_cohomology, pi1_order)
 
 
-@dataclass(frozen=True)
-class FibrationDescription:
+class FibrationDescription(Frozen):
     """K(P,2)-completion fiber over the p-compact base, with flags."""
 
-    p: int
-    fiber: object  # EMProduct, or None when P = 0
-    base: FreeCommPresentation
-    divisible: bool
-    p_compact: bool
+    __slots__ = ("p", "fiber", "base", "divisible", "p_compact")
+
+    def __init__(self, p: int, fiber: EMProduct | None,
+                 base: FreeCommPresentation, divisible: bool,
+                 p_compact: bool):
+        # the fiber is None when P = 0
+        self._assign(p, fiber, base, divisible, p_compact)
 
     def fiber_factors(self) -> list:
         return [] if self.fiber is None else list(self.fiber.factors)
@@ -244,15 +239,14 @@ def structure_fibration(pres: PNoetherianPresentation) -> FibrationDescription:
 # reduced-T of the indecomposables of H*(BX)
 
 
-@dataclass
-class TQReport:
+class TQReport(Record):
     """T̄Q H*(BX): the module expression, its rank, and the Krull check."""
 
-    p: int
-    rank: int
-    expression: ModuleExpr
-    krull: object  # KrullReport
-    krull_at_most_one: bool
+    __slots__ = ("p", "rank", "expression", "krull", "krull_at_most_one")
+
+    def __init__(self, p: int, rank: int, expression: ModuleExpr,
+                 krull: KrullReport, krull_at_most_one: bool):
+        self._assign(p, rank, expression, krull, krull_at_most_one)
 
     def to_jsonable(self) -> dict:
         return {
@@ -294,18 +288,19 @@ def schwartz_target(k: int) -> ModuleExpr:
 # splitting criteria (verdicts over supplied morphism flags)
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(Frozen):
     """Outcome of a fibration-splitting criterion.
 
     ``applicable`` is False when the stated connectivity hypotheses fail; in
     that case ``splits`` is None — the criterion never extrapolates.
     """
 
-    applicable: bool
-    splits: bool | None
-    criterion: str
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("applicable", "splits", "criterion", "witness")
+
+    def __init__(self, applicable: bool, splits: bool | None, criterion: str,
+                 witness: dict | None = None):
+        self._assign(applicable, splits, criterion,
+                     {} if witness is None else witness)
 
     def to_jsonable(self) -> dict:
         return {"applicable": self.applicable, "splits": self.splits,
@@ -356,16 +351,14 @@ def splitting_with_section(b_connectivity: int, fiber_top: int,
 # p-adic squares (the arithmetic behind the rank-3 non-splitting example)
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(Frozen):
     """Whether an integer is a p-adic square, with a Hensel witness."""
 
-    p: int
-    value: int
-    precision: int
-    is_square: bool
-    witness: int | None
-    reason: str
+    __slots__ = ("p", "value", "precision", "is_square", "witness", "reason")
+
+    def __init__(self, p: int, value: int, precision: int, is_square: bool,
+                 witness: int | None, reason: str):
+        self._assign(p, value, precision, is_square, witness, reason)
 
     def to_jsonable(self) -> dict:
         return {"p": self.p, "value": self.value, "precision": self.precision,
@@ -429,18 +422,16 @@ def is_square_int(p: int, n: int, precision: int) -> SquareReport:
                         f"valuation {v} even; unit part: {inner.reason}")
 
 
-@dataclass(frozen=True)
-class SumOfSquaresCertificate:
+class SumOfSquaresCertificate(Frozen):
     """Certificate that a sum of two p-adic squares vanishes only if both do
     (valid when −1 is a non-residue, i.e. p ≡ 3 mod 4)."""
 
-    p: int
-    n: int
-    m: int
-    precision: int
-    sum_is_zero: bool
-    both_zero: bool
-    argument: str
+    __slots__ = ("p", "n", "m", "precision", "sum_is_zero", "both_zero",
+                 "argument")
+
+    def __init__(self, p: int, n: int, m: int, precision: int,
+                 sum_is_zero: bool, both_zero: bool, argument: str):
+        self._assign(p, n, m, precision, sum_is_zero, both_zero, argument)
 
     def to_jsonable(self) -> dict:
         return {"p": self.p, "n": self.n, "m": self.m,

@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
 
 from . import steenrod
+from ._record import Record
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
@@ -195,25 +195,24 @@ def _profile(dims, ranks, degree: int, square_zero: bool) -> str:
 # the engine
 
 
-@dataclass
-class Survivor:
+class Survivor(Record):
     """A surviving fiber class: a companion, or the Kudo stage a^e of the
     fiber generator a = ``label`` with e = ``exponent``, whose fiber class
-    is that monomial (see _Engine._monomial) and whose kind is a's."""
+    is that monomial (see _Engine._monomial) and whose kind is a's; a
+    companion's ``exponent`` is its partner's."""
 
-    name: str
-    degree: int
-    kind: str
-    origin: str
-    display: str
-    is_companion: bool = False
-    bockstein_link: tuple = None
-    label: str = None  # the fiber generator this class comes from
-    exponent: int = 1  # its p-power; for a companion, its partner's
+    __slots__ = ("name", "degree", "kind", "origin", "display",
+                 "is_companion", "bockstein_link", "label", "exponent")
+
+    def __init__(self, name: str, degree: int, kind: str, origin: str,
+                 display: str, is_companion: bool = False,
+                 bockstein_link: tuple = None, label: str = None,
+                 exponent: int = 1):
+        self._assign(name, degree, kind, origin, display, is_companion,
+                     bockstein_link, label, exponent)
 
 
-@dataclass
-class SSResult:
+class SSResult(Record):
     """E∞ through the bound: the base modulo the killed ideal (``quotient``),
     the surviving fiber generators, the engine's log, and the series of its
     last page (``series``).
@@ -223,16 +222,17 @@ class SSResult:
     read and kept; the report reads only ``poincare``, which needs no
     basis."""
 
-    p: int
-    bound: int
-    quotient: QuotientTruncAlgebra
-    surviving_fiber_generators: list
-    killed_base_ideal: list
-    log: list
-    flags: dict
-    series: list
-    # builds ``total``; dropped once it has run
-    _build_total: object = field(default=None, repr=False, compare=False)
+    # ``total`` is cached in __dict__
+    __slots__ = ("p", "bound", "quotient", "surviving_fiber_generators",
+                 "killed_base_ideal", "log", "flags", "series",
+                 "_build_total", "__dict__")
+
+    def __init__(self, p: int, bound: int, quotient: QuotientTruncAlgebra,
+                 surviving_fiber_generators: list, killed_base_ideal: list,
+                 log: list, flags: dict, series: list, _build_total=None):
+        # _build_total builds ``total``; dropped once it has run
+        self._assign(p, bound, quotient, surviving_fiber_generators,
+                     killed_base_ideal, log, flags, series, _build_total)
 
     @functools.cached_property
     def total(self) -> TensorTruncAlgebra:

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from . import steenrod
+from ._record import Frozen, Record
 from .errors import DSLSyntaxError, InputError
 from .graded import _series_mul
 
@@ -50,13 +50,15 @@ from .graded import _series_mul
 # are X (x) Fin(m*dims).
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleExpr:
+class ModuleExpr(Frozen):
     """A module expression, held as its merged normal form: a mapping
     term -> multiplicity, empty for the zero module.  Build one with the
     constructors below; the mapping must not be mutated."""
 
-    terms: dict
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self._assign(terms)
 
     def __add__(self, other):
         return Sum((self, other))
@@ -285,12 +287,14 @@ def tbar(expr: ModuleExpr, p: int = 2) -> ModuleExpr:
     return _expr(out)
 
 
-@dataclass
-class KrullReport:
+class KrullReport(Record):
     """Result of a Krull-degree computation."""
 
-    degree: int
-    trace: list = field(default_factory=list)  # successive iterates, as exprs
+    __slots__ = ("degree", "trace")
+
+    def __init__(self, degree: int, trace: list | None = None):
+        # trace: the successive iterates, as exprs
+        self._assign(degree, [] if trace is None else trace)
 
     @property
     def determined(self) -> bool:

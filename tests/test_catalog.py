@@ -2,9 +2,14 @@
 and schema validation with precise error paths."""
 
 import json
+import os
+import subprocess
+import sys
+import zipfile
 
 import pytest
 
+import pnoether
 from pnoether import InputError, get_entry, load_catalog
 from pnoether.graded import expand
 
@@ -52,6 +57,30 @@ def test_builtin_catalog_is_parsed_once_into_read_only_entries():
         entry.action[3][("y4", "P1")] = "0"
     assert entry.presentation(3).action == \
         get_entry("BS3").presentation(3).action
+
+
+def test_a_zipped_install_reads_its_built_in_catalog(tmp_path):
+    """The built-in catalog is package data: a package imported from a zip
+    archive finds it inside the archive, not beside a source tree."""
+    package = os.path.dirname(os.path.abspath(pnoether.__file__))
+    archive = tmp_path / "pnoether.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for root, dirs, files in os.walk(package):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                full = os.path.join(root, name)
+                zf.write(full, os.path.relpath(full, os.path.dirname(package)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import pnoether; "
+         "from pnoether.catalog import load_catalog; "
+         "print(pnoether.__file__.startswith(sys.argv[1]), "
+         "sorted(load_catalog()), load_catalog()['BS3'].degrees())",
+         str(archive)],
+        capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("True ['BS3', 'S3', 'X23', 'X2b_4', 'X2b_m', "
+                           "'X30'] [4]\n")
 
 
 def test_a_catalog_file_is_read_on_every_call(tmp_path):

@@ -709,6 +709,20 @@ def test_a_closed_stdout_exits_quietly():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def test_cli_start_up_builds_no_dataclasses():
+    """Every invocation is a fresh process, so what importing the CLI
+    loads is paid before each answer: ``dataclasses`` (which loads
+    ``inspect``) cost about a quarter of start-up, and neither is loaded.
+    ``-I`` keeps the environment out, so ``src`` goes on sys.path here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pnoether.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import pnoether.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))", src],
+        capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # ---------------------------------------------------------------------------
 # table rendering
 

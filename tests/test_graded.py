@@ -12,6 +12,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import time
 import weakref
 
@@ -249,6 +250,31 @@ def test_product_truncation_guard():
     x = alg.generator_element("x4")
     with pytest.raises(TruncationError):
         x * x  # degree 8 > 6: the value there is unknown, not zero
+
+
+def test_exterior_square_is_zero_not_above_the_bound():
+    """In E(x3) ⊗ F₃[y2] at bound 20, x3·x3 = 0 well inside the bound: a
+    monomial or polynomial that squares the exterior generator is the zero
+    element, as the product is; only a degree above the bound is a
+    truncation, and a tuple that is no exponent vector is an input error."""
+    pres = FreeCommPresentation(3, [GeneratorSpec("x3", 3, "exterior"),
+                                    GeneratorSpec("y2", 2)])
+    alg = expand(pres, 20)
+    x = alg.generator_element("x3")
+    assert (x * x).is_zero
+    assert alg.monomial_element((2, 0)).is_zero
+    assert alg.monomial_element((2, 1)).is_zero
+    assert alg.element_from_poly("x3^2").is_zero
+    assert alg.element_from_poly("x3^2 + y2^3") == alg.monomial_element((0, 3))
+    quo = quotient_by_ideal(alg, ["x3^2 + y2^3"])
+    assert quo.dims() == quotient_by_ideal(alg, ["y2^3"]).dims()
+    for bad in ((-1, 1), (0,), (0, 0, 0), (1, -2)):
+        with pytest.raises(InputError, match=re.escape(str(bad))):
+            alg.monomial_element(bad)
+    with pytest.raises(TruncationError, match="degree 22"):
+        alg.monomial_element((0, 11))
+    with pytest.raises(TruncationError, match="degree 21"):
+        alg.monomial_element((1, 9))
 
 
 def test_graded_commutativity_odd_p():
