@@ -33,6 +33,11 @@ class CatalogEntry(Frozen):
         self._assign(name, description, torsion_free, generators, action,
                      recommended_primes)
 
+    def __hash__(self):
+        # the read-only action tables do not hash; equal entries have
+        # equal names and generators
+        return hash((self.name, self.generators))
+
     def degrees(self) -> list:
         return [g.degree for g in self.generators]
 

@@ -279,9 +279,7 @@ def _run_structure(args):
 
 def _run_cover(args):
     entry = _resolve_catalog(args.catalog, args.entry)
-    pres = entry.presentation(args.p)
-    result = connected_cover_cohomology(
-        pres, args.p, args.max_degree, torsion_free=entry.torsion_free)
+    result = connected_cover_cohomology(entry, args.p, args.max_degree)
     payload = result.to_jsonable()
     payload["catalog_entry"] = entry.name
     payload["surviving_degrees"] = sorted(
@@ -430,11 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover", help="cohomology of the 3-connected cover")
     sp.add_argument("--catalog", required=True,
-                    help="built-in entry name (BS3, X2b_4, X23, X30) or a JSON file path")
+                    help="built-in entry name (S3, BS3, X2b_4, X23, X30) or a JSON file path")
     sp.add_argument("--entry", default=None,
                     help="entry name when --catalog is a file")
     sp.add_argument("--max-degree", type=int, default=None,
-                    help="default: 2*(top base degree) + 3")
+                    help="default: 2*(top base degree) + |c| - 1, c the "
+                         "killed class (degree 4, else 3)")
     common(sp)
 
     sp = sub.add_parser("split", help="fibration splitting verdicts")

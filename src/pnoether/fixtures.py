@@ -1,22 +1,19 @@
 """Ready-made scenario inputs.
 
-Three families live here: the module-algebra fixtures for the finite-
-generation certificate algorithm, the named fibration-splitting scenarios
-exposed by the command line (the split criteria take homotopy-level
-triviality flags as input, so concrete cases ship as fixtures rather than
-pretending to compute homotopy groups), and the loop-space fibration used by
-the odd-prime connected-cover checks.
+Two families live here: the module-algebra fixtures for the finite-
+generation certificate algorithm, and the named fibration-splitting
+scenarios exposed by the command line (the split criteria take
+homotopy-level triviality flags as input, so concrete cases ship as
+fixtures rather than pretending to compute homotopy groups).
 """
 
 from __future__ import annotations
 
-from .em import EMSpec, IntegerClass
 from .errors import InputError
 from .graded import (FreeCommPresentation, GeneratorSpec, GradedMap,
                      expand)
 from .noetherian import SplitVerdict, splitting_by_connecting, \
     splitting_with_section
-from .serre import FibrationSpec
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +178,3 @@ def run_splitting_scenario(name: str) -> SplitVerdict:
         raise InputError(f"unknown splitting scenario {name!r} (try one of: {known})")
     _description, criterion, flags = SPLITTING_SCENARIOS[name]
     return criterion(**flags)
-
-
-# ---------------------------------------------------------------------------
-# loop-space fibration builders
-
-
-def s3_loop_fibration(p: int, bound: int = None) -> FibrationSpec:
-    """K(Z,2) → S³⟨3⟩ → S³ with τ(ι₂) the fundamental class of the sphere."""
-    base = FreeCommPresentation(
-        p, [GeneratorSpec("x3", 3, "exterior")], {})
-    return FibrationSpec(p, base, EMSpec(IntegerClass(), 2),
-                         {"i2": "x3"}, bound)

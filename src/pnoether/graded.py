@@ -205,6 +205,17 @@ class FreeCommPresentation:
             poly = self.parse_poly(value) if isinstance(value, str) else dict(value)
             self.action[(gen_name, op)] = check((gen_name, op), poly)
 
+    def __eq__(self, other):
+        """Equal primes, generators and action entries; comparing a lazy
+        table computes all its values."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.generators, self.action) == \
+            (other.p, other.generators, other.action)
+
+    def __hash__(self):
+        return hash((self.p, tuple(self.generators)))
+
     # -- monomials over this presentation's generator list ------------------
 
     def monomial_degree(self, mono: tuple) -> int:
@@ -840,11 +851,8 @@ class FreeTruncAlgebra(TruncAlgebra):
         return -1 if mask and sum(compress(m1, mask)) % 2 else 1, merged
 
     def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        # one list index on listed degrees
-        basis = self._basis
-        merged = self._merge_monomials(
-            basis[d1][i1] if basis[d1] else self.unrank(d1, i1),
-            basis[d2][i2] if basis[d2] else self.unrank(d2, i2))
+        merged = self._merge_monomials(self.unrank(d1, i1),
+                                       self.unrank(d2, i2))
         if merged is None:
             return {}
         sign, mono = merged
@@ -852,9 +860,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         if degree > self.bound:
             # callers guard on d1 + d2 <= bound
             raise TruncationError("product above the truncation bound")
-        index = self._index[degree]
-        return {(degree, index[mono] if index else self.rank(degree, mono)):
-                sign % self.p}
+        return {(degree, self.rank(degree, mono)): sign % self.p}
 
     # -- Steenrod action -----------------------------------------------------
 
@@ -977,16 +983,14 @@ class FreeTruncAlgebra(TruncAlgebra):
         sym ("Sq", "P" or "B") that shift by at most top, as {(excess,
         monomial): coeff}, the excess of a term being its degree less
         mono's."""
-        index, basis = self.rank(degree, mono), self._basis
-        out = {(0, mono): 1}
+        index, out = self.rank(degree, mono), {(0, mono): 1}
         for o in ops_on_degree(self.p, degree, self.bound):
             if o[0] == sym and op_degree(self.p, o) <= top:
                 value = self._action.get((o, degree, index))
                 if value is None:
                     value = self.act_basis(o, degree, index)
                 for (d, i), c in value.items():
-                    monos = basis[d]  # one list index on a listed degree
-                    out[(d - degree, monos[i] if monos else self.unrank(d, i))] = c
+                    out[(d - degree, self.unrank(d, i))] = c
         return out
 
     def _times(self, x: dict, y: dict, top: int) -> dict:

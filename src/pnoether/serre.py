@@ -26,6 +26,7 @@ import itertools
 
 from . import steenrod
 from ._record import Record
+from .catalog import CatalogEntry
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
@@ -610,21 +611,25 @@ def run_ss(spec: FibrationSpec) -> SSResult:
 # connected covers
 
 
-def connected_cover_cohomology(entry: FreeCommPresentation, p: int,
-                               bound: int = None,
-                               torsion_free: bool = None) -> SSResult:
-    """H* of the 3-connected cover of a space with H*(BG)-style cohomology:
-    runs the fibration K(Z,3) → X⟨4⟩ → X with τ(ι₃) = the degree-4 class."""
-    if entry.p != p:
-        raise InputError(f"catalog entry is over p={entry.p}, not {p}")
-    x4 = [g for g in entry.generators
-          if g.degree == 4 and g.kind == "polynomial"]
-    if not x4:
-        raise InputError("catalog entry has no degree-4 polynomial generator")
-    if p == 2 and torsion_free is not True:
+def connected_cover_cohomology(entry: CatalogEntry, p: int,
+                               bound: int = None) -> SSResult:
+    """H* of the connected cover that kills one class c of a catalog entry's
+    ring at p: the fibration K(Z, |c| - 1) → X⟨|c|⟩ → X with τ(ι) = c.  c is
+    the entry's degree-4 polynomial generator when it has one (BG⟨4⟩ → BG),
+    else its degree-3 generator (G⟨3⟩ → G); the default bound is
+    2 · (top base degree) + |c| - 1."""
+    base = entry.presentation(p)
+    kill = [g for g in base.generators
+            if g.degree == 4 and g.kind == "polynomial"] or \
+        [g for g in base.generators if g.degree == 3]
+    if not kill:
+        raise InputError(
+            "catalog entry has neither a degree-4 polynomial generator "
+            "(BG⟨4⟩ → BG) nor a degree-3 generator (G⟨3⟩ → G) to kill")
+    if p == 2 and entry.torsion_free is not True:
         raise InputError(
             "the p=2 cover construction requires the torsion-free flag")
-    fiber = EMSpec(IntegerClass(), 3)
-    spec = FibrationSpec(p, entry, fiber,
-                         transgression={"i3": x4[0].name}, bound=bound)
+    n = kill[0].degree - 1
+    spec = FibrationSpec(p, base, EMSpec(IntegerClass(), n),
+                         transgression={f"i{n}": kill[0].name}, bound=bound)
     return run_ss(spec)

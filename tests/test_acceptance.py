@@ -11,14 +11,14 @@ import time
 
 from pnoether import schwartz_target, tq_of_classifying_space
 from pnoether.cli import main
+from pnoether.catalog import get_entry
 from pnoether.fixtures import (SPLITTING_SCENARIOS, appendix_compatible,
-                               appendix_tensor, run_splitting_scenario,
-                               s3_loop_fibration)
+                               appendix_tensor, run_splitting_scenario)
 from pnoether.graded import (FreeCommPresentation, GeneratorSpec,
                              appendix_generators, expand, op_degree)
 from pnoether.noetherian import (PNoetherianPresentation, padic_is_square,
                                  parse_group)
-from pnoether.serre import run_ss
+from pnoether.serre import connected_cover_cohomology
 from pnoether.steenrod import adem_reduce
 from pnoether.unstable import F, Fin, Sigma, Sum, krull_degree
 
@@ -114,7 +114,7 @@ def test_acceptance_02_cover_survivors_and_series():
 def test_acceptance_03_sphere_cover_odd_primes():
     for p in (3, 5):
         bound = 4 * p + 2
-        result = run_ss(s3_loop_fibration(p, bound))
+        result = connected_cover_cohomology(get_entry("S3"), p, bound)
         expected = [0] * (bound + 1)
         for a in range(0, bound // (2 * p) + 1):
             for eps in (0, 1):

@@ -96,6 +96,21 @@ def test_a_catalog_file_is_read_on_every_call(tmp_path):
     assert load_catalog(str(path))["R"].degrees() == [6]
 
 
+def test_equal_entries_hash_alike_and_key_one_dict_slot(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"entries": {"R": {
+        "torsion_free": True,
+        "generators": [{"name": "x", "degree": 4}],
+        "action": {"3": [{"gen": "x", "op": "P1", "value": "x^2"}]},
+        "recommended_primes": [3]}}}))
+    first, second = (load_catalog(str(path))["R"] for _ in range(2))
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first: "first", second: "second"}) == 1
+    assert hash(get_entry("BS3")) == hash(load_catalog()["BS3"])
+    assert get_entry("BS3") != get_entry("S3")
+
+
 def test_presentation_per_prime():
     entry = get_entry("BS3")
     assert entry.action[3] == {("y4", "P1"): "2*y4^2"}

@@ -336,6 +336,17 @@ def test_cover_alias_resolves_to_canonical_entry():
     assert rep["payload"]["surviving_degrees"] == [8, 19]
 
 
+def test_cover_s3_kills_its_degree_3_class():
+    code, rep = run_json("cover", "--catalog", "S3", "--p", "3")
+    assert code == 0
+    p = rep["payload"]
+    assert p["killed_base_ideal"] == ["x3"]
+    assert p["surviving_degrees"] == [6, 7]
+    # the default bound 2*3 + 2: F_3[z6] (x) E(y7) through degree 8
+    assert p["poincare"] == [1, 0, 0, 0, 0, 0, 1, 1, 0]
+    assert rep["provenance"]["bounds"] == {"max_degree": 8}
+
+
 def test_cover_unknown_catalog():
     code, rep = run_json("cover", "--catalog", "BS99")
     assert code == 2

@@ -1608,8 +1608,7 @@ def test_indecomposables_match_the_span_of_all_products(name, p, bound):
     """Spanning only lower representatives times basis elements gives the
     same reduced rows, so the same table, key order included."""
     entry = get_entry(name)
-    total = connected_cover_cohomology(
-        entry.presentation(p), p, bound, torsion_free=entry.torsion_free).total
+    total = connected_cover_cohomology(entry, p, bound).total
     table = indecomposables(total)
     oracle = product_span_indecomposables(total)
     assert len(table.nonzero_degrees()) >= 4

@@ -16,8 +16,10 @@ from pnoether.catalog import CatalogEntry, get_entry
 from pnoether.em import (CyclicClass, EMProduct, EMSpec, FiberGenerator,
                          FiberLayout, IntegerClass, PadicClass, PruferClass,
                          parse_space)
+from pnoether.em import em_product_presentation
 from pnoether.graded import (AppendixCertificate, AppendixResult,
-                             FiniteModuleTable, GeneratorSpec)
+                             FiniteModuleTable, FreeCommPresentation,
+                             GeneratorSpec)
 from pnoether.noetherian import (AbelianPGroup, FibrationDescription,
                                  PNoetherianPresentation, SplitVerdict,
                                  SquareReport, SumOfSquaresCertificate,
@@ -198,6 +200,26 @@ def test_value_equality():
     assert len({IntegerClass(), IntegerClass(), PadicClass()}) == 2
     assert CyclicClass(1) != PruferClass() and CyclicClass(1) != 1
     assert get_entry("BS3") == get_entry("BS3")
+
+
+def test_presentations_built_alike_are_equal_and_hash_alike():
+    g = parse_group("Z/9 + Zpinf", 3)
+    assert PNoetherianPresentation(3, g) == PNoetherianPresentation(3, g)
+    assert hash(PNoetherianPresentation(3, g)) == \
+        hash(PNoetherianPresentation(3, g))
+    bs3 = get_entry("BS3")
+    assert bs3.presentation(3) == bs3.presentation(3)
+    assert hash(bs3.presentation(3)) == hash(bs3.presentation(3))
+    assert len({bs3.presentation(3), bs3.presentation(3)}) == 1
+    k3 = EMSpec(IntegerClass(), 3)
+    assert em_product_presentation(k3, 2, 12) == \
+        em_product_presentation(k3, 2, 12)
+    # another prime, other generators, or other action entries
+    assert bs3.presentation(3) != bs3.presentation(5)
+    assert bs3.presentation(3) != get_entry("X2b_4").presentation(3)
+    assert bs3.presentation(3) != \
+        FreeCommPresentation(3, bs3.generators, {})
+    assert bs3.presentation(3) != bs3
 
 
 def test_module_expressions_compare_by_their_normal_form():

@@ -37,7 +37,6 @@ from pnoether.linalg import solve
 from pnoether import graded, serre, steenrod
 from pnoether.catalog import get_entry, load_catalog
 from pnoether.cli import main
-from pnoether.fixtures import s3_loop_fibration
 from pnoether.em import EMProduct
 from pnoether.serre import (Survivor, _Engine, annihilator_profile,
                             default_bound)
@@ -76,8 +75,7 @@ def assert_euler_ledger_telescopes(result, spec):
     (5, 21, 10, 11, ()),
 ])
 def test_s3_cover_all_primes(p, bound, poly_deg, comp_deg, ones):
-    spec = s3_loop_fibration(p, bound)
-    res = run_ss(spec)
+    res = connected_cover_cohomology(get_entry("S3"), p, bound)
     assert res.flags["quotient_trivial"]
     assert res.killed_base_ideal == ["x3"]
     z, y = res.surviving_fiber_generators
@@ -98,16 +96,33 @@ def test_s3_cover_all_primes(p, bound, poly_deg, comp_deg, ones):
             expected[d + comp_deg] = 1
         d += poly_deg
     assert res.poincare().coeffs == expected
-    assert_euler_ledger_telescopes(res, spec)
+    assert_euler_ledger_telescopes(res, ledger_spec("S3", p, bound))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_s3_cover_is_serres_closed_form(p):
+    """Serre (1953): H*(S³⟨3⟩; F_p) = F_p[x_2p] ⊗ E(x_2p+1) at odd p, and
+    F_2[x_4] ⊗ E(x_5) at p = 2, here through degree 6p + 3."""
+    bound = 6 * p + 3
+    poly_deg = 4 if p == 2 else 2 * p
+    res = connected_cover_cohomology(get_entry("S3"), p, bound)
+    expected = [0] * (bound + 1)
+    for d in range(0, bound + 1, poly_deg):
+        for extra in (0, poly_deg + 1):
+            if d + extra <= bound:
+                expected[d + extra] += 1
+    assert res.poincare().coeffs == expected
+    assert [(s.degree, s.kind) for s in res.surviving_fiber_generators] == \
+        [(poly_deg, "polynomial"), (poly_deg + 1, "exterior")]
 
 
 def test_s3_cover_p2_series_frozen():
-    res = run_ss(s3_loop_fibration(2, 10))
+    res = connected_cover_cohomology(get_entry("S3"), 2, 10)
     assert res.poincare().coeffs == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
 
 
 def test_s3_cover_log_events():
-    res = run_ss(s3_loop_fibration(2, 10))
+    res = connected_cover_cohomology(get_entry("S3"), 2, 10)
     events = [(entry["event"], entry["class"]) for entry in res.log]
     assert events[0] == ("transgression", "i2")
     assert ("survivor", "i2^2") in events
@@ -161,8 +176,7 @@ def test_zero_transgression_collapses():
 @pytest.fixture(scope="module")
 def bs3_cover_p2():
     entry = get_entry("BS3")
-    return connected_cover_cohomology(entry.presentation(2), 2, 17,
-                                      torsion_free=entry.torsion_free)
+    return connected_cover_cohomology(entry, 2, 17)
 
 
 def test_bs3_cover_p2_survivors(bs3_cover_p2):
@@ -231,14 +245,21 @@ def test_bs3_cover_p2_ledger_and_jsonable(bs3_cover_p2):
     assert elt.degree() == 5 and not elt.is_zero
 
 
-def test_bs3_cover_requires_torsion_flag_at_p2():
-    entry = get_entry("BS3")
-    with pytest.raises(InputError):
-        connected_cover_cohomology(entry.presentation(2), 2, 12)
-    with pytest.raises(InputError):
-        connected_cover_cohomology(
-            FreeCommPresentation(2, [GeneratorSpec("x6", 6)]), 2, 12,
-            torsion_free=True)  # no degree-4 class to transgress onto
+def test_bs3_cover_requires_torsion_flag_at_p2(tmp_path):
+    # X23 has a degree-4 class and no torsion-free flag
+    with pytest.raises(InputError, match="torsion-free flag"):
+        connected_cover_cohomology(get_entry("X23"), 2, 12)
+    # no degree-4 or degree-3 class to transgress onto
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"entries": {"X6": {
+        "torsion_free": True, "generators": [{"name": "x6", "degree": 6}]}}}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cover", "--catalog", str(path), "--p", "2"])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"]["message"] == (
+        "catalog entry has neither a degree-4 polynomial generator "
+        "(BG⟨4⟩ → BG) nor a degree-3 generator (G⟨3⟩ → G) to kill")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +268,7 @@ def test_bs3_cover_requires_torsion_flag_at_p2():
 
 def test_bs3_cover_p3():
     entry = get_entry("BS3")
-    res = connected_cover_cohomology(entry.presentation(3), 3, 11)
+    res = connected_cover_cohomology(entry, 3, 11)
     assert res.killed_base_ideal == ["y4"]
     assert [(s.name, s.degree, s.kind, s.origin, s.display)
             for s in res.surviving_fiber_generators] == [
@@ -263,7 +284,7 @@ def test_bs3_cover_p3():
 
 def test_bs3_cover_p5():
     entry = get_entry("BS3")
-    res = connected_cover_cohomology(entry.presentation(5), 5, 11)
+    res = connected_cover_cohomology(entry, 5, 11)
     assert [(s.name, s.degree, s.kind) for s in
             res.surviving_fiber_generators] == [("z11", 11, "exterior")]
     assert res.poincare().coeffs == [1] + [0] * 10 + [1]
@@ -271,7 +292,7 @@ def test_bs3_cover_p5():
 
 def test_rank_two_cover_p3():
     entry = get_entry("X2b_4")
-    res = connected_cover_cohomology(entry.presentation(3), 3, 19)
+    res = connected_cover_cohomology(entry, 3, 19)
     assert res.flags["quotient_trivial"]
     assert res.killed_base_ideal == ["x4", "2*x8 + 2*x4^2"]
     assert [(s.name, s.degree, s.kind, s.origin, s.display)
@@ -296,8 +317,7 @@ def test_display_words_follow_the_enumeration_order(name, p, bound, displays):
     survivor; with several such words (b P3 and P3 b at p = 3) the
     order decides."""
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), p, bound,
-                                     torsion_free=entry.torsion_free)
+    res = connected_cover_cohomology(entry, p, bound)
     assert [s.display for s in res.surviving_fiber_generators
             if not s.is_companion] == displays
 
@@ -351,8 +371,7 @@ def test_excess_bounded_displays_match_the_unbounded_search(name, p, bound):
     """Words of reduced excess above the anchor's degree act as zero on it,
     so leaving them out of the search changes no display."""
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), p, bound,
-                                     torsion_free=entry.torsion_free)
+    res = connected_cover_cohomology(entry, p, bound)
     displays = [s.display for s in res.surviving_fiber_generators]
     assert len(displays) >= 3
     assert displays == unbounded_displays(res,
@@ -463,8 +482,7 @@ def reference_induced_action(res, fiber_alg):
 ])
 def test_induced_action_table_matches_direct_solve(name, p, bound):
     entry = get_entry(name)
-    res = connected_cover_cohomology(entry.presentation(p), p, bound,
-                                     torsion_free=entry.torsion_free)
+    res = connected_cover_cohomology(entry, p, bound)
     assert res.flags["quotient_trivial"]
     action = res.total.right.presentation.action
     expected = reference_induced_action(res,
@@ -501,8 +519,7 @@ def test_the_cover_report_builds_no_survivor_algebra(monkeypatch):
             assert main(["cover", "--catalog", "BS3", "--p", str(p),
                          "--max-degree", str(bound)]) == 0
         assert "surviving_fiber_generators" in out.getvalue()
-    res = connected_cover_cohomology(get_entry("BS3").presentation(2), 2, 40,
-                                     torsion_free=True)
+    res = connected_cover_cohomology(get_entry("BS3"), 2, 40)
     with pytest.raises(AssertionError, match="computed the induced action"):
         res.total
     monkeypatch.setattr(_Engine, "_induced_action", lambda *args: {})
@@ -527,8 +544,7 @@ def test_the_series_without_a_basis_is_the_total_series(name, p, bound):
         assert not res.flags["quotient_trivial"]
     else:
         entry = get_entry(name)
-        res = connected_cover_cohomology(entry.presentation(p), p, bound,
-                                         torsion_free=entry.torsion_free)
+        res = connected_cover_cohomology(entry, p, bound)
     assert "total" not in vars(res)  # not built yet
     assert res.poincare() == res.total.poincare()
     assert res.total is res.total
@@ -544,8 +560,7 @@ def test_run_ss_certifies_the_survivor_contract_itself(monkeypatch):
     monkeypatch.setattr(_Engine, "_survivor_coordinates", broken)
     entry = get_entry("BS3")
     with pytest.raises(EngineContractError, match="survivor contract"):
-        connected_cover_cohomology(entry.presentation(2), 2, 40,
-                                   torsion_free=True)
+        connected_cover_cohomology(entry, 2, 40)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -617,8 +632,8 @@ def test_each_survivor_is_the_monomial_its_origin_names(monkeypatch):
     Parsed from the origin, an independent route, the class is that
     monomial with coefficient 1; a is of the survivor's kind, e is 1 when
     a is exterior, and no other survivor lies on a.  Every catalog entry
-    that answers at p <= 7 through bound 60, and the BSO(3)^2 and S^3
-    fibrations."""
+    that answers at p <= 7 through bound 60, S3 among them, and the
+    BSO(3)^2 fibration."""
     engines, run = [], _Engine.run
     monkeypatch.setattr(_Engine, "run",
                         lambda engine: engines.append(engine) or run(engine))
@@ -626,16 +641,14 @@ def test_each_survivor_is_the_monomial_its_origin_names(monkeypatch):
     for entry in {e.name: e for e in load_catalog().values()}.values():
         for p in (2, 3, 5, 7):
             try:
-                connected_cover_cohomology(entry.presentation(p), p, 60,
-                                           torsion_free=entry.torsion_free)
+                connected_cover_cohomology(entry, p, 60)
             except (InputError, MissingDataError):
                 continue
             answered.append(f"{entry.name} {p}")
-    assert answered == ["BS3 2", "BS3 3", "BS3 5", "BS3 7", "X2b_4 3",
+    assert answered == ["S3 2", "S3 3", "S3 5", "S3 7",
+                        "BS3 2", "BS3 3", "BS3 5", "BS3 7", "X2b_4 3",
                         "X2b_4 5", "X23 7", "X30 3", "X30 5", "X30 7"]
     run_ss(bso3_squared_fibration(28))
-    for p in (2, 3, 5):
-        run_ss(s3_loop_fibration(p, 40))
     checked = 0
     for engine in engines:
         fiber, owners = engine.fiber_alg, set()
@@ -670,7 +683,7 @@ def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
 
     monkeypatch.setattr(_Engine, "_model_series", tampered)
     with pytest.raises(EngineContractError):
-        run_ss(s3_loop_fibration(2, 10))
+        connected_cover_cohomology(get_entry("S3"), 2, 10)
 
 
 LEDGER_CASES = [("BS3", 2, 60), ("BS3", 3, 80), ("BS3", 5, 110),
@@ -678,14 +691,16 @@ LEDGER_CASES = [("BS3", 2, 60), ("BS3", 3, 80), ("BS3", 5, 110),
 
 
 def ledger_spec(name, p, bound):
-    """The BSO(3)^2 fibration, or the cover of a catalog entry."""
+    """The BSO(3)^2 fibration, or the cover of a catalog entry: K(Z,3)
+    over its degree-4 class, else K(Z,2) over its degree-3 class."""
     if name == "BSO(3)^2":
         return bso3_squared_fibration(bound)
-    entry = get_entry(name)
-    x4 = next(g.name for g in entry.presentation(p).generators
-              if g.degree == 4)
-    return FibrationSpec(p, entry.presentation(p), EMSpec(IntegerClass(), 3),
-                         {"i3": x4}, bound)
+    base = get_entry(name).presentation(p)
+    kill = next((g for g in base.generators if g.degree == 4), None) or \
+        next(g for g in base.generators if g.degree == 3)
+    n = kill.degree - 1
+    return FibrationSpec(p, base, EMSpec(IntegerClass(), n),
+                         {f"i{n}": kill.name}, bound)
 
 
 @pytest.mark.parametrize("name,p,bound", LEDGER_CASES)
@@ -787,15 +802,14 @@ def test_kill_profiles_match_annihilator_profile_on_the_fibration(
 def test_kill_profiles_match_annihilator_profile_on_covers(
         kill_profiles, name, p, bound):
     entry = get_entry(name)
-    connected_cover_cohomology(entry.presentation(p), p, bound,
-                               torsion_free=entry.torsion_free)
+    connected_cover_cohomology(entry, p, bound)
     assert kill_profiles
     assert all(want == got for want, got in kill_profiles)
 
 
 def test_kill_profiles_match_annihilator_profile_of_every_kind(kill_profiles):
     for p in (2, 3, 5):
-        run_ss(s3_loop_fibration(p, 30))
+        connected_cover_cohomology(get_entry("S3"), p, 30)
         test_path_fibration_cancels(p)
     test_exterior_kill_with_zero_divisor_aborts()
     test_polynomial_kill_off_borel_pattern_aborts()
@@ -826,8 +840,7 @@ def test_the_engine_quotient_reps_stay_the_non_pivot_columns(
         res = run_ss(bso3_squared_fibration(28))
     else:
         entry = get_entry("X2b_4")
-        res = connected_cover_cohomology(entry.presentation(3), 3, 90,
-                                         torsion_free=entry.torsion_free)
+        res = connected_cover_cohomology(entry, 3, 90)
     assert len(terms) == len(res.quotient.ideal_gens) >= 2
     assert max(terms) == (1 if case == "BSO3^2 fibration" else 2)
 
