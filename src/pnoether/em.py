@@ -14,7 +14,9 @@ over admissible words subject to an excess bound and a coefficient filter:
   Bockstein: the first Bockstein acts by zero on the fundamental class, and
   the pair is recorded as link metadata;
 * a Pruefer coefficient class in degree n is modeled by the integral class
-  in degree n+1.
+  in degree n+1;
+* at p = 2 a degree-1 class that the first Bockstein kills (K(Z,1),
+  K(Z/2^r,1) for r >= 2) is exterior: Sq1 i1 = 0 = i1².
 
 The enumeration is excess-bounded: ``steenrod.admissible_words`` is asked
 only for words of reduced excess < n, so a table costs what it outputs
@@ -26,7 +28,8 @@ summand against the same rules (boundary words become p-th powers).  The
 library presentations (``em_product_presentation``, ``fiber_layout``)
 list their action entries within the enumeration bound when the table is
 first used and compute each one, by one Adem reduction, the first time it
-is read (a ``graded.LazyActionTable``).  The ``em`` verb prints the
+is read (a ``graded.LazyActionTable``); ``fiber_layout`` also hands out
+the composition of any word on a generator.  The ``em`` verb prints the
 generators only, so it lists no entry and makes no Adem reduction.
 """
 
@@ -233,9 +236,10 @@ class _Enumeration:
 
     def generator_specs(self) -> list[GeneratorSpec]:
         out = []
-        for degree, name_word, _atom, _w in self.entries:
+        for degree, name_word, atom, _w in self.entries:
             if self.p == 2:
-                kind = "polynomial"
+                kind = "exterior" if degree == 1 and not atom.allow_trailing \
+                    else "polynomial"  # Sq1 i1 = 0 forces i1² = 0
             else:
                 kind = "exterior" if degree % 2 == 1 else "polynomial"
             link = None
@@ -277,9 +281,9 @@ class _Enumeration:
         mono[atom.global_index[word]] = 1
         return {tuple(mono): 1}
 
-    def _compose(self, op: tuple, atom: _Atom, word: tuple) -> dict:
-        letters = steenrod.word_to_letters(self.p, word) or []
-        reduced = steenrod.adem_reduce(self.p, [op] + letters)
+    def _compose(self, letters: list, atom: _Atom, word: tuple) -> dict:
+        reduced = steenrod.adem_reduce(
+            self.p, letters + steenrod.word_to_letters(self.p, word))
         out: dict = {}
         for w2, coeff in reduced.terms.items():
             for mono, c in self.resolve(atom, w2).items():
@@ -302,13 +306,15 @@ class FiberGenerator(Frozen):
 
 class FiberLayout(Record):
     """The combined presentation, its FiberGenerators in the presentation's
-    order, and each factor's bottom class name -> its degree."""
+    order, and each factor's bottom class name -> its degree; ``_compose``
+    maps (generator name, letters, leftmost first) to their value, by one
+    Adem reduction, as a monomial dict over the combined generator list."""
 
-    __slots__ = ("presentation", "generators", "bottoms")
+    __slots__ = ("presentation", "generators", "bottoms", "_compose")
 
     def __init__(self, presentation: FreeCommPresentation, generators: list,
-                 bottoms: dict):
-        self._assign(presentation, generators, bottoms)
+                 bottoms: dict, _compose=None):
+        self._assign(presentation, generators, bottoms, _compose)
 
 
 def _factor_enumerations(product, p: int, bound: int) -> list:
@@ -350,15 +356,16 @@ def fiber_layout(product, p: int, bound: int) -> FiberLayout:
         return [(g.name, op) for g in gens
                 for op in ops_on_degree(p, g.degree, bound)]
 
-    def compute(key):
-        """The entry's value, widened to the combined generator list."""
-        enum, atom, word, start = sources[key[0]]
+    def compose(name, letters):
+        """The composite's value, widened to the combined generator list."""
+        enum, atom, word, start = sources[name]
         pad = (0,) * (total - start - enum.size)
         return {(0,) * start + mono + pad: c
-                for mono, c in enum._compose(key[1], atom, word).items()}
+                for mono, c in enum._compose(letters, atom, word).items()}
 
-    action = LazyActionTable(list_keys, compute)
-    return FiberLayout(FreeCommPresentation(p, gens, action), records, bottoms)
+    action = LazyActionTable(list_keys, lambda key: compose(key[0], [key[1]]))
+    return FiberLayout(FreeCommPresentation(p, gens, action), records, bottoms,
+                       compose)
 
 
 def em_product_presentation(product, p: int, bound: int) -> FreeCommPresentation:

@@ -43,8 +43,9 @@ class FibrationSpec:
     as a polynomial string or a monomial dict over the base (anything else,
     an Element included, raises InputError); omitted names mean 0.
     ``fiber_gens`` holds the fiber generators (``em.FiberGenerator``) by
-    name, in the fiber presentation's order.  π₁ of the base is assumed to
-    act trivially on the fiber's cohomology.
+    name, in the fiber presentation's order, and ``fiber_compose`` is the
+    layout's ``_compose``.  π₁ of the base is assumed to act trivially on
+    the fiber's cohomology.
     """
 
     def __init__(self, p: int, base: FreeCommPresentation, fiber,
@@ -67,6 +68,7 @@ class FibrationSpec:
         layout = fiber_layout(fiber, p, bound)
         self.fiber_pres = layout.presentation
         self.fiber_gens = {g.name: g for g in layout.generators}
+        self.fiber_compose = layout._compose
         bottoms = layout.bottoms
         self.transgression = {}
         given = dict(transgression or {})
@@ -273,11 +275,15 @@ class _Engine:
         self.p = spec.p
         self.bound = spec.bound
         self.base_alg = spec.base_algebra()  # bound + 1
-        self.fiber_alg = expand(spec.fiber_pres, spec.bound)
         # the base modulo the killed ideal, grown in place at every kill
         self.quotient = QuotientTruncAlgebra(self.base_alg, [])
         self.log: list[dict] = []
         self.survivors: list[Survivor] = []  # in the order they survive
+
+    @functools.cached_property
+    def fiber_alg(self) -> FreeTruncAlgebra:
+        """The fiber algebra through the bound; only ``total`` reads it."""
+        return expand(self.spec.fiber_pres, self.bound)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -489,19 +495,30 @@ class _Engine:
     def _monomial(self, s: Survivor) -> tuple:
         """The fiber monomial a^e of a non-companion survivor: the exponent
         tuple with its ``exponent`` at the index of its ``label``."""
-        index = self.fiber_alg.presentation.index[s.label]
+        index = self.spec.fiber_pres.index[s.label]
         return tuple(s.exponent if k == index else 0
-                     for k in range(len(self.fiber_alg.generators)))
+                     for k in range(len(self.spec.fiber_pres.generators)))
 
     def _word_from_anchor(self, anchor, survivor, words):
         """The first word of the survivor's gap in ``words`` (see
-        _words_by_degree) that carries the anchor's fiber monomial onto the
-        survivor's (never 0), or None; neither is a companion."""
-        alg = self.fiber_alg
-        source = alg.monomial_element(self._monomial(anchor))
-        target = {alg.monomial_key(self._monomial(survivor)): 1}
+        _words_by_degree) that carries the anchor's fiber monomial a^q onto
+        the survivor's (never 0), or None; neither is a companion.
+
+        A word θ acts on a by one Adem reduction (``fiber_compose``).  For
+        q > 1, a power of p, θ(a^q) = ((θ/q)(a))^q when q divides the index
+        of each letter of θ, and 0 otherwise (β(x^p) = 0, and P^i(x^p) = 0
+        unless p | i).  Each monomial of a composed value is a power of one
+        generator; for q > 1 it has even degree, or degree above 1 at p = 2,
+        so the generator is polynomial and the q-th power is exponents × q."""
+        q, target = anchor.exponent, {self._monomial(survivor): 1}
         for word in words.get(survivor.degree - anchor.degree, ()):
-            if alg.act_word(word, source).data == target:
+            letters = steenrod.word_to_letters(self.p, word)
+            if q > 1 and any(op[0] == "B" or op[1] % q for op in letters):
+                continue
+            value = self.spec.fiber_compose(anchor.label, [
+                op[:1] + tuple(i // q for i in op[1:]) for op in letters])
+            if {tuple(e * q for e in m): c
+                    for m, c in value.items()} == target:
                 return word
         return None
 
@@ -560,32 +577,31 @@ class _Engine:
         ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
         and a key resolves by dividing its exponents by the a's, its sign the
         Koszul signs of _merge_monomials taken in survivor order."""
-        alg, p = self.fiber_alg, self.p
         classes, owner = [], {}  # (pos, generator, monomial)
         for pos, s in enumerate(survivors):
             if s.is_companion:
                 continue
-            g = alg.presentation.index[s.label]
+            g = self.spec.fiber_pres.index[s.label]
             if g in owner:
                 raise EngineContractError(
                     f"survivors {owner[g]} and {s.name} both restrict to "
                     f"powers of {s.label}")
             owner[g] = s.name
             classes.append((pos, g, self._monomial(s)))
-        merge, one = alg._merge_monomials, alg.unrank(0, 0)
 
         def resolve(key):
+            alg = self.fiber_alg
             target = alg.unrank(*key)
             expo, rest = [0] * len(survivors), list(target)
             for pos, g, power in classes:
                 expo[pos], rest[g] = divmod(target[g], power[g])
             if any(rest):
                 return None
-            sign, mono = 1, one
+            sign, mono = 1, alg.unrank(0, 0)
             for pos, _g, factor in classes:
                 for _ in range(expo[pos]):
-                    koszul, mono = merge(mono, factor)
-                    sign = sign * koszul % p
+                    koszul, mono = alg._merge_monomials(mono, factor)
+                    sign = sign * koszul % self.p
             return tuple(expo), sign
 
         return functools.lru_cache(maxsize=None)(resolve)

@@ -26,7 +26,8 @@ from pnoether import (
     fiber_layout,
     parse_space,
 )
-from pnoether import em, steenrod
+from pnoether import em, serre, steenrod
+from pnoether.catalog import get_entry
 from pnoether.cli import main
 from pnoether.graded import FreeCommPresentation, GeneratorSpec
 
@@ -188,6 +189,37 @@ def test_series_of_em_presentation():
     assert got == oracle
 
 
+@pytest.mark.parametrize("text", ["K(Z/4,1)", "K(Z/8,1)"])
+def test_k_z_mod_2_power_1_has_one_class_in_every_degree(text):
+    """H*(BZ/2^r; F_2) = E(x1) ⊗ F_2[y2] for r >= 2: the degree-1 class
+    lifts mod 4, so Sq1 x1 = 0 and, by instability, x1² = 0."""
+    pres = em_product_presentation(parse_space(text, 2), 2, 60)
+    assert [(g.name, g.kind) for g in pres.generators] == \
+        [("i1", "exterior"), ("Sq1i1", "polynomial")]
+    assert expand(pres, 60).dims() == [1] * 61
+
+
+@pytest.mark.parametrize("p,bound", [(2, 40), (3, 60)])
+@pytest.mark.parametrize("coeff", [IntegerClass(), CyclicClass(1),
+                                   CyclicClass(2), CyclicClass(3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_generator_takes_its_top_operation_to_its_power(n, coeff, p,
+                                                              bound):
+    """Sq^{|g|} g = g² at p = 2 and P^{|g|/2} g = g^p at p = 3 (an exterior
+    generator squares to zero), for every generator g of the table."""
+    pres = em_product_presentation(EMSpec(coeff, n), p, bound)
+    checked = 0
+    for k, g in enumerate(pres.generators):
+        op = ("Sq", g.degree) if p == 2 else ("P", g.degree // 2)
+        if p * g.degree > bound or (p != 2 and g.degree % 2):
+            continue
+        power = {} if g.kind == "exterior" else \
+            {tuple(p if j == k else 0 for j in range(len(pres.generators))): 1}
+        assert pres.action[(g.name, op)] == power, (g.name, op)
+        checked += 1
+    assert checked or (p, n, coeff) == (3, 1, IntegerClass())  # i1 alone
+
+
 # ---------------------------------------------------------------------------
 # products of factors
 
@@ -330,8 +362,9 @@ def test_generator_table_keeps_the_input_checks():
 
 def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
     """The table lists its keys up front and Adem-reduces an entry only when
-    it is read: expanding the fiber reduces nothing, and the cover's
-    display words read a few entries of the table's 102."""
+    it is read: expanding the fiber reduces nothing.  The cover reads no
+    entry of the table's 102; it makes one Adem reduction per display
+    word it tries, a few in all."""
     calls = []
     adem_reduce = steenrod.adem_reduce
 
@@ -371,6 +404,30 @@ def test_the_em_verb_lists_no_action_entry(monkeypatch):
     assert calls == []
     assert ("i3", ("Sq", 2)) in pres.action and len(pres.action) == 102
     assert calls
+
+
+def test_a_cover_lists_no_action_entry_and_total_expands_the_fiber(
+        monkeypatch):
+    """cover composes its display words on the fiber generator: it lists no
+    key of the fiber's action table and expands no fiber algebra.  Reading
+    ``total`` still expands the fiber, whose table its induced action
+    reads."""
+    listed, fibers = [], []
+    ops_on_degree, expand_ = em.ops_on_degree, serre.expand
+    monkeypatch.setattr(em, "ops_on_degree",
+                        lambda *args: listed.append(args) or
+                        ops_on_degree(*args))
+    monkeypatch.setattr(serre, "expand",
+                        lambda pres, bound: fibers.append(pres.index)
+                        or expand_(pres, bound))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["cover", "--catalog", "BS3", "--p", "2",
+                     "--max-degree", "100"]) == 0
+    assert "Sq[" in out.getvalue()
+    res = serre.connected_cover_cohomology(get_entry("BS3"), 2, 100)
+    assert listed == [] and not any("i3" in index for index in fibers)
+    assert res.total.right.presentation.action
+    assert listed and any("i3" in index for index in fibers)
 
 
 @pytest.mark.parametrize("text,p,bound", [
