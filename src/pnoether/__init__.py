@@ -20,7 +20,7 @@ from .steenrod import (SteenrodSum, adem_reduce, admissible_words, excess,
                        parse_word_expr, word_degree)
 from .graded import (FiniteModuleTable, FreeCommPresentation,
                      FreeTruncAlgebra, GeneratorSpec, GradedMap,
-                     PoincareSeries, QuotientTruncAlgebra, TensorTruncAlgebra,
+                     PoincareSeries, QuotientTruncAlgebra,
                      appendix_generators, expand, indecomposables,
                      quotient_by_ideal)
 from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,

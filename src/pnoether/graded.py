@@ -2,20 +2,20 @@
 
 The concrete carrier for every cohomology ring in the package is a
 *truncated algebra*: an explicit basis of monomials per degree up to a bound
-D, a product table, and Steenrod-operation matrices.  Three flavors exist:
+D, a product table, and Steenrod-operation matrices.  Two flavors exist:
 
 * ``FreeTruncAlgebra`` — free graded-commutative algebra on named generators,
   with the Steenrod action filled in from per-generator data and the
   instability relations;
 * ``QuotientTruncAlgebra`` — degreewise linear quotient by a homogeneous
   ideal, a kill linear in a generator eliminating it by substitution, with
-  induced product and (when the ideal is invariant) action;
-* ``TensorTruncAlgebra`` — graded tensor product with Koszul signs.
+  induced product and (when the ideal is invariant) action.
 
-The tensor algebra takes an operation's value on a pair from the Cartan
-rule ``cartan_terms``; the free algebra reads it on a monomial g^a·rest
-from a total operation such as Sq = Σ Sq^i, a ring map, on g^a (from the
-base-p digits of a) and on rest.
+A tensor product A/I ⊗ B of a quotient and a free algebra is the one
+quotient of the free algebra on both generator lists by I.  The free
+algebra reads an operation on a monomial g^a·rest from a total operation
+such as Sq = Σ Sq^i, a ring map, on g^a (from the base-p digits of a) and
+on rest.
 
 Truncation semantics: values above the bound are *unknown*, never zero.  A
 product or operation that would land above the bound raises
@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import functools
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
-from itertools import accumulate, compress
+from itertools import compress
 from operator import add, mul
 from types import MappingProxyType
 
@@ -110,20 +110,6 @@ def ops_on_degree(p: int, degree: int, bound: int) -> list[tuple]:
     return ops
 
 
-def cartan_terms(p: int, op: tuple, dx: int, dy: int) -> list[tuple]:
-    """The Cartan rule: op on a product x·y with |x| = dx, |y| = dy as the
-    terms (sign, op on x, op on y), None standing for the identity.
-    Sq^k = Σ Sq^i ⊗ Sq^(k-i) and P^k = Σ P^i ⊗ P^(k-i), keeping the terms
-    that instability leaves nonzero (Sq^i x = 0 for i > |x|, P^i x = 0 for
-    2i > |x|); β acts as a derivation with sign (-1)^|x|."""
-    if op == ("B",):
-        return [(1, op, None), (-1 if dx % 2 else 1, None, op)]
-    sym, k = op
-    top_x, top_y = (dx, dy) if p == 2 else (dx // 2, dy // 2)
-    return [(1, (sym, i) if i else None, (sym, k - i) if k - i else None)
-            for i in range(max(0, k - top_y), min(k, top_x) + 1)]
-
-
 # ---------------------------------------------------------------------------
 # generators and presentations
 
@@ -170,7 +156,9 @@ class FreeCommPresentation:
         self.generators = list(generators)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
-            raise InputError("generator names must be unique")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            raise InputError("generator names must be unique; repeated: "
+                             + ", ".join(repeated))
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         for g in self.generators:
             if p != 2:
@@ -925,18 +913,14 @@ class FreeTruncAlgebra(TruncAlgebra):
         from T(g) by the base-p digits of a.  A miss on a Sq^i (P^i)
         computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
         monomial.  Values are memoized by (op, degree, index).  An op
-        landing above the bound raises TruncationError, and a monomial on
-        a generator with missing data raises MissingDataError, on every
-        request: a refusal is never memoized."""
+        landing above the bound raises TruncationError, and any other op
+        that instability does not make zero raises MissingDataError on a
+        monomial on a generator with missing data, on every request: a
+        refusal is never memoized."""
         key = (op, degree, index)
         value = self._action.get(key)
         if value is not None:
             return value
-        mono = self.unrank(degree, index)
-        if not self.can_act_on(mono):
-            raise MissingDataError(
-                "Steenrod data needed within the bound is missing",
-                gaps=self.gaps)
         p = self.p
         ops = ops_on_degree(p, degree, self.bound)
         if op not in ops or not degree:
@@ -944,6 +928,11 @@ class FreeTruncAlgebra(TruncAlgebra):
             # zero by instability, or on the unit
             value = self._action[key] = {}
             return value
+        mono = self.unrank(degree, index)
+        if not self.can_act_on(mono):
+            raise MissingDataError(
+                "Steenrod data needed within the bound is missing",
+                gaps=self.gaps)
         first = next(k for k, e in enumerate(mono) if e)
         g, a = self.generators[first], mono[first]
         if degree == g.degree:  # the monomial is g
@@ -1359,117 +1348,6 @@ def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
                 alg.product(alg.element(d, i), x).coords(d + d0)
                 for i in range(alg.dim(d)))
             for d in range(alg.bound - d0 + 1)]
-
-
-class TensorTruncAlgebra(TruncAlgebra):
-    """Graded tensor product of two truncated algebras, with Koszul signs.
-
-    The basis of degree d lists the pairs ((dl, il), (d - dl, ir)) by dl,
-    then il, then ir, so a pair's index is arithmetic:
-    ``offset[d][dl] + il·dim_R(d - dl) + ir``, where offset[d][dl] sums
-    dim_L(k)·dim_R(d - k) over k < dl.  The factors' dimensions are read
-    once, at construction, where the dimensions are convolved from them;
-    the offsets of a degree are summed when first needed.  Growing a
-    factor afterwards (a quotient's ideal, say) leaves this algebra
-    describing the factor as it was, so build a new one.  ``basis`` lists
-    a degree's pairs only when asked.
-    """
-
-    def __init__(self, left: TruncAlgebra, right: TruncAlgebra):
-        if left.p != right.p:
-            raise InputError("tensor factors must share the prime")
-        self.left = left
-        self.right = right
-        self.p = left.p
-        self.bound = min(left.bound, right.bound)
-        self._dims_l = left.dims()[: self.bound + 1]
-        self._dims_r = right.dims()[: self.bound + 1]
-        self._dims = _series_mul(self._dims_l, self._dims_r, self.bound)
-        self._offsets: dict[int, list[int]] = {}
-
-    def dim(self, degree: int) -> int:
-        if degree < 0 or degree > self.bound:
-            return 0
-        return self._dims[degree]
-
-    def basis(self, degree: int) -> list:
-        if degree < 0 or degree > self.bound:
-            return []
-        return [self._pair(degree, i) for i in range(self._dims[degree])]
-
-    def _offsets_of(self, degree: int) -> list[int]:
-        """offset[degree][dl] for dl = 0 .. degree."""
-        offsets = self._offsets.get(degree)
-        if offsets is None:
-            dims_l, dims_r = self._dims_l, self._dims_r
-            offsets = list(accumulate(
-                (dims_l[k] * dims_r[degree - k] for k in range(degree)),
-                initial=0))
-            self._offsets[degree] = offsets
-        return offsets
-
-    def _pair(self, degree: int, index: int) -> tuple:
-        """((dl, il), (dr, ir)) of a basis index; the last block starting at
-        or before the index is nonempty."""
-        offsets = self._offsets_of(degree)
-        dl = bisect_right(offsets, index) - 1
-        dr = degree - dl
-        il, ir = divmod(index - offsets[dl], self._dims_r[dr])
-        return (dl, il), (dr, ir)
-
-    def _key(self, dl: int, il: int, dr: int, ir: int) -> tuple:
-        """(degree, index) of the pair of factor basis elements."""
-        d = dl + dr
-        if d > self.bound:
-            raise TruncationError("tensor pair above the truncation bound")
-        return d, self._offsets_of(d)[dl] + il * self._dims_r[dr] + ir
-
-    def basis_label(self, degree: int, index: int) -> str:
-        (dl, il), (dr, ir) = self._pair(degree, index)
-        lab_l = self.left.basis_label(dl, il)
-        lab_r = self.right.basis_label(dr, ir)
-        if lab_l == "1":
-            return lab_r
-        if lab_r == "1":
-            return lab_l
-        return f"{lab_l}*{lab_r}"
-
-    def product_basis(self, d1: int, i1: int, d2: int, i2: int) -> dict:
-        (dl1, il1), (dr1, ir1) = self._pair(d1, i1)
-        (dl2, il2), (dr2, ir2) = self._pair(d2, i2)
-        sign = -1 if (self.p != 2 and (dr1 * dl2) % 2 == 1) else 1
-        left_prod = self.left.product_basis(dl1, il1, dl2, il2)
-        right_prod = self.right.product_basis(dr1, ir1, dr2, ir2)
-        out: dict = {}
-        for (dl, il), cl in left_prod.items():
-            for (dr, ir), cr in right_prod.items():
-                key = self._key(dl, il, dr, ir)
-                out[key] = out.get(key, 0) + sign * cl * cr
-        return out
-
-    def pair_element(self, xl: Element, xr: Element) -> Element:
-        out: dict = {}
-        for (dl, il), cl in xl.data.items():
-            for (dr, ir), cr in xr.data.items():
-                key = self._key(dl, il, dr, ir)
-                out[key] = out.get(key, 0) + cl * cr
-        return Element(self, out)
-
-    def act_basis(self, op: tuple, degree: int, index: int) -> dict:
-        """op on the pair x ⊗ y by the terms of ``cartan_terms``, each read
-        from the factors' ``act_basis`` values.  A value above the bound
-        raises TruncationError."""
-        self._refuse_above(op, degree)
-        x, y = self._pair(degree, index)
-        out: dict = {}
-        for sign, op_x, op_y in cartan_terms(self.p, op, x[0], y[0]):
-            left = self.left.act_basis(op_x, *x) if op_x else {x: 1}
-            right = self.right.act_basis(op_y, *y) if op_y else {y: 1}
-            for (dl, il), cl in left.items():
-                for (dr, ir), cr in right.items():
-                    key = self._key(dl, il, dr, ir)
-                    out[key] = out.get(key, 0) + sign * cl * cr
-        return {k: r for k, c in out.items() if (r := c % self.p)}
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
-                     TensorTruncAlgebra, _apply_factor, expand, mult_ranks,
-                     op_degree)
+                     _apply_factor, expand, mult_ranks, op_degree,
+                     ops_on_degree)
 
 
 class FibrationSpec:
@@ -220,10 +220,9 @@ class SSResult(Record):
     the surviving fiber generators, the engine's log, and the series of its
     last page (``series``).
 
-    ``total``, the E∞ model ``quotient`` ⊗ (free algebra on the survivors,
-    with the induced action over a trivial quotient), is built on first
-    read and kept; the report reads only ``poincare``, which needs no
-    basis."""
+    ``total``, the E∞ model ``quotient`` ⊗ (free algebra on the survivors)
+    as one quotient (see _Engine._total), is built on first read and kept;
+    the report reads only ``poincare``, which needs no basis."""
 
     # ``total`` is cached in __dict__
     __slots__ = ("p", "bound", "quotient", "surviving_fiber_generators",
@@ -238,7 +237,7 @@ class SSResult(Record):
                      killed_base_ideal, log, flags, series, _build_total)
 
     @functools.cached_property
-    def total(self) -> TensorTruncAlgebra:
+    def total(self) -> QuotientTruncAlgebra:
         total, self._build_total = self._build_total(), None
         return total
 
@@ -247,9 +246,8 @@ class SSResult(Record):
         return PoincareSeries(self.bound, self.series)
 
     def survivor_element(self, name: str) -> Element:
-        """The class 1 ⊗ (named survivor) in the total algebra."""
-        return self.total.pair_element(self.total.left.one(),
-                                       self.total.right.generator_element(name))
+        """The class of the named survivor in the total algebra."""
+        return self.total.project(self.total.free.generator_element(name))
 
     def to_jsonable(self) -> dict:
         return {
@@ -436,19 +434,44 @@ class _Engine:
                         surviving_fiber_generators=survivors,
                         killed_base_ideal=killed, log=self.log, flags=flags,
                         series=series, _build_total=functools.partial(
-                            self._total, survivors, coordinate))
+                            self._total, survivors, coordinate, series))
 
-    def _total(self, survivors, coordinate) -> TensorTruncAlgebra:
-        """The E∞ model: the quotient tensor the free algebra on the
-        survivors, with the induced action when ``coordinate`` (see
-        _survivor_coordinates) is given, i.e. over a trivial quotient."""
-        action = ({} if coordinate is None
-                  else self._induced_action(survivors, coordinate))
-        gen_specs = [GeneratorSpec(s.name, s.degree, s.kind, s.bockstein_link)
-                     for s in survivors]
-        survivor_pres = FreeCommPresentation(self.p, gen_specs, action)
-        return TensorTruncAlgebra(self.quotient,
-                                  expand(survivor_pres, self.bound))
+    def _total(self, survivors, coordinate, series) -> QuotientTruncAlgebra:
+        """The E∞ model: the free algebra on the base generators, then the
+        survivors, modulo the killed ideal, exponents padded with zeros.
+
+        A value is decided where the base or the survivors decided it on
+        their own: a base generator has the base's entries, a survivor the
+        induced action when ``coordinate`` (see _survivor_coordinates) is
+        given, i.e. over a trivial quotient; each has 0 where its own
+        algebra (the base; the last page ``series``) is empty.  Any other
+        value within the bound is a gap, never 0."""
+        p, bound, base = self.p, self.bound, self.spec.base
+        specs = [GeneratorSpec(s.name, s.degree, s.kind, s.bockstein_link)
+                 for s in survivors]
+        induced = ({} if coordinate is None
+                   else self._induced_action(survivors, coordinate))
+        lead, pad = (0,) * len(base.generators), (0,) * len(specs)
+        sides = ((base.generators, base.action, self.base_alg.dims(), (), pad),
+                 (specs, induced, series, lead, ()))
+        action = {}
+        for gens, table, dims, before, after in sides:
+            for g in gens:
+                for op in ops_on_degree(p, g.degree, bound):
+                    key = (g.name, op)
+                    if key in table:
+                        action[key] = {before + m + after: c
+                                       for m, c in table[key].items()}
+                    elif not dims[g.degree + op_degree(p, op)]:
+                        action[key] = {}
+        free = expand(FreeCommPresentation(p, base.generators + specs,
+                                           action), bound)
+        # the base algebra reaches bound + 1, where a kill changes nothing
+        unrank = self.base_alg.unrank
+        return QuotientTruncAlgebra(free, [
+            Element(free, {free.monomial_key(unrank(d, i) + pad): c
+                           for (d, i), c in x.data.items()})
+            for x in self.quotient.ideal_gens if x.degree() <= bound])
 
     def _attach_displays(self, survivors):
         anchor = next((s for s in survivors if not s.is_companion), None)
@@ -539,8 +562,9 @@ class _Engine:
 
     def _induced_action(self, survivors, coordinate) -> dict:
         """Explicit entries computed by restriction to the fiber; only valid
-        over a trivial base quotient, and omitted in degrees where companion
-        classes (which restrict to zero) could correct the value.
+        over a trivial base quotient, the only place _total reads them, and
+        omitted in degrees where companion classes (which restrict to zero)
+        could correct the value.
 
         A value is read off the fiber monomial basis: each survivor monomial
         restricts to one signed fiber monomial (see _survivor_coordinates),

@@ -28,7 +28,6 @@ from pnoether import (
     InputError,
     MissingDataError,
     PoincareSeries,
-    TensorTruncAlgebra,
     TruncationError,
     connected_cover_cohomology,
     em_product_presentation,
@@ -38,10 +37,10 @@ from pnoether import (
     quotient_by_ideal,
 )
 from pnoether import serre
-from pnoether.catalog import get_entry
+from pnoether.catalog import get_entry, load_catalog
+from pnoether.errors import UnsupportedFibrationError
 from pnoether.graded import (
     Element,
-    cartan_terms,
     mult_ranks,
     op_degree,
     ops_on_degree,
@@ -726,22 +725,36 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
     check()
 
 
+def cartan_terms(p: int, op: tuple, dx: int, dy: int) -> list[tuple]:
+    """The Cartan rule: op on a product x·y with |x| = dx, |y| = dy as the
+    terms (sign, op on x, op on y), None standing for the identity.
+    Sq^k = Σ Sq^i ⊗ Sq^(k-i) and P^k = Σ P^i ⊗ P^(k-i), keeping the terms
+    that instability leaves nonzero (Sq^i x = 0 for i > |x|, P^i x = 0 for
+    2i > |x|); β acts as a derivation with sign (-1)^|x|."""
+    if op == ("B",):
+        return [(1, op, None), (-1 if dx % 2 else 1, None, op)]
+    sym, k = op
+    top_x, top_y = (dx, dy) if p == 2 else (dx // 2, dy // 2)
+    return [(1, (sym, i) if i else None, (sym, k - i) if k - i else None)
+            for i in range(max(0, k - top_y), min(k, top_x) + 1)]
+
+
 def recursive_act_basis(alg, op, degree, index, memo):
     """An oracle for FreeTruncAlgebra.act_basis: op on a basis monomial
     g·rest, g its first generator factor, by the Cartan rule on the values
     on g and on rest, so one frame per factor and each value on its own;
     a generator's value comes from its rule.  ``memo`` maps (op, degree,
     index) to values already found.  An op above instability, or on the
-    unit, gives 0; a monomial on a generator with missing data raises
-    MissingDataError."""
+    unit, gives 0; any other op on a monomial on a generator with missing
+    data raises MissingDataError."""
     key = (op, degree, index)
     if key in memo:
         return memo[key]
     mono = alg.basis(degree)[index]
-    if not alg.can_act_on(mono):
-        raise MissingDataError("missing data", gaps=alg.gaps)
     p, value = alg.p, {}
     if degree and op in ops_on_degree(p, degree, alg.bound):
+        if not alg.can_act_on(mono):
+            raise MissingDataError("missing data", gaps=alg.gaps)
         first = next(k for k, e in enumerate(mono) if e)
         g = alg.generators[first]
         if degree == g.degree:
@@ -874,14 +887,15 @@ def test_an_operation_on_a_deep_power_answers_at_once(p, gen, op, top):
 
 def kernel_algebras(p):
     """K(Z/p,2)'s free algebra (complete action data), its quotient by the
-    square of the degree-2 class, and the tensor product of the two."""
+    square of the degree-2 class, and the tensor product of the two, one
+    quotient of a free algebra (see one_quotient_tensor)."""
     bound = {2: 12, 3: 16, 5: 24}[p]
     free = expand(em_product_presentation(parse_space(f"K(Z/{p},2)", p), p,
                                           bound), bound)
     u = free.element(2, 0)
     quo = quotient_by_ideal(free, [u * u])
     return {"free": free, "quotient": quo,
-            "tensor": TensorTruncAlgebra(quo, free)}
+            "tensor": one_quotient_tensor(quo, free)}
 
 
 def acting_keys(alg):
@@ -927,7 +941,8 @@ def test_mutating_what_act_returns_leaves_later_values_alone(p, kind):
 def test_a_gap_monomial_is_refused_on_every_request(p):
     """Sq1 x2 (β y2 at odd p) is determined by nothing: each request on a
     basis element carrying the generator raises, the second one too, in
-    the free algebra, a quotient and a tensor product."""
+    the free algebra, a quotient and a tensor product.  An operation that
+    instability makes zero (Sq3 x2, P2 y2) is 0 in each of them."""
     if p == 2:
         gens, op, cube = [GeneratorSpec("x2", 2), GeneratorSpec("x3", 3)], \
             ("Sq", 1), "x2^3"
@@ -937,14 +952,26 @@ def test_a_gap_monomial_is_refused_on_every_request(p):
     free = expand(FreeCommPresentation(p, gens), 8)
     assert not free.action_complete
     quo = quotient_by_ideal(free, [cube])
-    both = TensorTruncAlgebra(quo, free)
-    (key, _), = both.pair_element(quo.element(2, 0), free.one()).data.items()
+    both = one_quotient_tensor(quo, free)
+    (key, _), = both.project(
+        both.free.generator_element(gens[0].name)).data.items()
     for alg, (d, i) in ((free, (2, 0)), (quo, (2, 0)), (both, key)):
         for _ in range(2):
             with pytest.raises(MissingDataError):
                 alg.act_basis(op, d, i)
             with pytest.raises(MissingDataError):
                 alg.act(op, alg.element(d, i))
+    above = ("Sq", 3) if p == 2 else ("P", 2)
+    deep = expand(FreeCommPresentation(p, gens), 2 + op_degree(p, above))
+    name = gens[0].name
+    deep_quo = quotient_by_ideal(deep, [name + "^2"])
+    deep_both = one_quotient_tensor(deep_quo, deep)
+    for alg, x in (
+            (deep, deep.generator_element(name)),
+            (deep_quo, deep_quo.project(deep.generator_element(name))),
+            (deep_both, deep_both.project(
+                deep_both.free.generator_element(name)))):
+        assert alg.act(above, x).is_zero
 
 
 def test_a_quotient_refuses_values_above_the_bound():
@@ -1619,40 +1646,93 @@ def test_indecomposables_match_the_span_of_all_products(name, p, bound):
 
 
 # ---------------------------------------------------------------------------
-# tensor products
+# tensor products: a quotient times a free algebra is one quotient
+
+
+def one_quotient_tensor(left, right):
+    """left ⊗ right for a quotient ``left`` of a free algebra and a free
+    algebra ``right``, built as serre builds its total: the quotient of the
+    free algebra on left's generators followed by right's (renamed with a
+    trailing "_r") by left's ideal, through the smaller bound.  Action
+    entries and ideal generators are padded with zero exponents on the
+    other list; a value that a factor decides only because its target
+    degree is empty there becomes a gap."""
+    base, pres = left.free, right.presentation
+    bound = min(left.bound, right.bound)
+    lead, pad = (0,) * len(base.generators), (0,) * len(pres.generators)
+
+    def renamed(g):
+        link = g.bockstein_link and (g.bockstein_link[0],
+                                     g.bockstein_link[1] + "_r")
+        return GeneratorSpec(g.name + "_r", g.degree, g.kind, link)
+
+    action = {key: {m + pad: c for m, c in value.items()}
+              for key, value in base.presentation.action.items()}
+    action.update({(name + "_r", op): {lead + m: c for m, c in value.items()}
+                   for (name, op), value in pres.action.items()})
+    free = expand(FreeCommPresentation(
+        left.p, base.generators + [renamed(g) for g in pres.generators],
+        action), bound)
+    return quotient_by_ideal(free, [
+        Element(free, {free.monomial_key(base.unrank(d, i) + pad): c
+                       for (d, i), c in x.data.items()})
+        for x in left.ideal_gens if x.degree() <= bound])
+
+
+def pair_class(both, left, right, x, y):
+    """The class of x ⊗ y in ``one_quotient_tensor(left, right)``: the
+    product of x's lift and y, each padded onto both generator lists."""
+    free, n = both.free, len(left.free.generators)
+    pad, lead = (0,) * (len(free.generators) - n), (0,) * n
+    up = Element(free, {free.monomial_key(left.free.unrank(d, i) + pad): c
+                        for (d, i), c in left.lift(x).data.items()})
+    over = Element(free, {free.monomial_key(lead + right.unrank(d, i)): c
+                          for (d, i), c in y.data.items()})
+    return both.project(up * over)
 
 
 def test_tensor_dims_are_convolutions():
-    left = free_p2([("t", 1)], 8)
+    """A tensor product's series is the product of its factors' series:
+    one quotient of F_2[t]/(t^5) and F_2[u], and the E∞ total of every
+    catalog cover that answers at p <= 5, the quotient of the base times
+    the free algebra on the survivors."""
+
+    def convolve(a, b, bound):
+        return [sum(a[j] * b[i - j] for j in range(i + 1))
+                for i in range(bound + 1)]
+
+    left = quotient_by_ideal(free_p2([("t", 1)], 10), ["t^5"])
     right = free_p2([("u", 2)], 8)
-    both = TensorTruncAlgebra(left, right)
-    joint = free_p2([("t", 1), ("u", 2)], 8)
-    assert both.dims() == joint.dims()
+    both = one_quotient_tensor(left, right)
     assert both.bound == 8
-    # mismatched bounds meet at the minimum
-    assert TensorTruncAlgebra(free_p2([("t", 1)], 5), right).bound == 5
-    with pytest.raises(InputError):
-        TensorTruncAlgebra(left, expand(
-            FreeCommPresentation(3, [GeneratorSpec("y", 2)]), 8))
+    assert both.dims() == convolve(left.dims(), right.dims(), 8)
+    bound, answered = 40, set()
+    for entry in {e.name: e for e in load_catalog().values()}.values():
+        for p in (2, 3, 5):
+            try:
+                res = connected_cover_cohomology(entry, p, bound)
+            except (InputError, MissingDataError, UnsupportedFibrationError):
+                continue
+            survivors = product_formula(
+                [(s.degree, s.kind) for s in res.surviving_fiber_generators],
+                bound)
+            assert res.total.dims() == \
+                convolve(res.quotient.dims(), survivors, bound)
+            answered.add((entry.name, p))
+    assert {("BS3", 2), ("X2b_4", 5), ("X30", 3), ("S3", 5)} <= answered
 
 
 def test_tensor_cartan_rule():
-    left = free_p2([("t", 1)], 8)
+    left = quotient_by_ideal(free_p2([("t", 1)], 8), ["t^5"])
     right = free_p2([("u", 1)], 8)
-    both = TensorTruncAlgebra(left, right)
-    tu = both.pair_element(left.generator_element("t"),
-                           right.generator_element("u"))
-    got = both.act(("Sq", 1), tu)
-    expected = (both.pair_element(left.element_from_poly("t^2"),
-                                  right.generator_element("u"))
-                + both.pair_element(left.generator_element("t"),
-                                    right.element_from_poly("u^2")))
-    assert got == expected
-    assert both.act(("Sq", 2), tu) == both.pair_element(
-        left.element_from_poly("t^2"), right.element_from_poly("u^2"))
-    # labels join the factor labels, with bare units dropped
+    both = one_quotient_tensor(left, right)
+    t, u = (both.project(both.free.generator_element(n)) for n in ("t", "u_r"))
+    tu = t * u
+    assert both.act(("Sq", 1), tu) == t * t * u + t * u * u
+    assert both.act(("Sq", 2), tu) == t * t * u * u
+    # labels are the monomials on both generator lists
     labels = {both.basis_label(2, i) for i in range(both.dim(2))}
-    assert labels == {"t^2", "t*u", "u^2"}
+    assert labels == {"t^2", "t*u_r", "u_r^2"}
 
 
 def test_tensor_bockstein_sign():
@@ -1661,17 +1741,12 @@ def test_tensor_bockstein_sign():
         [GeneratorSpec("e", 1, "exterior", bockstein_link=(1, "y")),
          GeneratorSpec("y", 2)],
         {("y", "beta"): "0", ("y", "P1"): "y^3"})
-    left = expand(pres, 7)
-    right = expand(pres, 7)
-    both = TensorTruncAlgebra(left, right)
-    e_l = left.generator_element("e")
-    e_r = right.generator_element("e")
-    y_l = left.generator_element("y")
-    y_r = right.generator_element("y")
-    got = both.act(("B",), both.pair_element(e_l, e_r))
+    left = quotient_by_ideal(expand(pres, 7), [])
+    both = one_quotient_tensor(left, expand(pres, 7))
+    e_l, y_l, e_r, y_r = (both.project(both.free.generator_element(n))
+                          for n in ("e", "y", "e_r", "y_r"))
     # beta(e x e) = y x e - e x y: the right-hand term picks up the sign
-    expected = both.pair_element(y_l, e_r) + both.pair_element(e_l, y_r).scale(-1)
-    assert got == expected
+    assert both.act(("B",), e_l * e_r) == y_l * e_r - e_l * y_r
 
 
 def factors(p):
@@ -1755,41 +1830,52 @@ def mod_p(data, p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_tensor_index_arithmetic_matches_an_eager_pair_table(p):
+def test_tensor_as_one_quotient_matches_an_eager_pair_table(p):
+    """Each pair of factor basis elements is one basis element of the one
+    quotient (the class of the product of their lifts), every basis element
+    is one pair, and under that correspondence products and operations are
+    the eager pair table's; values above the bound are refused."""
     left, right, (x_pair, y_pair) = factors(p)
-    both = TensorTruncAlgebra(left, right)
+    both = one_quotient_tensor(left, right)
     assert both.bound == 12
     ref = EagerTensor(left, right, both.bound)
+    key_of = {}
     for d in range(both.bound + 1):
-        assert both.dim(d) == len(ref.pairs[d])
-        assert both.basis(d) == ref.pairs[d]
-        for i, ((dl, il), (dr, ir)) in enumerate(ref.pairs[d]):
-            pair = both.pair_element(left.element(dl, il),
-                                     right.element(dr, ir))
-            assert pair.data == {(d, i): 1}
+        for pair in ref.pairs[d]:
+            (key, c), = pair_class(both, left, right, left.element(*pair[0]),
+                                   right.element(*pair[1])).data.items()
+            assert c == 1
+            key_of[pair] = key
+        assert sorted(key_of[pair] for pair in ref.pairs[d]) == \
+            [(d, i) for i in range(both.dim(d))]
+
+    def mapped(data):
+        return {key_of[ref.pairs[d][i]]: c for (d, i), c in data.items()}
+
+    for d in range(both.bound + 1):
+        for i, pair in enumerate(ref.pairs[d]):
             for op in both.op_list():
                 if d + op_degree(p, op) <= both.bound:
-                    assert mod_p(both.act_basis(op, d, i), p) == \
-                        ref.act_basis(op, d, i)
+                    assert both.act_basis(op, *key_of[pair]) == \
+                        mapped(ref.act_basis(op, d, i))
     for d1 in range(both.bound + 1):
         for d2 in range(both.bound + 1 - d1):
-            for i1 in range(both.dim(d1)):
-                for i2 in range(both.dim(d2)):
-                    assert mod_p(both.product_basis(d1, i1, d2, i2), p) == \
-                        ref.product_basis(d1, i1, d2, i2)
-    # above the bound: no basis, and products and pairs refuse
+            for i1, pair1 in enumerate(ref.pairs[d1]):
+                for i2, pair2 in enumerate(ref.pairs[d2]):
+                    assert mod_p(both.product_basis(*key_of[pair1],
+                                                    *key_of[pair2]), p) == \
+                        mapped(ref.product_basis(d1, i1, d2, i2))
+    # above the bound: no basis, and products and operations refuse
     assert both.dim(both.bound + 1) == 0 and both.dim(-1) == 0
     assert both.basis(both.bound + 1) == []
-    (key_x, _), = both.pair_element(*x_pair).data.items()
-    (key_y, _), = both.pair_element(*y_pair).data.items()
+    (key_x, _), = pair_class(both, left, right, *x_pair).data.items()
+    (key_y, _), = pair_class(both, left, right, *y_pair).data.items()
     assert key_x[0] + key_y[0] == both.bound + 1
     with pytest.raises(TruncationError):
         both.product_basis(*key_x, *key_y)
-    top = right.element(right.bound, 0)
-    with pytest.raises(TruncationError):
-        both.pair_element(x_pair[0], top)
-    top_pair = both.pair_element(left.one(), top)
-    (key_top, _), = top_pair.data.items()
+    top = pair_class(both, left, right, left.one(),
+                     right.element(right.bound, 0))
+    (key_top, _), = top.data.items()
     with pytest.raises(TruncationError):
         both.act_basis(both.op_list()[0], *key_top)
 
@@ -1799,7 +1885,7 @@ def test_tensor_ring_axioms_on_random_elements(p):
     """Associativity, the unit, and graded commutativity with the Koszul
     sign (-1)^{|x||y|} at odd p, on random homogeneous elements."""
     left, right, _ = factors(p)
-    both = TensorTruncAlgebra(left, right)
+    both = one_quotient_tensor(left, right)
     one = both.one()
 
     def element(data, degree):

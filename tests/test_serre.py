@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import re
 
@@ -28,12 +29,13 @@ from pnoether import (
     connected_cover_cohomology,
     em_product_presentation,
     expand,
+    indecomposables,
     parse_space,
     run_ss,
 )
 from pnoether.errors import (EngineContractError, MissingDataError,
                              TruncationError, UnsupportedFibrationError)
-from pnoether.graded import op_degree
+from pnoether.graded import op_degree, ops_on_degree
 from pnoether.linalg import solve
 from pnoether import graded, serre, steenrod
 from pnoether.catalog import get_entry, load_catalog
@@ -206,10 +208,9 @@ def test_bs3_cover_p2_series(bs3_cover_p2):
 
 
 def test_bs3_cover_p2_induced_action(bs3_cover_p2):
-    alg = bs3_cover_p2.total.right
-    z5 = alg.generator_element("z5")
-    z6 = alg.generator_element("z6")
-    z9 = alg.generator_element("z9")
+    alg = bs3_cover_p2.total
+    z5, z6, z9, z17 = (bs3_cover_p2.survivor_element(name)
+                       for name in ("z5", "z6", "z9", "z17"))
     assert alg.act(("Sq", 1), z5) == z6
     assert alg.act(("Sq", 2), z5).is_zero
     assert alg.act(("Sq", 4), z5) == z9
@@ -217,7 +218,7 @@ def test_bs3_cover_p2_induced_action(bs3_cover_p2):
     assert alg.act(("Sq", 1), z6).is_zero
     assert alg.act(("Sq", 6), z6) == z6 * z6
     assert alg.act(("Sq", 4), z9).is_zero
-    assert alg.act(("Sq", 8), z9) == alg.generator_element("z17")
+    assert alg.act(("Sq", 8), z9) == z17
 
 
 def test_bs3_cover_p2_indecomposables(bs3_cover_p2):
@@ -278,9 +279,8 @@ def test_bs3_cover_p3():
     ]
     assert res.poincare().coeffs == [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]
     # the induced action connects them by the primary Bockstein
-    alg = res.total.right
-    assert alg.act(("B",), alg.generator_element("z7")) == \
-        alg.generator_element("z8")
+    assert res.total.act(("B",), res.survivor_element("z7")) == \
+        res.survivor_element("z8")
 
 
 def test_bs3_cover_p5():
@@ -530,12 +530,26 @@ def test_induced_action_table_matches_direct_solve(name, p, bound):
     entry = get_entry(name)
     res = connected_cover_cohomology(entry, p, bound)
     assert res.flags["quotient_trivial"]
-    action = res.total.right.presentation.action
+    # the survivors' entries of the total's table, base prefix stripped
+    n = len(entry.presentation(p).generators)
+    names = {s.name for s in res.surviving_fiber_generators}
+    action = {key: {mono[n:]: c for mono, c in value.items()}
+              for key, value in res.total.free.presentation.action.items()
+              if key[0] in names}
     expected = reference_induced_action(res,
                                         cover_fiber_algebra(name, p, bound))
     assert sum(1 for poly in expected.values() if poly) >= 4  # not vacuous
-    assert list(action) == list(expected)
-    for key, poly in expected.items():
+    # on the operations instability lets act: the solved value, else 0
+    # where the last page is empty, else no entry
+    want = {}
+    for s in res.surviving_fiber_generators:
+        for op in ops_on_degree(p, s.degree, bound):
+            if (s.name, op) in expected:
+                want[(s.name, op)] = expected[(s.name, op)]
+            elif not res.series[s.degree + op_degree(p, op)]:
+                want[(s.name, op)] = {}
+    assert list(action) == list(want)
+    for key, poly in want.items():
         assert list(action[key].items()) == list(poly.items()), key
 
 
@@ -594,6 +608,88 @@ def test_the_series_without_a_basis_is_the_total_series(name, p, bound):
     assert "total" not in vars(res)  # not built yet
     assert res.poincare() == res.total.poincare()
     assert res.total is res.total
+
+
+def bso_presentation(n):
+    """H*(BSO(n); F_2) = F_2[w2, ..., wn] with the Wu formula
+    Sq^i w_j = Σ_t C(j-i+t-1, t) w_{i-t} w_{j+t} for 0 < i < j, where
+    w0 = 1 and w1 = 0, and w_k = 0 above n."""
+    def w(k):
+        return "1" if k == 0 else f"w{k}"
+
+    action = {}
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            terms = [f"{w(i - t)}*{w(j + t)}" for t in range(i + 1)
+                     if math.comb(j - i + t - 1, t) % 2
+                     and i - t != 1 and j + t <= n]
+            action[(f"w{j}", f"Sq{i}")] = " + ".join(terms) or "0"
+    return FreeCommPresentation(
+        2, [GeneratorSpec(f"w{k}", k) for k in range(2, n + 1)], action)
+
+
+def test_a_survivor_value_no_one_decides_over_a_nontrivial_quotient_is_a_gap():
+    """BSpin(5) from BSO(5): killing w2 through K(Z/2,1) leaves
+    F_2[w4] ⊗ F_2[z8] through degree 16 (Quillen), a nontrivial quotient
+    of the base.  Sq^4 z8 lands in degree 12, where the total has w4^3 and
+    w4·z8; in H*(BSp(2)) = F_2[q1, q2] Wu gives Sq^4 q2 = q1·q2, so no lift
+    of z8 has Sq^4 z8 = 0.  The engine knows no value there, so the total
+    refuses it, and its indecomposables say the action is incomplete; the
+    base class w4 still acts by the Wu formula."""
+    spec = FibrationSpec(2, bso_presentation(5), EMSpec(CyclicClass(1), 1),
+                         {"i1": "w2"}, 16)
+    res = run_ss(spec)
+    assert not res.flags["quotient_trivial"]
+    assert res.killed_base_ideal == ["w2", "w3", "w5 + w2*w3"]
+    assert [s.name for s in res.surviving_fiber_generators] == ["z8"]
+    total = res.total
+    w4 = expand(FreeCommPresentation(2, [GeneratorSpec("w4", 4)]), 16)
+    z8 = expand(FreeCommPresentation(2, [GeneratorSpec("z8", 8)]), 16)
+    assert total.dims() == convolve(w4.dims(), z8.dims(), 16)
+    z = res.survivor_element("z8")
+    with pytest.raises(MissingDataError):
+        total.act(("Sq", 4), z)
+    assert not indecomposables(total).action_complete
+    w = total.project(total.free.generator_element("w4"))
+    assert total.act(("Sq", 1), w).is_zero  # Sq1 w4 = w5, killed
+    assert total.act(("Sq", 4), w) == w * w
+
+
+def test_a_base_generator_named_like_a_survivor_is_refused_by_the_total():
+    """Survivors are named z<degree>.  A base generator z2 leaves run_ss and
+    its payload as they are under any other name, and the total, whose free
+    algebra holds both generator lists, refuses with the repeated name."""
+
+    def spec(name):
+        base = FreeCommPresentation(2, [GeneratorSpec(name, 2)])
+        return FibrationSpec(2, base, EMSpec(CyclicClass(1), 1),
+                             {"i1": name}, 8)
+
+    clash, plain = run_ss(spec("z2")), run_ss(spec("w2"))
+    assert [s.name for s in clash.surviving_fiber_generators] == ["z2"]
+    assert json.dumps(clash.to_jsonable()) == \
+        json.dumps(plain.to_jsonable()).replace("w2", "z2")
+    with pytest.raises(InputError, match="unique; repeated: z2$"):
+        clash.total
+    assert plain.total.dims() == clash.poincare().coeffs
+
+
+@pytest.mark.parametrize("p, bound", [(3, 60), (5, 70)])
+def test_odd_survivors_anticommute_in_the_total(p, bound):
+    """Odd survivors are exterior, and two of them anticommute with a
+    nonzero product: the Koszul sign across the survivor generators."""
+    res = connected_cover_cohomology(get_entry("BS3"), p, bound)
+    odd = [s for s in res.surviving_fiber_generators if s.degree % 2]
+    pairs = [(res.survivor_element(a.name), res.survivor_element(b.name))
+             for a, b in itertools.combinations(odd, 2)
+             if a.degree + b.degree <= bound]
+    assert pairs
+    for x, y in pairs:
+        assert not (x * y).is_zero and x * y == (y * x).scale(-1)
+    for s in odd:
+        if 2 * s.degree <= bound:
+            x = res.survivor_element(s.name)
+            assert (x * x).is_zero
 
 
 def test_run_ss_certifies_the_survivor_contract_itself(monkeypatch):
