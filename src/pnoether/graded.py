@@ -869,7 +869,8 @@ class FreeTruncAlgebra(TruncAlgebra):
                     self._gap_gens.add(g.name)
 
     def can_act_on(self, mono: tuple) -> bool:
-        """Whether action values on this monomial are fully determined."""
+        """Whether act_basis answers on this monomial, a product: none of
+        its generators has a gap (a generator is decided per operation)."""
         if not self._gap_gens:
             return True
         return not any(e and g.name in self._gap_gens
@@ -878,25 +879,26 @@ class FreeTruncAlgebra(TruncAlgebra):
     def _gen_op_value(self, g: GeneratorSpec, op: tuple):
         """How op acts on generator g: a function of no arguments giving the
         value as {basis key: coeff}, or None when nothing determines it (a
-        gap).  Order: explicit entry, link, instability top power,
-        zero-dimensional target.  Deciding reads only which entries the
-        table has; the function reads the entry."""
+        gap).  Order: explicit entry, instability top power, link (read for
+        the primary Bockstein: β, and Sq^1 at p = 2), zero-dimensional
+        target.  Deciding reads only which entries the table has; the
+        function reads the entry."""
         if (g.name, op) in self.presentation.action:
             return lambda: self.element_from_poly(
                 self.presentation.action[(g.name, op)]).data
-        if op == ("B",):
-            link = g.bockstein_link
-            if link is not None:
-                if link[0] == 1:
-                    return lambda: self.generator_element(link[1]).data
-                return dict  # only beta_1 acts; higher links are metadata
-        elif (op[1] if op[0] == "Sq" else 2 * op[1]) == g.degree:
+        if op != ("B",) and \
+                (op[1] if op[0] == "Sq" else 2 * op[1]) == g.degree:
             def power():  # instability: the top operation is the p-th power
                 x, out = self.generator_element(g.name), self.one()
                 for _ in range(self.p):
                     out = self.product(out, x)
                 return out.data
             return power
+        if op in (("B",), ("Sq", 1)) and g.bockstein_link is not None:
+            r, partner = g.bockstein_link
+            if r == 1:
+                return lambda: self.generator_element(partner).data
+            return dict  # only beta_1 acts; higher links are metadata
         if self.dim(g.degree + op_degree(self.p, op)) == 0:
             return dict
         return None
@@ -914,9 +916,10 @@ class FreeTruncAlgebra(TruncAlgebra):
         computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
         monomial.  Values are memoized by (op, degree, index).  An op
         landing above the bound raises TruncationError, and any other op
-        that instability does not make zero raises MissingDataError on a
-        monomial on a generator with missing data, on every request: a
-        refusal is never memoized."""
+        that instability does not make zero raises MissingDataError, on
+        every request (a refusal is never memoized): on a generator when
+        its rule is a gap, on any other monomial when it is on a generator
+        with a gap (``can_act_on``)."""
         key = (op, degree, index)
         value = self._action.get(key)
         if value is not None:
@@ -929,15 +932,17 @@ class FreeTruncAlgebra(TruncAlgebra):
             value = self._action[key] = {}
             return value
         mono = self.unrank(degree, index)
-        if not self.can_act_on(mono):
-            raise MissingDataError(
-                "Steenrod data needed within the bound is missing",
-                gaps=self.gaps)
         first = next(k for k, e in enumerate(mono) if e)
         g, a = self.generators[first], mono[first]
-        if degree == g.degree:  # the monomial is g
-            value = self._action[key] = self._gen_op_value(g, op)()
+        missing = "Steenrod data needed within the bound is missing"
+        if degree == g.degree:  # the monomial is g: refused per operation
+            rule = self._gen_op_value(g, op)
+            if rule is None:
+                raise MissingDataError(missing, gaps=self.gaps)
+            value = self._action[key] = rule()
             return value
+        if not self.can_act_on(mono):  # any other monomial: per generator
+            raise MissingDataError(missing, gaps=self.gaps)
         family = [op] if op == ("B",) else [o for o in ops if o[0] == op[0]]
         step, top = op_degree(p, family[0]), op_degree(p, family[-1])
         dg, zeros = a * g.degree, (0,) * (len(mono) - first - 1)

@@ -9,13 +9,17 @@ where the quotient of the base has a class in the target degree.  For a
 polynomial fiber generator ``u`` with |u| = 2m at an odd prime, killing
 b = τ(u) leaves the companion class u^{p-1}·b, whose own differential hits
 βP^m(b), while ``u^p`` transgresses to P^m(b); at p = 2 the companion's
-target is b² and ``u²`` transgresses to Sq^{|u|}(b).  Any configuration outside this pattern
-(detected through annihilator profiles of the killed classes) aborts with
-``UnsupportedFibrationError`` rather than reporting a wrong answer.
+target is b² and ``u²`` transgresses to Sq^{|u|}(b).  Any configuration
+outside this pattern (detected through annihilator profiles of the killed
+classes) aborts with ``UnsupportedFibrationError`` rather than reporting a
+wrong answer.
 
 The reported ``total`` algebra is the E∞ model — an associated graded ring;
 multiplicative extension problems between filtration stages are not
-resolved.
+resolved.  Each surviving Kudo stage a^q is a fiber monomial, and a
+Steenrod word acts on it by one Adem composition on a (``_Engine._value``):
+the survivors' display words and, over a trivial quotient, their values in
+``total`` are both read from it, and no fiber algebra is ever expanded.
 """
 
 from __future__ import annotations
@@ -278,11 +282,6 @@ class _Engine:
         self.log: list[dict] = []
         self.survivors: list[Survivor] = []  # in the order they survive
 
-    @functools.cached_property
-    def fiber_alg(self) -> FreeTruncAlgebra:
-        """The fiber algebra through the bound; only ``total`` reads it."""
-        return expand(self.spec.fiber_pres, self.bound)
-
     # -- bookkeeping ---------------------------------------------------------
 
     def _model_series(self, queue_items) -> list:
@@ -424,9 +423,8 @@ class _Engine:
         quotient_trivial = all(
             d == 0 for d in self.quotient.dims()[1: self.bound + 1])
         self._attach_links(survivors, quotient_trivial)
-        # certified here, so that a broken contract raises from run_ss
-        coordinate = (self._survivor_coordinates(survivors)
-                      if quotient_trivial else None)
+        if quotient_trivial:  # certified here, so that it raises from run_ss
+            self._stages(survivors)
         killed = [self.base_alg.describe(x) for x in self.quotient.ideal_gens]
         flags = {"finitely_generated": True,
                  "quotient_trivial": quotient_trivial}
@@ -434,23 +432,22 @@ class _Engine:
                         surviving_fiber_generators=survivors,
                         killed_base_ideal=killed, log=self.log, flags=flags,
                         series=series, _build_total=functools.partial(
-                            self._total, survivors, coordinate, series))
+                            self._total, survivors, series, quotient_trivial))
 
-    def _total(self, survivors, coordinate, series) -> QuotientTruncAlgebra:
+    def _total(self, survivors, series,
+               quotient_trivial) -> QuotientTruncAlgebra:
         """The E∞ model: the free algebra on the base generators, then the
         survivors, modulo the killed ideal, exponents padded with zeros.
 
         A value is decided where the base or the survivors decided it on
         their own: a base generator has the base's entries, a survivor the
-        induced action when ``coordinate`` (see _survivor_coordinates) is
-        given, i.e. over a trivial quotient; each has 0 where its own
-        algebra (the base; the last page ``series``) is empty.  Any other
-        value within the bound is a gap, never 0."""
+        induced action (see _induced_action) over a trivial quotient; each
+        has 0 where its own algebra (the base; the last page ``series``) is
+        empty.  Any other value within the bound is a gap, never 0."""
         p, bound, base = self.p, self.bound, self.spec.base
         specs = [GeneratorSpec(s.name, s.degree, s.kind, s.bockstein_link)
                  for s in survivors]
-        induced = ({} if coordinate is None
-                   else self._induced_action(survivors, coordinate))
+        induced = self._induced_action(survivors) if quotient_trivial else {}
         lead, pad = (0,) * len(base.generators), (0,) * len(specs)
         sides = ((base.generators, base.action, self.base_alg.dims(), (), pad),
                  (specs, induced, series, lead, ()))
@@ -524,31 +521,40 @@ class _Engine:
 
     def _word_from_anchor(self, anchor, survivor, words):
         """The first word of the survivor's gap in ``words`` (see
-        _words_by_degree) that carries the anchor's fiber monomial a^q onto
-        the survivor's (never 0), or None; neither is a companion.
-
-        A word θ acts on a by one Adem reduction (``fiber_compose``).  For
-        q > 1, a power of p, θ(a^q) = ((θ/q)(a))^q when q divides the index
-        of each letter of θ, and 0 otherwise (β(x^p) = 0, and P^i(x^p) = 0
-        unless p | i).  Each monomial of a composed value is a power of one
-        generator; for q > 1 it has even degree, or degree above 1 at p = 2,
-        so the generator is polynomial and the q-th power is exponents × q."""
-        q, target = anchor.exponent, {self._monomial(survivor): 1}
+        _words_by_degree) whose value on the anchor (see _value) is the
+        survivor's fiber monomial, or None; neither is a companion."""
+        target = {self._monomial(survivor): 1}
         for word in words.get(survivor.degree - anchor.degree, ()):
-            letters = steenrod.word_to_letters(self.p, word)
-            if q > 1 and any(op[0] == "B" or op[1] % q for op in letters):
-                continue
-            value = self.spec.fiber_compose(anchor.label, [
-                op[:1] + tuple(i // q for i in op[1:]) for op in letters])
-            if {tuple(e * q for e in m): c
-                    for m, c in value.items()} == target:
+            if self._value(anchor, steenrod.word_to_letters(self.p, word)) \
+                    == target:
                 return word
         return None
+
+    def _value(self, survivor, letters) -> dict:
+        """θ(a^q) for the letters of θ (leftmost first) on the Kudo stage
+        a^q of a non-companion survivor, as a monomial dict over the fiber
+        generators, each monomial a power of one generator.
+
+        θ acts on a by one Adem reduction (``fiber_compose``).  For q > 1, a
+        power of p, θ(a^q) = ((θ/q)(a))^q when q divides the index of each
+        letter of θ, and 0 otherwise (β(x^p) = 0, and P^i(x^p) = 0 unless
+        p | i).  A monomial of a composed value then has even degree, or
+        degree above 1 at p = 2, so its generator is polynomial, and the
+        q-th power is exponents × q (coefficients c^q = c mod p)."""
+        q = survivor.exponent
+        if q > 1:
+            if any(op[0] == "B" or op[1] % q for op in letters):
+                return {}
+            letters = [(op[0], op[1] // q) for op in letters]
+        value = self.spec.fiber_compose(survivor.label, letters)
+        return value if q == 1 else \
+            {tuple(e * q for e in m): c for m, c in value.items()}
 
     def _attach_links(self, survivors, quotient_trivial):
         """Pair each surviving power u^{pe} with the companion class from the
         previous stage (u^{e(p-1)}·τ(u^e), one degree higher): over a trivial
-        base quotient the power carries a primary Bockstein onto it."""
+        base quotient the power carries a primary Bockstein (β, or Sq^1 at
+        p = 2) onto it."""
         if not quotient_trivial:
             return
         companion_of = {(s.label, s.exponent): s for s in survivors
@@ -560,75 +566,55 @@ class _Engine:
             if partner is not None:
                 s.bockstein_link = (1, partner.name)
 
-    def _induced_action(self, survivors, coordinate) -> dict:
+    def _induced_action(self, survivors) -> dict:
         """Explicit entries computed by restriction to the fiber; only valid
         over a trivial base quotient, the only place _total reads them, and
         omitted in degrees where companion classes (which restrict to zero)
         could correct the value.
 
-        A value is read off the fiber monomial basis: each survivor monomial
-        restricts to one signed fiber monomial (see _survivor_coordinates),
-        so the coefficient of a survivor monomial is the value's coefficient
-        on its fiber monomial times that sign.  A value touching a fiber
-        monomial no survivor monomial reaches is not in the image of the
-        survivor algebra, and its entry is omitted."""
+        Each monomial g^m of an op's value on a survivor (see _value) is
+        the survivor monomial s^{m/e}, s the survivor on g, the stage g^e
+        (see _stages).  A power of one generator carries no Koszul sign,
+        so the coefficient passes as it is.  A value touching a g with no
+        survivor, or an m that e does not divide, is not in the image of
+        the survivor algebra, and its entry is omitted."""
         shadow = self._companion_shadow(survivors)
-        alg, action = self.fiber_alg, {}
+        stages, action = self._stages(survivors), {}
         for s in survivors:
             if s.is_companion:
                 continue
-            fiber_class = alg.monomial_element(self._monomial(s))
-            for op in alg.op_list():
-                target = s.degree + op_degree(self.p, op)
-                if target > self.bound or target in shadow:
+            for op in ops_on_degree(self.p, s.degree, self.bound):
+                if s.degree + op_degree(self.p, op) in shadow:
                     continue
-                value = alg.act(op, fiber_class).data
-                coords = [coordinate(key) for key in value]
-                if None not in coords:
-                    action[(s.name, op)] = dict(sorted(
-                        (mono, c * sign % self.p)
-                        for (mono, sign), c in zip(coords, value.values())))
+                entry = {}
+                for mono, c in self._value(s, [op]).items():
+                    (g, m), = ((g, m) for g, m in enumerate(mono) if m)
+                    pos, e = stages.get(g, (None, 1))
+                    if pos is None or m % e:
+                        break
+                    entry[tuple(m // e if k == pos else 0
+                                for k in range(len(survivors)))] = c
+                else:
+                    action[(s.name, op)] = dict(sorted(entry.items()))
         return action
 
-    def _survivor_coordinates(self, survivors):
-        """A memoized map: fiber basis key -> (exponent tuple, sign) of the
-        survivor monomial restricting to ± that fiber monomial, or None.
-
-        Each non-companion survivor restricts to its monomial g^a (see
-        _monomial), and no two may lie on one fiber generator g, or
-        EngineContractError is raised; run never makes two, since it queues
-        each generator and then only p-powers of it, one at a time.  Then
-        ∏ s^e restricts to ± ∏ g^{a·e}, distinct monomials to distinct ones,
-        and a key resolves by dividing its exponents by the a's, its sign the
-        Koszul signs of _merge_monomials taken in survivor order."""
-        classes, owner = [], {}  # (pos, generator, monomial)
+    def _stages(self, survivors) -> dict:
+        """Fiber generator index -> (position, exponent e) of the one
+        non-companion survivor on that generator, its Kudo stage g^e (see
+        _monomial).  Two survivors on one generator raise
+        EngineContractError; run never makes two, since it queues each
+        generator and then only p-powers of it, one at a time."""
+        stages = {}
         for pos, s in enumerate(survivors):
             if s.is_companion:
                 continue
             g = self.spec.fiber_pres.index[s.label]
-            if g in owner:
+            if g in stages:
                 raise EngineContractError(
-                    f"survivors {owner[g]} and {s.name} both restrict to "
-                    f"powers of {s.label}")
-            owner[g] = s.name
-            classes.append((pos, g, self._monomial(s)))
-
-        def resolve(key):
-            alg = self.fiber_alg
-            target = alg.unrank(*key)
-            expo, rest = [0] * len(survivors), list(target)
-            for pos, g, power in classes:
-                expo[pos], rest[g] = divmod(target[g], power[g])
-            if any(rest):
-                return None
-            sign, mono = 1, alg.unrank(0, 0)
-            for pos, _g, factor in classes:
-                for _ in range(expo[pos]):
-                    koszul, mono = alg._merge_monomials(mono, factor)
-                    sign = sign * koszul % self.p
-            return tuple(expo), sign
-
-        return functools.lru_cache(maxsize=None)(resolve)
+                    f"survivors {survivors[stages[g][0]].name} and {s.name} "
+                    f"both restrict to powers of {s.label}")
+            stages[g] = (pos, s.exponent)
+        return stages
 
     def _companion_shadow(self, survivors) -> set:
         """Degrees ≤ bound of survivor monomials with a companion factor:

@@ -406,12 +406,12 @@ def test_the_em_verb_lists_no_action_entry(monkeypatch):
     assert calls
 
 
-def test_a_cover_lists_no_action_entry_and_total_expands_the_fiber(
+def test_a_cover_and_its_total_list_no_action_entry_and_expand_no_fiber(
         monkeypatch):
-    """cover composes its display words on the fiber generator: it lists no
-    key of the fiber's action table and expands no fiber algebra.  Reading
-    ``total`` still expands the fiber, whose table its induced action
-    reads."""
+    """cover composes its display words on the fiber generator, and
+    ``total`` composes each survivor's values the same way: neither lists
+    a key of the fiber's action table nor expands a fiber algebra, while
+    the total's table holds nonzero survivor values."""
     listed, fibers = [], []
     ops_on_degree, expand_ = em.ops_on_degree, serre.expand
     monkeypatch.setattr(em, "ops_on_degree",
@@ -425,11 +425,11 @@ def test_a_cover_lists_no_action_entry_and_total_expands_the_fiber(
                      "--max-degree", "100"]) == 0
     assert "Sq[" in out.getvalue()
     res = serre.connected_cover_cohomology(get_entry("BS3"), 2, 100)
-    assert listed == [] and not any("i3" in index for index in fibers)
     names = {s.name for s in res.surviving_fiber_generators}
     assert any(value for (name, _op), value
                in res.total.free.presentation.action.items() if name in names)
-    assert listed and any("i3" in index for index in fibers)
+    assert fibers and listed == []
+    assert not any("i3" in index for index in fibers)
 
 
 @pytest.mark.parametrize("text,p,bound", [

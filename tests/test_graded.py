@@ -41,6 +41,7 @@ from pnoether.catalog import get_entry, load_catalog
 from pnoether.errors import UnsupportedFibrationError
 from pnoether.graded import (
     Element,
+    format_op,
     mult_ranks,
     op_degree,
     ops_on_degree,
@@ -685,10 +686,11 @@ def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
-    """A monomial with missing data is refused by every op; and on random
-    products the total operation x + sum of act(op, x) is multiplicative
-    (the Cartan formula for every op at once) and β is a derivation with
-    sign (-1)^|x|."""
+    """A product on a generator with a gap is refused by every op that
+    instability lets act, and a generator by the ops of its gaps; and on
+    random products the total operation x + sum of act(op, x) is
+    multiplicative (the Cartan formula for every op at once) and β is a
+    derivation with sign (-1)^|x|."""
 
     def total(alg, x):
         out = x
@@ -701,10 +703,13 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
     @given(hs.data())
     def check(data):
         alg = random_presentation(data, p)
+        gaps = {(gap["generator"], gap["op"]) for gap in alg.gaps}
         for d in range(alg.bound + 1):
             for i, mono in enumerate(alg.basis(d)):
-                if not alg.can_act_on(mono):
-                    for op in alg.op_list():
+                on = {g.name for e, g in zip(mono, alg.generators) if e}
+                for op in ops_on_degree(p, d, alg.bound):
+                    if sum(mono) == 1 and (*on, format_op(op)) in gaps or \
+                            sum(mono) > 1 and not alg.can_act_on(mono):
                         with pytest.raises(MissingDataError):
                             alg.act_basis(op, d, i)
         if not alg.action_complete:
@@ -745,20 +750,24 @@ def recursive_act_basis(alg, op, degree, index, memo):
     on g and on rest, so one frame per factor and each value on its own;
     a generator's value comes from its rule.  ``memo`` maps (op, degree,
     index) to values already found.  An op above instability, or on the
-    unit, gives 0; any other op on a monomial on a generator with missing
-    data raises MissingDataError."""
+    unit, gives 0; any other op raises MissingDataError on a generator
+    whose rule for it is a gap, and on any other monomial on a generator
+    with a gap."""
     key = (op, degree, index)
     if key in memo:
         return memo[key]
     mono = alg.basis(degree)[index]
     p, value = alg.p, {}
     if degree and op in ops_on_degree(p, degree, alg.bound):
-        if not alg.can_act_on(mono):
-            raise MissingDataError("missing data", gaps=alg.gaps)
         first = next(k for k, e in enumerate(mono) if e)
         g = alg.generators[first]
         if degree == g.degree:
-            value = dict(alg._gen_op_value(g, op)())
+            rule = alg._gen_op_value(g, op)
+            if rule is None:
+                raise MissingDataError("missing data", gaps=alg.gaps)
+            value = dict(rule())
+        elif not alg.can_act_on(mono):
+            raise MissingDataError("missing data", gaps=alg.gaps)
         else:
             unit = tuple(int(k == first) for k in range(len(mono)))
             g_key = alg.monomial_key(unit)

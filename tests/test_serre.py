@@ -119,6 +119,19 @@ def test_s3_cover_is_serres_closed_form(p):
         [(poly_deg, "polynomial"), (poly_deg + 1, "exterior")]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_primary_bockstein_carries_the_s3_cover_bottom_class_to_the_top(p):
+    """H^{2p+1}(S³⟨3⟩; Z) = Z/p (Serre; Z/2 in degree 5 at p = 2), so the
+    primary Bockstein, Sq¹ at p = 2, carries the polynomial survivor onto
+    the companion one degree up: the total reads the engine's link."""
+    res = connected_cover_cohomology(get_entry("S3"), p, 6 * p + 3)
+    z, y = res.surviving_fiber_generators
+    beta = ("Sq", 1) if p == 2 else ("B",)
+    total, x = res.total, res.survivor_element(z.name)
+    assert total.act(beta, x) == res.survivor_element(y.name)
+    assert total.act(beta, res.survivor_element(y.name)).is_zero
+
+
 def test_s3_cover_p2_series_frozen():
     res = connected_cover_cohomology(get_entry("S3"), 2, 10)
     assert res.poincare().coeffs == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
@@ -520,11 +533,16 @@ def reference_induced_action(res, fiber_alg):
 
 
 @pytest.mark.parametrize("name,p,bound", [
+    ("S3", 2, 40),
+    ("S3", 3, 60),
+    ("S3", 5, 80),
     ("BS3", 2, 60),
     ("BS3", 2, 68),
     ("BS3", 3, 60),
     ("BS3", 5, 60),
+    ("BS3", 7, 120),
     ("X2b_4", 3, 60),
+    ("X2b_4", 3, 120),
 ])
 def test_induced_action_table_matches_direct_solve(name, p, bound):
     entry = get_entry(name)
@@ -538,7 +556,9 @@ def test_induced_action_table_matches_direct_solve(name, p, bound):
               if key[0] in names}
     expected = reference_induced_action(res,
                                         cover_fiber_algebra(name, p, bound))
-    assert sum(1 for poly in expected.values() if poly) >= 4  # not vacuous
+    # not vacuous: S3's one polynomial survivor has only its p-th power
+    assert sum(1 for poly in expected.values() if poly) >= \
+        (1 if name == "S3" else 4)
     # on the operations instability lets act: the solved value, else 0
     # where the last page is empty, else no entry
     want = {}
@@ -635,7 +655,9 @@ def test_a_survivor_value_no_one_decides_over_a_nontrivial_quotient_is_a_gap():
     w4·z8; in H*(BSp(2)) = F_2[q1, q2] Wu gives Sq^4 q2 = q1·q2, so no lift
     of z8 has Sq^4 z8 = 0.  The engine knows no value there, so the total
     refuses it, and its indecomposables say the action is incomplete; the
-    base class w4 still acts by the Wu formula."""
+    values that are decided still answer (degrees 9 and 10 are empty, and
+    Sq^8 is the square), and the base class w4 still acts by the Wu
+    formula."""
     spec = FibrationSpec(2, bso_presentation(5), EMSpec(CyclicClass(1), 1),
                          {"i1": "w2"}, 16)
     res = run_ss(spec)
@@ -649,6 +671,9 @@ def test_a_survivor_value_no_one_decides_over_a_nontrivial_quotient_is_a_gap():
     z = res.survivor_element("z8")
     with pytest.raises(MissingDataError):
         total.act(("Sq", 4), z)
+    assert total.act(("Sq", 1), z).is_zero
+    assert total.act(("Sq", 2), z).is_zero
+    assert total.act(("Sq", 8), z) == z * z
     assert not indecomposables(total).action_complete
     w = total.project(total.free.generator_element("w4"))
     assert total.act(("Sq", 1), w).is_zero  # Sq1 w4 = w5, killed
@@ -693,13 +718,13 @@ def test_odd_survivors_anticommute_in_the_total(p, bound):
 
 
 def test_run_ss_certifies_the_survivor_contract_itself(monkeypatch):
-    """Over a trivial quotient the survivor-coordinate contract is checked
-    by run_ss, not deferred to the first read of ``total``."""
+    """Over a trivial quotient the survivor-stage contract is checked by
+    run_ss, not deferred to the first read of ``total``."""
 
     def broken(engine, survivors):
         raise EngineContractError("survivor contract broken")
 
-    monkeypatch.setattr(_Engine, "_survivor_coordinates", broken)
+    monkeypatch.setattr(_Engine, "_stages", broken)
     entry = get_entry("BS3")
     with pytest.raises(EngineContractError, match="survivor contract"):
         connected_cover_cohomology(entry, 2, 40)
@@ -738,35 +763,29 @@ def test_companion_shadow_matches_every_survivor_monomial(seed):
     assert companions  # the draws hold companions
 
 
-def test_survivor_coordinates_carry_koszul_signs_and_check_the_contract():
+def test_survivor_stages_name_one_survivor_per_generator_and_check_the_contract():
+    """_stages maps each fiber generator carrying a survivor to that
+    survivor's position and exponent, in the survivors' order whatever the
+    fiber's generator order; two survivors on one generator break the
+    contract.  Companions lie on no generator of their own."""
     spec = FibrationSpec(3, get_entry("BS3").presentation(3),
                          EMSpec(IntegerClass(), 3), {"i3": "y4"}, bound=20)
-    engine = _Engine(spec)
-    fiber = engine.fiber_alg
-    keys = [(d, i) for d in range(fiber.bound + 1)
-            for i in range(fiber.dim(d))]
+    engine, index = _Engine(spec), spec.fiber_pres.index
 
-    def survivor(name, gen):
-        return Survivor(name=name,
-                        degree=fiber.generator_element(gen).degree(),
-                        kind="exterior", origin=gen, display=name, label=gen)
+    def survivor(name, gen, exponent=1, is_companion=False):
+        g = spec.fiber_gens[gen]
+        return Survivor(name=name, degree=g.degree * exponent, kind=g.kind,
+                        origin=gen, display=name, is_companion=is_companion,
+                        label=gen, exponent=exponent)
 
-    def resolving(coordinate):
-        return {key for key in keys if coordinate(key) is not None}
-
-    # listed against the fiber's generator order, b*a = -(i3*P1i3)
-    coordinate = engine._survivor_coordinates(
-        [survivor("b", "P1i3"), survivor("a", "i3")])
-    key = fiber.monomial_key((1, 1, 0, 0, 0))
-    assert coordinate(key) == ((1, 1), 2)
-    # exactly the fiber keys of 1, a, b and a*b resolve
-    assert resolving(coordinate) == {
-        fiber.monomial_key(mono) for mono in
-        [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]}
-    # two survivors on one generator
+    # listed against the fiber's generator order
+    assert engine._stages([
+        survivor("b", "P1i3"), survivor("a", "i3"),
+        survivor("y", "bP1i3", is_companion=True),
+        survivor("c", "bP1i3", exponent=3)]) == {
+        index["P1i3"]: (0, 1), index["i3"]: (1, 1), index["bP1i3"]: (3, 3)}
     with pytest.raises(EngineContractError, match="both restrict"):
-        engine._survivor_coordinates(
-            [survivor("a", "i3"), survivor("c", "i3")])
+        engine._stages([survivor("a", "i3"), survivor("c", "i3")])
 
 
 def test_each_survivor_is_the_monomial_its_origin_names(monkeypatch):
@@ -793,7 +812,7 @@ def test_each_survivor_is_the_monomial_its_origin_names(monkeypatch):
     run_ss(bso3_squared_fibration(28))
     checked = 0
     for engine in engines:
-        fiber, owners = engine.fiber_alg, set()
+        fiber, owners = expand(engine.spec.fiber_pres, engine.bound), set()
         for s in engine.survivors:
             if s.is_companion:
                 continue
