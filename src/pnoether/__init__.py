@@ -20,9 +20,8 @@ from .steenrod import (SteenrodSum, adem_reduce, admissible_words, excess,
                        parse_word_expr, word_degree)
 from .graded import (FiniteModuleTable, FreeCommPresentation,
                      FreeTruncAlgebra, GeneratorSpec, GradedMap,
-                     PoincareSeries, QuotientTruncAlgebra,
-                     appendix_generators, expand, indecomposables,
-                     quotient_by_ideal)
+                     QuotientTruncAlgebra, appendix_generators, expand,
+                     indecomposables, quotient_by_ideal)
 from .unstable import (F, Fin, KrullReport, ModuleExpr, Normal, Power, Q1,
                        Sigma, Sum, Tensor, ZERO, expr_dims, format_expr,
                        krull_degree, normal_form, parse_expr, tbar)

@@ -45,18 +45,6 @@ class CatalogEntry(Frozen):
         return FreeCommPresentation(p, list(self.generators),
                                     dict(self.action.get(p, {})))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "torsion_free": self.torsion_free,
-            "generators": [{"name": g.name, "degree": g.degree,
-                            "kind": g.kind} for g in self.generators],
-            "tabulated_primes": sorted(self.action),
-            "recommended_primes": (list(self.recommended_primes)
-                                   if self.recommended_primes else None),
-        }
-
 
 def _fail(path: str, expected: str):
     raise InputError(f"catalog schema: {path}: expected {expected}")

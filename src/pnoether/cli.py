@@ -332,12 +332,10 @@ def _run_padic(args):
 def _run_poincare(args):
     entry = _resolve_catalog(args.catalog, args.entry)
     pres = entry.presentation(args.p)
-    alg = expand(pres, args.max_degree)
-    series = alg.poincare()
     return {
         "catalog_entry": entry.name,
         "generator_degrees": entry.degrees(),
-        "coeffs": series.coeffs,
+        "coeffs": expand(pres, args.max_degree).dims(),
     }, {"max_degree": args.max_degree}
 
 

@@ -317,31 +317,6 @@ class LazyActionTable(Mapping):
 # Poincaré series
 
 
-class PoincareSeries:
-    """Truncated sequence of graded dimensions; index = degree."""
-
-    def __init__(self, bound: int, coeffs):
-        self.bound = bound
-        self.coeffs = list(coeffs)[: bound + 1]
-        self.coeffs.extend([0] * (bound + 1 - len(self.coeffs)))
-
-    def __getitem__(self, d: int) -> int:
-        return self.coeffs[d]
-
-    def __eq__(self, other):
-        if isinstance(other, PoincareSeries):
-            return self.bound == other.bound and self.coeffs == other.coeffs
-        if isinstance(other, (list, tuple)):
-            return self.coeffs == list(other)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"PoincareSeries({self.bound}, {self.coeffs})"
-
-    def to_jsonable(self) -> dict:
-        return {"bound": self.bound, "coeffs": self.coeffs}
-
-
 def _series_mul(a: list[int], b: list[int], bound: int) -> list[int]:
     out = [0] * (bound + 1)
     for i, x in enumerate(a[: bound + 1]):
@@ -389,10 +364,6 @@ class Element:
         if len(degrees) > 1:
             raise InputError("element is not homogeneous")
         return degrees.pop()
-
-    def component(self, degree: int) -> "Element":
-        return Element(self.algebra,
-                       {k: v for k, v in self.data.items() if k[0] == degree})
 
     def __add__(self, other):
         self._check_same(other)
@@ -483,9 +454,6 @@ class TruncAlgebra:
     def dims(self) -> list[int]:
         return [self.dim(d) for d in range(self.bound + 1)]
 
-    def poincare(self) -> PoincareSeries:
-        return PoincareSeries(self.bound, self.dims())
-
     def zero(self) -> Element:
         return _reduced(self, {})
 
@@ -497,9 +465,6 @@ class TruncAlgebra:
             raise InputError(f"no basis element ({degree}, {index})")
         coeff %= self.p
         return _reduced(self, {(degree, index): coeff} if coeff else {})
-
-    def from_vector(self, degree: int, vec) -> Element:
-        return Element(self, {(degree, i): c for i, c in enumerate(vec) if c % self.p})
 
     def product(self, x: Element, y: Element) -> Element:
         out: dict = {}
@@ -607,11 +572,12 @@ class FreeTruncAlgebra(TruncAlgebra):
     table, the instability relations (top operation = p-th power,
     above-top = 0), Bockstein links, and zero-dimensional target degrees;
     anything else still needed within the bound is a gap, and gaps raise
-    MissingDataError listing every one.  Construction finds the gaps from
-    which table entries exist, reading none of them; a generator's value
-    under an operation is computed, and its table entry read, the first
-    time it is needed.  The value on any other monomial comes from the
-    total operation (``act_basis``), and every value is kept in one memo.
+    MissingDataError listing every one.  ``gaps``, first read by an
+    operation or by ``action_complete``, finds them from which table
+    entries exist, reading none of them; a generator's value under an
+    operation is computed, and its table entry read, the first time it is
+    needed.  The value on any other monomial comes from the total
+    operation (``act_basis``), and every value is kept in one memo.
     """
 
     def __init__(self, presentation: FreeCommPresentation, bound: int):
@@ -645,9 +611,27 @@ class FreeTruncAlgebra(TruncAlgebra):
         # not Elements, which would point back at the algebra and make it a
         # reference cycle
         self._action: dict = {}
-        self.gaps: list = []
-        self._gap_gens: set = set()
-        self._resolve_generator_action()
+        # ``gaps``, None until first read: a plain attribute, since a
+        # functools.cached_property writes through __dict__, and on
+        # CPython 3.11 that slows every later attribute read on the algebra
+        self._gaps = None
+
+    @property
+    def gaps(self) -> list:
+        """The (generator, op) values within the bound that nothing
+        determines, found from which table entries exist when first read.
+
+        Gaps do not fail construction — the basis, products and Poincaré
+        series never need them.  They surface as MissingDataError the moment
+        an action value depending on an affected generator is demanded.
+        """
+        if self._gaps is None:
+            self._gaps = [{"generator": g.name, "op": format_op(op),
+                           "target_degree": g.degree + op_degree(self.p, op)}
+                          for g in self.generators
+                          for op in ops_on_degree(self.p, g.degree, self.bound)
+                          if self._gen_op_value(g, op) is None]
+        return self._gaps
 
     @property
     def action_complete(self) -> bool:
@@ -852,28 +836,14 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- Steenrod action -----------------------------------------------------
 
-    def _resolve_generator_action(self):
-        """Collect the gaps: the (generator, op) values that nothing
-        determines.
-
-        Gaps do not fail construction — the basis, products and Poincaré
-        series never need them.  They surface as MissingDataError the moment
-        an action value depending on an affected generator is demanded.
-        """
-        for g in self.generators:
-            for op in ops_on_degree(self.p, g.degree, self.bound):
-                if self._gen_op_value(g, op) is None:
-                    self.gaps.append(
-                        {"generator": g.name, "op": format_op(op),
-                         "target_degree": g.degree + op_degree(self.p, op)})
-                    self._gap_gens.add(g.name)
-
     def can_act_on(self, mono: tuple) -> bool:
         """Whether act_basis answers on this monomial, a product: none of
         its generators has a gap (a generator is decided per operation)."""
-        if not self._gap_gens:
+        gaps = self.gaps
+        if not gaps:
             return True
-        return not any(e and g.name in self._gap_gens
+        on = {gap["generator"] for gap in gaps}
+        return not any(e and g.name in on
                        for e, g in zip(mono, self.generators))
 
     def _gen_op_value(self, g: GeneratorSpec, op: tuple):
@@ -1363,8 +1333,8 @@ def expand(presentation: FreeCommPresentation, bound: int) -> FreeTruncAlgebra:
     """Truncated table of a free presentation.
 
     Steenrod gaps (values needed within the bound that no data or forcing
-    rule determines) are collected on ``.gaps``; MissingDataError is raised
-    when an affected action value is used.
+    rule determines) are listed on ``.gaps`` when first read;
+    MissingDataError is raised when an affected action value is used.
     """
     return FreeTruncAlgebra(presentation, bound)
 
@@ -1391,24 +1361,6 @@ class FiniteModuleTable(Record):
 
     def nonzero_degrees(self) -> list[int]:
         return [d for d, n in enumerate(self.dims) if n]
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def to_jsonable(self) -> dict:
-        entries = []
-        for (op, (d, i)) in sorted(self.action, key=lambda k: (k[1], k[0])):
-            value = self.action[(op, (d, i))]
-            entries.append({
-                "op": format_op(op),
-                "source": {"degree": d, "index": i, "label": self.labels[d][i]},
-                "value": [{"degree": dt, "index": it, "coeff": c,
-                           "label": self.labels[dt][it]}
-                          for (dt, it), c in sorted(value.items())],
-            })
-        return {"p": self.p, "bound": self.bound, "dims": self.dims,
-                "labels": self.labels, "action": entries,
-                "action_complete": self.action_complete}
 
 
 def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:

@@ -71,10 +71,6 @@ class AbelianPGroup(Frozen):
             i = j
         return " + ".join(parts)
 
-    def to_jsonable(self) -> dict:
-        return {"p": self.p, "summands": [_summand_str(s, self.p)
-                                          for s in self.summands]}
-
 
 def _summand_key(s) -> tuple:
     return (1, 0) if isinstance(s, PruferClass) else (0, s.r)

@@ -34,7 +34,7 @@ from .catalog import CatalogEntry
 from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
-                     GeneratorSpec, PoincareSeries, QuotientTruncAlgebra,
+                     GeneratorSpec, QuotientTruncAlgebra,
                      _apply_factor, expand, mult_ranks, op_degree,
                      ops_on_degree)
 
@@ -226,7 +226,7 @@ class SSResult(Record):
 
     ``total``, the E∞ model ``quotient`` ⊗ (free algebra on the survivors)
     as one quotient (see _Engine._total), is built on first read and kept;
-    the report reads only ``poincare``, which needs no basis."""
+    the report reads only ``series``, which needs no basis."""
 
     # ``total`` is cached in __dict__
     __slots__ = ("p", "bound", "quotient", "surviving_fiber_generators",
@@ -245,10 +245,6 @@ class SSResult(Record):
         total, self._build_total = self._build_total(), None
         return total
 
-    def poincare(self) -> PoincareSeries:
-        """The series of ``total`` through the bound: the last page's."""
-        return PoincareSeries(self.bound, self.series)
-
     def survivor_element(self, name: str) -> Element:
         """The class of the named survivor in the total algebra."""
         return self.total.project(self.total.free.generator_element(name))
@@ -257,7 +253,7 @@ class SSResult(Record):
         return {
             "p": self.p,
             "bound": self.bound,
-            "poincare": self.poincare().coeffs,
+            "poincare": self.series,
             "surviving_fiber_generators": [
                 {"name": s.name, "degree": s.degree, "kind": s.kind,
                  "display": s.display, "origin": s.origin,

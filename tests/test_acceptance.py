@@ -121,7 +121,7 @@ def test_acceptance_03_sphere_cover_odd_primes():
                 d = 2 * p * a + (2 * p + 1) * eps
                 if d <= bound:
                     expected[d] += 1
-        assert result.poincare().coeffs == expected
+        assert result.series == expected
         names = [(s.name, s.degree, s.kind)
                  for s in result.surviving_fiber_generators]
         assert names == [(f"z{2 * p}", 2 * p, "polynomial"),

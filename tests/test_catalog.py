@@ -133,14 +133,14 @@ def test_get_entry_unknown():
     assert "BS3" in str(err.value)
 
 
-def test_entry_jsonable():
-    js = get_entry("BS3").to_jsonable()
-    assert js["name"] == "BS3"
-    assert js["generators"] == [
-        {"name": "y4", "degree": 4, "kind": "polynomial"}]
-    assert js["tabulated_primes"] == [3, 5, 7]
-    assert js["torsion_free"] is True
-    assert js["recommended_primes"] is None
+def test_entry_fields():
+    entry = get_entry("BS3")
+    assert entry.name == "BS3"
+    assert [(g.name, g.degree, g.kind) for g in entry.generators] == [
+        ("y4", 4, "polynomial")]
+    assert sorted(entry.action) == [3, 5, 7]
+    assert entry.torsion_free is True
+    assert entry.recommended_primes is None
 
 
 def test_catalog_file_override(tmp_path):

@@ -183,9 +183,9 @@ def test_higher_bockstein_link_odd_p():
 
 def test_series_of_em_presentation():
     pres = em_product_presentation(EMSpec(CyclicClass(1), 2), 2, 12)
-    got = expand(pres, 12).poincare()
+    got = expand(pres, 12).dims()
     oracle = expand(FreeCommPresentation(
-        2, [GeneratorSpec(f"g{d}", d) for d in (2, 3, 5, 9)]), 12).poincare()
+        2, [GeneratorSpec(f"g{d}", d) for d in (2, 3, 5, 9)]), 12).dims()
     assert got == oracle
 
 
@@ -361,8 +361,8 @@ def test_generator_table_keeps_the_input_checks():
 
 
 def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
-    """The table lists its keys up front and Adem-reduces an entry only when
-    it is read: expanding the fiber reduces nothing.  The cover reads no
+    """The table Adem-reduces an entry only when it is read: expanding the
+    fiber, and reading its gaps, reduces nothing.  The cover reads no
     entry of the table's 102; it makes one Adem reduction per display
     word it tries, a few in all."""
     calls = []
@@ -382,6 +382,33 @@ def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
         assert main(["cover", "--catalog", "BS3", "--p", "2",
                      "--max-degree", "100"]) == 0
     assert 0 < len(calls) <= entries // 4
+
+
+@pytest.mark.parametrize("read", ["gaps", "action_complete", "act"])
+def test_an_expanded_fiber_lists_its_action_keys_when_its_gaps_are_read(read):
+    """Expanding lists no key of the lazy action table; neither do the
+    series, a basis or a product.  The keys are listed once, the first
+    time the gaps, ``action_complete`` or an operation on a product reads
+    them."""
+    pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 40).presentation
+    listings = []
+    list_keys = pres.action._list_keys
+
+    def counted():
+        listings.append(None)
+        return list_keys()
+
+    pres.action._list_keys = counted
+    alg = expand(pres, 40)
+    x = alg.generator_element(alg.generators[0].name)
+    alg.dims(), alg.basis(12), x * x
+    assert listings == []
+    if read == "act":
+        alg.act(("Sq", 1), x * x)
+    else:
+        getattr(alg, read)
+    assert alg.action_complete and alg.gaps == []
+    assert len(listings) == 1
 
 
 def test_the_em_verb_lists_no_action_entry(monkeypatch):

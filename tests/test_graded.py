@@ -27,7 +27,6 @@ from pnoether import (
     GradedMap,
     InputError,
     MissingDataError,
-    PoincareSeries,
     TruncationError,
     connected_cover_cohomology,
     em_product_presentation,
@@ -159,7 +158,7 @@ def test_series_three_routes_agree(p, gens):
     specs = [GeneratorSpec(f"g{i}", d, kind) for i, (d, kind) in enumerate(gens)]
     alg = expand(FreeCommPresentation(p, specs), bound)
     oracle = brute_dims(gens, bound)
-    assert alg.poincare().coeffs == oracle
+    assert alg.dims() == oracle
     assert product_formula(gens, bound) == oracle
     assert [len(alg.basis(d)) for d in range(bound + 1)] == oracle
 
@@ -191,16 +190,7 @@ def test_presentation_series_matches_the_product_formula(seed):
     gens.append((rng.randrange(1, 4), "exterior"))
     pres = FreeCommPresentation(2, [GeneratorSpec(f"g{k}", d, kind)
                                     for k, (d, kind) in enumerate(gens)])
-    assert expand(pres, bound).poincare().coeffs == product_formula(gens, bound)
-
-
-def test_series_helpers():
-    s = PoincareSeries(4, [1, 1, 0, 0, 0])
-    assert s == [1, 1, 0, 0, 0]
-    assert s[1] == 1 and s[4] == 0
-    assert s.to_jsonable() == {"bound": 4, "coeffs": [1, 1, 0, 0, 0]}
-    # short coefficient lists are zero-padded to the bound
-    assert PoincareSeries(3, [1]).coeffs == [1, 0, 0, 0]
+    assert expand(pres, bound).dims() == product_formula(gens, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +225,6 @@ def test_element_arithmetic():
     assert (t - t).is_zero
     assert t.scale(3) == t
     assert t.degree() == 1
-    assert (t + t2).component(2) == t2
     with pytest.raises(InputError):
         (t + t2).degree()  # non-homogeneous
     assert alg.zero().degree() is None
@@ -488,7 +477,6 @@ def test_dims_are_the_series_and_list_no_degree(p):
         series = product_formula(gens, bound)
         assert alg.dims() == series
         assert [alg.dim(d) for d in range(-1, bound + 2)] == [0] + series + [0]
-        assert alg.poincare() == PoincareSeries(bound, series)
 
     check()
 
@@ -687,10 +675,11 @@ def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
     """A product on a generator with a gap is refused by every op that
-    instability lets act, and a generator by the ops of its gaps; and on
-    random products the total operation x + sum of act(op, x) is
-    multiplicative (the Cartan formula for every op at once) and β is a
-    derivation with sign (-1)^|x|."""
+    instability lets act, and a generator by the ops of its gaps, on gapped
+    algebras with no action data and on random ones; and on random
+    products the total operation x + sum of act(op, x) is multiplicative
+    (the Cartan formula for every op at once) and β is a derivation with
+    sign (-1)^|x|."""
 
     def total(alg, x):
         out = x
@@ -699,11 +688,10 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
                 out = out + within_bound(alg, x, op)
         return out
 
-    @settings(derandomize=True, database=None, max_examples=40)
-    @given(hs.data())
-    def check(data):
-        alg = random_presentation(data, p)
+    def refusals(alg) -> int:
+        """Check every refusal the rule asks of alg, and count them."""
         gaps = {(gap["generator"], gap["op"]) for gap in alg.gaps}
+        count = 0
         for d in range(alg.bound + 1):
             for i, mono in enumerate(alg.basis(d)):
                 on = {g.name for e, g in zip(mono, alg.generators) if e}
@@ -712,13 +700,30 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
                             sum(mono) > 1 and not alg.can_act_on(mono):
                         with pytest.raises(MissingDataError):
                             alg.act_basis(op, d, i)
+                        count += 1
+        return count
+
+    # with no action data both have gaps at every prime: P1 (Sq2) on y4,
+    # and beta (Sq1) on x2 and y3
+    gapped = [expand(FreeCommPresentation(p, [GeneratorSpec(name, d, kind)
+                                               for name, d, kind in gens]), 12)
+              for gens in ([("x2", 2, "polynomial"), ("y4", 4, "polynomial")],
+                           [("x2", 2, "polynomial"), ("y3", 3, "exterior")])]
+    checked = [refusals(alg) for alg in gapped]
+    assert all(checked)
+
+    @settings(derandomize=True, database=None, max_examples=40)
+    @given(hs.data())
+    def check(data):
+        alg = random_presentation(data, p)
+        refusals(alg)
         if not alg.action_complete:
             return
         a = data.draw(hs.integers(0, alg.bound))
         b = data.draw(hs.integers(0, alg.bound - a))
-        x, y = (alg.from_vector(d, data.draw(hs.lists(
-            hs.integers(0, p - 1), min_size=alg.dim(d),
-            max_size=alg.dim(d)))) for d in (a, b))
+        x, y = (Element(alg, {(d, i): c for i, c in enumerate(data.draw(
+            hs.lists(hs.integers(0, p - 1), min_size=alg.dim(d),
+                     max_size=alg.dim(d))))}) for d in (a, b))
         assert total(alg, x * y) == within_bound(
             alg, total(alg, x), total(alg, y))
         if p != 2:
@@ -1256,8 +1261,8 @@ def random_generators(alg, rng, count):
         d = rng.randrange(1, alg.bound // 2 + 1)
         if not alg.dim(d):
             continue
-        x = alg.from_vector(d, [rng.randrange(alg.p) if rng.random() < 0.5
-                                else 0 for _ in range(alg.dim(d))])
+        x = Element(alg, {(d, i): rng.randrange(alg.p)
+                          for i in range(alg.dim(d)) if rng.random() < 0.5})
         if not x.is_zero:
             gens.append(x)
     gens.insert(1, alg.zero())
@@ -1561,7 +1566,6 @@ def test_indecomposables_of_free_algebra_are_the_generators():
     assert isinstance(table, FiniteModuleTable)
     assert table.nonzero_degrees() == [4, 6]
     assert table.dims[4] == 1 and table.dims[6] == 1
-    assert table.total_dim() == 2
     assert table.labels[4] == ["x4"] and table.labels[6] == ["x6"]
 
 
@@ -1576,11 +1580,6 @@ def test_indecomposables_induced_action():
     # Sq2 connects the generators; the decomposable value Sq4 x6 projects away
     assert table.action[(("Sq", 2), (4, 0))] == {(6, 0): 1}
     assert (("Sq", 4), (6, 0)) not in table.action
-    data = table.to_jsonable()
-    assert data["dims"] == table.dims
-    assert data["action"][0]["source"]["label"] == "x4"
-    assert data["action"][0]["value"] == [
-        {"degree": 6, "index": 0, "coeff": 1, "label": "x6"}]
 
 
 def test_indecomposables_requires_connected():
@@ -1901,7 +1900,7 @@ def test_tensor_ring_axioms_on_random_elements(p):
         dim = both.dim(degree)
         coeffs = data.draw(hs.lists(hs.integers(0, p - 1), min_size=dim,
                                     max_size=dim))
-        return both.from_vector(degree, coeffs)
+        return Element(both, {(degree, i): c for i, c in enumerate(coeffs)})
 
     @settings(derandomize=True, database=None, max_examples=60)
     @given(hs.data())

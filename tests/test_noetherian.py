@@ -89,11 +89,6 @@ def test_parse_group_rejections():
         AbelianPGroup(4, ())  # p must be prime
 
 
-def test_group_jsonable():
-    g = parse_group("Z/4 + Zpinf", 2)
-    assert g.to_jsonable() == {"p": 2, "summands": ["Z/4", "Zpinf"]}
-
-
 # ---------------------------------------------------------------------------
 # Hom(Z/p, −) rank and divisibility
 

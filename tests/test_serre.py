@@ -98,7 +98,7 @@ def test_s3_cover_all_primes(p, bound, poly_deg, comp_deg, ones):
         if d + comp_deg <= bound:
             expected[d + comp_deg] = 1
         d += poly_deg
-    assert res.poincare().coeffs == expected
+    assert res.series == expected
     assert_euler_ledger_telescopes(res, ledger_spec("S3", p, bound))
 
 
@@ -114,7 +114,7 @@ def test_s3_cover_is_serres_closed_form(p):
         for extra in (0, poly_deg + 1):
             if d + extra <= bound:
                 expected[d + extra] += 1
-    assert res.poincare().coeffs == expected
+    assert res.series == expected
     assert [(s.degree, s.kind) for s in res.surviving_fiber_generators] == \
         [(poly_deg, "polynomial"), (poly_deg + 1, "exterior")]
 
@@ -134,7 +134,7 @@ def test_the_primary_bockstein_carries_the_s3_cover_bottom_class_to_the_top(p):
 
 def test_s3_cover_p2_series_frozen():
     res = connected_cover_cohomology(get_entry("S3"), 2, 10)
-    assert res.poincare().coeffs == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+    assert res.series == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
 
 
 def test_s3_cover_log_events():
@@ -157,7 +157,7 @@ def test_path_fibration_cancels(p):
     spec = FibrationSpec(p, base, EMSpec(CyclicClass(1), 1),
                          {"i1": "i2"}, bound=12)
     res = run_ss(spec)
-    assert res.poincare().coeffs == [1] + [0] * 12
+    assert res.series == [1] + [0] * 12
     assert res.surviving_fiber_generators == []
     assert res.flags["quotient_trivial"]
     assert_euler_ledger_telescopes(res, spec)
@@ -213,11 +213,11 @@ def test_bs3_cover_p2_survivors(bs3_cover_p2):
 def test_bs3_cover_p2_series(bs3_cover_p2):
     res = bs3_cover_p2
     frozen = [1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 2, 1, 2]
-    assert res.poincare().coeffs == frozen
+    assert res.series == frozen
     # and the total must be the polynomial algebra on the survivor degrees
     oracle = expand(FreeCommPresentation(
-        2, [GeneratorSpec(f"g{d}", d) for d in (5, 6, 9, 17)]), 17).poincare()
-    assert res.poincare() == oracle
+        2, [GeneratorSpec(f"g{d}", d) for d in (5, 6, 9, 17)]), 17).dims()
+    assert res.series == oracle
 
 
 def test_bs3_cover_p2_induced_action(bs3_cover_p2):
@@ -250,7 +250,7 @@ def test_bs3_cover_p2_ledger_and_jsonable(bs3_cover_p2):
     assert_euler_ledger_telescopes(res, spec)
     data = res.to_jsonable()
     assert data["p"] == 2 and data["bound"] == 17
-    assert data["poincare"] == res.poincare().coeffs
+    assert data["poincare"] == res.series
     assert data["surviving_fiber_generators"][0] == {
         "name": "z5", "degree": 5, "kind": "polynomial", "display": "z",
         "origin": "Sq2i3", "is_companion": False, "bockstein_link": None}
@@ -290,7 +290,7 @@ def test_bs3_cover_p3():
         ("z7", 7, "exterior", "P1i3", "z"),
         ("z8", 8, "polynomial", "bP1i3", "b z"),
     ]
-    assert res.poincare().coeffs == [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]
+    assert res.series == [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]
     # the induced action connects them by the primary Bockstein
     assert res.total.act(("B",), res.survivor_element("z7")) == \
         res.survivor_element("z8")
@@ -301,7 +301,7 @@ def test_bs3_cover_p5():
     res = connected_cover_cohomology(entry, 5, 11)
     assert [(s.name, s.degree, s.kind) for s in
             res.surviving_fiber_generators] == [("z11", 11, "exterior")]
-    assert res.poincare().coeffs == [1] + [0] * 10 + [1]
+    assert res.series == [1] + [0] * 10 + [1]
 
 
 def test_rank_two_cover_p3():
@@ -316,7 +316,7 @@ def test_rank_two_cover_p3():
     ]
     frozen = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
               0, 0, 0, 0, 1, 0, 0, 1]
-    assert res.poincare().coeffs == frozen
+    assert res.series == frozen
 
 
 @pytest.mark.parametrize("name,p,bound,displays", [
@@ -626,7 +626,7 @@ def test_the_series_without_a_basis_is_the_total_series(name, p, bound):
         entry = get_entry(name)
         res = connected_cover_cohomology(entry, p, bound)
     assert "total" not in vars(res)  # not built yet
-    assert res.poincare() == res.total.poincare()
+    assert res.series == res.total.dims()
     assert res.total is res.total
 
 
@@ -696,7 +696,7 @@ def test_a_base_generator_named_like_a_survivor_is_refused_by_the_total():
         json.dumps(plain.to_jsonable()).replace("w2", "z2")
     with pytest.raises(InputError, match="unique; repeated: z2$"):
         clash.total
-    assert plain.total.dims() == clash.poincare().coeffs
+    assert plain.total.dims() == clash.series
 
 
 @pytest.mark.parametrize("p, bound", [(3, 60), (5, 70)])
@@ -870,15 +870,15 @@ def test_each_step_starts_from_the_series_the_last_step_left(name, p, bound):
     assert len(res.log) >= 3
     for first, second in zip(res.log, res.log[1:]):
         assert second["series_before"] == first["series_after"]
-    assert res.poincare().coeffs == res.log[-1]["series_after"]
+    assert res.series == res.log[-1]["series_after"]
 
 
 @pytest.mark.parametrize("name,p,bound", LEDGER_CASES)
 def test_the_page_series_is_built_once_per_transgression(monkeypatch, name,
                                                          p, bound):
     """One build before the loop and one after each transgression step: a
-    survivor step reuses the running series, and poincare() reads the
-    last one."""
+    survivor step reuses the running series, and ``series`` is the last
+    one."""
     calls = []
     model_series = _Engine._model_series
 
@@ -888,7 +888,6 @@ def test_the_page_series_is_built_once_per_transgression(monkeypatch, name,
 
     monkeypatch.setattr(_Engine, "_model_series", counted)
     res = run_ss(ledger_spec(name, p, bound))
-    res.poincare()
     kills = sum(1 for step in res.log if step["event"] == "transgression")
     assert any(step["event"] == "survivor" for step in res.log)
     assert len(calls) == 1 + kills
@@ -1103,7 +1102,7 @@ def test_an_unread_companion_transgression_does_not_refuse():
     assert [(s.origin, s.degree) for s in res.surviving_fiber_generators] == \
         [("Sq1i2", 3), ("i2^2", 4), ("Sq2Sq1i2", 5)]
     assert res.killed_base_ideal == ["x1^3"]
-    assert res.poincare().coeffs == [1, 1, 1, 1, 2, 3, 3, 3, 4]
+    assert res.series == [1, 1, 1, 1, 2, 3, 3, 3, 4]
 
 
 def test_a_read_companion_transgression_still_refuses():
@@ -1145,7 +1144,7 @@ def test_a_transgression_value_is_a_string_or_a_monomial_dict():
     fiber = EMSpec(IntegerClass(), 2)
     by_string = run_ss(FibrationSpec(2, base, fiber, {"i2": "x3"}, 10))
     by_dict = run_ss(FibrationSpec(2, base, fiber, {"i2": {(1,): 1}}, 10))
-    assert by_dict.poincare().coeffs == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+    assert by_dict.series == [1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
     assert by_dict.to_jsonable() == by_string.to_jsonable()
     x3 = expand(base, 11).generator_element("x3")
     with pytest.raises(InputError, match="polynomial strings or monomial"):
@@ -1260,12 +1259,12 @@ def test_a_cover_answers_where_missing_steenrod_data_goes_unread(name, p):
     spec = ledger_spec(name, p, 60)
     res = run_ss(spec)
     assert json.loads(out.getvalue())["payload"]["poincare"] == \
-        res.poincare().coeffs
+        res.series
     assert_euler_ledger_telescopes(res, spec)
     survivors = expand(FreeCommPresentation(p, [
         GeneratorSpec(s.name, s.degree, s.kind)
         for s in res.surviving_fiber_generators]), 60)
-    assert res.poincare().coeffs == \
+    assert res.series == \
         convolve(res.quotient.dims(), survivors.dims(), 60)
 
 
