@@ -435,13 +435,18 @@ def _letters_applied(p: int, word: tuple) -> tuple:
     return tuple(reversed(steenrod.word_to_letters(p, word)))
 
 
+# no memoized values: an algebra's memo, or the table of an operation
+_NO_VALUES: Mapping = MappingProxyType({})
+
+
 class TruncAlgebra:
     """Shared behavior: basis bookkeeping, series, op-word application."""
 
     p: int
     bound: int
-    # act reads an act_basis memo inline; an algebra that keeps one sets it
-    _action: Mapping = MappingProxyType({})
+    # act reads an act_basis memo inline, {op: {(degree, index): value}};
+    # an algebra that keeps one sets it
+    _action: Mapping = _NO_VALUES
 
     def dim(self, degree: int) -> int:
         if degree < 0 or degree > self.bound:
@@ -488,21 +493,20 @@ class TruncAlgebra:
 
     def _act_data(self, op: tuple, data: dict) -> dict:
         """op on reduced {(degree, index): coeff} data as new reduced data,
-        never shared with the memo; a memoized value is read inline."""
-        p, bound, memo = self.p, self.bound, self._action
-        shift = op_degree(p, op)
-        out: dict = {}
-        for (d, i), c in data.items():
-            if d + shift > bound:
-                self._refuse_above(op, d)
-            value = memo.get((op, d, i))
+        never shared with the memo.  op's table, which holds no value above
+        the bound, is read with each term's own key; a miss asks act_basis."""
+        if not data:
+            return {}
+        p, memo, out = self.p, self._action.get(op, _NO_VALUES), {}
+        for key, c in data.items():
+            value = memo.get(key)
             if value is None:
-                value = self.act_basis(op, d, i)
+                value = self.act_basis(op, *key)
             if len(data) == 1:  # reduced: c·v is nonzero mod the prime p
                 return value.copy() if c == 1 else \
                     {k: v * c % p for k, v in value.items()}
-            for key, v in value.items():
-                out[key] = out.get(key, 0) + v * c
+            for k, v in value.items():
+                out[k] = out.get(k, 0) + v * c
         return {k: r for k, v in out.items() if (r := v % p)}
 
     def act_basis(self, op: tuple, degree: int, index: int) -> dict:
@@ -607,9 +611,9 @@ class FreeTruncAlgebra(TruncAlgebra):
         self._lookups = [0] * (bound + 1)
         self._blocks: list[dict] = [{} for _ in self.generators] + [
             {0: [(0,) * len(self.generators)]}]
-        # (op, degree, index) -> act_basis value: {basis key: coeff} dicts,
-        # not Elements, which would point back at the algebra and make it a
-        # reference cycle
+        # op -> (degree, index) -> act_basis value, never one above the
+        # bound: {basis key: coeff} dicts, not Elements, which would point
+        # back at the algebra and make it a reference cycle
         self._action: dict = {}
         # ``gaps``, None until first read: a plain attribute, since a
         # functools.cached_property writes through __dict__, and on
@@ -884,14 +888,14 @@ class FreeTruncAlgebra(TruncAlgebra):
         this method, one frame per generator, and T(g^a) for a > 1 comes
         from T(g) by the base-p digits of a.  A miss on a Sq^i (P^i)
         computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
-        monomial.  Values are memoized by (op, degree, index).  An op
+        monomial.  Values are memoized in op's table by (degree, index).  An op
         landing above the bound raises TruncationError, and any other op
         that instability does not make zero raises MissingDataError, on
         every request (a refusal is never memoized): on a generator when
         its rule is a gap, on any other monomial when it is on a generator
         with a gap (``can_act_on``)."""
-        key = (op, degree, index)
-        value = self._action.get(key)
+        key = (degree, index)
+        value = self._action.get(op, _NO_VALUES).get(key)
         if value is not None:
             return value
         p = self.p
@@ -899,7 +903,7 @@ class FreeTruncAlgebra(TruncAlgebra):
         if op not in ops or not degree:
             self._refuse_above(op, degree)
             # zero by instability, or on the unit
-            value = self._action[key] = {}
+            value = self._action.setdefault(op, {})[key] = {}
             return value
         mono = self.unrank(degree, index)
         first = next(k for k, e in enumerate(mono) if e)
@@ -909,7 +913,7 @@ class FreeTruncAlgebra(TruncAlgebra):
             rule = self._gen_op_value(g, op)
             if rule is None:
                 raise MissingDataError(missing, gaps=self.gaps)
-            value = self._action[key] = rule()
+            value = self._action.setdefault(op, {})[key] = rule()
             return value
         if not self.can_act_on(mono):  # any other monomial: per generator
             raise MissingDataError(missing, gaps=self.gaps)
@@ -939,20 +943,21 @@ class FreeTruncAlgebra(TruncAlgebra):
         for (e, m), c in total.items():
             if e:
                 values[e // step - 1][(degree + e, self.rank(degree + e, m))] = c
-        self._action.update(((o, degree, index), v) for o, v in zip(family, values))
-        return self._action[key]
+        for o, v in zip(family, values):
+            self._action.setdefault(o, {})[key] = v
+        return self._action[op][key]
 
     def _total(self, sym: str, degree: int, mono: tuple, top: int) -> dict:
         """mono, of the given degree, plus its values under the ops named
         sym ("Sq", "P" or "B") that shift by at most top, as {(excess,
         monomial): coeff}, the excess of a term being its degree less
         mono's."""
-        index, out = self.rank(degree, mono), {(0, mono): 1}
+        key, out = (degree, self.rank(degree, mono)), {(0, mono): 1}
         for o in ops_on_degree(self.p, degree, self.bound):
             if o[0] == sym and op_degree(self.p, o) <= top:
-                value = self._action.get((o, degree, index))
+                value = self._action.get(o, _NO_VALUES).get(key)
                 if value is None:
-                    value = self.act_basis(o, degree, index)
+                    value = self.act_basis(o, *key)
                 for (d, i), c in value.items():
                     out[(d - degree, self.unrank(d, i))] = c
         return out

@@ -660,10 +660,11 @@ def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
     try:
         alg = expand(pres, 16)
         act_everywhere(alg)
-        memoized = {op[0] for op, _d, _i in alg._action}
+        memoized = {op[0] for op in alg._action}
         assert memoized == ({"Sq"} if p == 2 else {"B", "P"})
         assert any(sum(alg.basis(d)[i]) > 1 and value
-                   for (_op, d, i), value in alg._action.items())
+                   for table in alg._action.values()
+                   for (d, i), value in table.items())
         freed = weakref.ref(alg)
         del alg
         assert freed() is None
@@ -1004,6 +1005,78 @@ def test_a_quotient_refuses_values_above_the_bound():
         with pytest.raises(TruncationError):
             deep.act_basis(("Sq", 1), 8, 0)
     assert deep.act_basis(("Sq", 1), 7, 0) == {(8, 0): 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_full_memo_still_refuses_what_lands_above_the_bound_or_on_a_gap(p):
+    """act reads a memoized value with no bound check, so the refusals must
+    come from the misses.  With K(Z/p,2)'s memo full, an element with one
+    term whose value lands above the bound raises TruncationError, in
+    either term order and on each request; with the memo of K(Z/p,2)
+    less the β-type value on i2 (Sq1 at p = 2) full everywhere else, i2
+    is refused on each request, alone or beside a memoized term; and act
+    on zero is zero for every op on that gapped algebra."""
+    alg = kernel_algebras(p)["free"]
+    for op, d, i in acting_keys(alg):
+        alg.act_basis(op, d, i)
+    op = alg.op_list()[0]
+    high = alg.bound + 1 - op_degree(p, op)
+    assert alg.dim(2) and alg.dim(high)
+    for data in ({(2, 0): 1, (high, 0): 1}, {(high, 0): 1, (2, 0): 1}):
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                alg.act(op, Element(alg, data))
+
+    pres = em_product_presentation(parse_space(f"K(Z/{p},2)", p), p,
+                                   alg.bound)
+    gap = ("i2", op)
+    gapped = expand(FreeCommPresentation(
+        p, pres.generators,
+        {k: v for k, v in pres.action.items() if k != gap}), alg.bound)
+    assert [(g["generator"], g["op"]) for g in gapped.gaps] == \
+        [("i2", format_op(op))]
+    for key in acting_keys(gapped):
+        try:
+            gapped.act_basis(*key)
+        except MissingDataError:
+            pass
+    assert (3, 0) in gapped._action[op] and (2, 0) not in gapped._action[op]
+    i2, u = gapped.element(2, 0), gapped.element(3, 0)
+    assert gapped.act(op, u).data == alg.act(op, alg.element(3, 0)).data
+    for x in (i2, i2 + u, u + i2):
+        for _ in range(2):
+            with pytest.raises(MissingDataError):
+                gapped.act(op, x)
+    for o in gapped.op_list() + [("Sq", 99) if p == 2 else ("P", 99)]:
+        assert gapped.act(o, gapped.zero()).is_zero
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_memo_holds_no_value_above_the_bound(p):
+    """The invariant that lets act read a memoized value with no bound
+    check: after every op acts on every basis element of the free, the
+    quotient and the tensor algebra (and is refused where it lands above
+    the bound), each entry (d, i) of op's table, in each algebra and in
+    the free algebra under a quotient, has d + |op| <= bound, and its
+    value lies in degree d + |op|."""
+    checked = 0
+    for alg in kernel_algebras(p).values():
+        for op in alg.op_list():
+            for d in range(alg.bound + 1):
+                for i in range(alg.dim(d)):
+                    if d + op_degree(p, op) <= alg.bound:
+                        alg.act(op, alg.element(d, i))
+                    else:
+                        with pytest.raises(TruncationError):
+                            alg.act(op, alg.element(d, i))
+        for a in (alg, getattr(alg, "free", alg)):
+            for op, table in a._action.items():
+                shift = op_degree(p, op)
+                for (d, i), value in table.items():
+                    assert d + shift <= a.bound
+                    assert all(dt == d + shift for dt, _ in value)
+                    checked += 1
+    assert checked >= 50
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
