@@ -58,7 +58,7 @@ class UnsupportedFibrationError(PNoetherError):
 
 
 class MissingDataError(PNoetherError):
-    """Required Steenrod action data is absent; lists the exact gaps."""
+    """Required Steenrod action data is absent; lists all the algebra's gaps."""
 
     exit_code = 5
 

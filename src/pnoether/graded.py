@@ -575,13 +575,13 @@ class FreeTruncAlgebra(TruncAlgebra):
     Per-generator Steenrod values come from the presentation's action
     table, the instability relations (top operation = p-th power,
     above-top = 0), Bockstein links, and zero-dimensional target degrees;
-    anything else still needed within the bound is a gap, and gaps raise
-    MissingDataError listing every one.  ``gaps``, first read by an
-    operation or by ``action_complete``, finds them from which table
-    entries exist, reading none of them; a generator's value under an
-    operation is computed, and its table entry read, the first time it is
-    needed.  The value on any other monomial comes from the total
-    operation (``act_basis``), and every value is kept in one memo.
+    anything else needed within the bound is a gap, and an operation
+    whose expansion reads one raises MissingDataError listing them all.
+    ``gaps``, first read by a refusal or by ``action_complete``, finds them
+    from which table entries exist, reading none of them; a generator's
+    value under an operation is computed, and its table entry read, the
+    first time it is needed.  The value on any other monomial comes from
+    the total operation (``act_basis``); every value is kept in one memo.
     """
 
     def __init__(self, presentation: FreeCommPresentation, bound: int):
@@ -627,7 +627,7 @@ class FreeTruncAlgebra(TruncAlgebra):
 
         Gaps do not fail construction — the basis, products and Poincaré
         series never need them.  They surface as MissingDataError the moment
-        an action value depending on an affected generator is demanded.
+        an action value whose expansion reads one is demanded (``act_basis``).
         """
         if self._gaps is None:
             self._gaps = [{"generator": g.name, "op": format_op(op),
@@ -840,16 +840,6 @@ class FreeTruncAlgebra(TruncAlgebra):
 
     # -- Steenrod action -----------------------------------------------------
 
-    def can_act_on(self, mono: tuple) -> bool:
-        """Whether act_basis answers on this monomial, a product: none of
-        its generators has a gap (a generator is decided per operation)."""
-        gaps = self.gaps
-        if not gaps:
-            return True
-        on = {gap["generator"] for gap in gaps}
-        return not any(e and g.name in on
-                       for e, g in zip(mono, self.generators))
-
     def _gen_op_value(self, g: GeneratorSpec, op: tuple):
         """How op acts on generator g: a function of no arguments giving the
         value as {basis key: coeff}, or None when nothing determines it (a
@@ -887,13 +877,16 @@ class FreeTruncAlgebra(TruncAlgebra):
         sign (-1)^|x|): T(g^a·rest) = T(g^a)·T(rest), both read through
         this method, one frame per generator, and T(g^a) for a > 1 comes
         from T(g) by the base-p digits of a.  A miss on a Sq^i (P^i)
-        computes every Sq^i (P^i) that ``ops_on_degree`` lists on the
-        monomial.  Values are memoized in op's table by (degree, index).  An op
-        landing above the bound raises TruncationError, and any other op
-        that instability does not make zero raises MissingDataError, on
-        every request (a refusal is never memoized): on a generator when
-        its rule is a gap, on any other monomial when it is on a generator
-        with a gap (``can_act_on``)."""
+        computes, and memoizes in each op's table by (degree, index), every
+        Sq^i (P^i) that ``ops_on_degree`` lists on the monomial and T knows
+        (below).  An op landing above the bound raises TruncationError, and
+        any other op that instability does not make zero raises
+        MissingDataError, on every request (a refusal is never memoized):
+        on a generator when its rule is a gap, on any other monomial when
+        op's excess is above what T knows there, the least its factors know
+        (``_total``); T(g^a) is known below u·p^v, for g's first gap at
+        excess u and p^v the largest power of p dividing a, as T(g)^(p^j)
+        reads T(g) at excess e/p^j."""
         key = (degree, index)
         value = self._action.get(op, _NO_VALUES).get(key)
         if value is not None:
@@ -915,52 +908,59 @@ class FreeTruncAlgebra(TruncAlgebra):
                 raise MissingDataError(missing, gaps=self.gaps)
             value = self._action.setdefault(op, {})[key] = rule()
             return value
-        if not self.can_act_on(mono):  # any other monomial: per generator
-            raise MissingDataError(missing, gaps=self.gaps)
         family = [op] if op == ("B",) else [o for o in ops if o[0] == op[0]]
         step, top = op_degree(p, family[0]), op_degree(p, family[-1])
         dg, zeros = a * g.degree, (0,) * (len(mono) - first - 1)
         if degree > dg:
             rest = (0,) * (first + 1) + mono[first + 1:]
-            total = self._times(self._total(op[0], dg, mono[:first + 1] + zeros, top),
-                                self._total(op[0], degree - dg, rest, top), top)
+            x, known = self._total(op[0], dg, mono[:first + 1] + zeros, top)
+            y, known = self._total(op[0], degree - dg, rest, known)
+            total = self._times(x, y, known)
         else:
             # a > 1, so g is of even degree or p = 2, and the p-th power of a
             # sum of T-terms is the sum of their p-th powers (zero for a
             # monomial with an exterior factor, above excess 1 for a β term):
             # T(g^a) = Π_j (T(g)^(p^j))^(d_j) over the base-p digits d_j of a
             unit = mono[:first] + (1,) + zeros
-            factor, q = self._total(op[0], g.degree, unit, top), 1
-            total = {(0, (0,) * len(mono)): 1}
+            factor, u = self._total(op[0], g.degree, unit, top)
+            total, q, known = {(0, (0,) * len(mono)): 1}, 1, top
             while a:
                 a, digit = divmod(a, p)
+                if digit:
+                    known = min(known, (u + 1) * q - 1)
                 frobenius = {(e * q, tuple(x * q for x in m)): c
-                             for (e, m), c in factor.items() if e * q <= top}
+                             for (e, m), c in factor.items() if e * q <= known}
                 for _ in range(digit):
-                    total = self._times(total, frobenius, top)
+                    total = self._times(total, frobenius, known)
                 q *= p
-        values = [{} for _ in family]
+        values = [{} for _ in family[:known // step]]
         for (e, m), c in total.items():
             if e:
                 values[e // step - 1][(degree + e, self.rank(degree + e, m))] = c
         for o, v in zip(family, values):
             self._action.setdefault(o, {})[key] = v
+        if op_degree(p, op) > known:
+            raise MissingDataError(missing, gaps=self.gaps)
         return self._action[op][key]
 
-    def _total(self, sym: str, degree: int, mono: tuple, top: int) -> dict:
-        """mono, of the given degree, plus its values under the ops named
-        sym ("Sq", "P" or "B") that shift by at most top, as {(excess,
-        monomial): coeff}, the excess of a term being its degree less
-        mono's."""
+    def _total(self, sym: str, degree: int, mono: tuple, top: int) -> tuple:
+        """(terms, known): mono, of the given degree, plus its values under
+        the ops named sym ("Sq", "P" or "B") that shift by at most top, as
+        {(excess, monomial): coeff}, the excess of a term being its degree
+        less mono's, up to the first op that raises MissingDataError; and
+        the excess known, top or that op's excess less 1."""
         key, out = (degree, self.rank(degree, mono)), {(0, mono): 1}
         for o in ops_on_degree(self.p, degree, self.bound):
-            if o[0] == sym and op_degree(self.p, o) <= top:
+            if o[0] == sym and (shift := op_degree(self.p, o)) <= top:
                 value = self._action.get(o, _NO_VALUES).get(key)
                 if value is None:
-                    value = self.act_basis(o, *key)
+                    try:
+                        value = self.act_basis(o, *key)
+                    except MissingDataError:
+                        return out, shift - 1
                 for (d, i), c in value.items():
                     out[(d - degree, self.unrank(d, i))] = c
-        return out
+        return out, top
 
     def _times(self, x: dict, y: dict, top: int) -> dict:
         """The product of two {(excess, monomial): coeff} sums, less the

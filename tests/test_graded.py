@@ -594,13 +594,13 @@ def test_op_list_by_prime():
     assert alg3.op_list() == [("B",), ("P", 1), ("P", 2)]
 
 
-def random_presentation(data, p, max_gens=3):
+def random_presentation(data, p, max_gens=3, gap_odds=10):
     """A free presentation with random action data and its truncation.
 
     Up to max_gens generators, odd and exterior ones included, some linked by
     a primary Bockstein to a partner one degree up; every op below the top
     one (which instability fills in) gets a random explicit value, left out
-    one time in ten so that gaps occur.  At p = 2 the values on an exterior
+    one time in gap_odds so that gaps occur.  At p = 2 the values on an exterior
     generator are sums of monomials with an exterior factor, so that they
     square to zero as the generator does and the total operation stays a
     ring map."""
@@ -617,7 +617,6 @@ def random_presentation(data, p, max_gens=3):
             link = (1, f"g{data.draw(hs.sampled_from(partners))}")
         specs.append(GeneratorSpec(f"g{k}", degree, kind, link))
     bare = expand(FreeCommPresentation(p, specs), bound)
-    exterior = [k for k, g in enumerate(specs) if g.kind == "exterior"]
     action = {}
     for g in specs:
         if p == 2:
@@ -628,16 +627,32 @@ def random_presentation(data, p, max_gens=3):
                 ops.append(("B",))
         for op in ops:
             target = g.degree + op_degree(p, op)
-            if target > bound or data.draw(hs.integers(0, 9)) == 0:
+            if target > bound or data.draw(hs.integers(0, gap_odds - 1)) == 0:
                 continue
-            monos = [m for m in bare.basis(target)
-                     if p != 2 or g.kind != "exterior"
-                     or any(m[k] for k in exterior)]
-            coeffs = data.draw(hs.lists(hs.integers(0, p - 1),
-                                        min_size=len(monos),
-                                        max_size=len(monos)))
-            action[(g.name, op)] = dict(zip(monos, coeffs))
+            action[(g.name, op)] = random_value(data, bare, g, op)
     return expand(FreeCommPresentation(p, specs, action), bound)
+
+
+def no_data_algebras(p, bound) -> list:
+    """Two presentations with no action data, which have gaps at every
+    prime: P1 (Sq2) on y4, and β (Sq1) on x2 and y3."""
+    return [expand(FreeCommPresentation(p, [GeneratorSpec(name, d, kind)
+                                            for name, d, kind in gens]), bound)
+            for gens in ([("x2", 2, "polynomial"), ("y4", 4, "polynomial")],
+                         [("x2", 2, "polynomial"), ("y3", 3, "exterior")])]
+
+
+def random_value(data, alg, g, op) -> dict:
+    """A random value of op on generator g, as {monomial: coeff} on alg's
+    basis of the target degree; at p = 2 on an exterior g, a sum of
+    monomials with an exterior factor (see ``random_presentation``)."""
+    exterior = [k for k, h in enumerate(alg.generators) if h.kind == "exterior"]
+    monos = [m for m in alg.basis(g.degree + op_degree(alg.p, op))
+             if alg.p != 2 or g.kind != "exterior"
+             or any(m[k] for k in exterior)]
+    coeffs = data.draw(hs.lists(hs.integers(0, alg.p - 1),
+                                min_size=len(monos), max_size=len(monos)))
+    return dict(zip(monos, coeffs))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -675,12 +690,12 @@ def test_an_algebra_that_has_acted_is_freed_without_the_cycle_collector(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
-    """A product on a generator with a gap is refused by every op that
-    instability lets act, and a generator by the ops of its gaps, on gapped
-    algebras with no action data and on random ones; and on random
-    products the total operation x + sum of act(op, x) is multiplicative
-    (the Cartan formula for every op at once) and β is a derivation with
-    sign (-1)^|x|."""
+    """A generator is refused by the ops of its gaps, and any other
+    monomial by the ops its factors' first gaps reach, on gapped algebras
+    with no action data and on random ones, every other op answering; and
+    on random products the total operation x + sum of act(op, x) is
+    multiplicative (the Cartan formula for every op at once) and β is a
+    derivation with sign (-1)^|x|."""
 
     def total(alg, x):
         out = x
@@ -689,8 +704,26 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
                 out = out + within_bound(alg, x, op)
         return out
 
+    def known_below(alg, gaps, mono, sym) -> float:
+        """The gap rule on a monomial of two or more factors: the ops
+        named sym are answered below the least, over its factors g^e, of
+        u·p^v, u the excess of g's first gap under those ops (none: no
+        limit) and p^v the largest power of p that divides e."""
+        limits = [math.inf]
+        for e, g in zip(mono, alg.generators):
+            if e:
+                u = min((op_degree(p, op)
+                         for op in ops_on_degree(p, g.degree, alg.bound)
+                         if op[0] == sym and (g.name, format_op(op)) in gaps),
+                        default=math.inf)
+                while e % p == 0:
+                    e, u = e // p, u * p
+                limits.append(u)
+        return min(limits)
+
     def refusals(alg) -> int:
-        """Check every refusal the rule asks of alg, and count them."""
+        """Check that act_basis refuses exactly what the gap rule asks of
+        alg, and count the refusals."""
         gaps = {(gap["generator"], gap["op"]) for gap in alg.gaps}
         count = 0
         for d in range(alg.bound + 1):
@@ -698,19 +731,16 @@ def test_act_splits_the_total_operation_and_obeys_the_cartan_formula(p):
                 on = {g.name for e, g in zip(mono, alg.generators) if e}
                 for op in ops_on_degree(p, d, alg.bound):
                     if sum(mono) == 1 and (*on, format_op(op)) in gaps or \
-                            sum(mono) > 1 and not alg.can_act_on(mono):
+                            sum(mono) > 1 and op_degree(p, op) >= \
+                            known_below(alg, gaps, mono, op[0]):
                         with pytest.raises(MissingDataError):
                             alg.act_basis(op, d, i)
                         count += 1
+                    else:
+                        alg.act_basis(op, d, i)
         return count
 
-    # with no action data both have gaps at every prime: P1 (Sq2) on y4,
-    # and beta (Sq1) on x2 and y3
-    gapped = [expand(FreeCommPresentation(p, [GeneratorSpec(name, d, kind)
-                                               for name, d, kind in gens]), 12)
-              for gens in ([("x2", 2, "polynomial"), ("y4", 4, "polynomial")],
-                           [("x2", 2, "polynomial"), ("y3", 3, "exterior")])]
-    checked = [refusals(alg) for alg in gapped]
+    checked = [refusals(alg) for alg in no_data_algebras(p, 12)]
     assert all(checked)
 
     @settings(derandomize=True, database=None, max_examples=40)
@@ -757,8 +787,8 @@ def recursive_act_basis(alg, op, degree, index, memo):
     a generator's value comes from its rule.  ``memo`` maps (op, degree,
     index) to values already found.  An op above instability, or on the
     unit, gives 0; any other op raises MissingDataError on a generator
-    whose rule for it is a gap, and on any other monomial on a generator
-    with a gap."""
+    whose rule for it is a gap, and on any other monomial when one of its
+    Cartan terms reads such a value."""
     key = (op, degree, index)
     if key in memo:
         return memo[key]
@@ -772,8 +802,6 @@ def recursive_act_basis(alg, op, degree, index, memo):
             if rule is None:
                 raise MissingDataError("missing data", gaps=alg.gaps)
             value = dict(rule())
-        elif not alg.can_act_on(mono):
-            raise MissingDataError("missing data", gaps=alg.gaps)
         else:
             unit = tuple(int(k == first) for k in range(len(mono)))
             g_key = alg.monomial_key(unit)
@@ -820,15 +848,23 @@ def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
     """act_basis on every basis element (a power's total operation read
     from the digits of its exponent, one split g^a·rest per generator),
     act on random sums and act_word on random admissible words agree with
-    the recursion through each factor, refusals for missing data included;
-    on random presentations and on K(Z/p,2), whose powers reach the
-    Frobenius terms of their digits at every prime."""
+    the recursion through each factor wherever both answer, and on an
+    algebra with no gaps both always answer; on random presentations and
+    on K(Z/p,2), whose powers reach the Frobenius terms of their digits at
+    every prime.  With a gap, each side may refuse what the other answers:
+    the recursion reads cross terms of g·g that the kernel's Frobenius
+    cancels, and the kernel refuses a product's ops above a factor's first
+    gap even where no Cartan term reads it."""
 
     def compare(alg, data):
+        def agree(kernel, recursion):
+            assert kernel == recursion or not alg.action_complete and \
+                "missing" in (kernel, recursion)
+
         memo = {}
         for op, d, i in acting_keys(alg):
-            assert missing_or(lambda: alg.act_basis(op, d, i)) == \
-                missing_or(lambda: recursive_act_basis(alg, op, d, i, memo))
+            agree(missing_or(lambda: alg.act_basis(op, d, i)),
+                  missing_or(lambda: recursive_act_basis(alg, op, d, i, memo)))
         if data is None:
             return
         keys = [(d, i) for d in range(alg.bound + 1) for i in range(alg.dim(d))]
@@ -836,8 +872,8 @@ def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
                                           hs.integers(1, p - 1), max_size=5))
         x = Element(alg, terms)
         op = data.draw(hs.sampled_from(alg.op_list()))
-        assert missing_or(lambda: within_bound(alg, x, op).data) == \
-            missing_or(lambda: recursive_act(alg, op, terms, memo))
+        agree(missing_or(lambda: within_bound(alg, x, op).data),
+              missing_or(lambda: recursive_act(alg, op, terms, memo)))
         word = data.draw(hs.sampled_from(admissible_words(p, alg.bound)))
 
         def chain():  # on the terms the word keeps within the bound
@@ -847,8 +883,8 @@ def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
                 out = recursive_act(alg, letter, out, memo)
             return out
 
-        assert missing_or(lambda: within_bound(alg, x, word).data) \
-            == missing_or(chain)
+        agree(missing_or(lambda: within_bound(alg, x, word).data),
+              missing_or(chain))
 
     for bound in (24, 40):
         compare(expand(em_product_presentation(parse_space(f"K(Z/{p},2)", p),
@@ -860,6 +896,47 @@ def test_the_action_kernel_matches_the_recursion_through_each_factor(p):
         compare(random_presentation(data, p), data)
 
     check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_value_a_gapped_algebra_answers_is_its_value_in_any_completion(p):
+    """Fill each gap of a random presentation, or of one with no action
+    data, in two random ways: every value act_basis answers on the gapped
+    algebra, on generators and on products alike, equals the value in both
+    completions, so no answer depends on a gap; and some products on a
+    generator with a gap answer ops that instability lets act."""
+    answered, no_data = 0, no_data_algebras(p, 16)
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(hs.data())
+    def check(data):
+        nonlocal answered
+        pick = data.draw(hs.integers(0, len(no_data)))
+        alg = no_data[pick] if pick < len(no_data) else \
+            random_presentation(data, p, gap_odds=2)
+        holes = [(g, op) for g in alg.generators
+                 for op in ops_on_degree(p, g.degree, alg.bound)
+                 if alg._gen_op_value(g, op) is None]
+        if not holes:
+            return
+        gapped = {g.name for g, _ in holes}
+        completions = [expand(FreeCommPresentation(p, alg.generators, {
+            **alg.presentation.action,
+            **{(g.name, op): random_value(data, alg, g, op) for g, op in holes}}),
+            alg.bound) for _ in range(2)]
+        for op, d, i in acting_keys(alg):
+            value = missing_or(lambda: alg.act_basis(op, d, i))
+            if value == "missing":
+                continue
+            for full in completions:
+                assert full.act_basis(op, d, i) == value
+            mono = alg.basis(d)[i]
+            answered += sum(mono) > 1 and op in ops_on_degree(p, d, alg.bound) \
+                and any(e and g.name in gapped
+                        for e, g in zip(mono, alg.generators))
+
+    check()
+    assert answered
 
 
 def test_an_operation_on_a_power_is_the_binomial_multiple_of_a_power():

@@ -123,13 +123,18 @@ def test_s3_cover_is_serres_closed_form(p):
 def test_the_primary_bockstein_carries_the_s3_cover_bottom_class_to_the_top(p):
     """H^{2p+1}(S³⟨3⟩; Z) = Z/p (Serre; Z/2 in degree 5 at p = 2), so the
     primary Bockstein, Sq¹ at p = 2, carries the polynomial survivor onto
-    the companion one degree up: the total reads the engine's link."""
+    the companion one degree up: the total reads the engine's link.  So
+    β(x·y) = y² ± x·βy = 0, answered although at p = 2 and 3 the companion
+    has gaps (Sq³y5 and Sq⁴y5; P³y7), since no term of it reads them."""
     res = connected_cover_cohomology(get_entry("S3"), p, 6 * p + 3)
     z, y = res.surviving_fiber_generators
     beta = ("Sq", 1) if p == 2 else ("B",)
     total, x = res.total, res.survivor_element(z.name)
     assert total.act(beta, x) == res.survivor_element(y.name)
     assert total.act(beta, res.survivor_element(y.name)).is_zero
+    assert {gap["generator"] for gap in total.free.gaps} == \
+        ({y.name} if p < 5 else set())
+    assert total.act(beta, x * res.survivor_element(y.name)).is_zero
 
 
 def test_s3_cover_p2_series_frozen():
@@ -654,10 +659,11 @@ def test_a_survivor_value_no_one_decides_over_a_nontrivial_quotient_is_a_gap():
     of the base.  Sq^4 z8 lands in degree 12, where the total has w4^3 and
     w4·z8; in H*(BSp(2)) = F_2[q1, q2] Wu gives Sq^4 q2 = q1·q2, so no lift
     of z8 has Sq^4 z8 = 0.  The engine knows no value there, so the total
-    refuses it, and its indecomposables say the action is incomplete; the
-    values that are decided still answer (degrees 9 and 10 are empty, and
-    Sq^8 is the square), and the base class w4 still acts by the Wu
-    formula."""
+    refuses it, and Sq^4(w4·z8), whose Cartan sum reads it; its
+    indecomposables say the action is incomplete.  The values that are
+    decided still answer (degrees 9 and 10 are empty, and Sq^8 is the
+    square), so do Sq^1, Sq^2 and Sq^3 of w4·z8, which read no gap, and
+    the base class w4 still acts by the Wu formula."""
     spec = FibrationSpec(2, bso_presentation(5), EMSpec(CyclicClass(1), 1),
                          {"i1": "w2"}, 16)
     res = run_ss(spec)
@@ -676,6 +682,10 @@ def test_a_survivor_value_no_one_decides_over_a_nontrivial_quotient_is_a_gap():
     assert total.act(("Sq", 8), z) == z * z
     assert not indecomposables(total).action_complete
     w = total.project(total.free.generator_element("w4"))
+    for i in (1, 2, 3):
+        assert total.act(("Sq", i), w * z).is_zero
+    with pytest.raises(MissingDataError):
+        total.act(("Sq", 4), w * z)
     assert total.act(("Sq", 1), w).is_zero  # Sq1 w4 = w5, killed
     assert total.act(("Sq", 4), w) == w * w
 
