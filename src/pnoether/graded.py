@@ -1310,14 +1310,6 @@ def _substituted(src: FreeTruncAlgebra, target: FreeTruncAlgebra,
     return {k: r for k, v in out.items() if (r := v % p)}
 
 
-def _coset(space: RowSpace, reps: list, degree: int, vec: dict) -> dict:
-    """The class of the sparse vector vec of one degree modulo space, as
-    {(degree, index in reps): coeff}: the columns of its reduction are
-    representatives, listed in ascending order by reps."""
-    red = space.reduce(vec)
-    return {(degree, bisect_left(reps, col)): red[col] for col in sorted(red)}
-
-
 def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     """rank[d] of multiplication by the homogeneous x from degree d to
     degree d+|x|, for d = 0 .. bound-|x|."""
@@ -1371,44 +1363,63 @@ class FiniteModuleTable(Record):
 def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
     """Quotient by products of positive-degree elements, with induced action.
 
-    Requires a connected algebra (dimension 1 in degree 0).  The positive
-    part is generated by the representatives found below a degree d, so
-    the decomposables of degree d are spanned by each lower representative
-    times a basis element; the reduced rows, and with them the table, are
-    those of the span of all products.
+    Requires a connected algebra: a free one, read as a quotient with no
+    ideal, or a quotient S/R of its smaller free algebra S (``_small``) by
+    the residual ideal R.  As R·S⁺ lies in (S⁺)², Q(S/R) is Q(S), spanned
+    by S's generators, modulo the linear parts of R (Milnor and Moore, Ann.
+    of Math. 81, 1965): in degree d, R's rows cut down to the generator
+    columns.  The representatives are the generator columns that are no
+    pivot of those, which are the non-pivot columns of the span of all
+    products, since each decomposable monomial is a pivot of that span.
+    An operation's value keeps its generator columns, reduced modulo the
+    linear parts.
     """
     if alg.dim(0) != 1:
         raise InputError("indecomposables needs a connected algebra")
-    decomp: list[RowSpace] = [RowSpace(alg.p, alg.dim(d))
-                              for d in range(alg.bound + 1)]
-    reps: list[list[int]] = [[]]
-    for d in range(1, alg.bound + 1):
-        decomp[d].extend({it: c for (_dt, it), c in
-                          alg.product_basis(d1, rep, d - d1, i2).items()}
-                         for d1 in range(1, d) for rep in reps[d1]
-                         for i2 in range(alg.dim(d - d1)))
-        reps.append(decomp[d].non_pivot_columns())
-    dims = [len(r) for r in reps]
-    labels = [[alg.basis_label(d, i) for i in reps[d]]
-              for d in range(alg.bound + 1)]
+    top = alg.bound + 1
+    small, ideal, kept = (alg._small, alg._ideal, alg._reps) if isinstance(
+        alg, QuotientTruncAlgebra) else (alg, [None] * top, [None] * top)
+    # per degree: the generator columns of small, the linear parts of the
+    # residual rows, the representatives as columns of small and their
+    # indices in alg's basis
+    gens: list[list[int]] = [[] for _ in range(top)]
+    for k, g in enumerate(small.generators):
+        if g.degree < top:
+            gens[g.degree].append(small.rank(g.degree, tuple(
+                int(j == k) for j in range(len(small.generators)))))
+    linear = [RowSpace(alg.p, small.dim(d)) for d in range(top)]
+    for d, cols in enumerate(gens):
+        if cols and ideal[d] is not None:
+            linear[d].extend({j: row[j] for j in cols if j in row}
+                             for row in ideal[d].rows.values())
+    reps = [sorted(j for j in cols if j not in linear[d].rows)
+            for d, cols in enumerate(gens)]
+    keys = [[j if kept[d] is None else bisect_left(kept[d], j) for j in cols]
+            for d, cols in enumerate(reps)]
 
     action: dict = {}
     action_complete = True
     for op in alg.op_list():
         shift = op_degree(alg.p, op)
-        for d in range(1, alg.bound + 1 - shift):
-            for j, rep in enumerate(reps[d]):
+        for d in range(1, top - shift):
+            t = d + shift
+            for j, key in enumerate(keys[d]):
                 try:
-                    value = alg.act(op, alg.element(d, rep))
+                    value = alg.act(op, alg.element(d, key))
                 except MissingDataError:
                     action_complete = False
                     continue
-                t = d + shift
-                entry = _coset(decomp[t], reps[t], t, value.coords(t))
-                if entry:
-                    action[(op, (d, j))] = entry
-    return FiniteModuleTable(alg.p, alg.bound, dims, labels, action,
-                             action_complete)
+                terms = value.coords(t).items() if kept[t] is None else \
+                    ((kept[t][i], c) for i, c in value.coords(t).items())
+                red = linear[t].reduce({col: c for col, c in terms
+                                        if col in gens[t]})
+                if red:
+                    action[(op, (d, j))] = {(t, reps[t].index(col)): red[col]
+                                            for col in sorted(red)}
+    return FiniteModuleTable(
+        alg.p, alg.bound, [len(r) for r in reps],
+        [[alg.basis_label(d, i) for i in keys[d]] for d in range(top)],
+        action, action_complete)
 
 
 # ---------------------------------------------------------------------------

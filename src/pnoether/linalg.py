@@ -4,12 +4,9 @@
 ``{column: coeff}`` dicts of nonzero entries, reduced mod p on the way in,
 so a step costs the rows it touches, not the width.  It spans a quotient's
 residual ideal (a kill linear in a generator substitutes it away instead),
-the decomposables of ``indecomposables``, the images of ``mult_ranks`` and
-the columns of ``solve``, whose dense-list systems are small.  ``extend``
-places a one-entry vector, as a product of basis monomials is, without a
-reduction: ``indecomposables`` of the BS3 cover at p = 2 through degree
-100 extends 7,352 of them and no other, in 2.6-4.0 ms with that path and
-7.4-11.5 ms without (of 65-87 ms for the call; best of 9, 2-core Xeon).
+the linear parts of that ideal in ``indecomposables``, the images of
+``mult_ranks`` and the columns of ``solve``, whose dense-list systems are
+small.
 """
 
 from __future__ import annotations
@@ -72,24 +69,15 @@ class RowSpace:
     def extend(self, vecs) -> int:
         """Insert the vectors in order; return how many raised the dimension.
 
-        A one-entry vector is placed without a reduction: on a column j that
-        is no pivot it is the unit row {j: 1}, which has no tail and only
-        clears j from the rows that use it; on a unit row or 0 mod p it adds
-        nothing."""
+        Each vector is reduced modulo the rows; a nonzero remainder, scaled
+        to 1 at its lowest column, becomes a row with its pivot there, and
+        that column is cleared from the rows that use it.  The callers are
+        ``add`` (and through it ``solve``), a quotient's residual ideal
+        (``_span``), ``mult_ranks`` and the linear parts of
+        ``indecomposables``."""
         p, rows, users = self.p, self.rows, self._users
         grown = 0
         for vec in vecs:
-            if len(vec) == 1:
-                ((piv, c),) = vec.items()
-                if piv not in rows:
-                    if c % p:
-                        grown += 1
-                        for q in users.pop(piv, ()):
-                            del rows[q][piv]
-                        rows[piv] = {piv: 1}
-                    continue
-                if len(rows[piv]) == 1:
-                    continue
             v = self.reduce(vec)
             if not v:
                 continue

@@ -8,6 +8,7 @@ series, its basis enumeration, and the two oracles are independent routes
 to the same numbers.
 """
 
+import collections
 import gc
 import itertools
 import math
@@ -1754,7 +1755,8 @@ def test_indecomposables_of_truncated_polynomial():
 def product_span_indecomposables(alg):
     """The indecomposables by the definition: the decomposables of degree
     d are spanned by every product of two basis elements of positive
-    degree; the action is projected as in graded.indecomposables."""
+    degree; the action is projected as in graded.indecomposables, and is
+    incomplete where a value is refused for a gap."""
     decomp = [RowSpace(alg.p, alg.dim(d)) for d in range(alg.bound + 1)]
     for d in range(2, alg.bound + 1):
         for d1 in range(1, d // 2 + 1):
@@ -1766,12 +1768,16 @@ def product_span_indecomposables(alg):
                         decomp[d].add(vec)
     reps = [[] if d == 0 else decomp[d].non_pivot_columns()
             for d in range(alg.bound + 1)]
-    action = {}
+    action, complete = {}, True
     for op in alg.op_list():
         shift = op_degree(alg.p, op)
         for d in range(1, alg.bound + 1 - shift):
             for j, rep in enumerate(reps[d]):
-                value = alg.act(op, alg.element(d, rep))
+                try:
+                    value = alg.act(op, alg.element(d, rep))
+                except MissingDataError:
+                    complete = False
+                    continue
                 red = decomp[d + shift].reduce(value.coords(d + shift))
                 if red:
                     action[(op, (d, j))] = {
@@ -1780,7 +1786,14 @@ def product_span_indecomposables(alg):
     return FiniteModuleTable(
         alg.p, alg.bound, [len(r) for r in reps],
         [[alg.basis_label(d, i) for i in reps[d]]
-         for d in range(alg.bound + 1)], action)
+         for d in range(alg.bound + 1)], action, complete)
+
+
+def assert_same_table(table, oracle):
+    assert table.dims == oracle.dims
+    assert table.labels == oracle.labels
+    assert list(table.action.items()) == list(oracle.action.items())
+    assert table.action_complete == oracle.action_complete
 
 
 @pytest.mark.parametrize("name,p,bound", [
@@ -1790,17 +1803,91 @@ def product_span_indecomposables(alg):
     ("X2b_4", 3, 80),
 ])
 def test_indecomposables_match_the_span_of_all_products(name, p, bound):
-    """Spanning only lower representatives times basis elements gives the
-    same reduced rows, so the same table, key order included."""
+    """The generators of the total's smaller free algebra modulo the linear
+    parts of its residual ideal give the span's table, key order
+    included."""
     entry = get_entry(name)
     total = connected_cover_cohomology(entry, p, bound).total
     table = indecomposables(total)
-    oracle = product_span_indecomposables(total)
     assert len(table.nonzero_degrees()) >= 4
-    assert table.dims == oracle.dims
-    assert table.labels == oracle.labels
-    assert list(table.action.items()) == list(oracle.action.items())
+    assert_same_table(table, product_span_indecomposables(total))
     assert table.action_complete
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_indecomposables_of_random_quotients_match_the_span(p):
+    """On random presentations (1-5 generators, exterior and polynomial,
+    degrees repeated, random action tables with gaps), free and divided
+    by 0-3 random homogeneous elements, the table read off the
+    presentation is the span's.  The draws reach kills that eliminate a
+    generator, residual rows with a linear term, and kills with none."""
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=90)
+    @given(hs.data())
+    def check(data):
+        free = random_presentation(data, p, max_gens=5)
+        assume(free.bound > 2 and sum(free.dims()) <= 100)  # span: dim²
+        if data.draw(hs.booleans()):
+            # highest degree first, so that products of the later generators
+            # come before a generator in its degree and a kill can have its
+            # lowest monomial there and a linear term
+            pres, n = free.presentation, len(free.generators)
+            order = sorted(range(n), key=lambda k: -free.generators[k].degree)
+            free = expand(FreeCommPresentation(
+                p, [free.generators[k] for k in order],
+                {key: {tuple(m[k] for k in order): c
+                       for m, c in value.items()}
+                 for key, value in pres.action.items()}), free.bound)
+        degrees = [d for d in range(1, free.bound + 1) if free.dim(d)]
+        # generators whose degree lists a product first: a kill there can
+        # keep its lowest monomial off the generator and have a linear term
+        rooms = [(g.degree, k) for k, g in enumerate(free.generators)
+                 if g.degree <= free.bound
+                 and sum(free.unrank(g.degree, 0)) > 1]
+        ideal = []
+        for _ in range(data.draw(hs.integers(0, 3)) if degrees else 0):
+            linear = rooms and data.draw(hs.booleans())
+            d, k = data.draw(hs.sampled_from(rooms)) if linear else \
+                (data.draw(hs.sampled_from(degrees)), None)
+            coeffs = dict(enumerate(data.draw(hs.lists(
+                hs.integers(0, p - 1), min_size=free.dim(d),
+                max_size=free.dim(d)))))
+            if linear:
+                coeffs[0] = 1
+                unit = tuple(int(j == k) for j in range(len(free.generators)))
+                coeffs[free.rank(d, unit)] = data.draw(hs.integers(1, p - 1))
+            ideal.append(Element(free, {(d, i): c for i, c in coeffs.items()}))
+        quo = quotient_by_ideal(free, ideal)
+        seen["eliminated"] += quo._small is not free
+        seen["linear residual"] += any(
+            sum(quo._small.unrank(d, j)) == 1
+            for d, space in enumerate(quo._ideal) if space is not None
+            for row in space.rows.values() for j in row)
+        seen["residual"] += any(
+            space is not None for space in quo._ideal)
+        for alg in (free, quo):
+            assert_same_table(indecomposables(alg),
+                              product_span_indecomposables(alg))
+
+    check()
+    assert min(seen[k] for k in ("eliminated", "linear residual",
+                                 "residual")) >= 1, seen
+
+
+def test_a_generator_left_in_the_basis_is_decomposable_by_its_kill():
+    """In F_2[c4, a2, b2]/(c4 + a2·b2) the kill's lowest monomial is a2·b2,
+    so c4 is not eliminated and stays in the degree-4 basis; yet the kill's
+    linear part is c4, so c4 = a2·b2 is decomposable and Q_4 = 0."""
+    alg = free_p2([("c4", 4), ("a2", 2), ("b2", 2)], 8)
+    quo = quotient_by_ideal(alg, ["c4 + a2*b2"])
+    assert [quo.basis_label(4, i) for i in range(quo.dim(4))] == \
+        ["b2^2", "a2^2", "c4"]
+    table = indecomposables(quo)
+    assert table.nonzero_degrees() == [2]
+    assert table.dims[4] == 0
+    assert table.labels[2] == ["b2", "a2"]
+    assert_same_table(table, product_span_indecomposables(quo))
 
 
 # ---------------------------------------------------------------------------
