@@ -76,15 +76,18 @@ def _dumps(node) -> str:
     """The text of ``json.dumps(node, sort_keys=True, indent=2)``.
 
     On Python < 3.13, ``indent`` makes ``json.dumps`` run its pure-Python
-    encoder.  Here only dicts and lists are walked in Python: scalars, and
-    lists of ints or of strings, are encoded by C functions.  The pieces
-    are joined once, so no byte of a long list is copied per level."""
+    encoder.  Here only dicts and lists are walked in Python: scalars and
+    flat lists go to C encoders, and the pieces are joined once.  A flat
+    list object met again in this call (a cover's series, shared by every
+    event that leaves it unchanged) appends the text made the first time."""
     out = []
-    _write(node, "\n", out)
+    _write(node, "\n", out, {})
     return "".join(out)
 
 
-def _write(node, indent: str, out: list) -> None:
+def _write(node, indent: str, out: list, seen: dict) -> None:
+    """Append node's text to out; seen maps (id, indent) of each flat list
+    to its text, and no id is reused while the tree holds every node."""
     leaf = _LEAVES.get(type(node))
     if leaf is not None:
         out.append(leaf(node))
@@ -103,25 +106,33 @@ def _write(node, indent: str, out: list) -> None:
                                     f"None, not {type(key).__name__}")
                 key = _encode(key)
             out.append(lead + _encode_str(key) + ": ")
-            _write(value, inner, out)
+            leaf = _LEAVES.get(type(value))
+            if leaf is None:
+                _write(value, inner, out, seen)
+            else:
+                out.append(leaf(value))
             lead = sep
         out.append(indent + "}")
     elif isinstance(node, (list, tuple)):
         if not node:
             out.append("[]")
             return
-        out.append("[" + inner)
-        kinds = set(map(type, node))
-        if kinds <= _FLAT:
-            out.append(_encode(node)[1:-1].replace(",", sep))
-        elif kinds == {str}:
-            out.append(sep.join(map(_encode_str, node)))
-        else:
-            for i, item in enumerate(node):
-                if i:
-                    out.append(sep)
-                _write(item, inner, out)
-        out.append(indent + "]")
+        if (text := seen.get((id(node), indent))) is None:
+            kinds = set(map(type, node))
+            if kinds <= _FLAT:
+                text = _encode(node)[1:-1].replace(",", sep)
+            elif kinds == {str}:
+                text = sep.join(map(_encode_str, node))
+            else:
+                lead = "[" + inner
+                for item in node:
+                    out.append(lead)
+                    _write(item, inner, out, seen)
+                    lead = sep
+                out.append(indent + "]")
+                return
+            text = seen[id(node), indent] = "[" + inner + text + indent + "]"
+        out.append(text)
     else:
         out.append(_encode(node))
 

@@ -1129,7 +1129,7 @@ class QuotientTruncAlgebra(TruncAlgebra):
                                   else c)
             space = self._ideal[d]
             if space is None:
-                space = self._ideal[d] = RowSpace(p, len(index))
+                space = self._ideal[d] = RowSpace(p)
             space.extend(vecs)
             rows = space.rows
             reps[d] = [j for j in (range(len(index)) if reps[d] is None
@@ -1316,7 +1316,7 @@ def mult_ranks(alg: TruncAlgebra, x: Element) -> list[int]:
     if x.is_zero:
         raise InputError("multiplication ranks of zero are not meaningful")
     d0 = x.degree()
-    return [RowSpace(alg.p, alg.dim(d + d0)).extend(
+    return [RowSpace(alg.p).extend(
                 alg.product(alg.element(d, i), x).coords(d + d0)
                 for i in range(alg.dim(d)))
             for d in range(alg.bound - d0 + 1)]
@@ -1387,7 +1387,7 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
         if g.degree < top:
             gens[g.degree].append(small.rank(g.degree, tuple(
                 int(j == k) for j in range(len(small.generators)))))
-    linear = [RowSpace(alg.p, small.dim(d)) for d in range(top)]
+    linear = [RowSpace(alg.p) for _ in range(top)]
     for d, cols in enumerate(gens):
         if cols and ideal[d] is not None:
             linear[d].extend({j: row[j] for j in cols if j in row}

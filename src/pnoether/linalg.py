@@ -12,12 +12,8 @@ small.
 from __future__ import annotations
 
 
-def _inv(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
-
-
 class RowSpace:
-    """A subspace of F_p^width kept in reduced row echelon form.
+    """A subspace of F_p^n kept in reduced row echelon form.
 
     ``rows`` maps each pivot column to its row, a sparse vector with 1 at
     the pivot and 0 on every other pivot.  The pivot of a row is the lowest
@@ -25,9 +21,8 @@ class RowSpace:
     the span, whatever order the vectors arrive in.
     """
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, p: int):
         self.p = p
-        self.width = width
         self.rows: dict[int, dict[int, int]] = {}
         # column -> pivots of the rows that are nonzero there, off the pivot
         self._users: dict[int, set[int]] = {}
@@ -59,9 +54,6 @@ class RowSpace:
                         del out[j]
         return out
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def add(self, vec: dict) -> bool:
         """Insert vec into the span; return True if the dimension grew."""
         return self.extend((vec,)) == 1
@@ -83,7 +75,7 @@ class RowSpace:
                 continue
             grown += 1
             piv = min(v)
-            inv = _inv(v[piv], p)
+            inv = pow(v[piv], -1, p)
             if inv != 1:
                 v = {j: c * inv % p for j, c in v.items()}
             # keep RREF: clear the new pivot column from the rows that use it
@@ -105,11 +97,6 @@ class RowSpace:
             rows[piv] = v
         return grown
 
-    def non_pivot_columns(self) -> list[int]:
-        """Columns without a pivot: the coordinates of canonical coset reps."""
-        rows = self.rows
-        return [j for j in range(self.width) if j not in rows]
-
 
 def solve(columns: list[list[int]], target: list[int], p: int) -> list[int] | None:
     """Solve sum_j x_j * columns[j] = target over F_p; None if inconsistent.
@@ -121,7 +108,7 @@ def solve(columns: list[list[int]], target: list[int], p: int) -> list[int] | No
     and reducing the target leaves a data part (no solution) or -x_j on
     each tag."""
     height = len(target)
-    space = RowSpace(p, height + len(columns))
+    space = RowSpace(p)
     for j, column in enumerate(columns):
         vec = space.reduce(dict(enumerate(column)) | {height + j: 1})
         if min(vec) < height:

@@ -18,6 +18,17 @@ from pnoether.graded import Element, TruncAlgebra, format_op, op_degree
 from pnoether.linalg import RowSpace
 
 
+def in_span(space, vec):
+    """Whether the sparse vec lies in the span of the RowSpace's rows."""
+    return not space.reduce(vec)
+
+
+def non_pivot_columns(space, width):
+    """The columns below width without a pivot in the RowSpace: the
+    coordinates of its canonical coset representatives."""
+    return [j for j in range(width) if j not in space.rows]
+
+
 class SpanQuotient(TruncAlgebra):
 
     def __init__(self, free, ideal_gens=()):
@@ -25,8 +36,7 @@ class SpanQuotient(TruncAlgebra):
         self.p = free.p
         self.bound = free.bound
         self.ideal_gens = []
-        self.ideal = [RowSpace(self.p, free.dim(d))
-                      for d in range(self.bound + 1)]
+        self.ideal = [RowSpace(self.p) for _ in range(self.bound + 1)]
         self.reps = [list(range(free.dim(d))) for d in range(self.bound + 1)]
         for x in ideal_gens:
             self.add_generator(x)
@@ -59,7 +69,7 @@ class SpanQuotient(TruncAlgebra):
                                   else c)
                 vecs.append(vec)
             self.ideal[d].extend(vecs)
-            self.reps[d] = self.ideal[d].non_pivot_columns()
+            self.reps[d] = non_pivot_columns(self.ideal[d], free.dim(d))
 
     def basis(self, degree):
         if degree < 0 or degree > self.bound:
@@ -81,7 +91,7 @@ class SpanQuotient(TruncAlgebra):
         return Element(self, out)
 
     def contains_in_ideal(self, x):
-        return all(self.ideal[d].contains(x.coords(d))
+        return all(in_span(self.ideal[d], x.coords(d))
                    for d in {k[0] for k in x.data})
 
     def product_basis(self, d1, i1, d2, i2):
@@ -127,7 +137,7 @@ class SpanQuotient(TruncAlgebra):
                         continue
                     if y.is_zero:
                         continue
-                    if not self.ideal[d + shift].contains(y.coords(d + shift)):
+                    if not in_span(self.ideal[d + shift], y.coords(d + shift)):
                         failure = {"op": format_op(op), "degree": d}
                         if failure not in failures:
                             failures.append(failure)

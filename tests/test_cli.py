@@ -695,6 +695,39 @@ def test_emitter_prints_the_bytes_of_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+@hs.composite
+def _trees_sharing_a_list(draw):
+    """A tree holding one flat list object (or tuple) at depth 1, twice
+    inside one list, and wherever a drawn subtree puts it."""
+    shared = draw(hs.one_of(
+        hs.lists(hs.one_of(hs.integers(), hs.booleans(), hs.none()),
+                 max_size=6),
+        hs.lists(hs.text(), max_size=4)))
+    if draw(hs.booleans()):
+        shared = tuple(shared)
+    rest = draw(hs.recursive(
+        hs.one_of(hs.just(shared), hs.integers(), hs.text()),
+        lambda children: hs.one_of(
+            hs.lists(children, max_size=4),
+            hs.lists(children, max_size=4).map(tuple),
+            hs.dictionaries(hs.text(), children, max_size=4)),
+        max_leaves=20))
+    return {"top": shared, "pair": [shared, shared], "rest": rest}
+
+
+_SHARED = [3, 1, 4]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_trees_sharing_a_list())
+@example({"a": _SHARED, "b": {"c": [_SHARED, _SHARED]}})
+def test_emitter_prints_a_shared_list_as_json_dumps_does_at_each_depth(tree):
+    """The emitter keeps each flat list's text by its id and indent within
+    one call; a list repeated at one depth or at several prints as
+    json.dumps prints every copy."""
+    assert cli._dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("tree", [{1, 2}, {"a": [0, {1}]}, {(1, 2): 0},
                                   {"a": 1, 2: 3}])
 def test_emitter_refuses_what_json_dumps_refuses(tree):

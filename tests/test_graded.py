@@ -49,7 +49,7 @@ from pnoether.graded import (
 from pnoether.linalg import RowSpace
 from pnoether.steenrod import (admissible_words, letters_to_word,
                                word_degree, word_to_letters)
-from quotient_oracle import SpanQuotient
+from quotient_oracle import SpanQuotient, non_pivot_columns
 from truncation import within_bound
 
 
@@ -1757,7 +1757,7 @@ def product_span_indecomposables(alg):
     d are spanned by every product of two basis elements of positive
     degree; the action is projected as in graded.indecomposables, and is
     incomplete where a value is refused for a gap."""
-    decomp = [RowSpace(alg.p, alg.dim(d)) for d in range(alg.bound + 1)]
+    decomp = [RowSpace(alg.p) for _ in range(alg.bound + 1)]
     for d in range(2, alg.bound + 1):
         for d1 in range(1, d // 2 + 1):
             for i1 in range(alg.dim(d1)):
@@ -1766,7 +1766,7 @@ def product_span_indecomposables(alg):
                            alg.product_basis(d1, i1, d - d1, i2).items()}
                     if vec:
                         decomp[d].add(vec)
-    reps = [[] if d == 0 else decomp[d].non_pivot_columns()
+    reps = [[] if d == 0 else non_pivot_columns(decomp[d], alg.dim(d))
             for d in range(alg.bound + 1)]
     action, complete = {}, True
     for op in alg.op_list():

@@ -43,7 +43,7 @@ from pnoether.cli import main
 from pnoether.em import EMProduct
 from pnoether.serre import (Survivor, _Engine, annihilator_profile,
                             default_bound)
-from quotient_oracle import SpanQuotient
+from quotient_oracle import SpanQuotient, non_pivot_columns
 
 
 def convolve(a, b, bound):
@@ -903,6 +903,25 @@ def test_the_page_series_is_built_once_per_transgression(monkeypatch, name,
     assert len(calls) == 1 + kills
 
 
+@pytest.mark.parametrize("name,p,bound", [("BS3", 2, 100), ("BS3", 3, 130),
+                                          ("BS3", 5, 140), ("X2b_4", 3, 110)])
+def test_a_report_hands_on_one_series_object_while_the_series_holds(
+        name, p, bound):
+    """The JSON emitter renders each list object once per report, so the
+    report must repeat the series object itself, not an equal copy: each
+    step starts from the last step's list, a survivor's list is the one it
+    started from, and ``poincare`` is the last list."""
+    report = connected_cover_cohomology(get_entry(name), p, bound).to_jsonable()
+    log = report["log"]
+    assert {step["event"] for step in log} == {"survivor", "transgression"}
+    for first, second in zip(log, log[1:]):
+        assert second["series_before"] is first["series_after"]
+    for step in log:
+        if step["event"] == "survivor":
+            assert step["series_before"] is step["series_after"]
+    assert report["poincare"] is log[-1]["series_after"]
+
+
 def test_the_engine_never_checks_ideal_invariance(monkeypatch):
     """run_ss grows an ideal that need not be closed under the action;
     only reading steenrod_ok runs the check."""
@@ -1003,7 +1022,8 @@ def test_the_engine_quotient_reps_stay_the_non_pivot_columns(
         span = spans.setdefault(id(quo), SpanQuotient(quo.free))
         span.add_generator(x)
         for d in range(quo.bound + 1):
-            assert quo.basis(d) == span.ideal[d].non_pivot_columns(), d
+            assert quo.basis(d) == non_pivot_columns(span.ideal[d],
+                                                     quo.free.dim(d)), d
 
     monkeypatch.setattr(graded.QuotientTruncAlgebra, "add_generator", checked)
     if case == "BSO3^2 fibration":
