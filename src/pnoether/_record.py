@@ -3,9 +3,9 @@
 A record's fields are the names in its class's ``__slots__`` that do not
 start with an underscore, in order.  A subclass's ``__init__`` sets its
 slots through ``_assign``.  ``Record`` compares two records of the same
-class by their fields and prints as ``Name(field=value, ...)``; like any
-mutable value it is unhashable.  ``Frozen`` also hashes its fields and
-refuses assignment.
+class by their fields, prints as ``Name(field=value, ...)`` and reports
+them as a dict (``to_jsonable``); like any mutable value it is unhashable.
+``Frozen`` also hashes its fields and refuses assignment.
 """
 
 
@@ -23,6 +23,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, n) for n in self._fields())
+
+    def to_jsonable(self) -> dict:
+        return dict(zip(self._fields(), self._values()))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

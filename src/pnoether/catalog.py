@@ -70,7 +70,7 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
             _fail(path, "an object")
         if not isinstance(g.get("name"), str):
             _fail(f"{path}.name", "a string")
-        if not isinstance(g.get("degree"), int) or g["degree"] <= 0:
+        if type(g.get("degree")) is not int or g["degree"] <= 0:
             _fail(f"{path}.degree", "a positive integer")
         kind = g.get("kind", "polynomial")
         if kind not in ("polynomial", "exterior"):
@@ -100,7 +100,7 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
 
     rec = raw.get("recommended_primes")
     if rec is not None and (not isinstance(rec, list)
-                            or not all(isinstance(q, int) for q in rec)):
+                            or not all(type(q) is int for q in rec)):
         _fail(f"{where}.recommended_primes", "null or a list of integers")
 
     return CatalogEntry(name, description, torsion_free, tuple(gens),
@@ -120,7 +120,7 @@ def load_catalog(path: str = None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read catalog file {path}: {exc}")
     return _parse_catalog(text, path)
 

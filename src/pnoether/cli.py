@@ -497,9 +497,7 @@ _HANDLERS = {
 
 
 def _input_echo(args) -> dict:
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "format"}
-    echo["p"] = getattr(args, "p", None)
-    return echo
+    return {k: v for k, v in sorted(vars(args).items()) if k != "format"}
 
 
 def main(argv=None) -> int:
@@ -508,8 +506,7 @@ def main(argv=None) -> int:
     echo = _input_echo(args)
     verb = args.verb
     try:
-        if hasattr(args, "p"):
-            steenrod.check_prime(args.p)
+        steenrod.check_prime(args.p)
         payload, bounds = _HANDLERS[verb](args)
     except PNoetherError as exc:
         error = {

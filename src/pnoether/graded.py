@@ -60,16 +60,15 @@ from .linalg import RowSpace, solve
 
 def parse_op(p: int, text: str) -> tuple:
     text = text.strip()
-    m = re.fullmatch(r"Sq(\d+)", text)
+    m = re.fullmatch(r"(Sq|P)(\d+)", text)
     if m:
-        if p != 2:
-            raise InputError(f"operation {text!r} requires p = 2")
-        return ("Sq", int(m.group(1)))
-    m = re.fullmatch(r"P(\d+)", text)
-    if m:
-        if p == 2:
-            raise InputError(f"operation {text!r} requires an odd prime")
-        return ("P", int(m.group(1)))
+        if (m.group(1) == "Sq") != (p == 2):
+            raise InputError(f"operation {text!r} requires " + (
+                "p = 2" if m.group(1) == "Sq" else "an odd prime"))
+        if not int(m.group(2)):
+            raise InputError(f"operation {text!r} is the identity, which "
+                             "an action table does not list")
+        return (m.group(1), int(m.group(2)))
     if text in ("b", "beta"):
         if p == 2:
             raise InputError("use Sq1 for the Bockstein at p = 2")
@@ -83,6 +82,15 @@ def format_op(op: tuple) -> str:
     if op[0] == "P":
         return f"P{op[1]}"
     return "beta"
+
+
+def _is_op(p: int, op) -> bool:
+    """Whether op is Sq^i at p = 2, or β or P^i at odd p, with an int i >= 1."""
+    if p != 2 and op == ("B",):
+        return True
+    return (type(op) is tuple and len(op) == 2
+            and op[0] == ("Sq" if p == 2 else "P")
+            and type(op[1]) is int and op[1] >= 1)
 
 
 def op_degree(p: int, op: tuple) -> int:
@@ -431,7 +439,9 @@ def _reduced(algebra, data: dict) -> Element:
 
 @functools.lru_cache(maxsize=None)
 def _letters_applied(p: int, word: tuple) -> tuple:
-    """A word's letters in the order they act, rightmost first."""
+    """A word's letters in the order they act, rightmost first; InputError
+    for a word with a letter that is no operation at p."""
+    steenrod._validate_word_shape(p, word)
     return tuple(reversed(steenrod.word_to_letters(p, word)))
 
 
@@ -516,7 +526,10 @@ class TruncAlgebra:
         raise NotImplementedError
 
     def _refuse_above(self, op: tuple, degree: int) -> None:
-        """Raise TruncationError if op on degree lands above the bound."""
+        """Raise InputError if op is no operation at p (see ``_is_op``), and
+        TruncationError if op on degree lands above the bound."""
+        if not _is_op(self.p, op):
+            raise InputError(f"{op!r} is no Steenrod operation at p = {self.p}")
         if (target := degree + op_degree(self.p, op)) > self.bound:
             raise TruncationError(
                 f"{format_op(op)} on a degree-{degree} element lands in degree "
@@ -1377,8 +1390,9 @@ def indecomposables(alg: TruncAlgebra) -> FiniteModuleTable:
     if alg.dim(0) != 1:
         raise InputError("indecomposables needs a connected algebra")
     top = alg.bound + 1
-    small, ideal, kept = (alg._small, alg._ideal, alg._reps) if isinstance(
-        alg, QuotientTruncAlgebra) else (alg, [None] * top, [None] * top)
+    q = alg if isinstance(alg, QuotientTruncAlgebra) else \
+        QuotientTruncAlgebra(alg, [])
+    small, ideal, kept = q._small, q._ideal, q._reps
     # per degree: the generator columns of small, the linear parts of the
     # residual rows, the representatives as columns of small and their
     # indices in alg's basis
@@ -1487,13 +1501,10 @@ class AppendixResult(Record):
         self._assign(generators, certificates, checked_pairs)
 
     def to_jsonable(self) -> dict:
+        # the generator pairs print as objects
         return {
             "generators": [{"name": n, "degree": d} for n, d in self.generators],
-            "certificates": [{
-                "op": c.op, "generator": c.generator, "degree": c.degree,
-                "correction": c.correction, "expression": c.expression,
-                "verified": c.verified,
-            } for c in self.certificates],
+            "certificates": [c.to_jsonable() for c in self.certificates],
             "checked_pairs": self.checked_pairs,
         }
 
@@ -1578,11 +1589,9 @@ def appendix_generators(G: FreeTruncAlgebra, B: TruncAlgebra, module_gens,
             continue
         if b.degree() <= bound:
             out_gens.append((f"b{k}", b.degree()))
-    gen_elements = {f"b{k}": b for k, b in enumerate(normalized, start=1)}
     for g in G.generators:
         if g.degree <= bound:
             out_gens.append((f"{g.name}.1", g.degree))
-            gen_elements[f"{g.name}.1"] = embed.apply(G.generator_element(g.name))
     if not out_gens:
         out_gens = [("1", 0)]
 

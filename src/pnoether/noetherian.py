@@ -200,6 +200,7 @@ class FibrationDescription(Frozen):
         return [] if self.fiber is None else list(self.fiber.factors)
 
     def to_jsonable(self) -> dict:
+        # the fiber and base print by name, not as records
         return {
             "p": self.p,
             "fiber": [str(f) for f in self.fiber_factors()],
@@ -245,6 +246,7 @@ class TQReport(Record):
         self._assign(p, rank, expression, krull, krull_at_most_one)
 
     def to_jsonable(self) -> dict:
+        # the expression prints as text and the Krull report as two keys
         return {
             "p": self.p,
             "rank": self.rank,
@@ -297,10 +299,6 @@ class SplitVerdict(Frozen):
                  witness: dict | None = None):
         self._assign(applicable, splits, criterion,
                      {} if witness is None else witness)
-
-    def to_jsonable(self) -> dict:
-        return {"applicable": self.applicable, "splits": self.splits,
-                "criterion": self.criterion, "witness": dict(self.witness)}
 
 
 def splitting_by_connecting(b_connectivity: int, fiber_top: int,
@@ -355,11 +353,6 @@ class SquareReport(Frozen):
     def __init__(self, p: int, value: int, precision: int, is_square: bool,
                  witness: int | None, reason: str):
         self._assign(p, value, precision, is_square, witness, reason)
-
-    def to_jsonable(self) -> dict:
-        return {"p": self.p, "value": self.value, "precision": self.precision,
-                "is_square": self.is_square, "witness": self.witness,
-                "reason": self.reason}
 
 
 def padic_is_square(p: int, u: int, precision: int) -> SquareReport:
@@ -428,11 +421,6 @@ class SumOfSquaresCertificate(Frozen):
     def __init__(self, p: int, n: int, m: int, precision: int,
                  sum_is_zero: bool, both_zero: bool, argument: str):
         self._assign(p, n, m, precision, sum_is_zero, both_zero, argument)
-
-    def to_jsonable(self) -> dict:
-        return {"p": self.p, "n": self.n, "m": self.m,
-                "precision": self.precision, "sum_is_zero": self.sum_is_zero,
-                "both_zero": self.both_zero, "argument": self.argument}
 
 
 def padic_sum_of_squares_nonzero(p: int, n: int, m: int,

@@ -31,7 +31,7 @@ import itertools
 from . import steenrod
 from ._record import Record
 from .catalog import CatalogEntry
-from .em import EMProduct, EMSpec, IntegerClass, fiber_layout
+from .em import EMProduct, EMSpec, IntegerClass, _effective, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, QuotientTruncAlgebra,
@@ -108,7 +108,6 @@ def default_bound(base: FreeCommPresentation, fiber) -> int:
     if isinstance(fiber, EMSpec):
         fiber = EMProduct((fiber,))
     base_top = max((g.degree for g in base.generators), default=1)
-    from .em import _effective
     fiber_bottom = max(_effective(spec)[2] for spec in fiber.factors)
     return 2 * base_top + fiber_bottom
 
@@ -250,6 +249,7 @@ class SSResult(Record):
         return self.total.project(self.total.free.generator_element(name))
 
     def to_jsonable(self) -> dict:
+        # not the fields: no quotient, the series as "poincare", survivors cut
         return {
             "p": self.p,
             "bound": self.bound,

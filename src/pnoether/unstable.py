@@ -66,11 +66,6 @@ class ModuleExpr(Frozen):
     def __mul__(self, other):
         return Tensor((self, other))
 
-    def __eq__(self, other):
-        if not isinstance(other, ModuleExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

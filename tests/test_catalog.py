@@ -167,6 +167,13 @@ def test_catalog_file_override(tmp_path):
     assert "cannot read catalog file" in str(err.value)
 
 
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(InputError, match="cannot read catalog file"):
+        load_catalog(str(path))
+
+
 def write_and_load(tmp_path, data):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -213,6 +220,12 @@ GEN = {"name": "x", "degree": 4, "kind": "polynomial"}
      "aliases: expected an object"),
     ({"entries": {"E": {"generators": [GEN]}}, "aliases": {"A": "NOPE"}},
      "aliases.A: expected an existing entry name"),
+    # a JSON true is no integer
+    ({"entries": {"E": {"generators": [{"name": "y", "degree": True}]}}},
+     "entries.E.generators[0].degree: expected a positive integer"),
+    ({"entries": {"E": {"generators": [GEN],
+                        "recommended_primes": [3, True]}}},
+     "entries.E.recommended_primes: expected null or a list of integers"),
 ])
 def test_schema_errors(tmp_path, data, path_msg):
     with pytest.raises(InputError) as err:

@@ -386,6 +386,22 @@ def test_catalog_file_entry_selection(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",
+    json.dumps({"entries": {"E": {"generators": [
+        {"name": "y", "degree": True}]}}}).encode(),
+    json.dumps({"entries": {"E": {
+        "generators": [{"name": "y", "degree": 2}],
+        "action": {"2": [{"gen": "y", "op": "Sq0", "value": "y"}]}}}}).encode(),
+], ids=["not-utf8", "true-degree", "sq0-entry"])
+def test_a_malformed_catalog_file_is_one_input_error_report(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, rep = run_json("poincare", "--catalog", str(path))
+    assert code == 2
+    assert rep["status"] == "error" and rep["error"]["type"] == "InputError"
+
+
 @pytest.mark.parametrize("argv", [
     ("cover", "--catalog", "BS3", "--entry", "nonsense", "--p", "3",
      "--max-degree", "10"),
@@ -638,6 +654,11 @@ GOLDEN_REPORTS = {
         (0, "c28df69283bb5ae443610d198d5fb39640a833d2e936ed2511f9363cd50971f7"),
     ("padic", "--sum", "1", "2"):
         (0, "3870c92cde091671acfced7beb16a927fd0cd41b4f1c04b549893b6fb82ab3ab"),
+    # a square through its valuation, and a non-square with a null witness
+    ("padic", "--square", "98", "--p", "7", "--precision", "4"):
+        (0, "5c4af8e8635d6cdafc5c1c7a6a0afc76812892020a40898ddf8cb696dc4d9958"),
+    ("padic", "--square", "3", "--p", "7"):
+        (0, "077273a5928f466c1e36c7ffdb27dcf85ba5572f0ba9075d489985a9d51810ed"),
     # a parse error carries the offset of the bad token
     ("adem", "Sq[2]Sq[3"):
         (2, "6a2607d7fd4a5684dd28dfe35af4e180af5803b478bd0319732e86382fcc4b71"),

@@ -98,6 +98,14 @@ def test_presentation_validation():
     FreeCommPresentation(2, [GeneratorSpec("t", 1), GeneratorSpec("w", 3)])
 
 
+@pytest.mark.parametrize("p, op", [(2, "Sq0"), (2, "Sq00"), (3, "P0")])
+def test_an_action_entry_on_a_zero_power_is_refused(p, op):
+    """Sq^0 and P^0 are the identity, not operations an action table lists:
+    an entry on one is refused, not accepted and never read."""
+    with pytest.raises(InputError, match=op):
+        FreeCommPresentation(p, [GeneratorSpec("y", 2)], {("y", op): "y"})
+
+
 def test_bockstein_link_validation():
     e = GeneratorSpec("e", 3, "exterior", bockstein_link=(1, "y"))
     y = GeneratorSpec("y", 4)
@@ -1187,6 +1195,37 @@ def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
         assert within_bound(alg, x, word) == expected_word == chain
 
     check()
+
+
+@pytest.mark.parametrize("p, op", [
+    (2, ("Sq", 0)), (2, ("P", 1)), (2, ("B",)), (2, ("Sq", -1)),
+    (2, ("Q", 1)), (3, ("P", 0)), (3, ("Sq", 1)), (3, ("B", 1)),
+])
+def test_a_malformed_operation_is_refused_not_read_as_zero(p, op):
+    """An operation that is no Sq^i (i >= 1) at p = 2, or β or P^i (i >= 1)
+    at odd p, raises InputError on every request, on a free algebra and
+    on a quotient of it, and leaves no memo behind."""
+    alg = expand(FreeCommPresentation(p, [GeneratorSpec("x", 2)]), 10)
+    quotient = quotient_by_ideal(alg, [])
+    x = alg.generator_element("x")
+    for a, y in ((alg, x), (quotient, quotient.project(x))):
+        for z in (y, a.one()) * 2:
+            with pytest.raises(InputError, match="operation"):
+                a.act(op, z)
+    assert op not in alg._action
+
+
+@pytest.mark.parametrize("p, word", [
+    (2, (0,)), (2, (2, 0)), (3, (0, 0, 0)), (3, (2,)), (3, (0, 1)),
+])
+def test_a_malformed_word_is_refused_not_read_as_zero(p, word):
+    """act_word refuses a word with a letter that is no operation at p (a
+    zero power, a Bockstein flag other than 0 or 1, an even odd-p length),
+    even on an element it would send to zero."""
+    alg = expand(FreeCommPresentation(p, [GeneratorSpec("x", 2)]), 10)
+    for x in (alg.generator_element("x"), alg.zero()) * 2:
+        with pytest.raises(InputError):
+            alg.act_word(word, x)
 
 
 @pytest.mark.parametrize("kind", ["free", "quotient", "tensor"])

@@ -1,5 +1,5 @@
 """The package's record classes: construction, validation, immutability,
-equality, hashing and repr.
+equality, hashing, repr and JSON.
 
 The records are plain slotted classes; these are the semantics callers
 rely on, and each repr is the text the records have always printed.
@@ -12,6 +12,7 @@ import re
 import pytest
 
 from pnoether import InputError
+from pnoether._record import Record
 from pnoether.catalog import CatalogEntry, get_entry
 from pnoether.em import (CyclicClass, EMProduct, EMSpec, FiberGenerator,
                          FiberLayout, IntegerClass, PadicClass, PruferClass,
@@ -236,3 +237,22 @@ def test_ss_result_equality_ignores_its_total_builder():
     assert a.total == "a" and "total" in vars(a) and "total" not in vars(b)
     assert a == b  # the cached total is no field either
     assert a != SSResult(2, 5, None, [], [], [], {}, [1])
+
+
+@pytest.mark.parametrize("record", [
+    SplitVerdict(True, False, "connecting-morphism", {"fiber_top": 1}),
+    SquareReport(7, 98, 4, True, 14, "r"),
+    SquareReport(7, 3, 3, False, None, "r"),
+    SumOfSquaresCertificate(3, 9, 0, 2, False, False, "a"),
+    AppendixCertificate("Sq1", "z", 3, "c", "e", True),
+], ids=lambda r: type(r).__name__)
+def test_a_report_record_prints_exactly_its_fields(record):
+    assert type(record).to_jsonable is Record.to_jsonable
+    assert list(record.to_jsonable().items()) == [
+        (n, getattr(record, n)) for n in type(record).__slots__]
+
+
+@pytest.mark.parametrize("cls", [SSResult, TQReport, FibrationDescription,
+                                 AppendixResult])
+def test_a_record_whose_json_is_computed_keeps_its_own_method(cls):
+    assert "to_jsonable" in vars(cls)
