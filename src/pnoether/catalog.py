@@ -16,7 +16,8 @@ from types import MappingProxyType
 
 from ._record import Frozen
 from .errors import InputError
-from .graded import FreeCommPresentation, GeneratorSpec
+from .graded import FreeCommPresentation, GeneratorSpec, parse_op
+from .steenrod import is_prime
 
 
 class CatalogEntry(Frozen):
@@ -83,11 +84,16 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
     action = {}
     for prime_key, entries in action_raw.items():
         path = f"{where}.action.{prime_key}"
-        if not prime_key.isdigit():
+        if not (prime_key.isascii() and prime_key.isdigit()):
+            _fail(path, "a prime written as a decimal string")
+        # bounds is_prime's trial division on a key read from a file
+        if len(prime_key) > 4:
+            _fail(path, "a prime of at most 4 digits")
+        if not is_prime(int(prime_key)):
             _fail(path, "a prime written as a decimal string")
         if not isinstance(entries, list):
             _fail(path, "a list of action entries")
-        table = {}
+        p, table = int(prime_key), {}
         for k, e in enumerate(entries):
             epath = f"{path}[{k}]"
             if not isinstance(e, dict):
@@ -95,8 +101,12 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
             for fld in ("gen", "op", "value"):
                 if not isinstance(e.get(fld), str):
                     _fail(f"{epath}.{fld}", "a string")
+            try:
+                parse_op(p, e["op"])
+            except InputError as exc:
+                _fail(f"{epath}.op", f"an operation at p = {p} ({exc})")
             table[(e["gen"], e["op"])] = e["value"]
-        action[int(prime_key)] = MappingProxyType(table)
+        action[p] = MappingProxyType(table)
 
     rec = raw.get("recommended_primes")
     if rec is not None and (not isinstance(rec, list)
@@ -111,9 +121,12 @@ def load_catalog(path: str = None) -> dict:
     """Load the built-in catalog, or a JSON file with the same schema.
 
     Returns a name → CatalogEntry map (aliases included).  Schema problems
-    raise an input error naming the offending JSON path.  The built-in
-    catalog is parsed once per process; each call returns a fresh map over
-    the same read-only entries.  A file is read and parsed on every call.
+    raise an input error naming the offending JSON path; an action table
+    is keyed by a prime of at most 4 digits and lists only operations
+    valid at it, checked at every prime whichever one a query asks for.
+    The built-in catalog is parsed once per process; each call returns a
+    fresh map over the same read-only entries.  A file is read and parsed
+    on every call.
     """
     if path is None:
         return dict(_builtin_catalog())

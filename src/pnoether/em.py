@@ -282,10 +282,18 @@ class _Enumeration:
         return {tuple(mono): 1}
 
     def _compose(self, letters: list, atom: _Atom, word: tuple) -> dict:
-        reduced = steenrod.adem_reduce(
-            self.p, letters + steenrod.word_to_letters(self.p, word))
+        """The value of the letters (leftmost first, each a valid op) on
+        the generator of an admissible word on the atom's class: one Adem
+        reduction of the composite (``steenrod.reduce_word``), each term
+        resolved on the atom.  The letters are table ops or letters of
+        admissible words, so the composite is not checked again."""
+        p = self.p
+        composite = steenrod.letters_to_word(
+            p, letters + steenrod.word_to_letters(p, word))
+        if composite is None:  # β·β = 0
+            return {}
         out: dict = {}
-        for w2, coeff in reduced.terms.items():
+        for w2, coeff in steenrod.reduce_word(p, composite):
             for mono, c in self.resolve(atom, w2).items():
                 out[mono] = (out.get(mono, 0) + coeff * c) % self.p
         return {m: c for m, c in out.items() if c}

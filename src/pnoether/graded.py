@@ -616,14 +616,11 @@ class FreeTruncAlgebra(TruncAlgebra):
             row = self._suffix[0].copy()
             _apply_factor(row, g.degree, g.kind)
             self._suffix.insert(0, row)
-        # a degree's monomials and their index, None until listed; the
-        # arithmetic lookups made on each degree; and _blocks[k][s], the
-        # blocks block(k, s) listed so far (_list_degree)
+        # a degree's monomials and their index, None until listed, and the
+        # arithmetic lookups made on each degree
         self._basis: list = [None] * (bound + 1)
         self._index: list = [None] * (bound + 1)
         self._lookups = [0] * (bound + 1)
-        self._blocks: list[dict] = [{} for _ in self.generators] + [
-            {0: [(0,) * len(self.generators)]}]
         # op -> (degree, index) -> act_basis value, never one above the
         # bound: {basis key: coeff} dicts, not Elements, which would point
         # back at the algebra and make it a reference cycle
@@ -660,39 +657,46 @@ class FreeTruncAlgebra(TruncAlgebra):
         """List and index the monomials of some degrees within the bound,
         none of them listed yet.
 
-        block(k, s), the monomials of degree s in generators k, k+1, ...
-        (zero on the earlier ones) in lexicographic order, is block(k+1, s)
-        followed, for e = 1, 2, ... (at most 1 for an exterior generator),
-        by block(k+1, s - e·|g_k|) with exponent e on generator k.  The
-        blocks needed are found from the first generator down, and built
-        from the last generator up; an empty block, read off the suffix
-        table, is never visited, and a block listed by an earlier call is
-        not built again.  Each new monomial is built once, and a block
-        that adds nothing to block(k+1, s) is that list itself.  Callers
-        keep the listing rule of the class docstring: a bulk read lists all
-        the degrees it reads in one call, and a single key lists its degree
-        only when that degree's lookups reach its dimension."""
-        gens, suffix, blocks = self.generators, self._suffix, self._blocks
-        needed = [set(degrees)]
-        for k, g in enumerate(gens):
-            top = 1 if g.kind == "exterior" else self.bound
-            rows, known = suffix[k + 1], blocks[k + 1]
-            needed.append({t for s in needed[k]
-                           for t in range(s, -1, -g.degree)[: top + 1]
-                           if rows[t] and t not in known})
-        for k in range(len(gens) - 1, -1, -1):
-            g, child, rows = gens[k], blocks[k + 1], suffix[k + 1]
-            top = 1 if g.kind == "exterior" else self.bound
-            for s in needed[k]:
-                extra = []
-                for t in range(s - g.degree, -1, -g.degree)[:top]:
-                    if rows[t]:
-                        head = (0,) * k + ((s - t) // g.degree,)
-                        extra.extend([head + m[k + 1:] for m in child[t]])
-                block = child.get(s, [])
-                blocks[k][s] = block + extra if extra else block
-        for s in needed[0]:
-            monos = self._basis[s] = blocks[0].setdefault(s, [])
+        Each degree is one walk over exponent prefixes, from the last
+        monomial in lexicographic order back to the first: generator k
+        takes the exponents ..., 2, 1 (1 alone for an exterior generator)
+        that leave a remaining degree the later generators can fill, read
+        off the suffix table, then 0, which moves on to generator k + 1
+        without a call; every prefix visited thus ends in a monomial, the
+        last generator's exponent is what remains, and the walk is as deep
+        as a monomial's nonzero exponents.  Callers keep the listing rule
+        of the class docstring: a bulk read lists all the degrees it reads
+        in one call, and a single key lists its degree only when that
+        degree's lookups reach its dimension."""
+        suffix, last = self._suffix, len(self.generators) - 1
+        steps = [(d, 1 if g.kind == "exterior" else self.bound)
+                 for d, g in zip(self._degrees, self.generators)]
+        mono = [0] * len(steps)
+
+        def walk(k: int, r: int) -> None:
+            while r:
+                d, top = steps[k]
+                if k == last:  # the suffix table says d divides r
+                    mono[k] = r // d
+                    monos.append(tuple(mono))
+                    mono[k] = 0
+                    return
+                row = suffix[k + 1]
+                for e in range(min(top, r // d), 0, -1):
+                    if row[r - e * d]:
+                        mono[k] = e
+                        walk(k + 1, r - e * d)
+                mono[k] = 0
+                if not row[r]:
+                    return
+                k += 1
+            monos.append(tuple(mono))
+
+        for s in degrees:
+            monos = self._basis[s] = []
+            if suffix[0][s]:
+                walk(0, s)
+                monos.reverse()
             self._index[s] = {m: i for i, m in enumerate(monos)}
 
     def _looked_up(self, degree: int) -> None:

@@ -300,7 +300,9 @@ class _Engine:
         series falls by (1+t)·K(t), K(t) counting the sources by degree;
         K is read off degree by degree as K[i] = diff[i] - K[i-1].  It must
         be non-negative below the top degree, where the partner of a source
-        lies above the bound.  A violation raises EngineContractError."""
+        lies above the bound.  A violation raises EngineContractError.
+        run logs a survivor step itself, without this check: the step
+        hands on the series it was given, so its drop is zero."""
         diff = [b - a for b, a in zip(step["series_before"],
                                       step["series_after"])]
         k = 0
@@ -351,9 +353,11 @@ class _Engine:
                 self.survivors.append(Survivor(
                     name="", degree=degree, kind=kind, origin=origin,
                     display="", label=label, exponent=stage.exponent))
-                self._log({"event": "survivor", "class": origin,
-                           "degree": degree, "series_before": series,
-                           "series_after": series})
+                # a survivor hands the series on: its drop is zero, so
+                # it is logged without the ledger check
+                self.log.append({"event": "survivor", "class": origin,
+                                 "degree": degree, "series_before": series,
+                                 "series_after": series})
                 continue
             rep = stage.tau
             profile = self._kill(rep)
@@ -488,25 +492,20 @@ class _Engine:
                 s.display = steenrod.format_word_compact(self.p, word) + " z"
 
     def _words_by_degree(self, anchor, survivors) -> dict:
-        """Admissible words of reduced excess <= |anchor| up to the largest
-        gap above the anchor, bucketed by exact degree in enumeration order;
-        the words of one degree keep their relative order at any larger
-        bound and under the excess bound.  By instability a word of larger
+        """Gap above the anchor -> the admissible words of that exact degree
+        and reduced excess <= |anchor|, in the order admissible_words lists
+        them (see steenrod.admissible_words_by_degree); only the gaps of
+        non-companion survivors are listed.  By instability a word of larger
         reduced excess carries the anchor to 0 (it applies Sq^s with s > n,
         or P^s with 2s > n, to a class of degree n), so the first word
-        matching a nonzero survivor class is unchanged."""
+        matching a nonzero survivor class is the first in the unbounded
+        list."""
         if anchor is None:
             return {}
-        gaps = {s.degree - anchor.degree for s in survivors
-                if not s.is_companion and s.degree > anchor.degree}
-        words: dict = {gap: [] for gap in gaps}
-        if gaps:
-            for word in steenrod.admissible_words(
-                    self.p, max(gaps), max_excess=anchor.degree):
-                bucket = words.get(steenrod.word_degree(self.p, word))
-                if bucket is not None:
-                    bucket.append(word)
-        return words
+        return steenrod.admissible_words_by_degree(
+            self.p, {s.degree - anchor.degree for s in survivors
+                     if not s.is_companion and s.degree > anchor.degree},
+            anchor.degree)
 
     def _monomial(self, s: Survivor) -> tuple:
         """The fiber monomial a^e of a non-companion survivor: the exponent

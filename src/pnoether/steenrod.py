@@ -279,6 +279,14 @@ def _reduce_odd(p: int, word: tuple) -> tuple:
     return ((word, 1),)
 
 
+def reduce_word(p: int, word: tuple) -> tuple:
+    """The Adem reduction of a raw word, as ((admissible word, coeff), ...)
+    sorted by word: the one cached reducer.  It checks nothing, so the
+    caller vouches for the word's shape (see _validate_word_shape), as
+    ``adem_reduce`` does after its input checks."""
+    return _reduce_2(word) if p == 2 else _reduce_odd(p, word)
+
+
 class SteenrodSum:
     """A finite F_p-linear combination of admissible words, all of one degree."""
 
@@ -336,6 +344,7 @@ def adem_reduce(p: int, letters) -> SteenrodSum:
 
     ``letters`` is a sequence of ``("Sq", i)``, ``("P", s)``, ``("B",)``
     single-operation letters (or a raw word tuple), leftmost operation first.
+    The input is checked, then reduced by :func:`reduce_word`.
     """
     check_prime(p)
     if isinstance(letters, tuple) and (not letters or not isinstance(letters[0], tuple)):
@@ -346,9 +355,7 @@ def adem_reduce(p: int, letters) -> SteenrodSum:
         if word is None:
             return SteenrodSum(p, {})
         _validate_word_shape(p, word)
-    if p == 2:
-        return SteenrodSum(p, dict(_reduce_2(word)))
-    return SteenrodSum(p, dict(_reduce_odd(p, word)))
+    return SteenrodSum(p, dict(reduce_word(p, word)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +416,74 @@ def admissible_words(p: int, max_degree: int,
                     new.append((nw, nd + flag))
         frontier = new
     return out
+
+
+def admissible_words_by_degree(p: int, degrees,
+                               max_excess: int | None = None) -> dict:
+    """Each of ``degrees`` -> the admissible words of exactly that degree
+    whose reduced excess is <= max_excess (any, when None), in the order
+    :func:`admissible_words` lists them: fewer letters first (at odd p a
+    letter is a P^s), then lexicographic on the word read right to left.
+
+    A word is its first letter, Sq^i or b^e P^s, before an admissible tail
+    of the degree that is left.  The letter's reduced excess is ``2i - |w|``
+    at p = 2 and ``2ps + e - |w|`` at odd p, so the excess bound caps the
+    letter, and the letter caps the tail's first letter through
+    admissibility.  Only words of the given degrees are built; their tail
+    lists are shared among the degrees of one call (see _tails) and
+    dropped when it returns."""
+    check_prime(p)
+    tails: dict = {}
+    out = {}
+    for degree in degrees:
+        if degree < 0 or (max_excess is not None and max_excess < 0):
+            out[degree] = []
+            continue
+        top = degree + (degree if max_excess is None else max_excess)
+        if p == 2:
+            words = list(_tails(2, degree, top // 2, tails))
+        else:
+            words = ([(degree,)] if degree < 2 else []) \
+                + _leading(p, degree, 0, top // (2 * p), tails) \
+                + _leading(p, degree, 1, (top - 1) // (2 * p), tails)
+        words.sort(key=lambda w: (len(w), w[::-1]))
+        out[degree] = words
+    return out
+
+
+def _tails(p: int, degree: int, cap: int, memo: dict) -> list[tuple]:
+    """The admissible words of the degree whose first letter fits under a
+    letter of index cap: Sq^i with i <= cap at p = 2, b^e P^s with
+    p s + e <= cap at odd p (a word with no P^s always fits).  Kept in
+    memo per (degree, cap) and shared: a caller copies before changing
+    one."""
+    words = memo.get((degree, cap))
+    if words is None:
+        if p == 2:
+            words = [()] if degree == 0 else _leading(2, degree, 0, cap, memo)
+        else:
+            words = ([(degree,)] if degree < 2 else []) \
+                + _leading(p, degree, 0, cap // p, memo) \
+                + _leading(p, degree, 1, (cap - 1) // p, memo)
+        memo[(degree, cap)] = words
+    return words
+
+
+def _leading(p: int, degree: int, flag: int, top: int,
+             memo: dict) -> list[tuple]:
+    """The admissible words of degree >= 1 with a letter first: Sq^i with
+    i <= top at p = 2 (flag 0), b^flag P^s with s <= top at odd p.  A
+    word's reduced excess is never negative (see admissible_words), so
+    i >= |w| / 2 and s >= (|w| - flag) / 2p."""
+    if p == 2:
+        return [(i,) + tail
+                for i in range((degree + 1) // 2, min(top, degree) + 1)
+                for tail in _tails(2, degree - i, i // 2, memo)]
+    unit, rest = 2 * (p - 1), degree - flag
+    return [(flag, s) + tail
+            for s in range(max(1, -(-rest // (2 * p))),
+                           min(top, rest // unit) + 1)
+            for tail in _tails(p, rest - s * unit, s, memo)]
 
 
 # ---------------------------------------------------------------------------

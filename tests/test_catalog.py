@@ -1,6 +1,8 @@
 """Built-in ring catalog: entries, aliases, presentations, file override,
 and schema validation with precise error paths."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import pnoether
 from pnoether import InputError, get_entry, load_catalog
+from pnoether.cli import main
 from pnoether.graded import expand
 
 
@@ -226,9 +229,53 @@ GEN = {"name": "x", "degree": 4, "kind": "polynomial"}
     ({"entries": {"E": {"generators": [GEN],
                         "recommended_primes": [3, True]}}},
      "entries.E.recommended_primes: expected null or a list of integers"),
+    # a table's key is a prime, and each op is valid at that prime
+    ({"entries": {"E": {"generators": [GEN], "action": {"4": []}}}},
+     "entries.E.action.4: expected a prime written as a decimal string"),
+    ({"entries": {"E": {"generators": [GEN], "action": {"1": []}}}},
+     "entries.E.action.1: expected a prime written as a decimal string"),
+    ({"entries": {"E": {"generators": [GEN], "action": {"3": [
+        {"gen": "x", "op": "Sq0", "value": "x"}]}}}},
+     "entries.E.action.3[0].op: expected an operation at p = 3"),
+    ({"entries": {"E": {"generators": [GEN], "action": {"2": [
+        {"gen": "x", "op": "Sq1", "value": "0"},
+        {"gen": "x", "op": "beta", "value": "0"}]}}}},
+     "entries.E.action.2[1].op: expected an operation at p = 2"),
+    # a key that is no ASCII number, or too long to test by trial division,
+    # is refused before it is read as an integer
+    ({"entries": {"E": {"generators": [GEN], "action": {"\u00b2": []}}}},
+     "entries.E.action.\u00b2: expected a prime written as a decimal string"),
+    ({"entries": {"E": {"generators": [GEN],
+                        "action": {"2305843009213693951": []}}}},
+     "entries.E.action.2305843009213693951: expected a prime of at most 4 "
+     "digits"),
+    pytest.param(
+        {"entries": {"E": {"generators": [GEN], "action": {"7" * 5000: []}}}},
+        f"entries.E.action.{'7' * 5000}: expected a prime of at most 4 digits",
+        id="a-5000-digit-key"),
 ])
 def test_schema_errors(tmp_path, data, path_msg):
     with pytest.raises(InputError) as err:
         write_and_load(tmp_path, data)
     assert "catalog schema" in str(err.value)
     assert path_msg in str(err.value)
+
+
+@pytest.mark.parametrize("action, path_msg", [
+    ({"4": [{"gen": "x", "op": "Sq1", "value": "0"}]}, "entries.E.action.4:"),
+    ({"3": [{"gen": "x", "op": "Sq0", "value": "x"}]},
+     "entries.E.action.3[0].op:"),
+])
+def test_a_table_at_a_prime_not_asked_for_is_checked_at_load(tmp_path, action,
+                                                             path_msg):
+    """A query at p = 2 reads no table at another key, yet a malformed one
+    there refuses the whole file, naming its JSON path."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"entries": {"E": {"generators": [GEN],
+                                                  "action": action}}}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["poincare", "--catalog", str(path), "--p", "2"])
+    report = json.loads(out.getvalue())
+    assert code == 2 and report["error"]["type"] == "InputError"
+    assert path_msg in report["error"]["message"]

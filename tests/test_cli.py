@@ -163,16 +163,16 @@ def test_em_verb_makes_no_adem_reduction(monkeypatch):
     table, whose every entry costs one Adem reduction."""
 
     def refuse(*args):
-        raise AssertionError("adem_reduce called")
+        raise AssertionError("reduce_word called")
 
-    monkeypatch.setattr(steenrod, "adem_reduce", refuse)
+    monkeypatch.setattr(steenrod, "reduce_word", refuse)
     code, rep = run_json("em", "--space", "K(Z,3)", "--max-degree", "60")
     assert code == 0
     assert rep["payload"]["polynomial_degrees"] == [3, 5, 9, 17, 33]
     # the library presentation lists its table's keys with no reduction and
     # reduces an entry, through the stub, when it is read
     pres = em.em_product_presentation(em.parse_space("K(Z,3)", 2), 2, 60)
-    with pytest.raises(AssertionError, match="adem_reduce called"):
+    with pytest.raises(AssertionError, match="reduce_word called"):
         pres.action[("i3", ("Sq", 2))]
 
 def test_fmod_dims():

@@ -29,7 +29,7 @@ from pnoether import (
 from pnoether import em, serre, steenrod
 from pnoether.catalog import get_entry
 from pnoether.cli import main
-from pnoether.graded import FreeCommPresentation, GeneratorSpec
+from pnoether.graded import FreeCommPresentation, GeneratorSpec, op_degree
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +366,13 @@ def test_a_cover_reads_a_few_entries_of_the_fiber_table(monkeypatch):
     entry of the table's 102; it makes one Adem reduction per display
     word it tries, a few in all."""
     calls = []
-    adem_reduce = steenrod.adem_reduce
+    reduce_word = steenrod.reduce_word
 
     def counted(*args):
         calls.append(args)
-        return adem_reduce(*args)
+        return reduce_word(*args)
 
-    monkeypatch.setattr(steenrod, "adem_reduce", counted)
+    monkeypatch.setattr(steenrod, "reduce_word", counted)
     pres = fiber_layout(EMSpec(IntegerClass(), 3), 2, 100).presentation
     alg = expand(pres, 100)
     assert alg.action_complete and not calls
@@ -478,6 +478,39 @@ def test_entries_read_in_any_order_are_the_entries_read_in_key_order(
         shuffled = table()
         read = {key: list(shuffled[key].items()) for key in keys}
         assert [(key, read[key]) for key in shuffled] == expected
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_composing_through_the_reducer_equals_adem_reduce(p):
+    """_compose reduces the composite through steenrod.reduce_word, with no
+    input check and no SteenrodSum; on random letters before a random word
+    of an integral, a cyclic and a higher-Bockstein table, its value is
+    the checked adem_reduce of the same letters resolved term by term."""
+    bound = 40 if p == 2 else 100
+    enums = [em._Enumeration(EMSpec(cls, 3), p, bound)
+             for cls in (IntegerClass(), CyclicClass(1), CyclicClass(2))]
+    ops = ([("Sq", i) for i in range(1, 7)] if p == 2 else
+           [("B",)] + [("P", s) for s in range(1, 4)])
+
+    @settings(derandomize=True, database=None, max_examples=150)
+    @given(hs.data())
+    def check(data):
+        enum = data.draw(hs.sampled_from(enums))
+        degree, _name, atom, word = data.draw(hs.sampled_from(enum.entries))
+        letters = data.draw(hs.lists(hs.sampled_from(ops), max_size=3))
+        top = degree + sum(op_degree(p, op) for op in letters)
+        if top > bound:
+            return
+        got = enum._compose(list(letters), atom, word)
+        want: dict = {}
+        total = steenrod.adem_reduce(
+            p, list(letters) + steenrod.word_to_letters(p, word))
+        for w2, coeff in total.terms.items():
+            for mono, c in enum.resolve(atom, w2).items():
+                want[mono] = (want.get(mono, 0) + coeff * c) % p
+        assert got == {m: c for m, c in want.items() if c}
 
     check()
 

@@ -342,10 +342,10 @@ def test_basis_enumeration_matches_recursion_then_sort(p):
     check()
 
 
-# A degree is listed when it is read in bulk, from blocks shared with the
-# degrees listed before it, or once its single-key lookups, ranked from the
-# suffix table until then, reach its dimension; neither the order of reads
-# nor the route of a lookup may show in the answer.
+# A degree is listed when it is read in bulk, by its own walk over exponent
+# prefixes, or once its single-key lookups, ranked from the suffix table
+# until then, reach its dimension; neither the order of reads nor the route
+# of a lookup may show in the answer.
 
 free_algebras = hs.tuples(
     hs.lists(hs.tuples(hs.sampled_from(("polynomial", "exterior")),

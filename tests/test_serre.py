@@ -857,6 +857,57 @@ def test_a_step_whose_series_drop_is_not_a_euler_pair_raises(monkeypatch):
         connected_cover_cohomology(get_entry("S3"), 2, 10)
 
 
+class ReadSeries(list):
+    """A series that counts how often it is iterated."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_run_logs_survivors_without_the_ledger_and_checks_every_kill(
+        monkeypatch):
+    """run logs a survivor step with the very series it was handed, so its
+    drop is zero and the ledger is not run on it; every step whose series
+    changes goes through _log.  _log reads a distinct list entry by entry,
+    an equal one included, and a changed step whose drop is not (1+t)·K(t)
+    with K >= 0 still raises and is not logged."""
+    checked = []
+    ledger = _Engine._log
+    monkeypatch.setattr(_Engine, "_log",
+                        lambda self, step: (checked.append(step),
+                                            ledger(self, step)))
+    engine = _Engine(ledger_spec("BS3", 2, 60))
+    engine.run()
+    survivors = [s for s in engine.log if s["event"] == "survivor"]
+    assert survivors and all(s["series_after"] is s["series_before"]
+                             for s in survivors)
+    assert checked == [s for s in engine.log if s["event"] != "survivor"]
+    assert checked and all(s["series_after"] is not s["series_before"]
+                           for s in checked)
+
+    def step(before, after):
+        return {"event": "transgression", "class": "i3", "degree": 3,
+                "series_before": before, "series_after": after}
+
+    engine.log.clear()
+    before, after = ReadSeries([1, 0, 0, 1]), ReadSeries([1, 0, 0, 1])
+    ledger(engine, step(before, after))
+    assert before.reads == after.reads == 1
+    # a kill from degree 1 to 2 drops (1+t)·t: K = [0, 1, 0]
+    ledger(engine, step(ReadSeries([1, 1, 1, 1]), ReadSeries([1, 0, 0, 1])))
+    assert len(engine.log) == 2
+    # a drop in degree 0 alone leaves K[1] = -1
+    with pytest.raises(EngineContractError, match=r"K\[1\] = -1"):
+        ledger(engine, step(ReadSeries([2, 0, 0, 1]),
+                            ReadSeries([1, 0, 0, 1])))
+    assert len(engine.log) == 2
+
+
 LEDGER_CASES = [("BS3", 2, 60), ("BS3", 3, 80), ("BS3", 5, 110),
                 ("X2b_4", 3, 60), ("BSO(3)^2", 2, 28)]
 

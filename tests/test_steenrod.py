@@ -131,8 +131,8 @@ def test_excess_bounded_words_equal_the_filtered_full_list(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_words_of_one_degree_keep_their_order_at_larger_bounds(p):
-    """The serre engine enumerates once up to its largest gap and reads each
-    gap's words off that list, so the order must not depend on the bound."""
+    """A degree's words come in one order whatever the bound, the order
+    admissible_words_by_degree lists them in."""
     top = 60 if p == 2 else 130
     by_degree = {}
     for w in st.admissible_words(p, top):
@@ -141,6 +141,45 @@ def test_words_of_one_degree_keep_their_order_at_larger_bounds(p):
         exact = [w for w in st.admissible_words(p, degree)
                  if st.word_degree(p, w) == degree]
         assert by_degree.get(degree, []) == exact, degree
+
+
+# the largest degree drawn at each prime: the unbounded list there holds
+# 1,086 (p = 7) to 4,156 (p = 2) words
+WORDS_OF_DEGREE_TOP = {2: 60, 3: 160, 5: 400, 7: 560}
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(hs.data())
+def test_words_of_one_degree_are_their_bucket_of_the_full_list(data):
+    """admissible_words_by_degree builds only the words of the degrees
+    asked for, yet lists exactly each degree's bucket of admissible_words,
+    in its order, under each excess bound: degree 0, degrees with no word
+    and negative degrees included, the degrees of one call sharing their
+    tail lists."""
+    p = data.draw(hs.sampled_from(sorted(WORDS_OF_DEGREE_TOP)))
+    top = WORDS_OF_DEGREE_TOP[p]
+    degrees = data.draw(hs.sets(hs.integers(-2, top), min_size=1,
+                                max_size=4))
+    max_excess = data.draw(hs.none() | hs.integers(-1, 14))
+    full = st.admissible_words(p, max(max(degrees), 0), max_excess)
+    buckets = {d: [w for w in full if st.word_degree(p, w) == d]
+               for d in degrees}
+    assert st.admissible_words_by_degree(p, degrees, max_excess) == buckets
+
+
+@pytest.mark.parametrize("p, degree, max_excess, words", [
+    (2, 0, None, [()]), (3, 0, None, [(0,)]), (5, 0, 0, [(0,)]),
+    (7, 0, None, [(0,)]), (5, 1, 0, [(1,)]),
+    # no word has these degrees, and an excess bound can empty one
+    (3, 2, None, []), (3, 3, None, []), (5, 7, None, []), (7, 11, None, []),
+    (2, 6, 0, []), (2, -1, None, []), (3, 5, -1, []),
+    # fewer letters first, then the word read right to left
+    (2, 6, None, [(6,), (5, 1), (4, 2)]),
+    (3, 5, None, [(1, 1, 0), (0, 1, 1)]),
+])
+def test_words_of_one_degree_at_the_edges(p, degree, max_excess, words):
+    assert st.admissible_words_by_degree(p, [degree], max_excess) \
+        == {degree: words}
 
 
 def test_excess_bound_below_zero_keeps_nothing():
