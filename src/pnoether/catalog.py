@@ -17,7 +17,7 @@ from types import MappingProxyType
 from ._record import Frozen
 from .errors import InputError
 from .graded import FreeCommPresentation, GeneratorSpec, parse_op
-from .steenrod import is_prime
+from .steenrod import check_prime
 
 
 class CatalogEntry(Frozen):
@@ -86,14 +86,16 @@ def _load_entry(name: str, raw, where: str) -> CatalogEntry:
         path = f"{where}.action.{prime_key}"
         if not (prime_key.isascii() and prime_key.isdigit()):
             _fail(path, "a prime written as a decimal string")
-        # bounds is_prime's trial division on a key read from a file
+        # a key of thousands of digits is refused before int() reads it
         if len(prime_key) > 4:
             _fail(path, "a prime of at most 4 digits")
-        if not is_prime(int(prime_key)):
+        try:
+            p = check_prime(int(prime_key))
+        except InputError:
             _fail(path, "a prime written as a decimal string")
         if not isinstance(entries, list):
             _fail(path, "a list of action entries")
-        p, table = int(prime_key), {}
+        table = {}
         for k, e in enumerate(entries):
             epath = f"{path}[{k}]"
             if not isinstance(e, dict):

@@ -325,25 +325,19 @@ class FiberLayout(Record):
         self._assign(presentation, generators, bottoms, _compose)
 
 
-def _factor_enumerations(product, p: int, bound: int) -> list:
-    """One enumeration per factor; with several factors the generator
-    names get an ``f{k}_`` prefix recording the factor."""
-    if isinstance(product, EMSpec):
-        product = EMProduct((product,))
-    multi = len(product.factors) > 1
-    return [_Enumeration(spec, p, bound, prefix=(f"f{k}_" if multi else ""))
-            for k, spec in enumerate(product.factors, start=1)]
-
-
 def fiber_layout(product, p: int, bound: int) -> FiberLayout:
     """Combined presentation of a product of EM spaces plus, per generator,
     its factor's bottom class and the admissible word defining it (needed
-    to propagate maps that commute with the Steenrod action).
+    to propagate maps that commute with the Steenrod action).  Each factor
+    is one enumeration; with several factors the generator names get an
+    ``f{k}_`` prefix recording the factor.
 
     The action table lists each generator with the operations of
     ``ops_on_degree`` when it is first used; an entry's value is composed,
     and its degree checked, the first time it is read."""
-    enums = _factor_enumerations(product, p, bound)
+    factors = (product,) if isinstance(product, EMSpec) else product.factors
+    enums = [_Enumeration(spec, p, bound, f"f{k}_" if len(factors) > 1 else "")
+             for k, spec in enumerate(factors, start=1)]
     gens: list[GeneratorSpec] = []
     records, bottoms = [], {}
     sources: dict = {}  # name -> (enumeration, atom, word, offset)

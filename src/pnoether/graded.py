@@ -59,21 +59,13 @@ from .linalg import RowSpace, solve
 
 
 def parse_op(p: int, text: str) -> tuple:
-    text = text.strip()
-    m = re.fullmatch(r"(Sq|P)(\d+)", text)
-    if m:
-        if (m.group(1) == "Sq") != (p == 2):
-            raise InputError(f"operation {text!r} requires " + (
-                "p = 2" if m.group(1) == "Sq" else "an odd prime"))
-        if not int(m.group(2)):
-            raise InputError(f"operation {text!r} is the identity, which "
-                             "an action table does not list")
-        return (m.group(1), int(m.group(2)))
-    if text in ("b", "beta"):
-        if p == 2:
-            raise InputError("use Sq1 for the Bockstein at p = 2")
-        return ("B",)
-    raise InputError(f"unknown operation {text!r}")
+    """The op that text names ("Sq2", "P1", "b" or "beta"), if it is an
+    operation at p (``steenrod.check_op``); else InputError."""
+    m = re.fullmatch(r"(Sq|P)(\d+)|b|beta", text.strip())
+    if not m:
+        raise InputError(f"unknown operation {text!r}")
+    return steenrod.check_op(p, (m[1], int(m[2])) if m[1] else ("B",),
+                             repr(text))
 
 
 def format_op(op: tuple) -> str:
@@ -82,15 +74,6 @@ def format_op(op: tuple) -> str:
     if op[0] == "P":
         return f"P{op[1]}"
     return "beta"
-
-
-def _is_op(p: int, op) -> bool:
-    """Whether op is Sq^i at p = 2, or β or P^i at odd p, with an int i >= 1."""
-    if p != 2 and op == ("B",):
-        return True
-    return (type(op) is tuple and len(op) == 2
-            and op[0] == ("Sq" if p == 2 else "P")
-            and type(op[1]) is int and op[1] >= 1)
 
 
 def op_degree(p: int, op: tuple) -> int:
@@ -151,11 +134,11 @@ class GeneratorSpec(Frozen):
 class FreeCommPresentation:
     """A free graded-commutative algebra presentation with partial action data.
 
-    ``action`` maps (generator name, op string like "Sq2"/"P1"/"beta") to a
-    polynomial in the generators, given as a string (``x4^2*x6 + 2*x12``) or
-    an already-parsed monomial dict; every entry is checked here.  A
-    ``LazyActionTable`` is kept as it is, its values checked as they are
-    first read.
+    ``action`` maps (generator name, op: a string like "Sq2"/"P1"/"beta" or
+    a tuple passing ``steenrod.check_op``) to a polynomial in the generators
+    that ``_checked_poly`` takes (``x4^2*x6 + 2*x12``, or a monomial dict);
+    every entry is checked here.  A ``LazyActionTable`` is kept as it is,
+    its values checked as they are first read.
     """
 
     def __init__(self, p: int, generators, action=None):
@@ -185,21 +168,24 @@ class FreeCommPresentation:
                     raise InputError(
                         f"generator {g.name}: bockstein partner degree must be "
                         f"{g.degree + 1}")
-        # a function of the generator list, not a bound method, so that a
-        # lazy table holding it does not point back at this presentation
-        check = functools.partial(_checked_action_value, p, self.generators,
-                                  self.index)
+        gens, index = self.generators, self.index
+
+        def check(key, value):  # no reference to self: see LazyActionTable
+            gen_name, op = key
+            return _checked_poly(p, gens, index, value,
+                                 gens[index[gen_name]].degree + op_degree(p, op),
+                                 f"action entry ({gen_name}, {format_op(op)})")
+
         if isinstance(action, LazyActionTable):
             action._check = check
             self.action = action
             return
         self.action = {}
-        for (gen_name, op_text), value in (action or {}).items():
+        for (gen_name, op), value in (action or {}).items():
             if gen_name not in self.index:
                 raise InputError(f"action entry for unknown generator {gen_name!r}")
-            op = parse_op(p, op_text) if isinstance(op_text, str) else tuple(op_text)
-            poly = self.parse_poly(value) if isinstance(value, str) else dict(value)
-            self.action[(gen_name, op)] = check((gen_name, op), poly)
+            op = parse_op(p, op) if isinstance(op, str) else steenrod.check_op(p, op)
+            self.action[(gen_name, op)] = check((gen_name, op), value)
 
     def __eq__(self, other):
         """Equal primes, generators and action entries; comparing a lazy
@@ -219,30 +205,7 @@ class FreeCommPresentation:
 
     def parse_poly(self, text: str) -> dict:
         """Parse ``2*x4^2*x6 + x12`` into a monomial dict {exponents: coeff}."""
-        text = text.strip()
-        out: dict = {}
-        if text == "0":
-            return out
-        for term in text.split("+"):
-            coeff = 1
-            exps = [0] * len(self.generators)
-            for factor in term.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise InputError(f"empty factor in polynomial {text!r}")
-                if factor.isdigit():
-                    coeff = (coeff * int(factor)) % self.p
-                    continue
-                m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?", factor)
-                if not m:
-                    raise InputError(f"bad factor {factor!r} in polynomial {text!r}")
-                name, exp = m.group(1), int(m.group(2) or 1)
-                if name not in self.index:
-                    raise InputError(f"unknown generator {name!r} in polynomial {text!r}")
-                exps[self.index[name]] += exp
-            mono = tuple(exps)
-            out[mono] = (out.get(mono, 0) + coeff) % self.p
-        return {m: c for m, c in out.items() if c}
+        return _parse_poly(self.p, self.index, text)
 
     def format_poly(self, poly: dict) -> str:
         if not poly:
@@ -264,23 +227,60 @@ class FreeCommPresentation:
         return " + ".join(parts) if parts else "0"
 
 
-def _checked_action_value(p: int, generators: list, index: dict, key: tuple,
-                          poly: dict) -> dict:
-    """The action value ``poly`` of key = (generator name, op) reduced mod p,
-    after checking that each of its terms has the degree of op on the
-    generator; a term of another degree raises InputError."""
-    gen_name, op = key
-    target = generators[index[gen_name]].degree + op_degree(p, op)
-    out = {}
-    for mono, coeff in poly.items():
-        if coeff % p == 0:
-            continue
-        degree = sum(e * g.degree for e, g in zip(mono, generators))
-        if degree != target:
-            raise InputError(
-                f"action entry ({gen_name}, {format_op(op)}): value has "
-                f"degree {degree}, expected {target}")
-        out[mono] = coeff % p
+def _parse_poly(p: int, index: dict, text: str) -> dict:
+    """``parse_poly`` over the generators of index (name -> position)."""
+    text = text.strip()
+    out: dict = {}
+    if text == "0":
+        return out
+    for term in text.split("+"):
+        coeff = 1
+        exps = [0] * len(index)
+        for factor in term.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise InputError(f"empty factor in polynomial {text!r}")
+            if factor.isdigit():
+                coeff = (coeff * int(factor)) % p
+                continue
+            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?", factor)
+            if not m:
+                raise InputError(f"bad factor {factor!r} in polynomial {text!r}")
+            name, exp = m.group(1), int(m.group(2) or 1)
+            if name not in index:
+                raise InputError(f"unknown generator {name!r} in polynomial {text!r}")
+            exps[index[name]] += exp
+        mono = tuple(exps)
+        out[mono] = (out.get(mono, 0) + coeff) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _checked_poly(p: int, generators: list, index: dict, value, degree: int,
+                  what: str) -> dict:
+    """The one rule for a polynomial value of the given degree over the
+    generators, returned as a monomial dict mod p with no zero term.  A
+    string is parsed.  A dict ({exponent tuple: int}, one non-negative int
+    exponent per generator) is reduced mod p, its zero terms dropped before
+    the degree test.  Anything else, or a term of another degree, raises
+    InputError naming what (an action entry, a transgression)."""
+    if isinstance(value, str):
+        value = _parse_poly(p, index, value)
+    elif not isinstance(value, dict):
+        raise InputError(f"{what}: values are polynomial strings or monomial "
+                         f"dicts, not {type(value).__name__}")
+    degrees, out = [g.degree for g in generators], {}
+    for mono, coeff in value.items():
+        if type(coeff) is not int or type(mono) is not tuple or \
+                len(mono) != len(degrees) or \
+                any(type(e) is not int or e < 0 for e in mono):
+            raise InputError(f"{what}: term {mono!r}: {coeff!r} is no int "
+                             f"coefficient on an exponent tuple of "
+                             f"{len(degrees)} non-negative ints")
+        if coeff % p:
+            if (d := sum(map(mul, mono, degrees))) != degree:
+                raise InputError(f"{what}: value has degree {d}, expected "
+                                 f"{degree}")
+            out[mono] = coeff % p
     return out
 
 
@@ -299,7 +299,7 @@ class LazyActionTable(Mapping):
     def __init__(self, list_keys, compute):
         self._list_keys = list_keys
         self._compute = compute
-        self._check = None  # set by the presentation that takes the table
+        self._check = None  # set by the presentation, never pointing back at it
 
     @functools.cached_property
     def _values(self) -> dict:
@@ -437,10 +437,12 @@ def _reduced(algebra, data: dict) -> Element:
 # truncated algebras
 
 
-@functools.lru_cache(maxsize=None)
-def _letters_applied(p: int, word: tuple) -> tuple:
+@functools.lru_cache(maxsize=None, typed=True)
+def _letters_applied(p: int, *word) -> tuple:
     """A word's letters in the order they act, rightmost first; InputError
-    for a word with a letter that is no operation at p."""
+    for a word with a letter that is no operation at p.  The word comes one
+    entry per argument to a typed cache, so that an int word's entry never
+    answers an equal float or bool word."""
     steenrod._validate_word_shape(p, word)
     return tuple(reversed(steenrod.word_to_letters(p, word)))
 
@@ -498,7 +500,11 @@ class TruncAlgebra:
         raise NotImplementedError
 
     def act(self, op: tuple, x: Element) -> Element:
-        """Apply one Steenrod operation (Sq^i / P^i / beta) to an element."""
+        """Apply one Steenrod operation (Sq^i / P^i / beta) to an element;
+        an index that is no int, as in ("Sq", True), would read the memo
+        of the int op it equals, so it is refused first."""
+        if op.__class__ is not tuple or len(op) == 2 and op[1].__class__ is not int:
+            steenrod.check_op(self.p, op)
         return _reduced(self, self._act_data(op, x.data))
 
     def _act_data(self, op: tuple, data: dict) -> dict:
@@ -526,10 +532,9 @@ class TruncAlgebra:
         raise NotImplementedError
 
     def _refuse_above(self, op: tuple, degree: int) -> None:
-        """Raise InputError if op is no operation at p (see ``_is_op``), and
-        TruncationError if op on degree lands above the bound."""
-        if not _is_op(self.p, op):
-            raise InputError(f"{op!r} is no Steenrod operation at p = {self.p}")
+        """InputError if op is no operation at p (``steenrod.check_op``),
+        and TruncationError if op on degree lands above the bound."""
+        steenrod.check_op(self.p, op)
         if (target := degree + op_degree(self.p, op)) > self.bound:
             raise TruncationError(
                 f"{format_op(op)} on a degree-{degree} element lands in degree "
@@ -538,7 +543,7 @@ class TruncAlgebra:
     def act_word(self, word: tuple, x: Element) -> Element:
         """Apply a composite word (rightmost factor first)."""
         data = x.data
-        for letter in _letters_applied(self.p, tuple(word)):
+        for letter in _letters_applied(self.p, *word):
             data = self._act_data(letter, data)
             if not data:
                 break

@@ -16,6 +16,8 @@ square arithmetic behind the rank-3 non-splitting example.
 
 from __future__ import annotations
 
+import re
+
 from . import steenrod, unstable
 from ._record import Frozen, Record
 from .em import CyclicClass, EMProduct, EMSpec, PruferClass
@@ -119,8 +121,6 @@ def _split_top_level(text: str) -> list:
 
 
 def _parse_term(term: str, p: int, whole: str) -> list:
-    import re
-
     if term.startswith("("):
         m = re.fullmatch(r"\(([^()]+)\)(?:\^(\d+))?", term)
         if not m:

@@ -35,17 +35,17 @@ from .em import EMProduct, EMSpec, IntegerClass, _effective, fiber_layout
 from .errors import EngineContractError, InputError, UnsupportedFibrationError
 from .graded import (Element, FreeCommPresentation, FreeTruncAlgebra,
                      GeneratorSpec, QuotientTruncAlgebra,
-                     _apply_factor, expand, mult_ranks, op_degree,
-                     ops_on_degree)
+                     _apply_factor, _checked_poly, expand, mult_ranks,
+                     op_degree, ops_on_degree)
 
 
 class FibrationSpec:
     """A fibration fiber → E → base with declared transgression.
 
     ``transgression`` maps the name of each fiber factor's bottom class
-    (e.g. ``"i3"``, or ``"f2_i3"`` in a product) to a base element, given
-    as a polynomial string or a monomial dict over the base (anything else,
-    an Element included, raises InputError); omitted names mean 0.
+    (e.g. ``"i3"``, or ``"f2_i3"`` in a product) to a base element of one
+    degree more that ``graded._checked_poly`` takes, a polynomial string or
+    a monomial dict (an Element raises InputError); omitted names mean 0.
     ``fiber_gens`` holds the fiber generators (``em.FiberGenerator``) by
     name, in the fiber presentation's order, and ``fiber_compose`` is the
     layout's ``_compose``.  π₁ of the base is assumed to act trivially on
@@ -74,30 +74,15 @@ class FibrationSpec:
         self.fiber_gens = {g.name: g for g in layout.generators}
         self.fiber_compose = layout._compose
         bottoms = layout.bottoms
-        self.transgression = {}
-        given = dict(transgression or {})
-        for key, value in given.items():
+        self.transgression = {name: {} for name in bottoms}
+        for key, value in dict(transgression or {}).items():
             if key not in bottoms:
                 raise InputError(
                     f"transgression key {key!r} is not a fiber bottom class "
                     f"(expected one of {sorted(bottoms)})")
-            if isinstance(value, str):
-                poly = base.parse_poly(value)
-            elif isinstance(value, dict):
-                poly = dict(value)
-            else:
-                raise InputError("pass transgression values as polynomial "
-                                 "strings or monomial dicts over the base")
-            degrees = {base.monomial_degree(m) for m in poly}
-            if len(degrees) > 1:
-                raise InputError(f"transgression of {key} is not homogeneous")
-            if poly and degrees.pop() != bottoms[key] + 1:
-                raise InputError(
-                    f"transgression of {key} must have degree "
-                    f"{bottoms[key] + 1}")
-            self.transgression[key] = poly
-        for name in bottoms:
-            self.transgression.setdefault(name, {})
+            self.transgression[key] = _checked_poly(
+                p, base.generators, base.index, value, bottoms[key] + 1,
+                f"transgression of {key}")
 
     def base_algebra(self) -> FreeTruncAlgebra:
         return expand(self.base, self.bound + 1)

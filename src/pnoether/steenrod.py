@@ -24,6 +24,11 @@ odd p:   ``excess(b^{e0} P^{s1} w) = 2 s1 + e0 - degree(w)`` where ``w`` is
          ``excess(w) - e0`` (a leading Bockstein does not raise the effective
          excess); see :func:`reduced_excess`.
 
+Operations: a letter is ``("Sq", i)`` at p = 2, ``("B",)`` (the Bockstein)
+or ``("P", i)`` at odd p, with ``type(i) is int`` and i >= 1; :func:`check_op`
+is the one rule for it, and :func:`check_prime` (an ``int`` prime below
+``PRIME_LIMIT``) the one rule for a prime.
+
 Text DSL: ``Sq[i1,i2,...]`` groups at p = 2 and ``bP[e0;s1,e1;s2,e2;...]``
 groups at odd p; juxtaposed groups compose, ``1`` is the identity.
 """
@@ -53,8 +58,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+PRIME_LIMIT = 10 ** 4
+
+
 def check_prime(p) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    """p, when it is an ``int`` prime below PRIME_LIMIT, else InputError:
+    every caller shares one cap on is_prime's trial division."""
+    if type(p) is int and p >= PRIME_LIMIT:
+        raise InputError(f"p must be a prime below {PRIME_LIMIT}, got {p}")
+    if type(p) is not int or not is_prime(p):
         raise InputError(f"p must be a prime number, got {p!r}")
     return p
 
@@ -141,19 +153,26 @@ def reduced_excess(p: int, word: tuple) -> int:
     return excess(p, word) - leading_bockstein(p, word)
 
 
+def check_op(p: int, op, shown: str = None) -> tuple:
+    """op, when it is one operation at p (see the module docstring); else
+    InputError, naming op as shown (its repr by default)."""
+    if not (p != 2 and op == ("B",) or type(op) is tuple and len(op) == 2
+            and op[0] == ("Sq" if p == 2 else "P")
+            and type(op[1]) is int and op[1] >= 1):
+        raise InputError(f"{shown or repr(op)} is no Steenrod operation at "
+                         f"p = {p}")
+    return op
+
+
 def _validate_word_shape(p: int, word: tuple) -> None:
-    if p == 2:
-        if any((not isinstance(i, int)) or i <= 0 for i in word):
-            raise InputError(f"p=2 word entries must be positive integers: {word}")
-        return
-    if len(word) % 2 == 0 or not word:
-        raise InputError(f"odd-p word must have odd flat length: {word}")
-    for j, x in enumerate(word):
-        if j % 2 == 0:
-            if x not in (0, 1):
-                raise InputError(f"Bockstein flag must be 0/1 in {word}")
-        elif (not isinstance(x, int)) or x <= 0:
-            raise InputError(f"power entries must be positive integers: {word}")
+    """InputError unless each letter of word passes check_op and, at odd p,
+    its length is odd and each Bockstein flag an ``int`` 0 or 1."""
+    if p != 2 and (len(word) % 2 == 0 or any(
+            type(e) is not int or e not in (0, 1) for e in word[::2])):
+        raise InputError(f"an odd-p word has odd length and flags 0 or 1: "
+                         f"{word}")
+    for i in word if p == 2 else word[1::2]:
+        check_op(p, ("Sq" if p == 2 else "P", i))
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +193,17 @@ def word_to_letters(p: int, word: tuple) -> list[tuple]:
 
 
 def letters_to_word(p: int, letters) -> tuple | None:
-    """Assemble letters into a raw word tuple; None if it collapses (b*b = 0)."""
+    """Assemble letters that pass check_op into a raw word; None if b*b = 0."""
     if p == 2:
-        word = []
-        for tag, *rest in letters:
-            if tag != "Sq":
-                raise InputError(f"letter {tag} is not valid at p=2")
-            word.append(rest[0])
-        return tuple(word)
+        return tuple([letter[1] for letter in letters])
     word: list[int] = [0]
     for letter in letters:
-        tag = letter[0]
-        if tag == "B":
-            if word[-1] == 1:
-                return None
-            word[-1] = 1
-        elif tag == "P":
+        if len(letter) == 2:
             word.extend((letter[1], 0))
+        elif word[-1]:
+            return None
         else:
-            raise InputError(f"letter {tag} is not valid at odd p")
+            word[-1] = 1
     return tuple(word)
 
 
@@ -282,8 +293,8 @@ def _reduce_odd(p: int, word: tuple) -> tuple:
 def reduce_word(p: int, word: tuple) -> tuple:
     """The Adem reduction of a raw word, as ((admissible word, coeff), ...)
     sorted by word: the one cached reducer.  It checks nothing, so the
-    caller vouches for the word's shape (see _validate_word_shape), as
-    ``adem_reduce`` does after its input checks."""
+    caller vouches for the word: ``adem_reduce`` checks its input first,
+    and ``em``'s compositions assemble table keys and admissible words."""
     return _reduce_2(word) if p == 2 else _reduce_odd(p, word)
 
 
@@ -344,17 +355,17 @@ def adem_reduce(p: int, letters) -> SteenrodSum:
 
     ``letters`` is a sequence of ``("Sq", i)``, ``("P", s)``, ``("B",)``
     single-operation letters (or a raw word tuple), leftmost operation first.
-    The input is checked, then reduced by :func:`reduce_word`.
+    Each letter passes check_op (a raw word, _validate_word_shape) before
+    :func:`reduce_word` reduces the word.
     """
     check_prime(p)
     if isinstance(letters, tuple) and (not letters or not isinstance(letters[0], tuple)):
         word = letters  # already a raw word tuple
         _validate_word_shape(p, word)
     else:
-        word = letters_to_word(p, letters)
+        word = letters_to_word(p, [check_op(p, op) for op in letters])
         if word is None:
             return SteenrodSum(p, {})
-        _validate_word_shape(p, word)
     return SteenrodSum(p, dict(reduce_word(p, word)))
 
 

@@ -90,6 +90,15 @@ def test_nonprime_is_rejected_for_every_verb():
     assert "p must be a prime number, got 4" in rep["error"]["message"]
 
 
+def test_a_huge_prime_is_refused_at_once():
+    """2^61 - 1 is prime, but testing it by trial division would run for
+    minutes: every verb refuses a p of 10^4 or more before dividing."""
+    code, rep = run_json("poincare", "--catalog", "BS3",
+                         "--p", str(2 ** 61 - 1))
+    assert code == 2 and rep["error"]["type"] == "InputError"
+    assert "p must be a prime below 10000" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [("em", "--space", "K(Z/0,3)"),
                                   ("tq", "Z/0", "--p", "3")])
 def test_a_zero_modulus_is_refused_not_divided_forever(argv):

@@ -41,6 +41,7 @@ from pnoether.catalog import get_entry, load_catalog
 from pnoether.errors import UnsupportedFibrationError
 from pnoether.graded import (
     Element,
+    LazyActionTable,
     format_op,
     mult_ranks,
     op_degree,
@@ -118,6 +119,49 @@ def test_bockstein_link_validation():
                 GeneratorSpec("z", 6)])
     with pytest.raises(InputError):
         GeneratorSpec("e", 3, "exterior", bockstein_link=(0, "y"))
+
+
+@pytest.mark.parametrize("p, op", [
+    (2, ("Sq", 0)), (2, ("B",)), (2, ("Sq", True)), (2, ("Sq", 1.0)),
+    (2, ("P", 1)), (3, ("P", 0)), (3, ("P", True)), (3, ("P", -1)),
+    (3, ("Sq", 1)), (3, ("B", 1)),
+])
+def test_a_tuple_action_key_is_checked_like_a_string_one(p, op):
+    """A table key given as an op tuple passes the one operation rule
+    (steenrod.check_op), as "Sq0" or "P0" does: ("Sq", 0) and ("B",) at
+    p = 2 are refused, and ("Sq", True) is not stored to act as Sq^1."""
+    with pytest.raises(InputError, match="operation"):
+        FreeCommPresentation(p, [GeneratorSpec("y", 2)], {("y", op): "0"})
+
+
+@pytest.mark.parametrize("value", [
+    None, 5, 2.0, [((1,), 1)], {(1,): 1.0}, {(1, 0): 1}, {(-1,): 1},
+    {"y": 1}, expand(FreeCommPresentation(2, [GeneratorSpec("y", 2)]),
+                     4).generator_element("y")], ids=repr)
+def test_an_action_value_that_is_no_polynomial_is_an_input_error(value):
+    """A value is a string or a dict of exponent tuples (one int per
+    generator) to int coefficients; anything else, an Element included, is
+    refused with InputError, not a bare TypeError or a monomial read at
+    run time."""
+    with pytest.raises(InputError, match="polynomial strings or monomial|"
+                                         "exponent tuple"):
+        FreeCommPresentation(2, [GeneratorSpec("y", 2)],
+                             {("y", "Sq2"): value})
+
+
+def test_an_action_value_drops_its_zero_terms_before_the_degree_test():
+    """{y^2: 1, y: 2} at p = 2 is y^2: its zero term, of another degree,
+    is dropped, not refused, in a given table and in a lazy one alike."""
+    gens = [GeneratorSpec("y", 2)]
+    given = FreeCommPresentation(2, gens, {("y", "Sq2"): {(2,): 1, (1,): 2}})
+    lazy = FreeCommPresentation(2, gens, LazyActionTable(
+        lambda: [("y", ("Sq", 2))], lambda key: {(2,): 3, (1,): 4}))
+    for pres in (given, lazy):
+        assert pres.action[("y", ("Sq", 2))] == {(2,): 1}
+    bad = FreeCommPresentation(2, gens, LazyActionTable(
+        lambda: [("y", ("Sq", 2))], lambda key: None))
+    with pytest.raises(InputError, match="polynomial strings or monomial"):
+        bad.action[("y", ("Sq", 2))]
 
 
 def test_action_entry_degree_check():
@@ -1200,6 +1244,7 @@ def test_act_on_a_sum_is_the_weighted_sum_of_act_on_its_terms(p):
 @pytest.mark.parametrize("p, op", [
     (2, ("Sq", 0)), (2, ("P", 1)), (2, ("B",)), (2, ("Sq", -1)),
     (2, ("Q", 1)), (3, ("P", 0)), (3, ("Sq", 1)), (3, ("B", 1)),
+    (2, ()), (2, 5), (3, None), (3, "P1"),
 ])
 def test_a_malformed_operation_is_refused_not_read_as_zero(p, op):
     """An operation that is no Sq^i (i >= 1) at p = 2, or β or P^i (i >= 1)
@@ -1215,8 +1260,34 @@ def test_a_malformed_operation_is_refused_not_read_as_zero(p, op):
     assert op not in alg._action
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 0, -1], ids=repr)
+@pytest.mark.parametrize("p", [2, 3])
+def test_an_index_that_is_no_positive_int_is_refused_beside_its_int_op(p,
+                                                                       index):
+    """act and act_word refuse an op or word whose index is True, False,
+    1.0, 0 or -1, on a free algebra and on a quotient alike, before and
+    after the int op's memo and the int word's letters are cached (True
+    and 1.0 equal 1, so either could read Sq^1's or P^1's entry, or leave
+    its own letters for the int word to find); the int op and word still
+    answer, and each error names the index it was given."""
+    tag, word = ("Sq", (index,)) if p == 2 else ("P", (0, index, 0))
+    alg = expand(FreeCommPresentation(p, [GeneratorSpec("x", p - 1)]), 12)
+    quotient = quotient_by_ideal(alg, [])
+    x = alg.generator_element("x")
+    for a, y in ((alg, x), (quotient, quotient.project(x))):
+        for _ in range(2):
+            with pytest.raises(InputError, match=re.escape(repr(index))):
+                a.act((tag, index), y)
+            with pytest.raises(InputError, match=re.escape(repr(index))):
+                a.act_word(word, y)
+            want = a.act((tag, 1), y)
+            assert not want.is_zero
+            assert a.act_word((1,) if p == 2 else (0, 1, 0), y) == want
+
+
 @pytest.mark.parametrize("p, word", [
     (2, (0,)), (2, (2, 0)), (3, (0, 0, 0)), (3, (2,)), (3, (0, 1)),
+    (3, (True, 1, 0)), (3, (0, 1, 1.0)),
 ])
 def test_a_malformed_word_is_refused_not_read_as_zero(p, word):
     """act_word refuses a word with a letter that is no operation at p (a

@@ -1232,6 +1232,27 @@ def test_a_transgression_value_is_a_string_or_a_monomial_dict():
         FibrationSpec(2, base, fiber, {"i2": x3}, 10)
 
 
+def test_a_transgression_drops_its_zero_terms_before_the_degree_test():
+    """{y4: 1, y4^2: 0} over F_2[y4] is y4, not "not homogeneous"."""
+    base = FreeCommPresentation(2, [GeneratorSpec("y4", 4)])
+    spec = FibrationSpec(2, base, EMSpec(IntegerClass(), 3),
+                         {"i3": {(1,): 1, (2,): 0}}, 11)
+    assert spec.transgression["i3"] == {(1,): 1}
+    assert run_ss(spec).to_jsonable() == run_ss(FibrationSpec(
+        2, base, EMSpec(IntegerClass(), 3), {"i3": "y4"}, 11)).to_jsonable()
+
+
+@pytest.mark.parametrize("value", [{(1, 0): 1}, {(): 1}, {(1.0,): 1},
+                                   {(1,): None}, 5, None], ids=repr)
+def test_a_malformed_transgression_is_refused_at_the_spec(value):
+    """A monomial of the wrong length, a float exponent or a coefficient
+    that is no int is refused when the spec is built, not when the run
+    reads it, by the rule action values use."""
+    base = FreeCommPresentation(2, [GeneratorSpec("y4", 4)])
+    with pytest.raises(InputError, match="transgression of i3"):
+        FibrationSpec(2, base, EMSpec(IntegerClass(), 3), {"i3": value}, 11)
+
+
 def test_default_bound():
     base = get_entry("BS3").presentation(2)
     assert default_bound(base, EMSpec(IntegerClass(), 3)) == 11

@@ -328,6 +328,23 @@ def test_adem_reduce_rejects_bad_letters():
         st.adem_reduce(3, [("Sq", 2)])
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 0, -1], ids=repr)
+@pytest.mark.parametrize("p", [2, 3])
+def test_adem_reduce_refuses_an_index_that_is_no_positive_int(p, index):
+    """As letters and as a raw word, after the int letter has been reduced
+    (and cached), so 1.0 or True cannot read Sq^1's or P^1's entry."""
+    tag, word = ("Sq", (index,)) if p == 2 else ("P", (0, index, 0))
+    assert not st.adem_reduce(p, [(tag, 1)]).is_zero()
+    for given in ([(tag, index)], [(tag, 1), (tag, index)], word):
+        with pytest.raises(InputError, match="operation"):
+            st.adem_reduce(p, given)
+
+
+def test_adem_reduce_refuses_a_flag_that_is_no_int():
+    with pytest.raises(InputError, match="flags"):
+        st.adem_reduce(3, (True, 1, 0))
+
+
 def test_beta_squared_is_zero():
     assert st.adem_reduce(3, [("B",), ("B",)]).is_zero()
 
@@ -472,3 +489,18 @@ def test_check_prime():
     with pytest.raises(InputError):
         st.check_prime(1)
     assert st.check_prime(13) == 13
+    assert st.check_prime(9973) == 9973  # the largest prime below 10^4
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 10007, 10 ** 4, 3.0, True, "3",
+                               None], ids=repr)
+def test_check_prime_refuses_before_it_divides(p, monkeypatch):
+    """A prime of 10^4 or more (2^61 - 1 would take about 7.6e8 trial
+    divisions), a float, a bool or a string is refused at once: is_prime
+    is never called."""
+    def divides(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(st, "is_prime", divides)
+    with pytest.raises(InputError, match="p must be a prime"):
+        st.check_prime(p)
